@@ -19,7 +19,9 @@ import (
 // distance kernel) and re-evaluates the Shapley closed form over the O(n)
 // merged neighbor walk — so iterating "drop the worst row, look again" is
 // interactive even at tens of thousands of rows, while staying
-// Float64bits-identical to recomputing everything from scratch.
+// Float64bits-identical to recomputing everything from scratch. Only the
+// opening index comes from the shared cache; derived indexes are the
+// session's own and are not registered there.
 //
 // Safe for concurrent use; mutations serialize on an internal mutex.
 type DebugSession struct {
@@ -84,9 +86,10 @@ func (s *DebugSession) OriginalIDs() []int {
 // RemoveRows drops the given rows — indices into the CURRENT surviving
 // set, duplicates tolerated — and returns the freshly recomputed scores
 // of the survivors. The update is the delta path end to end: the next
-// index derives from the current one and is registered in the shared
-// cache, so the chain never rebuilds distance geometry. The call is
-// atomic: on error the session is unchanged.
+// index derives from the one the session holds, so the chain never
+// rebuilds distance geometry, fingerprints the training set, or touches
+// the shared index cache. The call is atomic: on error the session is
+// unchanged.
 func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 	defer recordOp("DebugSessionRemoveRows", time.Now(), len(rows), s.workers, &err)
 	s.mu.Lock()
@@ -94,7 +97,7 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 	if len(rows) == 0 {
 		return append(Scores(nil), s.scores...), nil
 	}
-	scores, keep, ix, err := importance.KNNShapleyDelta(s.k, s.train, s.valid, rows, s.workers)
+	scores, keep, ix, err := importance.KNNShapleyDerive(s.k, s.ix, s.train.Y, s.valid.Y, rows, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("nde: debug session removal: %w", err)
 	}
@@ -102,11 +105,21 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 		// keep the session invariant k <= train.Len() for the NEXT round
 		return nil, fmt.Errorf("nde: removal leaves %d rows for k=%d: %w", len(keep), s.k, nderr.ErrBadK)
 	}
+	// Survivor features are the child index's own; labels and groups stay
+	// the session's (the index's may be stale, see importance's cache).
+	train := &Dataset{X: ix.Train.X, Y: make([]int, len(keep))}
+	if len(s.train.Groups) > 0 {
+		train.Groups = make([]string, len(keep))
+	}
 	orig := make([]int, len(keep))
 	for o, i := range keep {
 		orig[o] = s.orig[i]
+		train.Y[o] = s.train.Y[i]
+		if train.Groups != nil {
+			train.Groups[o] = s.train.Groups[i]
+		}
 	}
-	s.train = s.train.Subset(keep)
+	s.train = train
 	s.orig = orig
 	s.scores = scores
 	s.ix = ix

@@ -10,6 +10,7 @@ import (
 	"nde"
 	"nde/internal/importance"
 	"nde/internal/ml"
+	"nde/internal/obs"
 )
 
 func sessionFixture(t *testing.T) (*nde.Dataset, *nde.Dataset) {
@@ -72,6 +73,38 @@ func TestDebugSessionMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(scores)
+	}
+}
+
+// Session steps derive from the index the session holds: after the
+// opening lookup they neither read nor register anything in the shared
+// index cache, so they never evict another caller's index.
+func TestDebugSessionStepsBypassSharedCache(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer obs.Reset()
+	defer obs.Disable()
+	nde.ResetNeighborIndexCache()
+	defer nde.ResetNeighborIndexCache()
+	dTrain, dValid := sessionFixture(t)
+	sess, err := nde.NewDebugSession(dTrain, dValid, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"hits", "misses", "waits", "puts"}
+	before := make([]int64, len(names))
+	for i, name := range names {
+		before[i] = obs.Default().Counter("importance_neighbor_index_" + name + "_total").Value()
+	}
+	for _, rm := range [][]int{{0, 3}, {10}} {
+		if _, err := sess.RemoveRows(rm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range names {
+		if got := obs.Default().Counter("importance_neighbor_index_" + name + "_total").Value(); got != before[i] {
+			t.Errorf("session steps moved importance_neighbor_index_%s_total %d -> %d", name, before[i], got)
+		}
 	}
 }
 

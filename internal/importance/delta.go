@@ -2,35 +2,26 @@ package importance
 
 import (
 	"fmt"
-	"sort"
 
 	"nde/internal/ml"
 	"nde/internal/nderr"
 	"nde/internal/obs"
-	"nde/internal/par"
 )
 
 // KNNShapleyDelta recomputes kNN-Shapley after removing training rows,
 // reusing the shared neighbor index for the ORIGINAL training set instead
-// of rebuilding from scratch: the removed-set index is derived via
-// ml.NeighborIndex.RemoveRows (tombstone + O(n) merge walk over cached
-// distances — no fresh kernel, no argsort) and registered in the cache
-// under the reduced train's own fingerprint so follow-up calls, and
-// further removals chained on top, hit it directly.
+// of rebuilding from scratch: it looks the parent index up in the shared
+// cache, derives and scores the reduced index with KNNShapleyDerive, and
+// registers the derived index in the cache under the reduced train's own
+// fingerprint so follow-up calls, and further removals chained on top,
+// hit it directly.
 //
 // It returns the reduced scores (one per surviving row, in surviving
 // order), the surviving original row ids, and the derived index.
 //
 // Determinism: the result is Float64bits-identical to
 // KNNShapley(k, train.Subset(keep), valid) — the full-rebuild oracle —
-// for every worker count. That identity constrains the implementation:
-// the closed-form recurrence is re-evaluated in full per validation point
-// rather than patched from the highest changed neighbor rank downward,
-// because the algebraic prefix-offset shortcut (ranks below the first
-// removed neighbor change by a constant) reassociates float additions and
-// drifts from the oracle by ulps. The recurrence is O(n) with tiny
-// constants; the delta win is skipping the O(n·d) distance kernel and the
-// O(n log n) per-query argsort, which dominate the rebuild (DESIGN §11).
+// for every worker count.
 //
 // Labels are read from the caller's train argument, never from a cached
 // index: cached geometry may be shared across label revisions.
@@ -38,104 +29,82 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, nil, nil, err
 	}
-	n := train.Len()
+	parent, err := sharedNeighborIndex(train, valid, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	scores, keep, child, err := KNNShapleyDerive(k, parent, train.Y, valid.Y, remove, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if child != parent {
+		registerDerivedIndex(child, valid.X.Fingerprint())
+	}
+	return scores, keep, child, nil
+}
+
+// KNNShapleyDerive removes rows (indices into parent.Train, duplicates
+// tolerated) from parent and scores the survivors: the child index comes
+// from ml.NeighborIndex.RemoveRows (tombstones over the cached distances,
+// no fresh kernel, no argsort) and the closed form runs over the child's
+// merged neighbor walk. trainY labels parent's training rows and validY
+// its queries; the indexes' own labels are never read. An empty removal
+// scores parent itself. The child is not registered anywhere, so a caller
+// that holds on to it, such as nde.DebugSession, chains derivations
+// without fingerprinting or touching the shared cache.
+//
+// It returns the survivors' scores, their row ids in parent, and the
+// child index. The scores are Float64bits-identical to KNNShapley over
+// the surviving rows. The closed form is re-evaluated in full per
+// validation point rather than patched from the highest changed neighbor
+// rank downward, because that algebraic prefix-offset shortcut (ranks
+// below the first removed neighbor change by a constant) reassociates
+// float additions and drifts from the oracle by ulps (DESIGN §11).
+func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []int, workers int) (Scores, []int, *ml.NeighborIndex, error) {
+	if err := validateKNNShapley(k, parent.Train, parent.Queries); err != nil {
+		return nil, nil, nil, err
+	}
+	n := parent.Train.Len()
+	if len(trainY) != n {
+		return nil, nil, nil, nderr.Mismatch("importance: delta train labels", n, len(trainY))
+	}
+	if nq := parent.Queries.Len(); len(validY) != nq {
+		return nil, nil, nil, nderr.Mismatch("importance: delta validation labels", nq, len(validY))
+	}
+	gone := make([]bool, n)
 	for _, r := range remove {
 		if r < 0 || r >= n {
 			return nil, nil, nil, fmt.Errorf("importance: delta removal row %d outside [0,%d): %w", r, n, nderr.ErrDegenerateInput)
 		}
+		gone[r] = true
 	}
-	uniq := append([]int(nil), remove...)
-	sort.Ints(uniq)
-	uniq = dedupSortedInts(uniq)
-	if len(uniq) == n {
+	keep := make([]int, 0, n)
+	for i, g := range gone {
+		if !g {
+			keep = append(keep, i)
+		}
+	}
+	if len(keep) == 0 {
 		return nil, nil, nil, fmt.Errorf("importance: delta removal would empty the training set: %w", nderr.ErrEmptyInput)
 	}
 
 	sp := obs.StartSpan("importance.knnshapley_delta")
 	sp.SetInt("k", int64(k)).SetInt("train", int64(n)).
-		SetInt("valid", int64(valid.Len())).SetInt("removed", int64(len(uniq)))
+		SetInt("valid", int64(len(validY))).SetInt("removed", int64(n-len(keep)))
 	defer sp.End()
 
-	parent, err := sharedNeighborIndex(train, valid, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keep := make([]int, 0, n-len(uniq))
-	next := 0
-	for i := 0; i < n; i++ {
-		if next < len(uniq) && uniq[next] == i {
-			next++
-			continue
-		}
-		keep = append(keep, i)
-	}
 	child := parent
-	if len(uniq) > 0 {
-		child, err = parent.RemoveRows(uniq)
-		if err != nil {
+	if len(keep) < n {
+		var err error
+		if child, err = parent.RemoveRows(remove); err != nil {
 			return nil, nil, nil, err
 		}
-		registerDerivedIndex(child, valid.X.Fingerprint())
 	}
-	// survivor labels from the CALLER's dataset (stale-label cache contract)
+	// survivor labels from the CALLER (stale-label cache contract)
 	reducedY := make([]int, len(keep))
 	for o, i := range keep {
-		reducedY[o] = train.Y[i]
+		reducedY[o] = trainY[i]
 	}
-
-	scores, err := knnShapleyOverIndex(k, child, reducedY, valid, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	scores, _ := knnShapleyKernel(k, child, reducedY, validY, workers, nil)
 	return scores, keep, child, nil
-}
-
-// knnShapleyOverIndex runs the closed form over an index with explicit
-// survivor labels, using the per-validation-point contribution layout and
-// fixed reduction order of KNNShapleyParallelStats — so the result is
-// bit-identical across worker counts and to the serial oracle.
-func knnShapleyOverIndex(k int, ix *ml.NeighborIndex, trainY []int, valid *ml.Dataset, workers int) (Scores, error) {
-	n := ix.Train.Len()
-	if len(trainY) != n {
-		return nil, nderr.Mismatch("importance: delta labels", n, len(trainY))
-	}
-	resolved := par.Workers(workers, valid.Len())
-	contribs := make([][]float64, valid.Len())
-	scratch := make([][]float64, resolved)
-	par.For("importance.knnshapley_delta", workers, valid.Len(), func(w, v int) {
-		s := scratch[w]
-		if s == nil {
-			s = make([]float64, n)
-			scratch[w] = s
-		}
-		order := ix.Order(v)
-		knnShapleyContrib(k, trainY, valid.Y[v], order, s)
-		c := make([]float64, n)
-		for j := 0; j < n; j++ {
-			c[order[j]] = s[j]
-		}
-		contribs[v] = c
-	})
-	scores := make(Scores, n)
-	for v := 0; v < valid.Len(); v++ { // fixed reduction order
-		for i, c := range contribs[v] {
-			scores[i] += c
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
-	return scores, nil
-}
-
-// dedupSortedInts removes adjacent duplicates in place.
-func dedupSortedInts(a []int) []int {
-	out := a[:0]
-	for i, v := range a {
-		if i == 0 || a[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }

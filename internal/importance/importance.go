@@ -55,26 +55,98 @@ func (s Scores) RankAscending() []int {
 	return idx
 }
 
-// BottomK returns the k indices with the lowest scores (k clamped to len).
+// BottomK returns the k indices with the lowest scores (k clamped to
+// [0, len]), in RankAscending order: ascending score, ties to the smaller
+// index. It selects them without sorting every score; if any score is
+// NaN, which has no place in that order, it falls back to
+// RankAscending()[:k].
 func (s Scores) BottomK(k int) []int {
-	r := s.RankAscending()
-	if k > len(r) {
-		k = len(r)
+	k = clampK(k, len(s))
+	if s.hasNaN() {
+		return s.RankAscending()[:k]
 	}
-	return r[:k]
+	return firstK(len(s), k, func(a, b int) bool {
+		return s[a] < s[b] || (s[a] == s[b] && a < b)
+	})
 }
 
-// TopK returns the k indices with the highest scores (k clamped to len).
+// TopK returns the k indices with the highest scores (k clamped to
+// [0, len]): RankAscending reversed, so descending score, ties to the
+// larger index. It shares BottomK's selection and NaN fallback.
 func (s Scores) TopK(k int) []int {
-	r := s.RankAscending()
-	if k > len(r) {
-		k = len(r)
+	k = clampK(k, len(s))
+	if s.hasNaN() {
+		r := s.RankAscending()
+		out := make([]int, k)
+		for i := range out {
+			out[i] = r[len(r)-1-i]
+		}
+		return out
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = r[len(r)-1-i]
+	return firstK(len(s), k, func(a, b int) bool {
+		return s[a] > s[b] || (s[a] == s[b] && a > b)
+	})
+}
+
+func clampK(k, n int) int {
+	if k < 0 {
+		return 0
 	}
-	return out
+	if k > n {
+		return n
+	}
+	return k
+}
+
+func (s Scores) hasNaN() bool {
+	for _, v := range s {
+		if v != v {
+			return true
+		}
+	}
+	return false
+}
+
+// firstK returns the k indices of [0, n) that come first under before, a
+// strict total order on indices, sorted by it. A bounded max-heap holds
+// the k first seen so far: one comparison per index against its root,
+// n log k comparisons at worst, then an in-place heapsort of the k
+// survivors.
+func firstK(n, k int, before func(a, b int) bool) []int {
+	h := make([]int, 0, k)
+	// down restores the max-heap property of h[:m] below node i.
+	down := func(i, m int) {
+		for {
+			c := 2*i + 1
+			if c >= m {
+				return
+			}
+			if c+1 < m && before(h[c], h[c+1]) {
+				c++
+			}
+			if !before(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := 0; i < n; i++ {
+		if len(h) < k {
+			h = append(h, i)
+			for c := len(h) - 1; c > 0 && before(h[(c-1)/2], h[c]); c = (c - 1) / 2 {
+				h[c], h[(c-1)/2] = h[(c-1)/2], h[c]
+			}
+		} else if k > 0 && before(i, h[0]) {
+			h[0] = i
+			down(0, k)
+		}
+	}
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		down(0, end)
+	}
+	return h
 }
 
 // Sum returns the total of all scores (used to verify the Shapley
@@ -90,7 +162,7 @@ func (s Scores) Sum() float64 {
 // PrecisionAtK measures detection quality: the fraction of the bottom-k
 // ranked examples that are truly corrupted.
 func (s Scores) PrecisionAtK(corrupted map[int]bool, k int) float64 {
-	if k == 0 {
+	if k <= 0 {
 		return 0
 	}
 	hits := 0

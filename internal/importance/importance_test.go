@@ -3,6 +3,7 @@ package importance
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -69,6 +70,56 @@ func TestScoresRanking(t *testing.T) {
 	}
 	if s.Sum() != 4 {
 		t.Errorf("Sum = %v", s.Sum())
+	}
+}
+
+// BottomK and TopK select without sorting every score, and must equal
+// the RankAscending prefix (TopK: of its reverse) wherever the stable
+// sort defines one: ties, ±0, NaN (the fallback path), and k outside
+// [0, len].
+func TestBottomKTopKMatchRankAscending(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	cases := []Scores{
+		{},
+		{3, -1, 2, 0, 7, -4},
+		{1, 0, 1, 0, 1, 0, 2},
+		{0, negZero, 0, -1, negZero, 1},
+		{2, nan, -1, 0, nan, 1},
+	}
+	r := rand.New(rand.NewSource(77))
+	pool := []float64{-1, negZero, 0, 0.5, 1}
+	for c := 0; c < 50; c++ {
+		s := make(Scores, r.Intn(40))
+		for i := range s {
+			s[i] = pool[r.Intn(len(pool))]
+		}
+		cases = append(cases, s)
+	}
+	for _, s := range cases {
+		n := len(s)
+		rank := s.RankAscending()
+		for _, k := range []int{-1, 0, 1, n / 2, n, n + 1} {
+			kk := k
+			if kk < 0 {
+				kk = 0
+			}
+			if kk > n {
+				kk = n
+			}
+			wantTop := make([]int, kk)
+			for i := range wantTop {
+				wantTop[i] = rank[n-1-i]
+			}
+			if got := s.BottomK(k); !slices.Equal(got, rank[:kk]) {
+				t.Errorf("%v.BottomK(%d) = %v, want %v", s, k, got, rank[:kk])
+			}
+			if got := s.TopK(k); !slices.Equal(got, wantTop) {
+				t.Errorf("%v.TopK(%d) = %v, want %v", s, k, got, wantTop)
+			}
+		}
+	}
+	if got := (Scores{1, 2}).PrecisionAtK(map[int]bool{0: true}, -1); got != 0 {
+		t.Errorf("PrecisionAtK(-1) = %v, want 0", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"nde/internal/ml"
 	"nde/internal/obs"
+	"nde/internal/par"
 )
 
 // KNNShapley computes exact Shapley values for the k-nearest-neighbor
@@ -41,21 +42,7 @@ func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := train.Len()
-	scores := make(Scores, n)
-	s := make([]float64, n)
-	for v := 0; v < valid.Len(); v++ {
-		prog.Tick(1)
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		for j := 0; j < n; j++ {
-			scores[order[j]] += s[j]
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
+	scores, _ := knnShapleyKernel(k, ix, train.Y, valid.Y, 1, prog)
 	return scores, nil
 }
 
@@ -64,43 +51,162 @@ func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 // interest, reusing its cached distance matrix and neighbor orders. The
 // result is bit-for-bit identical to KNNShapley on the same data.
 func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex) (Scores, error) {
-	train, valid := ix.Train, ix.Queries
-	if err := validateKNNShapley(k, train, valid); err != nil {
+	if err := validateKNNShapley(k, ix.Train, ix.Queries); err != nil {
 		return nil, err
 	}
-	n := train.Len()
-	scores := make(Scores, n)
-	s := make([]float64, n)
-	for v := 0; v < valid.Len(); v++ {
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		for j := 0; j < n; j++ {
-			scores[order[j]] += s[j]
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
+	scores, _ := knnShapleyKernel(k, ix, ix.Train.Y, ix.Queries.Y, 1, nil)
 	return scores, nil
 }
 
-// knnShapleyContrib fills s with the per-rank Shapley recurrence for one
-// validation point with label y, given the neighbor order of the training
-// points. s[j] is the contribution of the training point at rank j.
-func knnShapleyContrib(k int, trainY []int, y int, order []int, s []float64) {
-	n := len(order)
-	match := func(pos int) float64 {
-		if trainY[order[pos]] == y {
-			return 1
+// kernelBlockBytes bounds the scratch of the kernel's parallel path: a
+// block of B validation points writes its contribution vectors into one
+// B×n float64 buffer of at most this size (B is raised to the worker
+// count when n is so large that fewer points fit), so memory is O(B·n)
+// however many validation points there are.
+const kernelBlockBytes = 1 << 20
+
+// knnShapleyKernel is the one closed-form kNN-Shapley loop behind every
+// entry point. It scores the training rows of ix (labels trainY, one per
+// row) against its queries (labels validY, one per query), reading each
+// query's neighbor order from the index. prog, when non-nil, is ticked as
+// validation points complete.
+//
+// The recurrence is branch-free and division-free: step[j] is the
+// textbook per-rank factor 1/K·min(K,j+1)/(j+1), evaluated once per call
+// in the textbook's left-to-right order, and each rank adds
+// (match[cur] − match[prev])·step[j], where match is a 0/1 vector per
+// validation label. The output is Float64bits-identical to the textbook
+// form (±1)/K·min/rank: a product by ±1 is exact and sign-symmetric, a
+// product by +0 is +0, and no partial sum is ever −0.
+//
+// Every score entry receives its validation points' contributions in
+// validation order, the serial summation order, for any worker count.
+// With one worker the loop runs inline and adds straight into the
+// scores. Otherwise blocks of points are computed in parallel into an
+// O(B·n) buffer, then added into the scores serially, in order. The
+// returned stats sum the blocks' pool runs; Wall is zero when the loop
+// ran inline.
+func knnShapleyKernel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int, prog *obs.Progress) (Scores, *ParallelStats) {
+	n, nv := len(trainY), len(validY)
+	step := make([]float64, n-1)
+	for j := range step {
+		rank := float64(j + 1)
+		step[j] = 1 / float64(k) * minF(float64(k), rank) / rank
+	}
+	match := matchVectors(trainY, validY)
+	scores := make(Scores, n)
+	resolved := par.Workers(workers, nv)
+	stats := &ParallelStats{RequestedWorkers: workers, Workers: resolved, Points: nv, PerWorker: make([]int, resolved)}
+	orders := make([][]int, resolved) // per-worker scratch for OrderInto
+	if resolved == 1 {
+		orders[0] = make([]int, n)
+		for v := 0; v < nv; v++ {
+			shapleyPoint(scores, ix.OrderInto(v, orders[0]), match[v], step)
+			if prog != nil {
+				prog.Tick(1)
+			}
 		}
-		return 0
+		stats.PerWorker[0] = nv
+	} else {
+		block := kernelBlockBytes / (8 * n)
+		if block < resolved {
+			block = resolved
+		}
+		if block > nv {
+			block = nv
+		}
+		buf := make([]float64, block*n)
+		for lo := 0; lo < nv; lo += block {
+			hi := lo + block
+			if hi > nv {
+				hi = nv
+			}
+			st := par.For("importance.knnshapley", resolved, hi-lo, func(w, b int) {
+				if orders[w] == nil {
+					orders[w] = make([]int, n)
+				}
+				row := buf[b*n : (b+1)*n]
+				clear(row)
+				shapleyPoint(row, ix.OrderInto(lo+b, orders[w]), match[lo+b], step)
+			})
+			addRows(scores, buf[:(hi-lo)*n])
+			for w, cnt := range st.PerWorker {
+				stats.PerWorker[w] += cnt
+			}
+			stats.Wall += st.Wall
+			if prog != nil {
+				prog.Tick(hi - lo)
+			}
+		}
 	}
-	s[n-1] = match(n-1) / float64(n)
+	inv := 1 / float64(nv)
+	for i := range scores {
+		scores[i] *= inv
+	}
+	return scores, stats
+}
+
+// addRows adds the len(rows)/len(dst) consecutive rows of rows into dst,
+// first row first: dst[i] + r0[i] + r1[i] + ... associates left to right,
+// so each entry is summed in row order. Taking four rows per pass keeps
+// the running sum in a register between rows.
+func addRows(dst, rows []float64) {
+	n := len(dst)
+	for len(rows) >= 4*n {
+		r0, r1, r2, r3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n]
+		for i := range dst {
+			dst[i] = dst[i] + r0[i] + r1[i] + r2[i] + r3[i]
+		}
+		rows = rows[4*n:]
+	}
+	for ; len(rows) >= n; rows = rows[n:] {
+		r := rows[:n]
+		for i := range dst {
+			dst[i] += r[i]
+		}
+	}
+}
+
+// shapleyPoint evaluates the recurrence for one validation point, from
+// the farthest neighbor to the nearest, and adds each rank's value into
+// dst at that neighbor's training id. match marks the training rows that
+// share the point's label; step holds the per-rank factors.
+func shapleyPoint(dst []float64, order []int, match, step []float64) {
+	n := len(order)
+	step = step[:n-1]
+	i := order[n-1]
+	prev := match[i]
+	acc := prev / float64(n)
+	dst[i] += acc
 	for j := n - 2; j >= 0; j-- {
-		rank := j + 1 // 1-based rank of position j
-		s[j] = s[j+1] + (match(j)-match(j+1))/float64(k)*minF(float64(k), float64(rank))/float64(rank)
+		i = order[j]
+		cur := match[i]
+		acc += (cur - prev) * step[j]
+		dst[i] += acc
+		prev = cur
 	}
+}
+
+// matchVectors returns, for each validation point, the 0/1 vector over
+// training rows marking those with the point's label. Points with equal
+// labels share one vector, so there is one per distinct label.
+func matchVectors(trainY, validY []int) [][]float64 {
+	byLabel := map[int][]float64{}
+	out := make([][]float64, len(validY))
+	for v, y := range validY {
+		m, ok := byLabel[y]
+		if !ok {
+			m = make([]float64, len(trainY))
+			for i, t := range trainY {
+				if t == y {
+					m[i] = 1
+				}
+			}
+			byLabel[y] = m
+		}
+		out[v] = m
+	}
+	return out
 }
 
 func validateKNNShapley(k int, train, valid *ml.Dataset) error {

@@ -23,17 +23,18 @@ type ParallelStats struct {
 	// PerWorker[w] is the number of validation points worker w processed;
 	// its spread shows pool utilization balance.
 	PerWorker []int
-	// Wall is the end-to-end time of the parallel section.
+	// Wall is the end-to-end time of the parallel sections, summed over
+	// the kernel's blocks; zero when one worker ran the kernel inline.
 	Wall time.Duration
 }
 
 // KNNShapleyParallel computes the same exact kNN-Shapley values as
 // KNNShapley using the shared worker pool over validation points. Results
 // are bit-for-bit deterministic and identical to the sequential function:
-// both read neighbor orders from the same shared NeighborIndex, each
-// validation point's contribution vector is computed independently, and
-// the final reduction sums them in validation-point order, so float
-// summation order never depends on scheduling.
+// both read neighbor orders from the same shared NeighborIndex and run the
+// same kernel, which adds every validation point's contributions into the
+// scores in validation-point order, so float summation order never
+// depends on scheduling.
 func KNNShapleyParallel(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
 	scores, _, err := KNNShapleyParallelStats(k, train, valid, workers)
 	return scores, err
@@ -53,58 +54,19 @@ func KNNShapleyParallelStats(k int, train, valid *ml.Dataset, workers int) (Scor
 	sp := obs.StartSpan("importance.knnshapley_parallel")
 	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).
 		SetInt("valid", int64(valid.Len())).SetInt("workers", int64(resolved))
+	defer sp.End()
 	prog := obs.NewProgress("knnshapley_parallel", valid.Len())
+	defer prog.Done()
 
 	ix, err := sharedNeighborIndex(train, valid, workers)
 	if err != nil {
-		sp.End()
-		prog.Done()
 		return nil, nil, err
 	}
-
-	n := train.Len()
-	// per-validation-point contribution vectors, indexed by validation point
-	contribs := make([][]float64, valid.Len())
-	scratch := make([][]float64, resolved) // per-worker recurrence buffer
-	st := par.For("importance.knnshapley", workers, valid.Len(), func(w, v int) {
-		s := scratch[w]
-		if s == nil {
-			s = make([]float64, n)
-			scratch[w] = s
-		}
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		c := make([]float64, n)
-		for j := 0; j < n; j++ {
-			c[order[j]] = s[j]
-		}
-		contribs[v] = c
-		prog.Tick(1)
-	})
-	prog.Done()
+	scores, stats := knnShapleyKernel(k, ix, train.Y, valid.Y, workers, prog)
 	if obs.Enabled() {
-		for _, cnt := range st.PerWorker {
+		for _, cnt := range stats.PerWorker {
 			obs.ObserveWith("importance_knnshapley_points_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
 		}
-	}
-	sp.End()
-
-	scores := make(Scores, n)
-	for v := 0; v < valid.Len(); v++ { // fixed reduction order
-		for i, c := range contribs[v] {
-			scores[i] += c
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
-	stats := &ParallelStats{
-		RequestedWorkers: workers,
-		Workers:          st.Workers,
-		Points:           st.Items,
-		PerWorker:        st.PerWorker,
-		Wall:             st.Wall,
 	}
 	return scores, stats, nil
 }

@@ -472,3 +472,17 @@ func dedupSorted(a []int) []int {
 // Derived reports whether the index is a delta child still carrying its
 // root's geometry (false after compaction folds it into a new root).
 func (ix *NeighborIndex) Derived() bool { return ix.delta != nil }
+
+// OrderInto is Order for callers that read each query's order once: it
+// returns the cached row when the order table exists, and otherwise, on
+// a derived index, walks the root's order into buf (length Train.Len())
+// and returns buf, so one pass over the queries never builds the q×n
+// table. A root without a table builds it, as Order does. The result
+// MUST NOT be mutated.
+func (ix *NeighborIndex) OrderInto(qi int, buf []int) []int {
+	if g := ix.delta; g != nil && !ix.ordersReady.Load() {
+		g.walkInto(qi, buf)
+		return buf
+	}
+	return ix.Order(qi)
+}

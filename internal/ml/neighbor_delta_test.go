@@ -82,6 +82,54 @@ func TestRemoveRowsBitIdenticalToRebuild(t *testing.T) {
 	}
 }
 
+// OrderInto on a derived index without an order table walks into the
+// caller's buffer and leaves the table unbuilt; once the table exists, and
+// on a root, it returns the cached row. Every answer equals the rebuild's
+// Order.
+func TestOrderIntoWalksWithoutTable(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	train := randomNeighborDataset(r, 50, 4, 3)
+	queries := randomNeighborDataset(r, 9, 4, 3)
+	root, err := NewNeighborIndex(train, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := root.RemoveRows([]int{2, 17, 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err = child.AppendRows(queries.X, queries.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !child.Derived() {
+		t.Fatal("fixture compacted; the walk path needs a derived index")
+	}
+	fresh := rebuildIndex(t, child, 1)
+	buf := make([]int, child.Train.Len())
+	check := func(ix *NeighborIndex, wantBuf bool) {
+		t.Helper()
+		for q := 0; q < queries.Len(); q++ {
+			got := ix.OrderInto(q, buf)
+			if (&got[0] == &buf[0]) != wantBuf {
+				t.Fatalf("OrderInto(%d) returned buf = %v, want %v", q, !wantBuf, wantBuf)
+			}
+			for j, id := range fresh.Order(q) {
+				if got[j] != id {
+					t.Fatalf("OrderInto(%d)[%d] = %d, rebuild %d", q, j, got[j], id)
+				}
+			}
+		}
+	}
+	check(child, true)
+	if child.ordersReady.Load() {
+		t.Fatal("OrderInto built the derived index's order table")
+	}
+	child.Order(0)
+	check(child, false)
+	check(fresh, false)
+}
+
 func TestAppendRowsBitIdenticalToRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	train := randomNeighborDataset(r, 40, 4, 3)

@@ -58,7 +58,10 @@ func (e *entry[V]) isReady() bool {
 // Store is a bounded content-addressed artifact cache. The zero value is
 // not usable; use New. Safe for concurrent use.
 type Store[K comparable, V any] struct {
-	name string
+	// Metric names under the store's prefix, precomputed so that GetOrBuild
+	// and Get allocate nothing while obs is off: concatenating at the call
+	// site would allocate on every call even with telemetry disabled.
+	mHits, mMisses, mWaits, mEvictions, mPuts, mEntries, mInflight string
 
 	mu       sync.Mutex
 	capacity int
@@ -76,9 +79,15 @@ func New[K comparable, V any](name string, capacity int) *Store[K, V] {
 		capacity = 1
 	}
 	return &Store[K, V]{
-		name:     name,
-		capacity: capacity,
-		entries:  map[K]*entry[V]{},
+		mHits:      name + "_hits_total",
+		mMisses:    name + "_misses_total",
+		mWaits:     name + "_waits_total",
+		mEvictions: name + "_evictions_total",
+		mPuts:      name + "_puts_total",
+		mEntries:   name + "_entries",
+		mInflight:  name + "_inflight",
+		capacity:   capacity,
+		entries:    map[K]*entry[V]{},
 	}
 }
 
@@ -93,17 +102,17 @@ func (s *Store[K, V]) GetOrBuild(key K, build func() (V, error)) (V, error) {
 		s.touchLocked(key)
 		s.mu.Unlock()
 		if !e.isReady() {
-			obs.Inc(s.name + "_waits_total")
+			obs.Inc(s.mWaits)
 			<-e.ready
 		}
 		if e.err != nil {
 			var zero V
 			return zero, e.err
 		}
-		obs.Inc(s.name + "_hits_total")
+		obs.Inc(s.mHits)
 		return e.val, nil
 	}
-	obs.Inc(s.name + "_misses_total")
+	obs.Inc(s.mMisses)
 	e := &entry[V]{ready: make(chan struct{})}
 	// Reserve the slot before building so same-key callers arriving during
 	// the build join this flight instead of starting their own.
@@ -161,7 +170,7 @@ func (s *Store[K, V]) Put(key K, val V) bool {
 	close(e.ready)
 	s.entries[key] = e
 	s.order = append(s.order, key)
-	obs.Inc(s.name + "_puts_total")
+	obs.Inc(s.mPuts)
 	s.trimLocked()
 	s.gaugesLocked()
 	return true
@@ -175,7 +184,7 @@ func (s *Store[K, V]) Get(key K) (V, bool) {
 	if ok && e.isReady() && e.err == nil {
 		s.touchLocked(key)
 		s.mu.Unlock()
-		obs.Inc(s.name + "_hits_total")
+		obs.Inc(s.mHits)
 		return e.val, true
 	}
 	s.mu.Unlock()
@@ -191,7 +200,7 @@ func (s *Store[K, V]) trimLocked() {
 		for _, k := range s.order {
 			if s.entries[k].isReady() {
 				s.removeLocked(k)
-				obs.Inc(s.name + "_evictions_total")
+				obs.Inc(s.mEvictions)
 				evicted = true
 				break
 			}
@@ -229,8 +238,8 @@ func (s *Store[K, V]) touchLocked(key K) {
 
 // gaugesLocked refreshes the entries/inflight gauges.
 func (s *Store[K, V]) gaugesLocked() {
-	obs.SetGauge(s.name+"_entries", float64(len(s.entries)))
-	obs.SetGauge(s.name+"_inflight", float64(s.inflight))
+	obs.SetGauge(s.mEntries, float64(len(s.entries)))
+	obs.SetGauge(s.mInflight, float64(s.inflight))
 }
 
 // SetCapacity resizes the store (minimum 1) and returns the previous

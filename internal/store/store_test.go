@@ -34,6 +34,18 @@ func waitInflight[K comparable, V any](t *testing.T, s *Store[K, V], n int) {
 	}
 }
 
+// waitCounter spins (yielding) until the named obs counter reaches n.
+func waitCounter(t *testing.T, name string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for obs.Default().Counter(name).Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s to reach %d", name, n)
+		}
+		runtime.Gosched()
+	}
+}
+
 func withObs(t *testing.T) {
 	t.Helper()
 	obs.Reset()
@@ -70,8 +82,11 @@ func TestSingleflightSameKey(t *testing.T) {
 			got[c] = v
 		}(c)
 	}
-	// let every caller reach the store before the build can finish
+	// let every caller reach the store before the build can finish: one
+	// build is in flight and each other caller has counted its wait,
+	// which it does before blocking on the flight
 	waitInflight(t, s, 1)
+	waitCounter(t, "st_sf_waits_total", callers-1)
 	close(release)
 	wg.Wait()
 
@@ -341,4 +356,23 @@ func TestGetNonBlocking(t *testing.T) {
 		t.Error("Get returned an in-flight entry as ready")
 	}
 	close(release)
+}
+
+// A cache hit with obs off allocates nothing: the metric names are built
+// once in New, not concatenated per call.
+func TestGetOrBuildHitZeroAllocWithObsOff(t *testing.T) {
+	obs.Disable()
+	s := New[string, int]("st_alloc", 4)
+	build := func() (int, error) { return 7, nil }
+	if _, err := s.GetOrBuild("k", build); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := s.GetOrBuild("k", build); err != nil || v != 7 {
+			t.Fatalf("hit = (%d, %v), want (7, nil)", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("GetOrBuild hit allocates %v times per call with obs off, want 0", allocs)
+	}
 }

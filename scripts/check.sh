@@ -30,6 +30,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# bench/ is a module of its own, so the root vet and test runs above do not
+# build it; it calls the internal importance, ml and facade APIs directly
+echo "==> bench: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
+
 # short deterministic fuzz pass over the CSV reader: replays the checked-in
 # corpus, then a couple of seconds of fresh mutation
 echo "==> go test -fuzz FuzzReadCSV (2s)"
