@@ -147,7 +147,8 @@ func DataShapleyScores(train, valid *Dataset, permutations int, seed int64) (_ S
 
 // IterativeCleaning runs the prioritized cleaning loop with ground-truth
 // label repairs: rank with kNN-Shapley, clean batches, retrain, repeat
-// until the budget is spent. truth supplies the hidden correct labels.
+// until the budget is spent. truth supplies the hidden correct labels,
+// one non-negative label per training row.
 func IterativeCleaning(train, valid, test *Dataset, truth []int, batch, budget int) (_ *CleaningResult, err error) {
 	defer recordOp("IterativeCleaning", time.Now(), datasetRows(train), 0, &err)
 	if err := checkTrainable("train", train); err != nil {
@@ -161,6 +162,11 @@ func IterativeCleaning(train, valid, test *Dataset, truth []int, batch, budget i
 	}
 	if len(truth) != train.Len() {
 		return nil, fmt.Errorf("nde: %d truth labels for %d training rows: %w", len(truth), train.Len(), nderr.ErrShapeMismatch)
+	}
+	for i, y := range truth {
+		if y < 0 {
+			return nil, fmt.Errorf("nde: negative truth label %d at row %d: %w", y, i, nderr.ErrDegenerateInput)
+		}
 	}
 	if batch < 1 || budget < 1 {
 		return nil, fmt.Errorf("nde: cleaning batch %d and budget %d must be positive: %w", batch, budget, nderr.ErrDegenerateInput)

@@ -302,6 +302,15 @@ func TestFaultInjectionShapeAndK(t *testing.T) {
 		})
 	}
 
+	negTruth := append([]int(nil), truth...)
+	negTruth[3] = -1
+	mustDegenerate(t, []faultCase{
+		{"IterativeCleaning/negative-truth", func() error {
+			_, err := nde.IterativeCleaning(dTrain, dValid, dTest, negTruth, 5, 10)
+			return err
+		}},
+	})
+
 	t.Run("single-class-is-ErrSingleClass", func(t *testing.T) {
 		if _, err := nde.SelfConfidenceScores(testutil.SingleClassDataset(dTrain), 1); !errors.Is(err, nde.ErrSingleClass) {
 			t.Fatalf("want ErrSingleClass, got %v", err)

@@ -8,10 +8,13 @@ package cleaning
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"nde/internal/importance"
+	"nde/internal/linalg"
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/par"
 )
@@ -29,16 +32,23 @@ type LabelOracle struct {
 	Truth []int
 }
 
-// Clean replaces the labels of the given rows with the ground truth.
+// Clean replaces the labels of the given rows with the ground truth. A
+// negative truth label or an out-of-range row is rejected before any
+// label is written.
 func (o *LabelOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 	if len(o.Truth) != d.Len() {
 		return nil, fmt.Errorf("cleaning: oracle has %d truths for %d rows", len(o.Truth), d.Len())
 	}
-	out := d.Clone()
 	for _, r := range rows {
 		if r < 0 || r >= d.Len() {
 			return nil, fmt.Errorf("cleaning: row %d out of range [0,%d)", r, d.Len())
 		}
+		if o.Truth[r] < 0 {
+			return nil, fmt.Errorf("cleaning: negative truth label %d at row %d: %w", o.Truth[r], r, nderr.ErrDegenerateInput)
+		}
+	}
+	out := d.Clone()
+	for _, r := range rows {
 		out.Y[r] = o.Truth[r]
 	}
 	return out, nil
@@ -160,6 +170,11 @@ type Result struct {
 // most-suspicious not-yet-cleaned rows via the oracle, (3) retrain and
 // record test accuracy — until the budget of oracle calls is exhausted.
 // The curve starts with the accuracy before any cleaning.
+//
+// When newModel yields a *ml.KNN, the test rows' neighbors are selected
+// once up front (see testVotes) and every round whose training features
+// are unchanged re-votes them under the round's labels instead of
+// refitting; the curve is bit-for-bit the one refitting gives.
 func IterativeClean(
 	train, valid, test *ml.Dataset,
 	oracle Oracle,
@@ -169,33 +184,110 @@ func IterativeClean(
 ) (*Result, error) {
 	sp := obs.StartSpan("cleaning.run")
 	defer sp.End()
-	return iterativeClean(sp, train, valid, test, oracle, strat, newModel, batch, budget)
+	if err := checkBatch(batch, budget); err != nil {
+		return nil, err
+	}
+	tv, err := newTestVotes(sp, train, test, newModel, 0)
+	if err != nil {
+		return nil, err
+	}
+	return iterativeClean(sp, tv, train, valid, test, oracle, strat, newModel, batch, budget)
+}
+
+// checkBatch validates the batch size and the oracle budget.
+func checkBatch(batch, budget int) error {
+	if batch <= 0 {
+		return fmt.Errorf("cleaning: batch must be positive, got %d", batch)
+	}
+	if budget < 0 {
+		return fmt.Errorf("cleaning: negative budget %d", budget)
+	}
+	return nil
+}
+
+// testVotes is the loop-invariant half of refitting a kNN on the test
+// split: each test row's k nearest training rows under the training
+// features it was built from. A label oracle never touches features, and
+// a kNN depends on its training labels only through the vote, so a round
+// whose features are bit-equal to x scores ml.Accuracy(test.Y,
+// nb.Vote(cur.Y)) — the same selection and the same vote as
+// ml.EvaluateAccuracy with a fresh kNN, at O(test·k) instead of
+// O(test·train·dim). It is read-only once built, so concurrent strategy
+// runs share one.
+type testVotes struct {
+	x  *linalg.Matrix // training features the selection was made under
+	nb *ml.Neighborhoods
+}
+
+// newTestVotes builds the shared selection under span parent when
+// newModel yields a *ml.KNN with K >= 1 and train is non-empty; otherwise
+// it returns nil and every round refits. ml.NeighborIndex is not used
+// here: its Gram-identity distances rank tied rows differently from
+// KNN.Predict's direct differences.
+func newTestVotes(parent *obs.Span, train, test *ml.Dataset, newModel func() ml.Classifier, workers int) (*testVotes, error) {
+	knn, ok := newModel().(*ml.KNN)
+	if !ok || knn.K < 1 || train.Len() == 0 {
+		return nil, nil
+	}
+	sp := parent.StartChild("cleaning.neighborhoods")
+	defer sp.End()
+	if err := knn.Fit(train); err != nil {
+		return nil, err
+	}
+	nb, err := knn.Neighborhoods(test, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &testVotes{x: train.X, nb: nb}, nil
+}
+
+// accuracy is cur's test accuracy: a re-vote over the shared selection
+// when cur's features are bit-equal to the ones it was built from, else
+// a fresh fit of newModel exactly as without the selection.
+func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifier) (float64, error) {
+	if tv == nil || !sameBits(cur.X, tv.x) {
+		return ml.EvaluateAccuracy(newModel(), cur, test)
+	}
+	pred, err := tv.nb.Vote(cur.Y)
+	if err != nil {
+		return 0, err
+	}
+	return ml.Accuracy(test.Y, pred), nil
+}
+
+// sameBits reports whether two matrices have the same shape and the same
+// float64 bit patterns.
+func sameBits(a, b *linalg.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // iterativeClean is IterativeClean reporting under an explicit parent span,
 // so concurrent strategy runs (CompareStrategies) each get their own
 // correctly nested trace instead of racing over the tracer's implicit
-// current-span stack.
+// current-span stack. tv is the shared test-neighbor selection, or nil.
 func iterativeClean(
 	sp *obs.Span,
+	tv *testVotes,
 	train, valid, test *ml.Dataset,
 	oracle Oracle,
 	strat Strategy,
 	newModel func() ml.Classifier,
 	batch, budget int,
 ) (*Result, error) {
-	if batch <= 0 {
-		return nil, fmt.Errorf("cleaning: batch must be positive, got %d", batch)
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("cleaning: negative budget %d", budget)
-	}
 	sp.SetStr("strategy", strat.Name()).SetInt("budget", int64(budget)).SetInt("batch", int64(batch))
 	prog := obs.NewProgress("cleaning_budget", budget)
 	defer prog.Done()
 
 	cur := train.Clone()
-	acc, err := ml.EvaluateAccuracy(newModel(), cur, test)
+	acc, err := tv.accuracy(cur, test, newModel)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +322,7 @@ func iterativeClean(
 		for _, i := range next {
 			cleaned[i] = true
 		}
-		acc, err = ml.EvaluateAccuracy(newModel(), cur, test)
+		acc, err = tv.accuracy(cur, test, newModel)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -240,8 +332,11 @@ func iterativeClean(
 		obs.Count("cleaning_rows_cleaned_total", int64(len(next)))
 		obs.SetGauge("cleaning_accuracy", acc)
 		prog.Tick(len(next))
-		rsp.SetInt("cleaned", int64(len(next))).SetInt("total_cleaned", int64(len(cleaned))).
-			SetStr("accuracy", fmt.Sprintf("%.4f", acc)).End()
+		rsp.SetInt("cleaned", int64(len(next))).SetInt("total_cleaned", int64(len(cleaned)))
+		if obs.Enabled() {
+			rsp.SetStr("accuracy", fmt.Sprintf("%.4f", acc))
+		}
+		rsp.End()
 	}
 	res.Final = cur
 	return res, nil
@@ -270,8 +365,11 @@ func CompareStrategies(
 // first error (if any) are reduced in strategy order. Strategies that rank
 // with kNN-Shapley share one neighbor index through the singleflight cache,
 // so the distance geometry is still computed only once across the fan-out.
-// The cleaning_strategies_inflight gauge tracks concurrency; each strategy
-// reports its rounds under its own cleaning.run span.
+// For a kNN factory the test rows' neighbors are selected once, before the
+// fan-out, and every strategy's rounds re-vote that read-only selection
+// (see IterativeClean). The cleaning_strategies_inflight gauge tracks
+// concurrency; each strategy reports its rounds under its own cleaning.run
+// span.
 func CompareStrategiesParallel(
 	train, valid, test *ml.Dataset,
 	oracle Oracle,
@@ -283,14 +381,21 @@ func CompareStrategiesParallel(
 	csp.SetInt("strategies", int64(len(strategies))).
 		SetInt("workers", int64(par.Workers(workers, len(strategies))))
 	defer csp.End()
+	if err := checkBatch(batch, budget); err != nil {
+		return nil, err
+	}
+	tv, err := newTestVotes(csp, train, test, newModel, workers)
+	if err != nil {
+		return nil, err
+	}
 
 	out := make([]*Result, len(strategies))
-	_, err := par.ForErr("cleaning.compare", workers, len(strategies), func(_, i int) error {
+	_, err = par.ForErr("cleaning.compare", workers, len(strategies), func(_, i int) error {
 		obs.AddGauge("cleaning_strategies_inflight", 1)
 		defer obs.AddGauge("cleaning_strategies_inflight", -1)
 		ssp := csp.StartChild("cleaning.run")
 		defer ssp.End()
-		r, err := iterativeClean(ssp, train, valid, test, oracle, strategies[i], newModel, batch, budget)
+		r, err := iterativeClean(ssp, tv, train, valid, test, oracle, strategies[i], newModel, batch, budget)
 		if err != nil {
 			return fmt.Errorf("cleaning: strategy %s: %w", strategies[i].Name(), err)
 		}

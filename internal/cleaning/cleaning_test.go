@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"nde/internal/datagen"
 	"nde/internal/linalg"
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
 )
 
@@ -71,6 +73,11 @@ func TestLabelOracle(t *testing.T) {
 	short := &LabelOracle{Truth: []int{0}}
 	if _, err := short.Clean(dirty, nil); err == nil {
 		t.Error("expected error for truth length mismatch")
+	}
+	neg := &LabelOracle{Truth: append([]int(nil), truth...)}
+	neg.Truth[5] = -1
+	if out, err := neg.Clean(dirty, []int{4, 5}); !errors.Is(err, nderr.ErrDegenerateInput) || out != nil {
+		t.Errorf("negative truth = %v, %v; want nil, ErrDegenerateInput", out, err)
 	}
 }
 
@@ -169,6 +176,13 @@ func TestIterativeCleanBudgetRespected(t *testing.T) {
 	}
 	if _, err := IterativeClean(dirty, valid, test, oracle, &RandomStrategy{}, newModel, 1, -1); err == nil {
 		t.Error("expected error for negative budget")
+	}
+	negative := &LabelOracle{Truth: make([]int, dirty.Len())}
+	for i := range negative.Truth {
+		negative.Truth[i] = -1
+	}
+	if _, err := IterativeClean(dirty, valid, test, negative, &RandomStrategy{}, newModel, 4, 10); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Errorf("negative truth labels: err = %v, want ErrDegenerateInput", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // enforced dynamically by alloc benchmarks and here statically).
 var hotPkgs = []string{
 	"internal/par", "internal/linalg", "internal/ml", "internal/ann",
-	"internal/importance",
+	"internal/importance", "internal/cleaning",
 }
 
 // Obsguard flags obs calls in hot kernels whose arguments force an

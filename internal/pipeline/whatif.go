@@ -137,16 +137,7 @@ func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel fu
 // evaluate chain. It touches only its arguments and freshly allocated
 // state, which is what makes the variant fan-out safe.
 func evalRemovalVariant(ft *Featurized, v RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset) (WhatIfResult, error) {
-	removed := make(map[prov.TupleID]bool, len(v.Remove))
-	for _, id := range v.Remove {
-		removed[id] = true
-	}
-	var keep []int
-	for o, p := range ft.Prov {
-		if p.EvalBool(func(id prov.TupleID) bool { return !removed[id] }) {
-			keep = append(keep, o)
-		}
-	}
+	keep := survivors(ft, v)
 	if len(keep) == 0 {
 		// the variant removed every surviving output row: report the
 		// documented NaN sentinel rather than failing the whole batch
@@ -160,23 +151,31 @@ func evalRemovalVariant(ft *Featurized, v RemovalVariant, newModel func() ml.Cla
 	return WhatIfResult{Name: v.Name, Metric: metric, Surviving: len(keep)}, nil
 }
 
+// survivors returns, in row order, the featurized output rows whose
+// provenance still holds once v's source tuples are removed.
+func survivors(ft *Featurized, v RemovalVariant) []int {
+	removed := make(map[prov.TupleID]bool, len(v.Remove))
+	for _, id := range v.Remove {
+		removed[id] = true
+	}
+	alive := func(id prov.TupleID) bool { return !removed[id] }
+	keep := make([]int, 0, len(ft.Prov))
+	for o, p := range ft.Prov {
+		if p.EvalBool(alive) {
+			keep = append(keep, o)
+		}
+	}
+	return keep
+}
+
 // evalRemovalVariantKNN answers one variant for a kNN model from neighbor
 // indexes. With a base index it derives the variant's index via RemoveRows
 // — no fresh distance kernel; with base == nil (the ForceRebuild oracle) it
 // builds the variant's index from scratch. Both arms classify through the
 // same exact top-k machinery, so their metrics are bit-for-bit identical.
 func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIndex, k int, valid *ml.Dataset) (WhatIfResult, error) {
-	removed := make(map[prov.TupleID]bool, len(v.Remove))
-	for _, id := range v.Remove {
-		removed[id] = true
-	}
 	n := ft.Data.Len()
-	keep := make([]int, 0, n)
-	for o, p := range ft.Prov {
-		if p.EvalBool(func(id prov.TupleID) bool { return !removed[id] }) {
-			keep = append(keep, o)
-		}
-	}
+	keep := survivors(ft, v)
 	if len(keep) == 0 {
 		return WhatIfResult{Name: v.Name, Metric: math.NaN(), Surviving: 0}, nil
 	}

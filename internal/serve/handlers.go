@@ -97,16 +97,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // compute runs one budgeted computation, sync or async. Admission order:
 // drain check (503), then the concurrency budget (429 when both the
-// slots and the wait queue are full). The budget slot is held for the
-// whole computation — async runs hold theirs until the worker finishes —
-// and every computation is tracked so Drain can wait for it.
+// slots and the wait queue are full). The drain check also registers
+// the computation with the run registry, atomically with respect to
+// Drain, so Drain waits for everything it did not refuse — including
+// computations still queued for a budget slot. The budget slot is held
+// for the whole computation; async runs hold theirs until the worker
+// finishes.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, async bool, rows, workers int, fn func() (any, error)) {
 	obs.Inc("serve_requests_total")
-	if s.draining.Load() {
+	if !s.runs.track() {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining", "draining")
 		return
 	}
 	if err := s.budget.Acquire(r.Context()); err != nil {
+		s.runs.untrack()
 		if errors.Is(err, par.ErrBudgetExhausted) {
 			writeErr(w, http.StatusTooManyRequests, "concurrency budget exhausted, retry later", "busy")
 		} else {
@@ -129,7 +133,6 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 		return
 	}
 
-	s.runs.track()
 	defer s.runs.untrack()
 	defer s.budget.Release()
 	start := time.Now()

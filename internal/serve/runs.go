@@ -31,12 +31,19 @@ func (r *run) finished() bool {
 // them. Finished runs are retained for polling up to keep entries;
 // beyond that the oldest finished run is dropped (a poll for it then
 // 404s, which a client treats as "expired").
+//
+// Admission and drain exclude each other under mu: track checks
+// draining and adds to the WaitGroup in one critical section, drain sets
+// draining in another before it waits. So every Add either happens
+// before drain's Wait starts or is refused, and Wait never races an Add
+// from a zero count.
 type runRegistry struct {
-	mu    sync.Mutex
-	runs  map[string]*run
-	order []string // insertion order for bounded retention
-	seq   int
-	keep  int
+	mu       sync.Mutex
+	runs     map[string]*run
+	order    []string // insertion order for bounded retention
+	seq      int
+	keep     int
+	draining bool // set once by drain; track refuses from then on
 
 	wg sync.WaitGroup // in-flight computations, sync and async
 }
@@ -48,8 +55,9 @@ func newRunRegistry(keep int) *runRegistry {
 	return &runRegistry{runs: map[string]*run{}, keep: keep}
 }
 
-// begin registers a new async run and returns it. The caller must call
-// finish exactly once.
+// begin registers a computation admitted by track as a new async run
+// and returns it. The caller must call finish exactly once, in place of
+// untrack.
 func (g *runRegistry) begin(op string) *run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -58,7 +66,6 @@ func (g *runRegistry) begin(op string) *run {
 	g.runs[r.id] = r
 	g.order = append(g.order, r.id)
 	g.trimLocked()
-	g.wg.Add(1)
 	return r
 }
 
@@ -77,12 +84,38 @@ func (g *runRegistry) get(id string) (*run, bool) {
 	return r, ok
 }
 
-// track/untrack wrap a synchronous computation in the drain WaitGroup.
-func (g *runRegistry) track()   { g.wg.Add(1) }
+// track admits one computation into the drain WaitGroup and reports
+// true, or reports false once drain has begun. Every admitted
+// computation is released by exactly one untrack, or by finish if it
+// became an async run.
+func (g *runRegistry) track() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.draining {
+		return false
+	}
+	g.wg.Add(1)
+	return true
+}
+
+// untrack releases a computation admitted by track.
 func (g *runRegistry) untrack() { g.wg.Done() }
 
-// wait blocks until every tracked computation has finished.
-func (g *runRegistry) wait() { g.wg.Wait() }
+// isDraining reports whether drain has begun.
+func (g *runRegistry) isDraining() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.draining
+}
+
+// drain refuses every later track, then blocks until every admitted
+// computation has finished.
+func (g *runRegistry) drain() {
+	g.mu.Lock()
+	g.draining = true
+	g.mu.Unlock()
+	g.wg.Wait()
+}
 
 // trimLocked drops the oldest FINISHED runs beyond the retention bound.
 // Running entries are never dropped: their ids must stay pollable and

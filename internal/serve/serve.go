@@ -28,7 +28,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"nde/internal/frame"
 	"nde/internal/linalg"
@@ -101,8 +100,6 @@ type Server struct {
 	datasets map[string]*dataset
 	dsOrder  []string // registration order for bounded eviction
 
-	draining atomic.Bool
-
 	// Derived-artifact caches, all singleflight (internal/store):
 	// featurized tables keyed by dataset id, score vectors keyed by
 	// (dataset id, k), what-if responses keyed by (dataset id, variant
@@ -148,7 +145,7 @@ func (s *Server) Handler() http.Handler {
 	opsCfg := s.cfg.Ops
 	userReady := opsCfg.Ready
 	opsCfg.Ready = func() bool {
-		if s.draining.Load() {
+		if s.Draining() {
 			return false
 		}
 		return userReady == nil || userReady()
@@ -165,7 +162,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.runs.isDraining() }
 
 // Drain stops admitting new computations (readiness flips false, compute
 // endpoints answer 503 class "draining") and blocks until every
@@ -173,8 +170,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // The HTTP listener keeps serving so clients can poll /v1/runs for final
 // results; shutting the listener down afterwards is the caller's job.
 func (s *Server) Drain() {
-	s.draining.Store(true)
-	s.runs.wait()
+	s.runs.drain()
 }
 
 // registerDataset validates a registration request, builds the splits,
@@ -204,6 +200,11 @@ func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
 	if req.Truth != nil && len(req.Truth) != train.Len() {
 		return nil, fmt.Errorf("%w: truth has %d labels for %d train rows",
 			nderr.ErrShapeMismatch, len(req.Truth), train.Len())
+	}
+	for i, y := range req.Truth {
+		if y < 0 {
+			return nil, fmt.Errorf("%w: truth has negative label %d at row %d", nderr.ErrDegenerateInput, y, i)
+		}
 	}
 
 	d := &dataset{

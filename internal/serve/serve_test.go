@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +220,21 @@ func TestRequestErrors(t *testing.T) {
 	code, body = postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": "d-missing"})
 	if code != http.StatusNotFound || body["class"] != "not_found" {
 		t.Errorf("unknown dataset = %d %v, want 404 not_found", code, body)
+	}
+
+	// a negative truth label is refused at registration, classified like
+	// a negative train label, before any cleaning run can reach it
+	_, rs := newTestServer(t, Config{})
+	negTrain, negTruth := registerBody(8), registerBody(8)
+	negTrain["train"].(map[string]any)["y"].([]int)[2] = -1
+	negTruth["truth"].([]int)[2] = -1
+	code, trainBody := postJSON(t, rs.URL+"/v1/datasets", negTrain)
+	if code != http.StatusBadRequest || trainBody["class"] != "degenerate_input" {
+		t.Errorf("negative train label = %d %v, want 400 degenerate_input", code, trainBody)
+	}
+	code, body = postJSON(t, rs.URL+"/v1/datasets", negTruth)
+	if code != http.StatusBadRequest || body["class"] != trainBody["class"] {
+		t.Errorf("negative truth label = %d %v, want 400 %v", code, body, trainBody["class"])
 	}
 
 	for _, path := range []string{"/v1/datasets", "/v1/importance", "/v1/whatif", "/v1/cleaning"} {
@@ -487,6 +503,60 @@ func TestDrain(t *testing.T) {
 	case <-drained:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain did not return after the last computation finished")
+	}
+}
+
+// Computations racing Drain from several goroutines, sync and async:
+// each is either refused with 503 "draining" or finishes before Drain
+// returns, and none starts after it.
+func TestDrainAdmissionRace(t *testing.T) {
+	for iter := 0; iter < 20; iter++ {
+		s := NewServer(Config{Slots: 64, Queue: 64})
+		var inflight, late atomic.Int64
+		var drained atomic.Bool
+		fn := func() (any, error) {
+			if drained.Load() {
+				late.Add(1)
+			}
+			inflight.Add(1)
+			runtime.Gosched()
+			inflight.Add(-1)
+			return struct{}{}, nil
+		}
+		start := make(chan struct{})
+		var callers sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			callers.Add(1)
+			go func(g int) {
+				defer callers.Done()
+				<-start
+				for i := 0; i < 40; i++ {
+					rec := httptest.NewRecorder()
+					async := (g+i)%2 == 1
+					s.compute(rec, httptest.NewRequest(http.MethodPost, "/v1/importance", nil), "DrainRace", async, 0, 0, fn)
+					switch rec.Code {
+					case http.StatusOK, http.StatusAccepted:
+					case http.StatusServiceUnavailable:
+						if !strings.Contains(rec.Body.String(), `"draining"`) {
+							t.Errorf("503 without the draining class: %s", rec.Body)
+						}
+					default:
+						t.Errorf("compute = %d %s, want 200, 202 or 503 draining", rec.Code, rec.Body)
+					}
+				}
+			}(g)
+		}
+		close(start)
+		runtime.Gosched()
+		s.Drain()
+		drained.Store(true)
+		if n := inflight.Load(); n != 0 {
+			t.Fatalf("iteration %d: Drain returned with %d computations in flight", iter, n)
+		}
+		callers.Wait()
+		if n := late.Load(); n != 0 {
+			t.Fatalf("iteration %d: %d computations started after Drain returned", iter, n)
+		}
 	}
 }
 

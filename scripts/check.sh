@@ -30,6 +30,12 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# drain admission used to race Drain's wait about one run in eight; a
+# single pass lets a race that rare through, so the drain and lifecycle
+# tests repeat
+echo "==> go test -race -count=20 -run 'Drain|Lifecycle' (serve, nde-serve)"
+go test -race -count=20 -run 'Drain|Lifecycle' ./internal/serve ./cmd/nde-serve
+
 # bench/ is a module of its own, so the root vet and test runs above do not
 # build it; it calls the internal importance, ml and facade APIs directly
 echo "==> bench: go vet + go test"
