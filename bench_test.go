@@ -6,17 +6,23 @@ package nde_test
 // for the full-size human-readable tables.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"nde"
+	"nde/internal/datagen"
 	"nde/internal/exp"
 	"nde/internal/importance"
 	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/obs"
+	"nde/internal/serve"
 )
 
 func BenchmarkE1Figure2KNNShapleyCleaning(b *testing.B) {
@@ -394,26 +400,17 @@ func BenchmarkWhatIf(b *testing.B) {
 	}
 }
 
-// The recall-vs-speed gate of the ANN layer (scripts/bench.sh records this
-// series in BENCH_neighbor.json): exact vs IVF top-k per query on a 20k-row
-// index. The exact path is measured with its distance matrix already cached
-// — the cheapest exact can possibly be — and the IVF path must still be at
-// least 5x faster while keeping recall@10 >= 0.95 (reported as the
-// recall@10 metric on the ivf sub-benchmark).
-func BenchmarkNeighborTopK(b *testing.B) {
-	const (
-		n       = 20000
-		dim     = 32
-		centers = 64
-		queries = 64
-		k       = 10
-	)
-	r := rand.New(rand.NewSource(17))
+// mixture returns a generator of datasets drawn from one Gaussian
+// mixture seeded by seed: dim features around centers centres spread by
+// scale, unit noise, labels by centre parity. Successive calls continue
+// one random stream.
+func mixture(b *testing.B, seed int64, dim, centers int, scale float64) func(rows int) *ml.Dataset {
+	r := rand.New(rand.NewSource(seed))
 	ctr := linalg.NewMatrix(centers, dim)
 	for i := range ctr.Data {
-		ctr.Data[i] = r.NormFloat64() * 10
+		ctr.Data[i] = r.NormFloat64() * scale
 	}
-	mk := func(rows int) *ml.Dataset {
+	return func(rows int) *ml.Dataset {
 		x := linalg.NewMatrix(rows, dim)
 		y := make([]int, rows)
 		for i := 0; i < rows; i++ {
@@ -430,6 +427,80 @@ func BenchmarkNeighborTopK(b *testing.B) {
 		}
 		return d
 	}
+}
+
+// The argsort layer (scripts/bench.sh records it in BENCH_neighbor.json):
+// the first Order(0) on a fresh exact index of 100 queries × 4000 rows of
+// 32 features, the serve-cold shape, at workers 1 — every query's full
+// argsort. The distance matrix is computed outside the timer.
+func BenchmarkNeighborOrder(b *testing.B) {
+	mk := mixture(b, 31, 32, 32, 8)
+	train, queries := mk(4000), mk(100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix, err := ml.NewNeighborIndex(train, queries, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix.D2()
+		b.StartTimer()
+		ix.Order(0)
+	}
+}
+
+// The register layer (scripts/bench.sh records it in
+// BENCH_importance.json): one serve-cold POST /v1/datasets — 4000 train
+// and 100 valid rows of 32 features, 10% of the train labels flipped —
+// through the daemon's handler into an httptest recorder. It pays the
+// body read, the decode, the dataset build and the fingerprints; the
+// content-addressed registry returns the first registration's entry.
+func BenchmarkServeRegister(b *testing.B) {
+	mk := mixture(b, 37, 32, 32, 8)
+	train, valid := mk(4000), mk(100)
+	dirty, _, err := datagen.FlipDatasetLabels(train, 0.1, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := func(d *ml.Dataset) *serve.MatrixSpec {
+		rows := make([][]float64, d.Len())
+		for i := range rows {
+			rows[i] = d.Row(i)
+		}
+		return &serve.MatrixSpec{X: rows, Y: d.Y}
+	}
+	body, err := json.Marshal(serve.RegisterRequest{Train: spec(dirty), Valid: spec(valid)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := serve.NewServer(serve.Config{}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("register = %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// The recall-vs-speed gate of the ANN layer (scripts/bench.sh records this
+// series in BENCH_neighbor.json): exact vs IVF top-k per query on a 20k-row
+// index. The exact path is measured with its distance matrix already cached
+// — the cheapest exact can possibly be — and the IVF path must still be at
+// least 5x faster while keeping recall@10 >= 0.95 (reported as the
+// recall@10 metric on the ivf sub-benchmark).
+func BenchmarkNeighborTopK(b *testing.B) {
+	const (
+		n       = 20000
+		dim     = 32
+		centers = 64
+		queries = 64
+		k       = 10
+	)
+	mk := mixture(b, 17, dim, centers, 10)
 	train, query := mk(n), mk(queries)
 	exact, err := ml.NewNeighborIndexSearch(train, query, 0, ml.SearchConfig{Mode: ml.SearchExact})
 	if err != nil {
@@ -512,28 +583,7 @@ func BenchmarkIncremental(b *testing.B) {
 		queries = 64
 		k       = 5
 	)
-	r := rand.New(rand.NewSource(29))
-	ctr := linalg.NewMatrix(centers, dim)
-	for i := range ctr.Data {
-		ctr.Data[i] = r.NormFloat64() * 8
-	}
-	mk := func(rows int) *ml.Dataset {
-		x := linalg.NewMatrix(rows, dim)
-		y := make([]int, rows)
-		for i := 0; i < rows; i++ {
-			c := r.Intn(centers)
-			row := x.Row(i)
-			for j := range row {
-				row[j] = ctr.At(c, j) + r.NormFloat64()
-			}
-			y[i] = c % 2
-		}
-		d, err := ml.NewDataset(x, y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	}
+	mk := mixture(b, 29, dim, centers, 8)
 	for _, n := range []int{2000, 20000} {
 		train, valid := mk(n), mk(queries)
 		b.Run(fmt.Sprintf("delta/n=%d", n), func(b *testing.B) {

@@ -1,13 +1,16 @@
 package datagen
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"nde/internal/frame"
 	"nde/internal/linalg"
 	"nde/internal/ml"
+	"nde/internal/nderr"
 )
 
 func TestHiringShapesAndDeterminism(t *testing.T) {
@@ -147,6 +150,71 @@ func TestFlipDatasetLabels(t *testing.T) {
 		if (dirty.Y[i] != d.Y[i]) != corrupted[i] {
 			t.Errorf("row %d flip/report mismatch", i)
 		}
+	}
+
+	// binary labels: exactly the 1 - y flip over r.Perm's first k rows,
+	// with nothing else drawn, so seeded inputs stay bit-identical
+	for _, seed := range []int64{1, 7, 104, 903} {
+		for _, n := range []int{1, 10, 257} {
+			bx := linalg.NewMatrix(n, 1)
+			by := make([]int, n)
+			for i := range by {
+				by[i] = (i * 7 / 3) % 2
+			}
+			bd, _ := ml.NewDataset(bx, by)
+			got, _, err := FlipDatasetLabels(bd, 0.3, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]int(nil), by...)
+			r := rand.New(rand.NewSource(seed))
+			for _, i := range r.Perm(n)[:int(float64(n)*0.3)] {
+				want[i] = 1 - want[i]
+			}
+			for i := range want {
+				if got.Y[i] != want[i] {
+					t.Fatalf("seed %d n %d: binary flip row %d = %d, want %d", seed, n, i, got.Y[i], want[i])
+				}
+			}
+		}
+	}
+
+	// three classes: a flipped row takes one of the other two labels,
+	// and every other label is reached
+	cx := linalg.NewMatrix(300, 1)
+	cy := make([]int, 300)
+	for i := range cy {
+		cy[i] = i % 3
+	}
+	cd, _ := ml.NewDataset(cx, cy)
+	multi, flipped, err := FlipDatasetLabels(cd, 0.5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flipped) != 150 {
+		t.Fatalf("3-class corrupted = %d, want 150", len(flipped))
+	}
+	var reached [3][3]bool
+	for i, y := range multi.Y {
+		switch {
+		case y < 0 || y > 2:
+			t.Fatalf("row %d: label %d outside the 3 classes", i, y)
+		case (y != cy[i]) != flipped[i]:
+			t.Fatalf("row %d: label %d -> %d, reported flipped %v", i, cy[i], y, flipped[i])
+		}
+		reached[cy[i]][y] = true
+	}
+	for from := range reached {
+		for to := range reached[from] {
+			if from != to && !reached[from][to] {
+				t.Errorf("no row flipped %d -> %d", from, to)
+			}
+		}
+	}
+
+	cy[5] = -1
+	if _, _, err := FlipDatasetLabels(cd, 0.5, 11); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Errorf("negative label: err = %v, want ErrDegenerateInput", err)
 	}
 }
 

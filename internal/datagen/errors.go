@@ -8,6 +8,7 @@ import (
 	"nde/internal/frame"
 	"nde/internal/linalg"
 	"nde/internal/ml"
+	"nde/internal/nderr"
 )
 
 // InjectLabelErrors returns a copy of the frame with the string label column
@@ -47,18 +48,35 @@ func InjectLabelErrors(f *frame.Frame, labelCol string, fraction float64, seed i
 	return out, corrupted, nil
 }
 
-// FlipDatasetLabels flips a fraction of binary 0/1 labels of a dataset and
-// reports the corrupted indices.
+// FlipDatasetLabels flips the labels of a fraction of a dataset's rows and
+// reports the corrupted indices. Binary labels (every label 0 or 1) flip
+// to 1 - y. With more classes, a flipped row takes a label drawn
+// uniformly from the other classes 0..NumClasses()-1, drawn after the
+// rows are chosen, so the binary case consumes the same random stream it
+// always has. A negative label is an error wrapping
+// nderr.ErrDegenerateInput.
 func FlipDatasetLabels(d *ml.Dataset, fraction float64, seed int64) (*ml.Dataset, map[int]bool, error) {
 	if fraction < 0 || fraction > 1 {
 		return nil, nil, fmt.Errorf("datagen: fraction %v outside [0,1]", fraction)
 	}
+	for i, y := range d.Y {
+		if y < 0 {
+			return nil, nil, fmt.Errorf("datagen: negative label %d at row %d: %w", y, i, nderr.ErrDegenerateInput)
+		}
+	}
+	classes := d.NumClasses()
 	out := d.Clone()
 	r := rand.New(rand.NewSource(seed))
 	k := int(float64(d.Len()) * fraction)
 	corrupted := make(map[int]bool, k)
 	for _, i := range r.Perm(d.Len())[:k] {
-		out.Y[i] = 1 - out.Y[i]
+		if classes <= 2 {
+			out.Y[i] = 1 - out.Y[i]
+		} else if y := r.Intn(classes - 1); y < out.Y[i] {
+			out.Y[i] = y
+		} else {
+			out.Y[i] = y + 1
+		}
 		corrupted[i] = true
 	}
 	return out, corrupted, nil

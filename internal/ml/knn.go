@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"nde/internal/linalg"
 	"nde/internal/nderr"
@@ -16,8 +15,9 @@ import (
 //
 // Internally all ranking happens on squared distances (sqrt is monotone, so
 // the order is identical and the per-pair sqrt is skipped), neighbor order
-// comes from an explicit (distance, index) comparator rather than a stable
-// sort, and votes are tallied in a label-indexed slice. Batch workloads
+// is the (distance, index) total order — full orderings from a stable
+// radix argsort, top-k sets from a comparator quickselect — and votes are
+// tallied in a label-indexed slice. Batch workloads
 // should go through PredictBatch or a NeighborIndex, which compute all
 // query×train distances through the batched linalg kernel, or through
 // Neighborhoods where the predictions must equal Predict's and only the
@@ -46,7 +46,8 @@ func (m *KNN) Fit(d *Dataset) error {
 
 // Neighbors returns the indices of all training points sorted by ascending
 // distance to x (distance ties break by index). The slice is freshly
-// allocated.
+// allocated. Training rows or an x holding NaN leave the order
+// unspecified (see argsortInto).
 func (m *KNN) Neighbors(x []float64) []int {
 	n := m.train.Len()
 	d2 := make([]float64, n)
@@ -54,10 +55,7 @@ func (m *KNN) Neighbors(x []float64) []int {
 		d2[i] = SquaredDistance(m.train.Row(i), x)
 	}
 	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Sort(&distOrder{d2: d2, idx: idx})
+	argsortInto(d2, idx, &argsortScratch{})
 	return idx
 }
 

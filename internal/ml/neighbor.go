@@ -143,12 +143,9 @@ func (ix *NeighborIndex) ensureOrders() {
 			})
 		} else {
 			d2 := ix.D2()
-			par.For("ml.neighbor_argsort", ix.Workers, nq, func(_, q int) {
-				row := orders[q*n : (q+1)*n]
-				for i := range row {
-					row[i] = i
-				}
-				sort.Sort(&distOrder{d2: d2.Row(q), idx: row})
+			scratch := make([]argsortScratch, par.Workers(ix.Workers, nq))
+			par.For("ml.neighbor_argsort", ix.Workers, nq, func(w, q int) {
+				argsortInto(d2.Row(q), orders[q*n:(q+1)*n], &scratch[w])
 			})
 		}
 		ix.orders = orders
@@ -387,23 +384,6 @@ func (ix *NeighborIndex) ensureTopK(kk int) ([]int, []float64) {
 	ix.topk.k, ix.topk.ids, ix.topk.kth = kk, ids, kth
 	return ids, kth
 }
-
-// distOrder argsorts idx by (d2[idx], idx) — the deterministic neighbor
-// total order used everywhere in the package.
-type distOrder struct {
-	d2  []float64
-	idx []int
-}
-
-func (s *distOrder) Len() int { return len(s.idx) }
-func (s *distOrder) Less(a, b int) bool {
-	da, db := s.d2[s.idx[a]], s.d2[s.idx[b]]
-	if da != db {
-		return da < db
-	}
-	return s.idx[a] < s.idx[b]
-}
-func (s *distOrder) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // distIdx is a (squared distance, training index) pair.
 type distIdx struct {

@@ -172,12 +172,9 @@ func (ix *NeighborIndex) AppendRows(x *linalg.Matrix, y []int) (*NeighborIndex, 
 
 	blockD2 := linalg.PairwiseSquaredDistances(ix.Queries.X, x, ix.Workers)
 	blockOrder := make([]int, nq*m)
-	par.For("ml.neighbor_append_argsort", ix.Workers, nq, func(_, q int) {
-		row := blockOrder[q*m : (q+1)*m]
-		for i := range row {
-			row[i] = i
-		}
-		sort.Sort(&distOrder{d2: blockD2.Row(q), idx: row})
+	scratch := make([]argsortScratch, par.Workers(ix.Workers, nq))
+	par.For("ml.neighbor_append_argsort", ix.Workers, nq, func(w, q int) {
+		argsortInto(blockD2.Row(q), blockOrder[q*m:(q+1)*m], &scratch[w])
 	})
 
 	newLo := nBase + g.nExtra

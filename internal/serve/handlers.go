@@ -27,11 +27,6 @@ import (
 // retrains never share state.
 func newModel() ml.Classifier { return ml.NewKNN(5) }
 
-// errTrailingData rejects request bodies with bytes after the JSON
-// value. A package-level sentinel (not an ad-hoc fmt.Errorf, per the
-// nde-lint errwrap contract) so decode stays classifiable.
-var errTrailingData = errors.New("trailing data after JSON body")
-
 // writeJSON writes v as the JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -68,31 +63,20 @@ func post(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decode reads the capped JSON request body into v. Unknown fields and
-// trailing garbage are rejected so typos fail loudly instead of being
-// silently ignored.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		var trailing any
-		if dec.Decode(&trailing) != io.EOF {
-			err = errTrailingData
+// errComputePanic is wrapped by the error a computation that panicked
+// returns, so a bug in one request is a 500 or a run in state "error"
+// instead of a dead daemon.
+var errComputePanic = errors.New("computation panicked")
+
+// recoverCompute calls fn and turns a panic in it into an error wrapping
+// errComputePanic.
+func recoverCompute(fn func() (any, error)) (res any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%w: %v", errComputePanic, p)
 		}
-	}
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), "body_too_large")
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error(), "bad_request")
-		return false
-	}
-	return true
+	}()
+	return fn()
 }
 
 // compute runs one budgeted computation, sync or async. Admission order:
@@ -102,7 +86,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // Drain, so Drain waits for everything it did not refuse — including
 // computations still queued for a budget slot. The budget slot is held
 // for the whole computation; async runs hold theirs until the worker
-// finishes.
+// finishes. A panic in fn is recovered on both paths (recoverCompute):
+// the slots are released and the ledger op recorded as for any error.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, async bool, rows, workers int, fn func() (any, error)) {
 	obs.Inc("serve_requests_total")
 	if !s.runs.track() {
@@ -125,7 +110,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 		go func() {
 			defer s.budget.Release()
 			start := time.Now()
-			res, err := fn()
+			res, err := recoverCompute(fn)
 			obs.RecordOp(op, time.Since(start), rows, workers, "", nde.ErrorClass(err))
 			s.runs.finish(run, res, err)
 		}()
@@ -136,7 +121,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 	defer s.runs.untrack()
 	defer s.budget.Release()
 	start := time.Now()
-	res, err := fn()
+	res, err := recoverCompute(fn)
 	obs.RecordOp(op, time.Since(start), rows, workers, "", nde.ErrorClass(err))
 	if err != nil {
 		writeComputeErr(w, err)
@@ -145,14 +130,21 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleDatasets implements POST /v1/datasets.
+// handleDatasets implements POST /v1/datasets. The body goes through
+// decodeRegister's fast path first; a body outside its subset is decoded
+// again with encoding/json, so every such reply, error or not, is the one
+// encoding/json alone would give.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !post(w, r) {
 		return
 	}
 	obs.Inc("serve_requests_total")
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req RegisterRequest
-	if !s.decode(w, r, &req) {
+	if !decodeRegister(body, &req) && !decodeJSON(w, body, &req) {
 		return
 	}
 	start := time.Now()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -556,6 +557,89 @@ func TestDrainAdmissionRace(t *testing.T) {
 		callers.Wait()
 		if n := late.Load(); n != 0 {
 			t.Fatalf("iteration %d: %d computations started after Drain returned", iter, n)
+		}
+	}
+}
+
+// A computation that panics, sync or async, does not take the daemon
+// down: the sync request gets the 500 envelope, the async run ends in
+// state "error", both ledger ops are recorded, the budget and drain
+// slots come back, and the server keeps serving until Drain returns.
+func TestComputePanicRecovered(t *testing.T) {
+	var ledger bytes.Buffer
+	prev := obs.SetLedger(obs.NewLedger(&ledger, obs.LedgerMeta{Cmd: "serve-test", Git: "-"}))
+	t.Cleanup(func() { obs.SetLedger(prev) })
+	s, ts := newTestServer(t, Config{Slots: 1, Queue: -1})
+	boom := func() (any, error) { panic("injected fault") }
+	req := func() *http.Request { return httptest.NewRequest(http.MethodPost, "/v1/importance", nil) }
+
+	rec := httptest.NewRecorder()
+	s.compute(rec, req(), "PanicSync", false, 0, 0, boom)
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError ||
+		e.Class != "error" || !strings.Contains(e.Error, "injected fault") {
+		t.Errorf("sync panic = %d %s, want 500 with class error naming the panic", rec.Code, rec.Body)
+	}
+
+	rec = httptest.NewRecorder()
+	s.compute(rec, req(), "PanicAsync", true, 0, 0, boom)
+	var acc AsyncAccepted
+	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("async panic = %d %s, want 202", rec.Code, rec.Body)
+	}
+	run, ok := s.runs.get(acc.Run)
+	if !ok {
+		t.Fatalf("run %q not registered", acc.Run)
+	}
+	select {
+	case <-run.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the panicking async run never finished")
+	}
+	if !errors.Is(run.err, errComputePanic) {
+		t.Errorf("async run error = %v, want errComputePanic", run.err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + acc.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr RunResponse
+	err = json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if err != nil || rr.State != "error" || rr.Class != "error" {
+		t.Errorf("polled run = %+v (%v), want state error, class error", rr, err)
+	}
+
+	// the only budget slot is free again: a queue-less server would 429
+	id := register(t, ts, 20)
+	if code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": 3}); code != http.StatusOK {
+		t.Errorf("importance after the panics = %d %v, want 200", code, body)
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return: a panicked computation kept its drain slot")
+	}
+
+	obs.SetLedger(prev)
+	errOps := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(ledger.String()), "\n") {
+		var r obs.LedgerRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("ledger line %q: %v", line, err)
+		}
+		if r.Type == "op" {
+			errOps[r.Op] = r.Err
+		}
+	}
+	for _, op := range []string{"PanicSync", "PanicAsync"} {
+		if class, ok := errOps[op]; !ok || class != "error" {
+			t.Errorf("ledger op %s: recorded %v, class %q; want class error", op, ok, class)
 		}
 	}
 }

@@ -4,8 +4,9 @@
 # tracked PR-over-PR. Each file carries a "meta" header (git SHA, Go
 # version, GOMAXPROCS, UTC date) so numbers from different machines and
 # commits stay comparable. Four series are emitted: the importance/pipeline
-# hot paths (BENCH_importance.json), the what-if fan-out (BENCH_whatif.json),
-# the exact-vs-IVF neighbor-search gate (BENCH_neighbor.json, which also
+# hot paths plus one serve-cold registration (BENCH_importance.json), the
+# what-if fan-out (BENCH_whatif.json), the exact-vs-IVF neighbor-search
+# gate and the full-argsort layer (BENCH_neighbor.json, which also
 # records the recall@10 of the IVF run), and the delta-vs-rebuild
 # incremental-maintenance gate (BENCH_incremental.json). `make bench` runs
 # this.
@@ -20,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 outdir="${NDE_BENCH_OUTDIR:-.}"
 out="${1:-$outdir/BENCH_importance.json}"
-filter="${NDE_BENCH_FILTER:-BenchmarkAblation|BenchmarkMCShapleyParallel|BenchmarkKNNShapley|BenchmarkKNNPredictBatch|BenchmarkPipelineRunObs}"
+filter="${NDE_BENCH_FILTER:-BenchmarkAblation|BenchmarkMCShapleyParallel|BenchmarkKNNShapley|BenchmarkKNNPredictBatch|BenchmarkPipelineRunObs|BenchmarkServeRegister}"
 benchtime="${NDE_BENCHTIME:-1s}"
 
 tmp="$(mktemp)"
@@ -71,5 +72,5 @@ END { print "\n  ]\n}" }
 
 run_bench "$filter" "$out"
 run_bench "^BenchmarkWhatIf$" "$outdir/BENCH_whatif.json"
-run_bench "^BenchmarkNeighborTopK$" "$outdir/BENCH_neighbor.json"
+run_bench "^(BenchmarkNeighborTopK|BenchmarkNeighborOrder)$" "$outdir/BENCH_neighbor.json"
 run_bench "^BenchmarkIncremental$" "$outdir/BENCH_incremental.json"

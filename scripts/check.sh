@@ -46,6 +46,11 @@ echo "==> bench: go vet + go test"
 echo "==> go test -fuzz FuzzReadCSV (2s)"
 go test -run='^FuzzReadCSV$' -fuzz='^FuzzReadCSV$' -fuzztime=2s ./internal/frame/
 
+# the same for the /v1/datasets fast-path decoder, differential against
+# encoding/json
+echo "==> go test -fuzz FuzzDecodeRegister (2s)"
+go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./internal/serve/
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then
