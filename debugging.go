@@ -61,11 +61,13 @@ func WhatIfParallel(ft *Featurized, variants []RemovalVariant, valid *Dataset, w
 }
 
 // WhatIfWithOptions is WhatIf with full control. Since the default model
-// is a kNN, variants are normally answered by deriving a delta index from
-// one shared base over the featurized data — each variant costs an
-// O(queries·k) repair instead of a fresh distance matrix — while
-// ForceRebuild pins the per-variant full rebuild, the determinism oracle
-// the delta path is tested bit-for-bit against.
+// is a kNN, the batch takes the exact neighbor index over the featurized
+// data from the process-wide store that kNN-Shapley scoring shares, and
+// every variant votes its labels over the first k surviving rows of each
+// query's cached order — no distance kernel and no derived index per
+// variant, and none per call once the geometry is stored. ForceRebuild
+// pins the per-variant full rebuild, the determinism oracle the fast path
+// is tested bit-for-bit against; it never reads or fills the store.
 func WhatIfWithOptions(ft *Featurized, variants []RemovalVariant, valid *Dataset, opts WhatIfOptions) (_ []WhatIfResult, err error) {
 	defer recordOp("WhatIfParallel", time.Now(), len(variants), opts.Workers, &err)
 	if ft == nil || ft.Data == nil {
@@ -77,12 +79,13 @@ func WhatIfWithOptions(ft *Featurized, variants []RemovalVariant, valid *Dataset
 	return pipeline.WhatIfRemovalsConfig(ft, variants, func() ml.Classifier { return DefaultModel() }, valid, opts)
 }
 
-// ResetNeighborIndexCache drops every cached kNN neighbor index. The cache
-// holds the distance geometry of the last few (train, valid) pairs seen by
-// kNN-Shapley scoring (at most 4 indexes); long-running processes that churn
-// through many datasets can call this to release the memory eagerly. Safe
-// for concurrent use; in-flight computations keep their own reference and
-// finish unaffected.
+// ResetNeighborIndexCache drops every cached kNN neighbor index. The
+// process-wide store holds the distance geometry and neighbor orders of
+// the last few (train, valid) pairs seen by kNN-Shapley scoring and kNN
+// what-if batches (at most 4 indexes by default); long-running processes
+// that churn through many datasets can call this to release the memory
+// eagerly. Safe for concurrent use; in-flight computations keep their own
+// reference and finish unaffected.
 func ResetNeighborIndexCache() {
 	defer recordOp("ResetNeighborIndexCache", time.Now(), 0, 0, nil)
 	importance.ResetNeighborIndexCache()

@@ -38,7 +38,7 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 		return nil, nil, nil, err
 	}
 	if child != parent {
-		registerDerivedIndex(child, valid.X.Fingerprint())
+		ml.PutSharedIndex(child, NeighborSearch())
 	}
 	return scores, keep, child, nil
 }

@@ -1,136 +1,36 @@
 package importance
 
-import (
-	"fmt"
-	"sync"
-
-	"nde/internal/ml"
-	"nde/internal/nderr"
-	"nde/internal/obs"
-	"nde/internal/store"
-)
+import "nde/internal/ml"
 
 // The kNN-Shapley hot paths all need the same valid×train distance
 // geometry, and callers (iterative cleaning, repeated experiments,
 // benchmarks, concurrent serving requests) invoke them many times over
-// datasets whose *features* never change — only labels do. This cache
-// shares one ml.NeighborIndex per distinct (train.X, valid.X, search
-// config) triple through a content-addressed artifact store
-// (internal/store), so the distance matrix and the per-query neighbor
-// orders are computed exactly once and reused across calls. Keys are
-// content fingerprints (linalg.Matrix.Fingerprint), not pointer
-// identities, so in-place feature mutations are detected and get a fresh
-// index.
-//
-// Concurrency: lookups are singleflight and eviction is LRU over ready
-// entries only — an in-flight build is never evicted, so concurrent
-// same-key callers always share one build even while other geometries
-// churn the cache past its bound. See the internal/store package
-// documentation for the full contract.
+// datasets whose *features* never change — only labels do. They take it
+// from the process-wide neighbor-index store in internal/ml, which the
+// kNN what-if path shares, under this package's search configuration;
+// see internal/ml/neighbor_store.go for its keys, concurrency contract and
+// metrics.
 //
 // IMPORTANT: a cached index may hold *stale labels* (its Datasets are the
 // ones from the first call). Callers must therefore use only the
 // geometry methods of the returned index (D2, Order, TopK) and read labels
 // from their own arguments — never Predict* on a cached index.
-//
-// Metrics: importance_neighbor_index_{hits,misses,evictions,waits}_total
-// plus the importance_neighbor_index_{entries,inflight} gauges. A "wait"
-// is a caller that blocked on another goroutine's in-flight build instead
-// of building or reading a completed entry.
 
-type indexKey struct {
-	trainFP, validFP uint64
-	searchFP         uint64 // ml.SearchConfig fingerprint: mode/nprobe/seed knobs
-}
-
-// defaultIndexCacheCapacity is the initial LRU bound;
-// SetIndexCacheCapacity changes it.
-const defaultIndexCacheCapacity = 4
-
-// indexStore is the shared neighbor-index artifact store. The metric
-// prefix preserves the counter names the cache has exported since PR 2.
-var indexStore = store.New[indexKey, *ml.NeighborIndex]("importance_neighbor_index", defaultIndexCacheCapacity)
-
-var (
-	searchMu    sync.Mutex
-	indexSearch ml.SearchConfig
-)
-
-// SetNeighborSearch sets the search configuration every subsequently built
-// shared index uses. The config fingerprint is part of the cache key, so
-// indexes built under a previous config are not aliased — they simply age
-// out of the LRU. The kNN-Shapley paths consume the full exact ranking
-// (Order) regardless of mode; the mode matters for TopK consumers sharing
-// the cache, such as the facade's neighbor search.
-func SetNeighborSearch(cfg ml.SearchConfig) {
-	searchMu.Lock()
-	indexSearch = cfg
-	searchMu.Unlock()
-}
-
-// NeighborSearch returns the search configuration shared indexes are built
-// with.
-func NeighborSearch() ml.SearchConfig {
-	searchMu.Lock()
-	defer searchMu.Unlock()
-	return indexSearch
-}
-
-// SetIndexCacheCapacity resizes the neighbor-index LRU and returns the
-// previous capacity. Shrinking evicts the least recently used ready
-// entries immediately; each eviction is counted in
-// importance_neighbor_index_evictions_total like any other. In-flight
-// builds are never evicted by a shrink — the store trims back to the new
-// bound as they complete.
-//
-// n must be >= 1: a zero or negative capacity would silently clamp and
-// leave the caller believing the cache was disabled, so it is rejected
-// with a wrapped nderr.ErrDegenerateInput and the capacity is unchanged
-// (the current value is returned alongside the error).
-func SetIndexCacheCapacity(n int) (int, error) {
-	if n < 1 {
-		return indexStore.Capacity(), fmt.Errorf("importance: index cache capacity %d, need >= 1: %w", n, nderr.ErrDegenerateInput)
-	}
-	return indexStore.SetCapacity(n), nil
-}
+// SetIndexCacheCapacity resizes the shared neighbor-index store and
+// returns the previous capacity; see ml.SetSharedIndexCapacity.
+func SetIndexCacheCapacity(n int) (int, error) { return ml.SetSharedIndexCapacity(n) }
 
 // IndexCacheCapacity returns the current LRU capacity.
-func IndexCacheCapacity() int { return indexStore.Capacity() }
+func IndexCacheCapacity() int { return ml.SharedIndexCapacity() }
 
-// sharedNeighborIndex returns the cached NeighborIndex for (train, valid)
-// — valid rows are the queries — building and caching it on a miss. Safe
-// for concurrent use; concurrent callers for the same geometry share one
-// build.
+// sharedNeighborIndex returns the shared NeighborIndex for (train, valid)
+// — valid rows are the queries — under the current search configuration.
 func sharedNeighborIndex(train, valid *ml.Dataset, workers int) (*ml.NeighborIndex, error) {
-	search := NeighborSearch()
-	key := indexKey{
-		trainFP:  train.X.Fingerprint(),
-		validFP:  valid.X.Fingerprint(),
-		searchFP: search.Fingerprint(),
-	}
-	return indexStore.GetOrBuild(key, func() (*ml.NeighborIndex, error) {
-		return ml.NewNeighborIndexSearch(train, valid, workers, search)
-	})
-}
-
-// registerDerivedIndex publishes a delta-derived index under its own
-// geometry key, so the next sharedNeighborIndex call for the mutated
-// train set hits the cache instead of rebuilding from scratch — the cache
-// derives child entries from parents. First build wins on collision
-// (store.Put semantics); the counter tracks successful registrations.
-func registerDerivedIndex(ix *ml.NeighborIndex, validFP uint64) {
-	key := indexKey{
-		trainFP:  ix.Train.X.Fingerprint(),
-		validFP:  validFP,
-		searchFP: NeighborSearch().Fingerprint(),
-	}
-	if indexStore.Put(key, ix) && obs.Enabled() {
-		obs.Inc("importance_neighbor_index_derived_total")
-	}
+	return ml.SharedIndex(train, valid, workers, NeighborSearch())
 }
 
 // ResetNeighborIndexCache drops every cached index. Intended for tests and
 // for long-lived processes that want to bound memory between workloads.
 // In-flight builds are unaffected: their waiters still receive the built
 // index, it just is no longer cached afterwards.
-func ResetNeighborIndexCache() { indexStore.Reset() }
+func ResetNeighborIndexCache() { ml.ResetSharedIndexes() }

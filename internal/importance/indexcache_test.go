@@ -134,7 +134,7 @@ func TestSharedNeighborIndexCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := indexStore.Len(), IndexCacheCapacity(); got != want {
+	if got, want := ml.SharedIndexLen(), IndexCacheCapacity(); got != want {
 		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 }
@@ -222,7 +222,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if nc := indexStore.Len(); nc > bound {
+				if nc := ml.SharedIndexLen(); nc > bound {
 					t.Errorf("cache grew past bound: %d entries, max %d + %d in flight", nc, IndexCacheCapacity(), goroutines)
 					return
 				}
@@ -231,7 +231,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	wg.Wait()
 
-	if nc, want := indexStore.Len(), IndexCacheCapacity(); nc != want {
+	if nc, want := ml.SharedIndexLen(), IndexCacheCapacity(); nc != want {
 		t.Errorf("final cache size %d, want %d", nc, want)
 	}
 	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
@@ -241,87 +241,6 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	if evictions != misses-int64(IndexCacheCapacity()) {
 		t.Errorf("evictions = %d, want misses-cap = %d", evictions, misses-int64(IndexCacheCapacity()))
-	}
-}
-
-// REGRESSION for the in-flight eviction bug: under the old FIFO cache,
-// inserting a second geometry at capacity 1 evicted the *in-flight* head
-// entry, detaching the key from its running build — so any same-key caller
-// arriving afterwards silently started a duplicate build of the same
-// geometry. The store must never evict an in-flight entry: concurrent
-// same-key callers during churn coalesce into exactly one build (one miss
-// for the churned geometry plus one per distinct churn geometry, no more).
-func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	defer obs.Reset()
-	obs.Reset()
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
-	prev, err := SetIndexCacheCapacity(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetIndexCacheCapacity(prev)
-
-	// A is deliberately large so its index build is still in flight while
-	// the tiny churn geometry B is built and evicted around it.
-	trainA := blobs(1500, 1.5, 2001)
-	validA := blobs(700, 1.5, 2002)
-	trainB := blobs(10, 1.5, 2003)
-	validB := blobs(5, 1.5, 2004)
-
-	const wave = 6
-	indexes := make([]*ml.NeighborIndex, wave)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for c := 0; c < wave; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			<-start
-			ix, err := sharedNeighborIndex(trainA, validA, 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			indexes[c] = ix
-		}(c)
-	}
-	close(start)
-	// churn while A's build is (very likely) in flight: build B at
-	// capacity 1, which under the old FIFO evicted in-flight A, and
-	// exercise the SetIndexCacheCapacity shrink path too
-	if _, err := sharedNeighborIndex(trainB, validB, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SetIndexCacheCapacity(1); err != nil {
-		t.Fatal(err)
-	}
-	// stragglers arrive strictly after the churn: they must join A's
-	// flight or hit its cached entry, never rebuild
-	stragglers := make([]*ml.NeighborIndex, 2)
-	for c := range stragglers {
-		ix, err := sharedNeighborIndex(trainA, validA, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stragglers[c] = ix
-	}
-	wg.Wait()
-	for c := 1; c < wave; c++ {
-		if indexes[c] != indexes[0] {
-			t.Fatalf("caller %d got a different index instance", c)
-		}
-	}
-	for c, ix := range stragglers {
-		if ix != indexes[0] {
-			t.Fatalf("straggler %d got a different index instance: geometry A was rebuilt", c)
-		}
-	}
-	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
-	if misses != 2 { // one for A, one for B — a third means A rebuilt
-		t.Errorf("misses = %d, want 2 (A built once, B built once)", misses)
 	}
 }
 
@@ -355,7 +274,7 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	if want := int64(builds - 2); evictions != want {
 		t.Errorf("evictions = %d, want builds-cap = %d", evictions, want)
 	}
-	if nc := indexStore.Len(); nc != 2 {
+	if nc := ml.SharedIndexLen(); nc != 2 {
 		t.Errorf("cache holds %d entries, want the configured cap 2", nc)
 	}
 
@@ -363,7 +282,7 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	if _, err := SetIndexCacheCapacity(1); err != nil {
 		t.Fatal(err)
 	}
-	if nc := indexStore.Len(); nc != 1 {
+	if nc := ml.SharedIndexLen(); nc != 1 {
 		t.Errorf("after shrink: %d entries, want 1", nc)
 	}
 	if got := obs.Default().Counter("importance_neighbor_index_evictions_total").Value(); got != evictions+1 {

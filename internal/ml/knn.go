@@ -138,15 +138,9 @@ func (m *KNN) Neighborhoods(queries *Dataset, workers int) (*Neighborhoods, erro
 // row), vote ties breaking toward the smaller label exactly as Predict
 // does.
 func (nb *Neighborhoods) Vote(trainY []int) ([]int, error) {
-	if len(trainY) != nb.n {
-		return nil, nderr.Mismatch("ml: Neighborhoods.Vote labels", nb.n, len(trainY))
-	}
-	nc := 0
-	for i, y := range trainY {
-		if y < 0 {
-			return nil, fmt.Errorf("ml: negative label %d at training row %d: %w", y, i, nderr.ErrDegenerateInput)
-		}
-		nc = max(nc, y+1)
+	nc, err := labelClasses("Neighborhoods.Vote", trainY, nb.n)
+	if err != nil {
+		return nil, err
 	}
 	votes := make([]int, nc)
 	out := make([]int, nb.nq)

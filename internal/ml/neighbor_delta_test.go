@@ -343,6 +343,96 @@ func TestPredictBatchLabelsOverridesSnapshot(t *testing.T) {
 	if _, err := ix.PredictBatchLabels(3, append([]int{-1}, flipped[1:]...)); !errors.Is(err, nderr.ErrDegenerateInput) {
 		t.Fatalf("negative label err = %v, want ErrDegenerateInput", err)
 	}
+
+	// PredictSurvivors votes the same caller labels and rejects the same
+	// bad ones, plus an alive mask of the wrong length
+	alive := make([]bool, train.Len())
+	for i := range alive {
+		alive[i] = true
+	}
+	survivors, err := ix.PredictSurvivors(3, flipped, alive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range flip {
+		if survivors[q] != flip[q] {
+			t.Fatalf("query %d: PredictSurvivors predicted %d, PredictBatchLabels %d", q, survivors[q], flip[q])
+		}
+	}
+	if _, err := ix.PredictSurvivors(3, flipped[:10], alive); !errors.Is(err, nderr.ErrShapeMismatch) {
+		t.Fatalf("PredictSurvivors short labels err = %v, want ErrShapeMismatch", err)
+	}
+	if _, err := ix.PredictSurvivors(3, append([]int{-1}, flipped[1:]...), alive); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Fatalf("PredictSurvivors negative label err = %v, want ErrDegenerateInput", err)
+	}
+	if _, err := ix.PredictSurvivors(3, flipped, alive[:10]); !errors.Is(err, nderr.ErrShapeMismatch) {
+		t.Fatalf("PredictSurvivors short alive mask err = %v, want ErrShapeMismatch", err)
+	}
+}
+
+// Voting over the surviving prefix of a root's order equals rebuilding an
+// index over the survivors alone — on tie-heavy data, for survivor counts
+// below, at and above k, with the nearest rows of a query removed, and on
+// a derived index's order too.
+func TestPredictSurvivorsMatchesRebuild(t *testing.T) {
+	train := tieGrid(90, 3, 21)
+	queries := tieGrid(25, 3, 22)
+	root, err := NewNeighborIndex(train, queries, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := root.RemoveRows([]int{0, 7, 8, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(23))
+	for _, ix := range []*NeighborIndex{root, derived} {
+		n := ix.Train.Len()
+		var masks [][]bool
+		for _, p := range []float64{1, 0.9, 0.5, 0.05} {
+			alive := make([]bool, n)
+			for i := range alive {
+				alive[i] = r.Float64() < p
+			}
+			masks = append(masks, alive)
+		}
+		nearest := make([]bool, n) // every row but query 0's 5 nearest
+		for i := range nearest {
+			nearest[i] = true
+		}
+		for _, i := range ix.Order(0)[:5] {
+			nearest[i] = false
+		}
+		masks = append(masks, nearest)
+		for mi, alive := range masks {
+			var keep []int
+			for i, a := range alive {
+				if a {
+					keep = append(keep, i)
+				}
+			}
+			if len(keep) == 0 {
+				continue
+			}
+			rebuilt, err := NewNeighborIndex(ix.Train.Subset(keep), queries, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 3, 7, len(keep), len(keep) + 2} {
+				got, err := ix.PredictSurvivors(k, ix.Train.Y, alive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := rebuilt.PredictBatch(k)
+				for q := range want {
+					if got[q] != want[q] {
+						t.Fatalf("derived=%v mask %d (%d alive) k=%d query %d: PredictSurvivors %d, rebuild %d",
+							ix != root, mi, len(keep), k, q, got[q], want[q])
+					}
+				}
+			}
+		}
+	}
 }
 
 // Concurrent derivations from one shared base must not race and must each

@@ -1,0 +1,170 @@
+package ml
+
+import (
+	"fmt"
+
+	"nde/internal/nderr"
+	"nde/internal/obs"
+	"nde/internal/store"
+)
+
+// The process-wide neighbor-index store. Its two consumers need the same
+// query×train geometry over datasets whose features rarely change:
+// kNN-Shapley scoring (internal/importance) reads the full per-query
+// orders, and kNN what-if batches (internal/pipeline) vote over their
+// surviving prefixes. Both look the index up here, so the distance matrix
+// and the order table are computed once per geometry and shared across
+// calls, packages and concurrent requests. Keys are content fingerprints
+// (linalg.Matrix.Fingerprint) of both feature matrices plus the
+// SearchConfig fingerprint, not pointer identities, so an in-place feature
+// mutation gets a fresh index.
+//
+// Concurrency: lookups are singleflight and eviction is LRU over ready
+// entries only — an in-flight build is never evicted, so concurrent
+// same-key callers always share one build even while other geometries
+// churn the store past its bound (see internal/store).
+//
+// Labels: the key covers features only, so a cached index may carry
+// another label revision's Train.Y. Consumers read geometry from it (D2,
+// Order, TopK) and labels from their own arguments (PredictBatchLabels,
+// PredictSurvivors) — never PredictBatch or PredictRow.
+//
+// Metrics keep the names the store exported when it lived in
+// internal/importance: importance_neighbor_index_{hits,misses,evictions,
+// waits,puts,derived}_total plus the importance_neighbor_index_{entries,
+// inflight} gauges. A "wait" is a caller that blocked on another
+// goroutine's in-flight build.
+
+type sharedIndexKey struct {
+	trainFP, queriesFP uint64
+	searchFP           uint64 // SearchConfig fingerprint: mode/nprobe/seed knobs
+}
+
+// defaultSharedIndexCapacity is the initial LRU bound;
+// SetSharedIndexCapacity changes it.
+const defaultSharedIndexCapacity = 4
+
+var sharedIndexes = store.New[sharedIndexKey, *NeighborIndex]("importance_neighbor_index", defaultSharedIndexCapacity)
+
+func sharedKey(train, queries *Dataset, search SearchConfig) sharedIndexKey {
+	return sharedIndexKey{
+		trainFP:   train.X.Fingerprint(),
+		queriesFP: queries.X.Fingerprint(),
+		searchFP:  search.Fingerprint(),
+	}
+}
+
+// SharedIndex returns the shared index over (train, queries) built under
+// search, building it with NewNeighborIndexSearch on a miss. Concurrent
+// callers for the same geometry share one build; a failed build (the
+// validation errors of NewNeighborIndexSearch) is returned and not cached.
+func SharedIndex(train, queries *Dataset, workers int, search SearchConfig) (*NeighborIndex, error) {
+	if train == nil || queries == nil {
+		return NewNeighborIndexSearch(train, queries, workers, search) // reports the nil set
+	}
+	return sharedIndexes.GetOrBuild(sharedKey(train, queries, search), func() (*NeighborIndex, error) {
+		return NewNeighborIndexSearch(train, queries, workers, search)
+	})
+}
+
+// PutSharedIndex publishes an index built elsewhere — a delta-derived
+// child — under its own geometry and search, so the next SharedIndex call
+// for the mutated training set hits it instead of rebuilding. The first
+// build wins on collision; it reports whether ix was stored, and
+// importance_neighbor_index_derived_total counts those that were.
+func PutSharedIndex(ix *NeighborIndex, search SearchConfig) bool {
+	ok := sharedIndexes.Put(sharedKey(ix.Train, ix.Queries, search), ix)
+	if ok {
+		obs.Inc("importance_neighbor_index_derived_total")
+	}
+	return ok
+}
+
+// SetSharedIndexCapacity resizes the store's LRU bound and returns the
+// previous capacity. Shrinking evicts the least recently used ready
+// entries immediately, each counted in
+// importance_neighbor_index_evictions_total; in-flight builds are never
+// evicted, and the store trims back to the new bound as they complete.
+//
+// n must be >= 1: a zero or negative capacity would silently clamp and
+// leave the caller believing the store was disabled, so it is rejected
+// with a wrapped nderr.ErrDegenerateInput and the capacity is unchanged
+// (the current value is returned alongside the error).
+func SetSharedIndexCapacity(n int) (int, error) {
+	if n < 1 {
+		return sharedIndexes.Capacity(), fmt.Errorf("ml: neighbor-index store capacity %d, need >= 1: %w", n, nderr.ErrDegenerateInput)
+	}
+	return sharedIndexes.SetCapacity(n), nil
+}
+
+// SharedIndexCapacity returns the store's current LRU bound.
+func SharedIndexCapacity() int { return sharedIndexes.Capacity() }
+
+// SharedIndexLen returns the number of entries in the store, ready or in
+// flight.
+func SharedIndexLen() int { return sharedIndexes.Len() }
+
+// ResetSharedIndexes drops every stored index. In-flight builds are
+// unaffected: their waiters still receive the built index, it just is no
+// longer stored afterwards.
+func ResetSharedIndexes() { sharedIndexes.Reset() }
+
+// PredictSurvivors is PredictBatchLabels over only the training rows i
+// with alive[i], answered from the exact order table: for each query it
+// tallies trainY over the first k alive rows of Order(qi), or over all of
+// them when fewer than k are alive. Dropping rows keeps the (distance,
+// index) order of the rest, so those rows are exactly the top-k of an
+// index rebuilt over the alive rows alone, and the predictions equal that
+// index's PredictBatch(k) — with no distance kernel, no selection and no
+// derived index. A query whose nearest rows are mostly dead walks further
+// down its order, up to O(n).
+//
+// Labels come only from trainY, never from Train.Y (a shared index may
+// carry another label revision); trainY needs one non-negative label per
+// training row, and alive one entry per training row.
+func (ix *NeighborIndex) PredictSurvivors(k int, trainY []int, alive []bool) ([]int, error) {
+	n := ix.Train.Len()
+	nc, err := labelClasses("PredictSurvivors", trainY, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(alive) != n {
+		return nil, nderr.Mismatch("ml: PredictSurvivors alive rows", n, len(alive))
+	}
+	out := make([]int, ix.Queries.Len())
+	if k <= 0 {
+		return out, nil
+	}
+	votes := make([]int, nc)
+	top := make([]int, 0, min(k, n))
+	for q := range out {
+		top = top[:0]
+		for _, i := range ix.Order(q) {
+			if len(top) == k {
+				break
+			}
+			if alive[i] {
+				top = append(top, i)
+			}
+		}
+		out[q] = tallyVotes(votes, trainY, top)
+	}
+	return out, nil
+}
+
+// labelClasses checks caller labels for a vote over n training rows — one
+// non-negative label per row — and returns the class count that sizes the
+// vote buffer.
+func labelClasses(what string, trainY []int, n int) (int, error) {
+	if len(trainY) != n {
+		return 0, nderr.Mismatch("ml: "+what+" labels", n, len(trainY))
+	}
+	nc := 0
+	for i, y := range trainY {
+		if y < 0 {
+			return 0, fmt.Errorf("ml: negative label %d at training row %d: %w", y, i, nderr.ErrDegenerateInput)
+		}
+		nc = max(nc, y+1)
+	}
+	return nc, nil
+}

@@ -123,8 +123,12 @@ func (c SearchConfig) exactThreshold() int {
 
 // Fingerprint hashes every result-relevant knob, for cache keys: two
 // indexes over the same data but different search configs must never
-// alias.
+// alias. The exact path reads none of the ANN knobs, so every exact
+// config hashes as the zero config and they share one index.
 func (c SearchConfig) Fingerprint() uint64 {
+	if c.Mode == SearchExact {
+		c = SearchConfig{}
+	}
 	h := c.annConfig(0).Fingerprint()
 	const prime64 = 1099511628211
 	mix := func(v uint64) {

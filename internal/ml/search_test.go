@@ -32,6 +32,8 @@ func clusteredDataset(r *rand.Rand, n, dim, c, classes int) *Dataset {
 // Bit-identity: Exact mode under the new Mode plumbing must match the
 // default NeighborIndex (the pre-change behavior) exactly — same D2 bits,
 // same orders, same top-k, same batch predictions — across worker counts.
+// The ANN knobs select nothing on the exact path, so every exact config
+// fingerprints like the zero config and shares its store entry.
 func TestExactModeBitIdenticalToDefaultIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	train := clusteredDataset(r, 120, 6, 5, 3)
@@ -74,6 +76,14 @@ func TestExactModeBitIdenticalToDefaultIndex(t *testing.T) {
 				t.Fatalf("workers=%d: prediction %d differs", w, q)
 			}
 		}
+	}
+	knobs := SearchConfig{NLists: 9, NProbe: 7, Seed: 42, ProjectDim: 3, RecallFloor: 0.5, ExactThreshold: 10}
+	if knobs.Fingerprint() != (SearchConfig{}).Fingerprint() {
+		t.Error("exact config with ANN knobs set fingerprints apart from the zero config")
+	}
+	knobs.Mode = SearchIVF
+	if knobs.Fingerprint() == (SearchConfig{Mode: SearchIVF}).Fingerprint() {
+		t.Error("IVF configs with different knobs share a fingerprint")
 	}
 }
 

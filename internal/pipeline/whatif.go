@@ -63,21 +63,25 @@ func WhatIfRemovalsParallel(ft *Featurized, variants []RemovalVariant, newModel 
 type WhatIfConfig struct {
 	// Workers bounds the variant fan-out (<= 0 = GOMAXPROCS).
 	Workers int
-	// ForceRebuild disables the kNN delta fast path: every variant rebuilds
-	// its neighbor index over the surviving rows from scratch. This is the
-	// determinism oracle — results are bit-for-bit identical to the delta
+	// ForceRebuild disables the kNN fast path: every variant builds a
+	// private neighbor index over its surviving rows from scratch, and the
+	// shared index store is neither read nor filled. This is the
+	// determinism oracle — results are bit-for-bit identical to the fast
 	// path (asserted in tests), it just does the O(n·d·q) work per variant
-	// the delta path skips.
+	// the fast path skips.
 	ForceRebuild bool
 }
 
 // WhatIfRemovalsConfig is the fully configurable what-if evaluator. When
-// the model factory produces a *ml.KNN (the default debugging model), each
-// removal variant is answered by DERIVING an index from one shared base
-// over the full featurized data (ml.NeighborIndex.RemoveRows): the
-// query×train distances are computed once, and every variant costs an
-// O(queries·k) top-k repair instead of a fresh distance matrix + retrain.
-// Non-kNN factories use the generic retrain path unchanged.
+// the model factory produces a *ml.KNN (the default debugging model), the
+// batch takes one exact neighbor index over the full featurized data from
+// the process-wide store (ml.SharedIndex, the entry kNN-Shapley scoring
+// uses under its default search), and every variant, the baseline
+// included, votes the caller's labels over the first k surviving rows of
+// each query's cached order (ml.NeighborIndex.PredictSurvivors): no
+// distance kernel, selection or derived index per variant, and none at
+// all once the geometry is stored. Non-kNN factories use the generic
+// retrain path unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
 		return nil, fmt.Errorf("pipeline: WhatIfRemovals needs a model factory")
@@ -94,13 +98,12 @@ func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel fu
 	}
 	var base *ml.NeighborIndex
 	if knnK > 0 && !cfg.ForceRebuild && ft.Data.Len() > 0 {
-		// One shared base index over the unmodified featurized data; each
-		// variant derives from it. A build failure (e.g. non-finite features
-		// a caller slipped past featurization) falls back to the generic
-		// retrain path, which reports the same condition per variant.
-		if ix, err := ml.NewNeighborIndex(ft.Data, valid, workers); err == nil {
+		// One shared exact index over the unmodified featurized data; every
+		// variant votes over its order. A build failure (e.g. non-finite
+		// features a caller slipped past featurization) falls back to the
+		// generic retrain path, which reports the same condition per variant.
+		if ix, err := ml.SharedIndex(ft.Data, valid, workers, ml.SearchConfig{}); err == nil {
 			base = ix
-			base.PredictBatch(knnK) // warm distances + top-k before the fan-out
 		}
 	}
 
@@ -168,38 +171,26 @@ func survivors(ft *Featurized, v RemovalVariant) []int {
 	return keep
 }
 
-// evalRemovalVariantKNN answers one variant for a kNN model from neighbor
-// indexes. With a base index it derives the variant's index via RemoveRows
-// — no fresh distance kernel; with base == nil (the ForceRebuild oracle) it
-// builds the variant's index from scratch. Both arms classify through the
-// same exact top-k machinery, so their metrics are bit-for-bit identical.
+// evalRemovalVariantKNN answers one variant for a kNN model. With a base
+// index it votes ft.Data.Y over the surviving rows of the base's cached
+// orders (PredictSurvivors); with base == nil (the ForceRebuild oracle) it
+// builds the variant's index from scratch. Both arms classify by the same
+// exact (distance, index) top-k, so their metrics are bit-for-bit
+// identical.
 func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIndex, k int, valid *ml.Dataset) (WhatIfResult, error) {
-	n := ft.Data.Len()
 	keep := survivors(ft, v)
 	if len(keep) == 0 {
 		return WhatIfResult{Name: v.Name, Metric: math.NaN(), Surviving: 0}, nil
 	}
 	var preds []int
 	var err error
-	switch {
-	case base != nil && len(keep) == n:
-		preds, err = base.PredictBatchLabels(k, ft.Data.Y)
-	case base != nil:
-		rm := make([]int, 0, n-len(keep))
-		next := 0
-		for o := 0; o < n; o++ {
-			if next < len(keep) && keep[next] == o {
-				next++
-				continue
-			}
-			rm = append(rm, o)
+	if base != nil {
+		alive := make([]bool, ft.Data.Len())
+		for _, o := range keep {
+			alive[o] = true
 		}
-		var child *ml.NeighborIndex
-		child, err = base.RemoveRows(rm)
-		if err == nil {
-			preds, err = child.PredictBatchLabels(k, child.Train.Y)
-		}
-	default: // rebuild oracle
+		preds, err = base.PredictSurvivors(k, ft.Data.Y, alive)
+	} else {
 		var ix *ml.NeighborIndex
 		ix, err = ml.NewNeighborIndex(ft.Data.Subset(keep), valid, 1)
 		if err == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nde/internal/ml"
+	"nde/internal/obs"
 	"nde/internal/prov"
 )
 
@@ -24,8 +25,14 @@ func randomVariants(r *rand.Rand, n, count int) []RemovalVariant {
 	return variants
 }
 
-// The delta fast path (shared base index + RemoveRows per variant) must be
-// bit-identical to the per-variant full rebuild, at every worker count.
+// The kNN fast path (one index from the shared store, every variant voted
+// over its cached orders) must be bit-identical to the per-variant full
+// rebuild, at every worker count — including when the stored index was
+// built with other labels (the store is keyed by features only, so labels
+// must come from ft.Data.Y), for an empty removal list, a variant that
+// removes every row (NaN sentinel), duplicate removals, and a variant
+// that removes a query's k nearest rows so its vote walks past them. The
+// fast path must take the primed index, never build its own.
 func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	_, _, ft, _, valid := whatIfFixture(t)
 	newModel := func() ml.Classifier { return ml.NewKNN(3) }
@@ -33,10 +40,46 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	variants := randomVariants(r, 40, 10)
 	variants = append(variants, RemovalVariant{Name: "none"})
 
+	all := make([]prov.TupleID, 40)
+	for i := range all {
+		all[i] = prov.TupleID{Table: "train", Row: i}
+	}
+	dup := []prov.TupleID{{Table: "train", Row: 5}, {Table: "train", Row: 5}, {Table: "train", Row: 9}, {Table: "train", Row: 5}}
+	probe, err := ml.NewNeighborIndex(ft.Data, valid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nearest []prov.TupleID
+	for _, row := range probe.Order(0)[:3] {
+		nearest = append(nearest, prov.TupleID{Table: "train", Row: row})
+	}
+	variants = append(variants,
+		RemovalVariant{Name: "empty", Remove: []prov.TupleID{}},
+		RemovalVariant{Name: "all", Remove: all},
+		RemovalVariant{Name: "dup", Remove: dup},
+		RemovalVariant{Name: "nearest", Remove: nearest},
+	)
+
 	oracle, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: 1, ForceRebuild: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// prime the store with the same features under flipped labels
+	ml.ResetSharedIndexes()
+	defer ml.ResetSharedIndexes()
+	flipped := ft.Data.Clone()
+	for i, y := range flipped.Y {
+		flipped.Y[i] = 1 - y
+	}
+	if _, err := ml.SharedIndex(flipped, valid, 1, ml.SearchConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	obs.Reset()
+
 	for _, workers := range []int{1, 4} {
 		got, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: workers})
 		if err != nil {
@@ -52,6 +95,9 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 					workers, variants[i].Name, math.Float64bits(got[i].Metric), math.Float64bits(oracle[i].Metric))
 			}
 		}
+	}
+	if misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value(); misses != 0 {
+		t.Errorf("fast path built %d neighbor indexes, want 0 (the primed one serves)", misses)
 	}
 }
 

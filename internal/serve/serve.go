@@ -103,8 +103,9 @@ type Server struct {
 	// Derived-artifact caches, all singleflight (internal/store):
 	// featurized tables keyed by dataset id, score vectors keyed by
 	// (dataset id, k), what-if responses keyed by (dataset id, variant
-	// fingerprint). The neighbor-index store inside internal/importance is
-	// shared process-wide and needs no wiring here.
+	// fingerprint). The neighbor-index store in internal/ml is shared
+	// process-wide and needs no wiring here: importance scoring and what-if
+	// batches on one dataset look up the same exact index in it.
 	featurized *store.Store[string, *pipeline.Featurized]
 	scores     *store.Store[scoreKey, []float64]
 	whatifs    *store.Store[whatifKey, WhatIfResponse]

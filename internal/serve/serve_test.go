@@ -353,7 +353,8 @@ func TestBudgetExhausted429(t *testing.T) {
 
 // Concurrent identical requests share one artifact build: one miss on
 // the score store, every other caller a hit, and one neighbor-index
-// build underneath.
+// build underneath — which a following what-if on the same dataset
+// reuses instead of building its own.
 func TestConcurrentRequestsShareBuild(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -391,6 +392,20 @@ func TestConcurrentRequestsShareBuild(t *testing.T) {
 	}
 	if misses := r.Counter("importance_neighbor_index_misses_total").Value(); misses != 1 {
 		t.Errorf("neighbor index misses = %d, want 1", misses)
+	}
+
+	hits := r.Counter("importance_neighbor_index_hits_total").Value()
+	code, body := postJSON(t, ts.URL+"/v1/whatif", map[string]any{
+		"dataset": id, "variants": []map[string]any{{"name": "drop", "remove": []int{0, 1}}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("whatif = %d %v", code, body)
+	}
+	if misses := r.Counter("importance_neighbor_index_misses_total").Value(); misses != 1 {
+		t.Errorf("neighbor index misses after whatif = %d, want 1 (what-if rebuilt the scored index)", misses)
+	}
+	if got := r.Counter("importance_neighbor_index_hits_total").Value(); got <= hits {
+		t.Errorf("neighbor index hits after whatif = %d, want more than %d", got, hits)
 	}
 }
 

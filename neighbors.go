@@ -46,7 +46,8 @@ func ParseSearchMode(s string) (SearchMode, bool) { return ml.ParseSearchMode(s)
 // helpers). Indexes built under other configs stay cached under their own
 // keys. Shapley scores are unaffected by the mode — the closed form always
 // consumes the exact full ranking — but prediction-style consumers of the
-// shared cache pick up the approximate path.
+// shared cache pick up the approximate path. kNN what-if batches always
+// take the exact configuration's entry.
 func SetNeighborSearch(cfg NeighborSearchConfig) { importance.SetNeighborSearch(cfg) }
 
 // NeighborSearch returns the currently configured shared search config.

@@ -36,6 +36,11 @@ go test -race ./...
 echo "==> go test -race -count=20 -run 'Drain|Lifecycle' (serve, nde-serve)"
 go test -race -count=20 -run 'Drain|Lifecycle' ./internal/serve ./cmd/nde-serve
 
+# the same for the shared neighbor-index store: its in-flight churn test
+# and the what-if paths that read the store concurrently
+echo "==> go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' (ml, importance, pipeline)"
+go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' ./internal/ml ./internal/importance ./internal/pipeline
+
 # bench/ is a module of its own, so the root vet and test runs above do not
 # build it; it calls the internal importance, ml and facade APIs directly
 echo "==> bench: go vet + go test"

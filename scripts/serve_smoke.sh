@@ -211,6 +211,12 @@ post "http://$addr/v1/whatif" "$tmp/wi.json" | grep -q '"drop-ten"' || {
     echo "FAIL: what-if response missing variant" >&2
     exit 1
 }
+# the what-if votes over the index the importance clients built
+misses="$(fetch "http://$addr/metrics" | awk '$1 == "importance_neighbor_index_misses_total" {print $2}')"
+if [ "${misses:-0}" != "1" ]; then
+    echo "FAIL: importance_neighbor_index_misses_total after what-if = '$misses', want 1 (what-if built its own index)" >&2
+    exit 1
+fi
 
 echo "==> SIGTERM drain (phase A)"
 drain_daemon "$tmp/stderrA"
