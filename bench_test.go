@@ -518,12 +518,8 @@ func BenchmarkServeRegister(b *testing.B) {
 	}
 }
 
-// The recall-vs-speed gate of the ANN layer (scripts/bench.sh records this
-// series in BENCH_neighbor.json): exact vs IVF top-k per query on a 20k-row
-// index. The exact path is measured with its distance matrix already cached
-// — the cheapest exact can possibly be — and the IVF path must still be at
-// least 5x faster while keeping recall@10 >= 0.95 (reported as the
-// recall@10 metric on the ivf sub-benchmark).
+// Exact top-k per query on a 20k-row index, its distance matrix already
+// cached (scripts/bench.sh records this series in BENCH_neighbor.json).
 func BenchmarkNeighborTopK(b *testing.B) {
 	const (
 		n       = 20000
@@ -534,46 +530,20 @@ func BenchmarkNeighborTopK(b *testing.B) {
 	)
 	mk := mixture(b, 17, dim, centers, 10)
 	train, query := mk(n), mk(queries)
-	exact, err := ml.NewNeighborIndexSearch(train, query, 0, ml.SearchConfig{Mode: ml.SearchExact})
+	ix, err := ml.NewNeighborIndex(train, query, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ivf, err := ml.NewNeighborIndexSearch(train, query, 0, ml.SearchConfig{Mode: ml.SearchIVF, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// warm both indexes outside the timer (D2 matrix / IVF build), then
-	// measure steady-state per-query cost
-	exact.TopK(0, k)
-	ivf.TopK(0, k)
-	hits := 0
-	for q := 0; q < queries; q++ {
-		truth := map[int]bool{}
-		for _, i := range exact.TopK(q, k) {
-			truth[i] = true
+	// warm the D2 matrix outside the timer, then measure steady-state
+	// per-query cost
+	ix.TopK(0, k)
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.TopK(i%queries, k)
 		}
-		for _, i := range ivf.TopK(q, k) {
-			if truth[i] {
-				hits++
-			}
-		}
-	}
-	recall := float64(hits) / float64(queries*k)
-	for _, sub := range []struct {
-		name string
-		ix   *ml.NeighborIndex
-	}{{"exact", exact}, {"ivf", ivf}} {
-		b.Run(sub.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sub.ix.TopK(i%queries, k)
-			}
-			if sub.name == "ivf" {
-				b.ReportMetric(recall, "recall@10")
-			}
-		})
-	}
+	})
 }
 
 // The batched prediction path vs. row-by-row prediction on the same kNN.

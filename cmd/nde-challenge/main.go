@@ -6,7 +6,7 @@
 // Usage:
 //
 //	nde-challenge [-n 300] [-seed 42] [-budget 30] [-interactive]
-//	              [-neighbor-mode exact|ivf|auto] [-nprobe N] [telemetry flags]
+//	              [telemetry flags]
 //
 // The shared telemetry flags (-metrics, -trace, -ledger, -slowspan, -ops,
 // -ops-pprof, -ops-wait; see internal/obs/ops) enable observability for
@@ -52,18 +52,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	seed := fs.Int64("seed", 42, "random seed")
 	budget := fs.Int("budget", 30, "oracle repair budget")
 	interactive := fs.Bool("interactive", false, "play on stdin instead of running scripted contestants")
-	neighborMode := fs.String("neighbor-mode", "exact", "neighbor search backend: exact, ivf, or auto")
-	nprobe := fs.Int("nprobe", 0, "IVF partitions probed per query (0 = auto)")
 	tf := ops.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, ok := nde.ParseSearchMode(*neighborMode)
-	if !ok {
-		return fmt.Errorf("unknown -neighbor-mode %q (want exact, ivf, or auto)", *neighborMode)
-	}
-	nde.SetNeighborSearch(nde.NeighborSearchConfig{Mode: mode, NProbe: *nprobe, Seed: *seed})
-
 	sess, err := tf.Start("nde-challenge", os.Stderr)
 	if err != nil {
 		return err

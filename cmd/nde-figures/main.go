@@ -1,10 +1,10 @@
 // Command nde-figures regenerates every figure and table of the tutorial
-// (DESIGN.md §3, experiments E1–E12) as human-readable text.
+// (DESIGN.md §3, experiments E1–E18) as human-readable text.
 //
 // Usage:
 //
 //	nde-figures [-n 300] [-seed 42] [-only E3] [-replicates 5]
-//	            [-neighbor-mode exact|ivf|auto] [-nprobe N] [telemetry flags]
+//	            [telemetry flags]
 //
 // The shared telemetry flags (-metrics, -trace, -ledger, -slowspan, -ops,
 // -ops-pprof, -ops-wait; see internal/obs/ops) enable observability for
@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"nde"
 	"nde/internal/exp"
 	"nde/internal/obs"
 	"nde/internal/obs/ops"
@@ -39,18 +38,10 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 42, "random seed")
 	only := fs.String("only", "", "run a single experiment id (e.g. E3); empty = all")
 	replicates := fs.Int("replicates", 1, "run each experiment with this many consecutive seeds (concurrently when >1)")
-	neighborMode := fs.String("neighbor-mode", "exact", "neighbor search backend: exact, ivf, or auto")
-	nprobe := fs.Int("nprobe", 0, "IVF partitions probed per query (0 = auto)")
 	tf := ops.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, ok := nde.ParseSearchMode(*neighborMode)
-	if !ok {
-		return fmt.Errorf("unknown -neighbor-mode %q (want exact, ivf, or auto)", *neighborMode)
-	}
-	nde.SetNeighborSearch(nde.NeighborSearchConfig{Mode: mode, NProbe: *nprobe, Seed: *seed})
-
 	sess, err := tf.Start("nde-figures", os.Stderr)
 	if err != nil {
 		return err

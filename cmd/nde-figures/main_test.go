@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"nde"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -57,25 +55,5 @@ func TestRunRejectsBadReplicates(t *testing.T) {
 	err := run([]string{"-only", "E1", "-replicates", "0"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "replicates") {
 		t.Fatalf("expected replicates validation error, got %v", err)
-	}
-}
-
-// The neighbor-mode flag selects the shared search backend; auto mode must
-// reproduce the exact-mode figure (Shapley consumes the exact ranking in
-// every mode), and unknown modes are rejected at flag time.
-func TestRunNeighborModeFlag(t *testing.T) {
-	defer nde.SetNeighborSearch(nde.NeighborSearchConfig{})
-	var exact, auto bytes.Buffer
-	if err := run([]string{"-only", "E1", "-n", "80", "-seed", "2"}, &exact); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-only", "E1", "-n", "80", "-seed", "2", "-neighbor-mode", "auto", "-nprobe", "4"}, &auto); err != nil {
-		t.Fatalf("-neighbor-mode auto: %v", err)
-	}
-	if exact.String() != auto.String() {
-		t.Error("E1 output differs between exact and auto neighbor modes")
-	}
-	if err := run([]string{"-only", "E1", "-neighbor-mode", "fancy"}, &auto); err == nil || !strings.Contains(err.Error(), "neighbor-mode") {
-		t.Fatalf("expected neighbor-mode validation error, got %v", err)
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	nde-serve [-addr 127.0.0.1:8080] [-slots 4] [-queue 8]
 //	          [-max-body 8388608] [-pprof] [-drain-timeout 30s]
-//	          [-neighbor-mode exact|ivf|auto] [-nprobe N] [telemetry flags]
+//	          [telemetry flags]
 //
 // Endpoints:
 //
@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"nde"
 	"nde/internal/obs"
 	"nde/internal/obs/ops"
 	"nde/internal/serve"
@@ -60,19 +59,10 @@ func run(args []string, stderr io.Writer) error {
 	maxBody := fs.Int64("max-body", 8<<20, "request body cap in bytes")
 	pprofFlag := fs.Bool("pprof", false, "expose /debug/pprof on the listener")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight computations on shutdown")
-	neighborMode := fs.String("neighbor-mode", "exact", "neighbor search backend: exact, ivf, or auto")
-	nprobe := fs.Int("nprobe", 0, "IVF partitions probed per query (0 = auto)")
-	seed := fs.Int64("seed", 42, "seed for seeded neighbor backends")
 	tf := ops.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, ok := nde.ParseSearchMode(*neighborMode)
-	if !ok {
-		return fmt.Errorf("unknown -neighbor-mode %q (want exact, ivf, or auto)", *neighborMode)
-	}
-	nde.SetNeighborSearch(nde.NeighborSearchConfig{Mode: mode, NProbe: *nprobe, Seed: *seed})
-
 	// A daemon's /metrics is only useful if counters move, so obs is on
 	// regardless of the telemetry flags (which add the ledger and dumps).
 	obs.Enable()

@@ -38,7 +38,7 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 		return nil, nil, nil, err
 	}
 	if child != parent {
-		ml.PutSharedIndex(child, NeighborSearch())
+		ml.PutSharedIndex(child)
 	}
 	return scores, keep, child, nil
 }

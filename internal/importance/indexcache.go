@@ -7,9 +7,8 @@ import "nde/internal/ml"
 // benchmarks, concurrent serving requests) invoke them many times over
 // datasets whose *features* never change — only labels do. They take it
 // from the process-wide neighbor-index store in internal/ml, which the
-// kNN what-if path shares, under this package's search configuration;
-// see internal/ml/neighbor_store.go for its keys, concurrency contract and
-// metrics.
+// kNN what-if path shares; see internal/ml/neighbor_store.go for its keys,
+// concurrency contract and metrics.
 //
 // IMPORTANT: a cached index may hold *stale labels* (its Datasets are the
 // ones from the first call). Callers must therefore use only the
@@ -24,9 +23,9 @@ func SetIndexCacheCapacity(n int) (int, error) { return ml.SetSharedIndexCapacit
 func IndexCacheCapacity() int { return ml.SharedIndexCapacity() }
 
 // sharedNeighborIndex returns the shared NeighborIndex for (train, valid)
-// — valid rows are the queries — under the current search configuration.
+// — valid rows are the queries.
 func sharedNeighborIndex(train, valid *ml.Dataset, workers int) (*ml.NeighborIndex, error) {
-	return ml.SharedIndex(train, valid, workers, NeighborSearch())
+	return ml.SharedIndex(train, valid, workers)
 }
 
 // ResetNeighborIndexCache drops every cached index. Intended for tests and

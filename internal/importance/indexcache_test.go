@@ -301,45 +301,3 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 		t.Errorf("capacity = %d, want unchanged 1", got)
 	}
 }
-
-// The cache key includes the search-config fingerprint: the same geometry
-// under a different search mode must be a distinct entry, never an alias.
-func TestIndexCacheKeyedBySearchConfig(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	defer obs.Reset()
-	obs.Reset()
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
-	defer SetNeighborSearch(ml.SearchConfig{})
-
-	train := blobs(40, 1.5, 1600)
-	valid := blobs(20, 1.5, 1601)
-	exact, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetNeighborSearch(ml.SearchConfig{Mode: ml.SearchAuto, ExactThreshold: 10, NProbe: 2})
-	if got := NeighborSearch().Mode; got != ml.SearchAuto {
-		t.Fatalf("NeighborSearch mode = %v, want auto", got)
-	}
-	approx, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact == approx {
-		t.Fatal("same index instance served for different search configs")
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_misses_total").Value(); got != 2 {
-		t.Errorf("misses = %d, want 2 (one per config)", got)
-	}
-	// back to the default config: the exact entry is still cached
-	SetNeighborSearch(ml.SearchConfig{})
-	again, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != exact {
-		t.Error("default-config lookup missed the cached exact index")
-	}
-}

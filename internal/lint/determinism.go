@@ -9,7 +9,7 @@ import (
 // reproducible across worker counts and runs — the kNN-Shapley
 // determinism contract (DESIGN §7/§8) plus everything feeding it.
 var deterministicPkgs = []string{
-	"internal/par", "internal/linalg", "internal/ml", "internal/ann",
+	"internal/par", "internal/linalg", "internal/ml",
 	"internal/importance", "internal/pipeline", "internal/cleaning",
 }
 

@@ -121,7 +121,7 @@ func TestModuleCoverage(t *testing.T) {
 	mod := mustModule(t)
 	want := []string{
 		"nde", "nde/internal/serve", "nde/internal/par", "nde/internal/linalg",
-		"nde/internal/ml", "nde/internal/ann", "nde/internal/importance",
+		"nde/internal/ml", "nde/internal/importance",
 		"nde/internal/pipeline", "nde/internal/cleaning", "nde/internal/obs",
 		"nde/cmd/nde-lint",
 	}

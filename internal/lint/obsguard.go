@@ -10,7 +10,7 @@ import (
 // must be zero-alloc while observability is off (the PR-1 contract,
 // enforced dynamically by alloc benchmarks and here statically).
 var hotPkgs = []string{
-	"internal/par", "internal/linalg", "internal/ml", "internal/ann",
+	"internal/par", "internal/linalg", "internal/ml",
 	"internal/importance", "internal/cleaning",
 }
 

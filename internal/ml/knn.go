@@ -59,6 +59,21 @@ func (m *KNN) Neighbors(x []float64) []int {
 	return idx
 }
 
+// SquaredDistance returns the squared L2 distance between two equal-length
+// vectors. Ranking by squared distance is equivalent to ranking by
+// Euclidean distance and skips the per-pair sqrt.
+func SquaredDistance(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("ml: distance dims %d vs %d", len(a), len(b)))
+	}
+	s := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
 // topK selects the k nearest training rows to x (k clamped to the
 // training size) without sorting the full training set: it fills pairs
 // (length Train.Len(), caller scratch) with (squared distance, index)

@@ -6,26 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nde/internal/ann"
 	"nde/internal/linalg"
 	"nde/internal/nderr"
 	"nde/internal/par"
 )
-
-// SquaredDistance returns the squared L2 distance between two equal-length
-// vectors. Ranking by squared distance is equivalent to ranking by
-// Euclidean distance and skips the per-pair sqrt.
-func SquaredDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("ml: distance dims %d vs %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
 
 // NeighborIndex precomputes the query×train squared-distance matrix for a
 // fixed (train, queries) pair through the batched linalg kernel, and
@@ -43,12 +27,6 @@ type NeighborIndex struct {
 	// Workers bounds the pool used for the kernel and the batch argsort
 	// (<= 0 = auto).
 	Workers int
-	// Search selects the top-k backend (see SearchConfig). The zero value
-	// is the exact path; SearchIVF/SearchAuto route TopK through the
-	// approximate internal/ann index, built lazily on first query. Order
-	// and D2 are always exact regardless of mode — full-ranking consumers
-	// (the kNN-Shapley closed form) stay on the determinism oracle.
-	Search SearchConfig
 
 	d2Once sync.Once
 	d2     *linalg.Matrix // Queries.Len() × Train.Len()
@@ -61,10 +39,7 @@ type NeighborIndex struct {
 
 	// delta, when non-nil, marks a derived index: answers come from the
 	// root's cached geometry instead of fresh kernels (neighbor_delta.go).
-	// Derived indexes always serve the exact path.
 	delta *deltaGeom
-
-	search searchState // lazily resolved ANN backend (search.go)
 }
 
 // topkCache holds the per-query top-k lists for one k: flat q×k training
@@ -86,14 +61,6 @@ type topkCache struct {
 // build time (wrapping nderr.ErrNonFinite) turns that silent corruption
 // into a diagnosable error.
 func NewNeighborIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
-	return NewNeighborIndexSearch(train, queries, workers, SearchConfig{})
-}
-
-// NewNeighborIndexSearch is NewNeighborIndex with an explicit search
-// configuration. The zero SearchConfig reproduces NewNeighborIndex
-// exactly; SearchIVF/SearchAuto route TopK through the approximate index
-// (built lazily on first query) while Order/D2 stay exact.
-func NewNeighborIndexSearch(train, queries *Dataset, workers int, search SearchConfig) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
 		return nil, nderr.Empty("ml: NeighborIndex needs non-nil train and query sets")
 	}
@@ -109,7 +76,7 @@ func NewNeighborIndexSearch(train, queries *Dataset, workers int, search SearchC
 	if err := queries.X.CheckFinite("NeighborIndex query features"); err != nil {
 		return nil, fmt.Errorf("ml: %w", err)
 	}
-	return &NeighborIndex{Train: train, Queries: queries, Workers: workers, Search: search}, nil
+	return &NeighborIndex{Train: train, Queries: queries, Workers: workers}, nil
 }
 
 // D2 returns the query×train squared-distance matrix, computing it on
@@ -164,14 +131,9 @@ func (ix *NeighborIndex) Order(qi int) []int {
 
 // TopK returns the k training indices nearest to query qi, sorted by
 // ascending squared distance (ties by index). k is clamped to the
-// training size. The slice is freshly allocated.
-//
-// In the exact mode an O(n) quickselect over the cached distance row pulls
-// the k smallest, then only those are sorted. Under SearchIVF/SearchAuto
-// the answer comes from the approximate index (float32 distances, nprobe
-// partitions scanned) — sub-linear, but rows outside the probed partitions
-// can be missed; if the probed partitions hold fewer than k rows, the
-// query transparently falls back to the exact path.
+// training size. The slice is freshly allocated. An O(n) quickselect over
+// the cached distance row pulls the k smallest, then only those are
+// sorted.
 func (ix *NeighborIndex) TopK(qi, k int) []int {
 	n := ix.Train.Len()
 	if k > n {
@@ -188,26 +150,14 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 		g.reselectInto(qi, k, pairs, out)
 		return out
 	}
-	ix.ensureSearch()
-	if ix.search.eff != SearchExact {
-		scratch := ix.annScratch()
-		out, ok := ix.annTopK(qi, k, scratch)
-		ix.search.scratch.Put(scratch)
-		if ok {
-			return out
-		}
-	}
 	row := ix.D2().Row(qi)
 	pairs := make([]distIdx, n)
 	out := make([]int, k)
-	return ix.exactTopKInto(row, k, pairs, out)
+	return ix.topKInto(row, k, pairs, out)
 }
 
 // TopKChecked is TopK with strict validation instead of clamping: qi must
-// be a valid query index and k must satisfy 1 <= k <= Train.Len(). The
-// clamping rules of TopK itself (k > n clamps to n, k <= 0 returns nil)
-// and the error rules here are identical across the exact, IVF, and auto
-// search modes — the backend never changes argument semantics.
+// be a valid query index and k must satisfy 1 <= k <= Train.Len().
 func (ix *NeighborIndex) TopKChecked(qi, k int) ([]int, error) {
 	if nq := ix.Queries.Len(); qi < 0 || qi >= nq {
 		return nil, fmt.Errorf("ml: TopK query %d outside [0,%d): %w", qi, nq, nderr.ErrDegenerateInput)
@@ -218,11 +168,11 @@ func (ix *NeighborIndex) TopKChecked(qi, k int) ([]int, error) {
 	return ix.TopK(qi, k), nil
 }
 
-// exactTopKInto is the exact top-k path writing into caller-provided
+// topKInto is TopK over one distance row, writing into caller-provided
 // buffers: pairs must have length Train.Len(), out length k. It returns
 // out. Extracted so the batch prediction path can reuse per-worker
 // scratch instead of allocating per query.
-func (ix *NeighborIndex) exactTopKInto(row []float64, k int, pairs []distIdx, out []int) []int {
+func (ix *NeighborIndex) topKInto(row []float64, k int, pairs []distIdx, out []int) []int {
 	for i := range pairs {
 		pairs[i] = distIdx{d: row[i], i: i}
 	}
@@ -265,15 +215,6 @@ func tallyVotes(votes []int, trainY []int, top []int) int {
 	return best
 }
 
-// predictScratch is the per-worker buffer set of PredictBatch: one
-// allocation per worker instead of two per query.
-type predictScratch struct {
-	votes []int
-	pairs []distIdx // exact path: quickselect arena
-	top   []int     // exact path: top-k indices
-	ann   *ann.Scratch
-}
-
 // PredictBatch classifies every query with the k-nearest-neighbor vote.
 // The result is identical to calling PredictRow per query.
 func (ix *NeighborIndex) PredictBatch(k int) []int {
@@ -288,10 +229,10 @@ func (ix *NeighborIndex) PredictBatch(k int) []int {
 // legitimately be shared across label revisions. trainY needs one
 // non-negative label per training row.
 //
-// On the exact path the per-query top-k lists are built once into the
-// index's top-k cache (parallel, per-worker scratch) and the vote tally is
-// a cheap O(queries·k) pass, so repeated predictions and delta-derived
-// children reuse the selection work.
+// The per-query top-k lists are built once into the index's top-k cache
+// (parallel, per-worker scratch) and the vote tally is a cheap
+// O(queries·k) pass, so repeated predictions and delta-derived children
+// reuse the selection work.
 func (ix *NeighborIndex) PredictBatchLabels(k int, trainY []int) ([]int, error) {
 	n := ix.Train.Len()
 	if len(trainY) != n {
@@ -313,32 +254,6 @@ func (ix *NeighborIndex) PredictBatchLabels(k int, trainY []int) ([]int, error) 
 		kk = n
 	}
 	if kk <= 0 {
-		return out, nil
-	}
-	ix.ensureSearch()
-	if ix.search.eff != SearchExact {
-		ix.queries32()
-		scratch := make([]predictScratch, par.Workers(ix.Workers, nq))
-		par.For("ml.knn_predict_batch", ix.Workers, nq, func(w, q int) {
-			s := &scratch[w]
-			if s.votes == nil {
-				s.votes = make([]int, nc)
-			}
-			if s.ann == nil {
-				s.ann = &ann.Scratch{}
-			}
-			if top, ok := ix.annTopK(q, kk, s.ann); ok {
-				out[q] = tallyVotes(s.votes, trainY, top)
-				return
-			}
-			// partial answer: exact fallback for this query
-			if s.pairs == nil {
-				s.pairs = make([]distIdx, n)
-				s.top = make([]int, kk)
-			}
-			top := ix.exactTopKInto(ix.D2().Row(q), kk, s.pairs, s.top[:kk])
-			out[q] = tallyVotes(s.votes, trainY, top)
-		})
 		return out, nil
 	}
 	ids, _ := ix.ensureTopK(kk)
@@ -378,7 +293,7 @@ func (ix *NeighborIndex) ensureTopK(kk int) ([]int, []float64) {
 			kth[q] = g.reselectInto(q, kk, scratch[w], row)
 			return
 		}
-		ix.exactTopKInto(d2.Row(q), kk, scratch[w], row)
+		ix.topKInto(d2.Row(q), kk, scratch[w], row)
 		kth[q] = d2.Row(q)[row[kk-1]]
 	})
 	ix.topk.k, ix.topk.ids, ix.topk.kth = kk, ids, kth

@@ -206,7 +206,7 @@ func (ix *NeighborIndex) AppendRows(x *linalg.Matrix, y []int) (*NeighborIndex, 
 // the top-k cache from the receiver's (when it has one), and compacts into
 // a self-contained root when tombstones or extras have piled up.
 func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom, removedPhys map[int]bool, newLo, newHi int) *NeighborIndex {
-	child := &NeighborIndex{Train: train, Queries: ix.Queries, Workers: ix.Workers, Search: ix.Search, delta: g}
+	child := &NeighborIndex{Train: train, Queries: ix.Queries, Workers: ix.Workers, delta: g}
 	deriveTopK(child, ix, g, removedPhys, newLo, newHi)
 	nBase := g.nBase()
 	if g.dead*compactDeadFrac > nBase+g.nExtra || g.nExtra*compactExtraFrac > nBase {
@@ -315,7 +315,7 @@ func (g *deltaGeom) walkInto(qi int, out []int) {
 // Returns the k-th (largest kept) distance. Building candidates in
 // physical order yields pairs in ascending logical id with the same
 // distance bits as a rebuilt matrix row, so the selection is bit-identical
-// to the rebuild's exactTopKInto.
+// to the rebuild's topKInto.
 func (g *deltaGeom) reselectInto(qi, kk int, pairs []distIdx, ids []int) float64 {
 	nBase := g.nBase()
 	bd := g.base.D2().Row(qi)

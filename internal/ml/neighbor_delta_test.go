@@ -271,42 +271,40 @@ func TestAppendRowsErrors(t *testing.T) {
 	}
 }
 
-// Satellite: k <= 0 and k > n behave identically across the exact, IVF,
-// and auto search paths — clamping in TopK, ErrBadK in TopKChecked.
+// k <= 0 and k > n clamp in TopK, and TopKChecked reports ErrBadK for
+// them and ErrDegenerateInput for an out-of-range query.
 func TestTopKClampAndErrorsAcrossModes(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	train := randomNeighborDataset(r, 64, 4, 2)
 	queries := randomNeighborDataset(r, 6, 4, 2)
 	n := train.Len()
-	for _, mode := range []SearchMode{SearchExact, SearchIVF, SearchAuto} {
-		ix, err := NewNeighborIndexSearch(train, queries, 1, SearchConfig{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
+	ix, err := NewNeighborIndex(train, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.TopK(0, 0); got != nil {
+		t.Errorf("TopK(0,0) = %v, want nil", got)
+	}
+	if got := ix.TopK(0, -4); got != nil {
+		t.Errorf("TopK(0,-4) = %v, want nil", got)
+	}
+	if got := ix.TopK(0, n+5); len(got) != n {
+		t.Errorf("TopK(0,n+5) returned %d ids, want clamped %d", len(got), n)
+	}
+	for _, k := range []int{0, -1, n + 1} {
+		if _, err := ix.TopKChecked(0, k); !errors.Is(err, nderr.ErrBadK) {
+			t.Errorf("TopKChecked(0,%d) err = %v, want ErrBadK", k, err)
 		}
-		if got := ix.TopK(0, 0); got != nil {
-			t.Errorf("mode %v: TopK(0,0) = %v, want nil", mode, got)
-		}
-		if got := ix.TopK(0, -4); got != nil {
-			t.Errorf("mode %v: TopK(0,-4) = %v, want nil", mode, got)
-		}
-		if got := ix.TopK(0, n+5); len(got) != n {
-			t.Errorf("mode %v: TopK(0,n+5) returned %d ids, want clamped %d", mode, len(got), n)
-		}
-		for _, k := range []int{0, -1, n + 1} {
-			if _, err := ix.TopKChecked(0, k); !errors.Is(err, nderr.ErrBadK) {
-				t.Errorf("mode %v: TopKChecked(0,%d) err = %v, want ErrBadK", mode, k, err)
-			}
-		}
-		if _, err := ix.TopKChecked(-1, 3); !errors.Is(err, nderr.ErrDegenerateInput) {
-			t.Errorf("mode %v: TopKChecked(-1,3) err = %v, want ErrDegenerateInput", mode, err)
-		}
-		if _, err := ix.TopKChecked(queries.Len(), 3); !errors.Is(err, nderr.ErrDegenerateInput) {
-			t.Errorf("mode %v: TopKChecked(out-of-range) err = %v, want ErrDegenerateInput", mode, err)
-		}
-		got, err := ix.TopKChecked(1, 3)
-		if err != nil || len(got) != 3 {
-			t.Errorf("mode %v: TopKChecked(1,3) = (%v, %v), want 3 ids", mode, got, err)
-		}
+	}
+	if _, err := ix.TopKChecked(-1, 3); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Errorf("TopKChecked(-1,3) err = %v, want ErrDegenerateInput", err)
+	}
+	if _, err := ix.TopKChecked(queries.Len(), 3); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Errorf("TopKChecked(out-of-range) err = %v, want ErrDegenerateInput", err)
+	}
+	got, err := ix.TopKChecked(1, 3)
+	if err != nil || len(got) != 3 {
+		t.Errorf("TopKChecked(1,3) = (%v, %v), want 3 ids", got, err)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // surviving prefixes. Both look the index up here, so the distance matrix
 // and the order table are computed once per geometry and shared across
 // calls, packages and concurrent requests. Keys are content fingerprints
-// (linalg.Matrix.Fingerprint) of both feature matrices plus the
-// SearchConfig fingerprint, not pointer identities, so an in-place feature
-// mutation gets a fresh index.
+// (linalg.Matrix.Fingerprint) of both feature matrices, not pointer
+// identities, so an in-place feature mutation gets a fresh index.
 //
 // Concurrency: lookups are singleflight and eviction is LRU over ready
 // entries only — an in-flight build is never evicted, so concurrent
@@ -37,7 +36,6 @@ import (
 
 type sharedIndexKey struct {
 	trainFP, queriesFP uint64
-	searchFP           uint64 // SearchConfig fingerprint: mode/nprobe/seed knobs
 }
 
 // defaultSharedIndexCapacity is the initial LRU bound;
@@ -46,34 +44,30 @@ const defaultSharedIndexCapacity = 4
 
 var sharedIndexes = store.New[sharedIndexKey, *NeighborIndex]("importance_neighbor_index", defaultSharedIndexCapacity)
 
-func sharedKey(train, queries *Dataset, search SearchConfig) sharedIndexKey {
-	return sharedIndexKey{
-		trainFP:   train.X.Fingerprint(),
-		queriesFP: queries.X.Fingerprint(),
-		searchFP:  search.Fingerprint(),
-	}
+func sharedKey(train, queries *Dataset) sharedIndexKey {
+	return sharedIndexKey{trainFP: train.X.Fingerprint(), queriesFP: queries.X.Fingerprint()}
 }
 
-// SharedIndex returns the shared index over (train, queries) built under
-// search, building it with NewNeighborIndexSearch on a miss. Concurrent
-// callers for the same geometry share one build; a failed build (the
-// validation errors of NewNeighborIndexSearch) is returned and not cached.
-func SharedIndex(train, queries *Dataset, workers int, search SearchConfig) (*NeighborIndex, error) {
+// SharedIndex returns the shared index over (train, queries), building it
+// with NewNeighborIndex on a miss. Concurrent callers for the same
+// geometry share one build; a failed build (the validation errors of
+// NewNeighborIndex) is returned and not cached.
+func SharedIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
-		return NewNeighborIndexSearch(train, queries, workers, search) // reports the nil set
+		return NewNeighborIndex(train, queries, workers) // reports the nil set
 	}
-	return sharedIndexes.GetOrBuild(sharedKey(train, queries, search), func() (*NeighborIndex, error) {
-		return NewNeighborIndexSearch(train, queries, workers, search)
+	return sharedIndexes.GetOrBuild(sharedKey(train, queries), func() (*NeighborIndex, error) {
+		return NewNeighborIndex(train, queries, workers)
 	})
 }
 
 // PutSharedIndex publishes an index built elsewhere — a delta-derived
-// child — under its own geometry and search, so the next SharedIndex call
-// for the mutated training set hits it instead of rebuilding. The first
-// build wins on collision; it reports whether ix was stored, and
+// child — under its own geometry, so the next SharedIndex call for the
+// mutated training set hits it instead of rebuilding. The first build
+// wins on collision; it reports whether ix was stored, and
 // importance_neighbor_index_derived_total counts those that were.
-func PutSharedIndex(ix *NeighborIndex, search SearchConfig) bool {
-	ok := sharedIndexes.Put(sharedKey(ix.Train, ix.Queries, search), ix)
+func PutSharedIndex(ix *NeighborIndex) bool {
+	ok := sharedIndexes.Put(sharedKey(ix.Train, ix.Queries), ix)
 	if ok {
 		obs.Inc("importance_neighbor_index_derived_total")
 	}

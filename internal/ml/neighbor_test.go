@@ -25,6 +25,72 @@ func randomNeighborDataset(r *rand.Rand, n, dim, classes int) *Dataset {
 	return d
 }
 
+// clusteredDataset draws n rows around c Gaussian blob centers, so many
+// rows sit at near-equal distances from a query.
+func clusteredDataset(r *rand.Rand, n, dim, c, classes int) *Dataset {
+	centers := linalg.NewMatrix(c, dim)
+	for i := range centers.Data {
+		centers.Data[i] = r.NormFloat64() * 10
+	}
+	x := linalg.NewMatrix(n, dim)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		ctr := centers.Row(r.Intn(c))
+		row := x.Row(i)
+		for j := range row {
+			row[j] = ctr[j] + r.NormFloat64()
+		}
+		y[i] = r.Intn(classes)
+	}
+	d, _ := NewDataset(x, y)
+	return d
+}
+
+// workers=1 ≡ workers=N: indexes over the same data built with 1, 2 and 4
+// workers agree bit for bit — same D2 bits, same orders, same top-k, same
+// batch predictions.
+func TestNeighborIndexBitIdenticalAcrossWorkers(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	train := clusteredDataset(r, 120, 6, 5, 3)
+	queries := clusteredDataset(r, 30, 6, 5, 3)
+	base, err := NewNeighborIndex(train, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		ix, err := NewNeighborIndex(train, queries, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd2, gd2 := base.D2(), ix.D2()
+		for i := range bd2.Data {
+			if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
+				t.Fatalf("workers=%d: D2 element %d differs bitwise", w, i)
+			}
+		}
+		for q := 0; q < queries.Len(); q++ {
+			bo, gg := base.Order(q), ix.Order(q)
+			for i := range bo {
+				if bo[i] != gg[i] {
+					t.Fatalf("workers=%d query %d: order rank %d differs", w, q, i)
+				}
+			}
+			bt, gt := base.TopK(q, 7), ix.TopK(q, 7)
+			for i := range bt {
+				if bt[i] != gt[i] {
+					t.Fatalf("workers=%d query %d: top-k rank %d differs", w, q, i)
+				}
+			}
+		}
+		bp, gp := base.PredictBatch(5), ix.PredictBatch(5)
+		for q := range bp {
+			if bp[q] != gp[q] {
+				t.Fatalf("workers=%d: prediction %d differs", w, q)
+			}
+		}
+	}
+}
+
 // Property: quickselect top-k matches the prefix of the full sort under
 // the same (distance, index) total order.
 func TestQuickTopKMatchesFullSortPrefix(t *testing.T) {

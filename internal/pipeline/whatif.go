@@ -76,12 +76,11 @@ type WhatIfConfig struct {
 // the model factory produces a *ml.KNN (the default debugging model), the
 // batch takes one exact neighbor index over the full featurized data from
 // the process-wide store (ml.SharedIndex, the entry kNN-Shapley scoring
-// uses under its default search), and every variant, the baseline
-// included, votes the caller's labels over the first k surviving rows of
-// each query's cached order (ml.NeighborIndex.PredictSurvivors): no
-// distance kernel, selection or derived index per variant, and none at
-// all once the geometry is stored. Non-kNN factories use the generic
-// retrain path unchanged.
+// uses), and every variant, the baseline included, votes the caller's
+// labels over the first k surviving rows of each query's cached order
+// (ml.NeighborIndex.PredictSurvivors): no distance kernel, selection or
+// derived index per variant, and none at all once the geometry is stored.
+// Non-kNN factories use the generic retrain path unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
 		return nil, fmt.Errorf("pipeline: WhatIfRemovals needs a model factory")
@@ -102,7 +101,7 @@ func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel fu
 		// variant votes over its order. A build failure (e.g. non-finite
 		// features a caller slipped past featurization) falls back to the
 		// generic retrain path, which reports the same condition per variant.
-		if ix, err := ml.SharedIndex(ft.Data, valid, workers, ml.SearchConfig{}); err == nil {
+		if ix, err := ml.SharedIndex(ft.Data, valid, workers); err == nil {
 			base = ix
 		}
 	}

@@ -72,7 +72,7 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	for i, y := range flipped.Y {
 		flipped.Y[i] = 1 - y
 	}
-	if _, err := ml.SharedIndex(flipped, valid, 1, ml.SearchConfig{}); err != nil {
+	if _, err := ml.SharedIndex(flipped, valid, 1); err != nil {
 		t.Fatal(err)
 	}
 	obs.Enable()

@@ -1,14 +1,10 @@
 package nde
 
-import (
-	"testing"
-
-	"nde/internal/importance"
-)
+import "testing"
 
 func TestNearestLettersModes(t *testing.T) {
 	s := LoadRecommendationLetters(300, 7)
-	exact, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{})
+	exact, err := NearestLetters(s.Train, s.Valid, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,49 +16,16 @@ func TestNearestLettersModes(t *testing.T) {
 			t.Fatalf("query %d: %d neighbors, want 5", q, len(nn))
 		}
 	}
-	// Auto mode on this small set must resolve to the exact path and match
-	// the exact answers element-for-element.
-	auto, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{Mode: SearchAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range exact {
-		for i := range exact[q] {
-			if exact[q][i] != auto[q][i] {
-				t.Fatalf("auto-mode answer diverges at query %d rank %d", q, i)
-			}
-		}
-	}
-	// explicit IVF still returns full answers (partial probes fall back)
-	ivf, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{Mode: SearchIVF, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q, nn := range ivf {
-		if len(nn) != 5 {
-			t.Fatalf("ivf query %d: %d neighbors, want 5", q, len(nn))
-		}
-	}
 	// degenerate inputs error through the facade checks
-	if _, err := NearestLetters(nil, s.Valid, 5, NeighborSearchConfig{}); err == nil {
+	if _, err := NearestLetters(nil, s.Valid, 5); err == nil {
 		t.Error("nil train frame did not error")
 	}
-	if _, err := NearestLetters(s.Train, s.Valid, 10_000, NeighborSearchConfig{}); err == nil {
+	if _, err := NearestLetters(s.Train, s.Valid, 10_000); err == nil {
 		t.Error("oversized k did not error")
 	}
 }
 
 func TestFacadeNeighborSearchSettings(t *testing.T) {
-	defer SetNeighborSearch(NeighborSearchConfig{})
-	SetNeighborSearch(NeighborSearchConfig{Mode: SearchAuto, NProbe: 3})
-	got := NeighborSearch()
-	if got.Mode != SearchAuto || got.NProbe != 3 {
-		t.Fatalf("NeighborSearch() = %+v, want auto/nprobe=3", got)
-	}
-	if got.Fingerprint() != importance.NeighborSearch().Fingerprint() {
-		t.Error("facade and importance disagree on the active config")
-	}
-
 	prev, err := SetNeighborIndexCacheCapacity(2)
 	if err != nil {
 		t.Fatal(err)
@@ -70,34 +33,5 @@ func TestFacadeNeighborSearchSettings(t *testing.T) {
 	defer SetNeighborIndexCacheCapacity(prev)
 	if got := NeighborIndexCacheCapacity(); got != 2 {
 		t.Fatalf("capacity = %d, want 2", got)
-	}
-
-	mode, ok := ParseSearchMode("ivf")
-	if !ok || mode != SearchIVF {
-		t.Errorf("ParseSearchMode(ivf) = (%v, %v)", mode, ok)
-	}
-}
-
-// kNN-Shapley scores must be invariant to the shared search mode: the
-// closed form consumes the exact full ranking in every mode.
-func TestKNNShapleyInvariantUnderSearchMode(t *testing.T) {
-	importance.ResetNeighborIndexCache()
-	defer importance.ResetNeighborIndexCache()
-	defer SetNeighborSearch(NeighborSearchConfig{})
-
-	s := LoadRecommendationLetters(260, 9)
-	base, err := KNNShapleyValues(s.Train, s.Valid, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetNeighborSearch(NeighborSearchConfig{Mode: SearchAuto, ExactThreshold: 10, Seed: 2})
-	approx, err := KNNShapleyValues(s.Train, s.Valid, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base {
-		if base[i] != approx[i] {
-			t.Fatalf("score %d differs under auto search mode: %v vs %v", i, base[i], approx[i])
-		}
 	}
 }

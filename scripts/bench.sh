@@ -3,13 +3,14 @@
 # them as JSON (name, ns/op, allocs/op, B/op) so the perf trajectory is
 # tracked PR-over-PR. Each file carries a "meta" header (git SHA, Go
 # version, GOMAXPROCS, UTC date) so numbers from different machines and
-# commits stay comparable. Four series are emitted: the importance/pipeline
-# hot paths plus one serve-cold registration (BENCH_importance.json), the
-# what-if fan-out (BENCH_whatif.json), the exact-vs-IVF neighbor-search
-# gate and the full-argsort layer (BENCH_neighbor.json, which also
-# records the recall@10 of the IVF run), and the delta-vs-rebuild
-# incremental-maintenance gate (BENCH_incremental.json). `make bench` runs
-# this.
+# commits stay comparable; the SHA gets a "-dirty" suffix when the source
+# tree (everything but the BENCH_*.json files) differs from HEAD, i.e. the
+# numbers belong to uncommitted changes on top of that commit. Four series
+# are emitted: the importance/pipeline hot paths plus one serve-cold
+# registration (BENCH_importance.json), the what-if fan-out
+# (BENCH_whatif.json), exact top-k and the full-argsort layer
+# (BENCH_neighbor.json), and the delta-vs-rebuild incremental-maintenance
+# gate (BENCH_incremental.json). `make bench` runs this.
 #
 # Usage: sh scripts/bench.sh [importance-output.json]
 #   NDE_BENCHTIME=2s   benchtime per benchmark (default 1s)
@@ -28,6 +29,9 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 git_sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ "$git_sha" != unknown ] && [ -n "$(git status --porcelain -- . ':(exclude)BENCH_*.json')" ]; then
+    git_sha="$git_sha-dirty"
+fi
 go_version="$(go version | awk '{print $3}')"
 gomaxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}"
 run_date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
@@ -48,12 +52,11 @@ BEGIN {
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""; recall = ""
+    ns = ""; bytes = ""; allocs = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns = $i
         if ($(i+1) == "B/op")      bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) == "recall@10") recall = $i
     }
     if (ns == "") next
     if (!first) printf ",\n"
@@ -61,7 +64,6 @@ BEGIN {
     printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
     if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    if (recall != "") printf ", \"recall_at_10\": %s", recall
     printf "}"
 }
 END { print "\n  ]\n}" }

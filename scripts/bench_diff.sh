@@ -1,14 +1,15 @@
 #!/bin/sh
 # bench_diff.sh — the perf-regression gate: re-run the tracked benchmark
-# series into a temp directory and compare each benchmark's ns/op against
-# the checked-in BENCH_*.json baselines. Fails when any benchmark regresses
-# by more than the threshold (default 15%). Benchmarks present only on one
-# side (just added, or just retired) are reported but never fail the gate —
-# refresh the baselines with `make bench` when the set changes on purpose.
+# series into a temp directory and compare each benchmark's ns/op and
+# allocs/op against the checked-in BENCH_*.json baselines. Fails when any
+# benchmark regresses on either by more than the threshold (default 15%).
+# Benchmarks present only on one side (just added, or just retired) are
+# reported but never fail the gate — refresh the baselines with
+# `make bench` when the set changes on purpose.
 # `make bench-diff` runs this; scripts/check.sh runs it when NDE_BENCH=1.
 #
 # Usage: sh scripts/bench_diff.sh
-#   NDE_BENCH_DIFF_PCT=15   allowed ns/op regression percentage
+#   NDE_BENCH_DIFF_PCT=15   allowed ns/op and allocs/op regression percentage
 #   NDE_BENCHTIME=1s        benchtime per benchmark (passed through)
 set -eu
 cd "$(dirname "$0")/.."
@@ -18,19 +19,24 @@ threshold="${NDE_BENCH_DIFF_PCT:-15}"
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
 
-echo "==> fresh benchmark run (comparing against checked-in baselines, +${threshold}% ns/op allowed)"
+echo "==> fresh benchmark run (comparing against checked-in baselines, +${threshold}% ns/op and allocs/op allowed)"
 NDE_BENCH_OUTDIR="$fresh" sh scripts/bench.sh
 
-# extract NAME NS pairs from one of our generated JSON files (one
-# benchmark object per line, a format bench.sh controls)
+# extract NAME NS ALLOCS triples from one of our generated JSON files (one
+# benchmark object per line, a format bench.sh controls); ALLOCS is "-"
+# when the line has no allocs_per_op
 extract() {
     awk '
+function field(key,    line) {
+    line = $0
+    if (!sub(".*\"" key "\": ", "", line)) return "-"
+    sub(/[^0-9.eE+-].*/, "", line)
+    return line
+}
 /"name":/ {
     line = $0
     sub(/.*"name": "/, "", line); name = line; sub(/".*/, "", name)
-    line = $0
-    sub(/.*"ns_per_op": /, "", line); ns = line; sub(/[^0-9.eE+-].*/, "", ns)
-    print name, ns
+    print name, field("ns_per_op"), field("allocs_per_op")
 }' "$1"
 }
 
@@ -44,14 +50,23 @@ for base in BENCH_importance.json BENCH_whatif.json BENCH_neighbor.json BENCH_in
     extract "$base" > "$fresh/old.txt"
     extract "$fresh/$base" > "$fresh/new.txt"
     if ! awk -v threshold="$threshold" '
-NR == FNR { old[$1] = $2; next }
+# pct OLD NEW — relative change in percent (0 against a zero baseline)
+function pct(o, n) { return o > 0 ? (n - o) / o * 100 : 0 }
+NR == FNR { old[$1] = $2; oldAllocs[$1] = $3; next }
 {
     new[$1] = $2
     if (!($1 in old)) { printf "  NEW   %-55s %12.0f ns/op (no baseline)\n", $1, $2; next }
-    pct = old[$1] > 0 ? ($2 - old[$1]) / old[$1] * 100 : 0
     verdict = "ok"
-    if (pct > threshold) { verdict = "REGRESSION"; failed = 1 }
-    printf "  %-5s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", verdict, $1, old[$1], $2, pct
+    nsPct = pct(old[$1], $2)
+    if (nsPct > threshold) verdict = "REGRESSION"
+    allocs = ""
+    if (oldAllocs[$1] != "-" && $3 != "-") {
+        allocPct = pct(oldAllocs[$1], $3)
+        if (allocPct > threshold) verdict = "REGRESSION"
+        allocs = sprintf("  %s -> %s allocs/op (%+.1f%%)", oldAllocs[$1], $3, allocPct)
+    }
+    if (verdict != "ok") failed = 1
+    printf "  %-5s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n", verdict, $1, old[$1], $2, nsPct, allocs
 }
 END {
     for (name in old) if (!(name in new))
@@ -63,7 +78,7 @@ END {
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "bench_diff: ns/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
+    echo "bench_diff: ns/op or allocs/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
     exit 1
 fi
-echo "bench_diff: OK (no benchmark regressed more than ${threshold}%)"
+echo "bench_diff: OK (no benchmark regressed more than ${threshold}% in ns/op or allocs/op)"
