@@ -22,6 +22,7 @@ import (
 	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/obs"
+	"nde/internal/pipeline"
 	"nde/internal/prov"
 	"nde/internal/serve"
 )
@@ -363,10 +364,14 @@ func BenchmarkMCShapleyParallel(b *testing.B) {
 // BENCH_whatif.json). workers=1 and workers=auto run the same 8-variant
 // batch over the letters pipeline serially and fanned out, on a warm
 // neighbor-index store: every call after the first votes over the stored
-// index. cold is a serve-warm-sized batch — the baseline plus 8 variants
-// removing 10 of 4000 rows of 32 features, 100 queries — with the store
-// emptied every iteration, so each batch pays the distance kernel and the
-// order table it leaves stored for the next request.
+// index. cold and warm-4000 run serve-warm's what-if shape — identity
+// provenance over 4000 rows of 32 features, 100 queries, the baseline
+// plus 8 variants removing 10 rows each. cold empties the store every
+// iteration, so each batch pays the distance kernel and the order table
+// it leaves stored for the next request. warm-4000 makes the calls a
+// /v1/whatif makes below its handler, on a stored index: the store lookup
+// by a key hashed once beforehand, then the batch — its lineage pass and
+// every variant's vote.
 func BenchmarkWhatIf(b *testing.B) {
 	s := nde.LoadRecommendationLetters(300, 11)
 	hp, err := nde.BuildHiringPipeline(s.Train, s.Data.Jobs, s.Data.Social)
@@ -426,6 +431,23 @@ func BenchmarkWhatIf(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			importance.ResetNeighborIndexCache()
 			if _, err := nde.WhatIfParallel(coldFt, cold, valid, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm-4000", func(b *testing.B) {
+		key := ml.KeyOf(train, valid) // hashed once, as at registration
+		if _, err := ml.SharedIndex(key, train, valid, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix, err := ml.SharedIndex(key, train, valid, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pipeline.WhatIfRemovalsWithIndex(coldFt, cold, ix, 5, valid, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,6 +537,69 @@ func BenchmarkServeRegister(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("register = %d: %s", rec.Code, rec.Body)
 		}
+	}
+}
+
+// The score-reply layer (scripts/bench.sh records it in
+// BENCH_importance.json): POST /v1/importance through the daemon's
+// handler into an httptest recorder, on serve-warm's dataset shape —
+// 4000 train and 100 valid rows of 32 features — registered and scored
+// at k=5 before the timer. hit repeats k=5, a score-store hit; new-k
+// cycles k through 6..64, more values than the score store holds, so
+// every request misses it and runs the recurrence over the stored
+// neighbor index.
+func BenchmarkServeImportance(b *testing.B) {
+	mk := mixture(b, 53, 32, 32, 8)
+	train, valid := mk(4000), mk(100)
+	spec := func(d *ml.Dataset) *serve.MatrixSpec {
+		rows := make([][]float64, d.Len())
+		for i := range rows {
+			rows[i] = d.Row(i)
+		}
+		return &serve.MatrixSpec{X: rows, Y: d.Y}
+	}
+	h := serve.NewServer(serve.Config{}).Handler()
+	post := func(path string, v any) []byte {
+		body, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var reg serve.RegisterResponse
+	if err := json.Unmarshal(post("/v1/datasets", serve.RegisterRequest{Train: spec(train), Valid: spec(valid)}), &reg); err != nil {
+		b.Fatal(err)
+	}
+	post("/v1/importance", serve.ImportanceRequest{Dataset: reg.ID, K: 5})
+	for _, bc := range []struct {
+		name string
+		k    func(i int) int
+	}{
+		{"hit", func(int) int { return 5 }},
+		{"new-k", func(i int) int { return 6 + i%59 }},
+	} {
+		bodies := make([][]byte, 59)
+		for i := range bodies {
+			var err error
+			if bodies[i], err = json.Marshal(serve.ImportanceRequest{Dataset: reg.ID, K: bc.k(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/importance", bytes.NewReader(bodies[i%len(bodies)])))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("importance = %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

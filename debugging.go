@@ -35,8 +35,8 @@ type (
 	// WhatIfResult is the metric of one what-if variant.
 	WhatIfResult = pipeline.WhatIfResult
 	// WhatIfOptions tunes what-if evaluation: worker count and whether to
-	// force the full-rebuild determinism oracle instead of the neighbor
-	// delta fast path (results are bit-for-bit identical either way).
+	// force the full-rebuild determinism oracle instead of voting over the
+	// stored neighbor order (results are bit-for-bit identical either way).
 	WhatIfOptions = pipeline.WhatIfConfig
 	// TupleID identifies one row of one pipeline source table.
 	TupleID = prov.TupleID

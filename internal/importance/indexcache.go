@@ -23,9 +23,10 @@ func SetIndexCacheCapacity(n int) (int, error) { return ml.SetSharedIndexCapacit
 func IndexCacheCapacity() int { return ml.SharedIndexCapacity() }
 
 // sharedNeighborIndex returns the shared NeighborIndex for (train, valid)
-// — valid rows are the queries.
+// — valid rows are the queries — hashing both feature matrices for its
+// key.
 func sharedNeighborIndex(train, valid *ml.Dataset, workers int) (*ml.NeighborIndex, error) {
-	return ml.SharedIndex(train, valid, workers)
+	return ml.SharedIndex(ml.KeyOf(train, valid), train, valid, workers)
 }
 
 // ResetNeighborIndexCache drops every cached index. Intended for tests and

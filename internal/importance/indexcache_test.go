@@ -2,6 +2,7 @@ package importance
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -27,13 +28,59 @@ func TestKNNShapleyAllPathsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := KNNShapleyWithIndex(5, ix)
+	indexed, err := KNNShapleyWithIndex(5, ix, train.Y, valid.Y, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
 		if seq[i] != par[i] || seq[i] != indexed[i] {
 			t.Fatalf("score %d diverges: seq %v par %v indexed %v", i, seq[i], par[i], indexed[i])
+		}
+	}
+}
+
+// KNNShapleyWithIndex reads labels only from its arguments: over an index
+// whose Train.Y and Queries.Y are another label revision it scores the
+// labels passed in, bit-for-bit as KNNShapley does on them, and labels of
+// the wrong length are a shape mismatch.
+func TestKNNShapleyWithIndexScoresPassedLabels(t *testing.T) {
+	train := blobs(60, 1.5, 911)
+	valid := blobs(25, 1.5, 912)
+	want, err := KNNShapley(3, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped, flippedValid := train.Clone(), valid.Clone()
+	for i, y := range flipped.Y {
+		flipped.Y[i] = 1 - y
+	}
+	for i, y := range flippedValid.Y {
+		flippedValid.Y[i] = 1 - y
+	}
+	ix, err := ml.NewNeighborIndex(flipped, flippedValid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := KNNShapleyWithIndex(3, ix, train.Y, valid.Y, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d score %d = %v, want %v (the passed labels)", workers, i, got[i], want[i])
+			}
+		}
+	}
+
+	for name, labels := range map[string][2][]int{
+		"short train": {train.Y[1:], valid.Y},
+		"long train":  {append(append([]int(nil), train.Y...), 0), valid.Y},
+		"short valid": {train.Y, valid.Y[1:]},
+		"nil valid":   {train.Y, nil},
+	} {
+		if _, err := KNNShapleyWithIndex(3, ix, labels[0], labels[1], 1); !errors.Is(err, nderr.ErrShapeMismatch) {
+			t.Errorf("%s labels: err = %v, want ErrShapeMismatch", name, err)
 		}
 	}
 }

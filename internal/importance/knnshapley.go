@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/par"
 )
@@ -47,14 +48,24 @@ func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 }
 
 // KNNShapleyWithIndex computes the same closed form from a caller-provided
-// NeighborIndex whose Train/Queries pair is the (train, valid) of
-// interest, reusing its cached distance matrix and neighbor orders. The
-// result is bit-for-bit identical to KNNShapley on the same data.
-func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex) (Scores, error) {
+// NeighborIndex whose Train/Queries pair is the (train, valid) geometry of
+// interest, reusing its cached neighbor orders, on workers with
+// KNNShapleyParallel's telemetry. Labels come only from trainY (one per
+// training row) and validY (one per query), never from the index, which
+// the shared store may have built under another label revision; labels
+// of the wrong length return ErrShapeMismatch. On the index and labels
+// KNNShapley uses, the result is bit-for-bit identical to KNNShapley.
+func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int) (Scores, error) {
 	if err := validateKNNShapley(k, ix.Train, ix.Queries); err != nil {
 		return nil, err
 	}
-	scores, _ := knnShapleyKernel(k, ix, ix.Train.Y, ix.Queries.Y, 1, nil)
+	if len(trainY) != ix.Train.Len() {
+		return nil, nderr.Mismatch("importance: kNN-Shapley train labels", ix.Train.Len(), len(trainY))
+	}
+	if len(validY) != ix.Queries.Len() {
+		return nil, nderr.Mismatch("importance: kNN-Shapley validation labels", ix.Queries.Len(), len(validY))
+	}
+	scores, _ := knnShapleyParallel(k, ix, trainY, validY, workers)
 	return scores, nil
 }
 

@@ -48,25 +48,33 @@ func KNNShapleyParallelStats(k int, train, valid *ml.Dataset, workers int) (Scor
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, nil, err
 	}
-	resolved := par.Workers(workers, valid.Len())
-	obs.SetGauge("importance_knnshapley_workers", float64(resolved))
-
-	sp := obs.StartSpan("importance.knnshapley_parallel")
-	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).
-		SetInt("valid", int64(valid.Len())).SetInt("workers", int64(resolved))
-	defer sp.End()
-	prog := obs.NewProgress("knnshapley_parallel", valid.Len())
-	defer prog.Done()
-
 	ix, err := sharedNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	scores, stats := knnShapleyKernel(k, ix, train.Y, valid.Y, workers, prog)
+	scores, stats := knnShapleyParallel(k, ix, train.Y, valid.Y, workers)
+	return scores, stats, nil
+}
+
+// knnShapleyParallel is the body of the parallel entry points: the kernel
+// over ix on workers, with trainY and validY as the labels, under the
+// telemetry KNNShapleyParallel documents.
+func knnShapleyParallel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int) (Scores, *ParallelStats) {
+	resolved := par.Workers(workers, len(validY))
+	obs.SetGauge("importance_knnshapley_workers", float64(resolved))
+
+	sp := obs.StartSpan("importance.knnshapley_parallel")
+	sp.SetInt("k", int64(k)).SetInt("train", int64(len(trainY))).
+		SetInt("valid", int64(len(validY))).SetInt("workers", int64(resolved))
+	defer sp.End()
+	prog := obs.NewProgress("knnshapley_parallel", len(validY))
+	defer prog.Done()
+
+	scores, stats := knnShapleyKernel(k, ix, trainY, validY, workers, prog)
 	if obs.Enabled() {
 		for _, cnt := range stats.PerWorker {
 			obs.ObserveWith("importance_knnshapley_points_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
 		}
 	}
-	return scores, stats, nil
+	return scores, stats
 }

@@ -16,7 +16,11 @@ import (
 // and the order table are computed once per geometry and shared across
 // calls, packages and concurrent requests. Keys are content fingerprints
 // (linalg.Matrix.Fingerprint) of both feature matrices, not pointer
-// identities, so an in-place feature mutation gets a fresh index.
+// identities, so an in-place feature mutation gets a fresh index. The
+// caller supplies the key (IndexKey): one that already holds both
+// fingerprints — internal/serve computes them once per registered dataset
+// — looks an index up without touching the matrices, and the others hash
+// them with KeyOf.
 //
 // Concurrency: lookups are singleflight and eviction is LRU over ready
 // entries only — an in-flight build is never evicted, so concurrent
@@ -34,29 +38,35 @@ import (
 // inflight} gauges. A "wait" is a caller that blocked on another
 // goroutine's in-flight build.
 
-type sharedIndexKey struct {
-	trainFP, queriesFP uint64
+// IndexKey is the store key of one geometry: the content fingerprints
+// (linalg.Matrix.Fingerprint) of its training and query feature matrices.
+type IndexKey struct {
+	Train, Queries uint64
+}
+
+// KeyOf hashes both feature matrices into the store key of (train,
+// queries).
+func KeyOf(train, queries *Dataset) IndexKey {
+	return IndexKey{Train: train.X.Fingerprint(), Queries: queries.X.Fingerprint()}
 }
 
 // defaultSharedIndexCapacity is the initial LRU bound;
 // SetSharedIndexCapacity changes it.
 const defaultSharedIndexCapacity = 4
 
-var sharedIndexes = store.New[sharedIndexKey, *NeighborIndex]("importance_neighbor_index", defaultSharedIndexCapacity)
+var sharedIndexes = store.New[IndexKey, *NeighborIndex]("importance_neighbor_index", defaultSharedIndexCapacity)
 
-func sharedKey(train, queries *Dataset) sharedIndexKey {
-	return sharedIndexKey{trainFP: train.X.Fingerprint(), queriesFP: queries.X.Fingerprint()}
-}
-
-// SharedIndex returns the shared index over (train, queries), building it
-// with NewNeighborIndex on a miss. Concurrent callers for the same
-// geometry share one build; a failed build (the validation errors of
-// NewNeighborIndex) is returned and not cached.
-func SharedIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
+// SharedIndex returns the shared index over (train, queries), stored
+// under key, building it with NewNeighborIndex on a miss. key must be
+// KeyOf(train, queries); a caller that already holds both fingerprints
+// builds it from them instead of hashing again. Concurrent callers for
+// the same geometry share one build; a failed build (the validation
+// errors of NewNeighborIndex) is returned and not cached.
+func SharedIndex(key IndexKey, train, queries *Dataset, workers int) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
-		return NewNeighborIndex(train, queries, workers) // reports the nil set
+		return NewNeighborIndex(train, queries, workers) // reports the nil set; not a store miss
 	}
-	return sharedIndexes.GetOrBuild(sharedKey(train, queries), func() (*NeighborIndex, error) {
+	return sharedIndexes.GetOrBuild(key, func() (*NeighborIndex, error) {
 		return NewNeighborIndex(train, queries, workers)
 	})
 }
@@ -67,7 +77,7 @@ func SharedIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
 // wins on collision; it reports whether ix was stored, and
 // importance_neighbor_index_derived_total counts those that were.
 func PutSharedIndex(ix *NeighborIndex) bool {
-	ok := sharedIndexes.Put(sharedKey(ix.Train, ix.Queries), ix)
+	ok := sharedIndexes.Put(KeyOf(ix.Train, ix.Queries), ix)
 	if ok {
 		obs.Inc("importance_neighbor_index_derived_total")
 	}

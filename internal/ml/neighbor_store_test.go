@@ -62,7 +62,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ix, err := sharedIndexes.GetOrBuild(sharedKey(trainA, validA), func() (*NeighborIndex, error) {
+		ix, err := sharedIndexes.GetOrBuild(KeyOf(trainA, validA), func() (*NeighborIndex, error) {
 			close(built)
 			<-release
 			return NewNeighborIndex(trainA, validA, 1)
@@ -76,7 +76,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	<-built
 	lookupA := func(out []*NeighborIndex, c int) {
 		defer wg.Done()
-		ix, err := SharedIndex(trainA, validA, 1)
+		ix, err := SharedIndex(KeyOf(trainA, validA), trainA, validA, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -91,7 +91,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 
 	// churn while A is in flight: build B at capacity 1, which under the
 	// old FIFO evicted in-flight A, and exercise the shrink path too
-	if _, err := SharedIndex(trainB, validB, 1); err != nil {
+	if _, err := SharedIndex(KeyOf(trainB, validB), trainB, validB, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := SetSharedIndexCapacity(1); err != nil {

@@ -3,8 +3,10 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/par"
 	"nde/internal/prov"
@@ -76,130 +78,195 @@ type WhatIfConfig struct {
 // the model factory produces a *ml.KNN (the default debugging model), the
 // batch takes one exact neighbor index over the full featurized data from
 // the process-wide store (ml.SharedIndex, the entry kNN-Shapley scoring
-// uses), and every variant, the baseline included, votes the caller's
-// labels over the first k surviving rows of each query's cached order
-// (ml.NeighborIndex.PredictSurvivors): no distance kernel, selection or
-// derived index per variant, and none at all once the geometry is stored.
-// Non-kNN factories use the generic retrain path unchanged.
+// uses) and hands it to WhatIfRemovalsWithIndex: no distance kernel,
+// selection or derived index per variant, and none at all once the
+// geometry is stored. Non-kNN factories use the generic retrain path
+// unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
 		return nil, fmt.Errorf("pipeline: WhatIfRemovals needs a model factory")
 	}
-	workers := cfg.Workers
+	knnK := 0
+	if knn, ok := newModel().(*ml.KNN); ok && knn.K >= 1 {
+		knnK = knn.K
+	}
+	if knnK > 0 && !cfg.ForceRebuild && ft.Data.Len() > 0 && valid != nil {
+		// One shared exact index over the unmodified featurized data; every
+		// variant votes over its order. A build failure (e.g. non-finite
+		// features a caller slipped past featurization) falls back to the
+		// generic retrain path, which reports the same condition per variant.
+		if ix, err := ml.SharedIndex(ml.KeyOf(ft.Data, valid), ft.Data, valid, cfg.Workers); err == nil {
+			return WhatIfRemovalsWithIndex(ft, variants, ix, knnK, valid, cfg.Workers)
+		}
+	}
+	if knnK > 0 && cfg.ForceRebuild {
+		// the determinism oracle: each variant's index built from scratch
+		return evalVariants(ft, variants, cfg.Workers, func(alive []bool, surviving int) (float64, error) {
+			ix, err := ml.NewNeighborIndex(ft.Data.Subset(aliveRows(alive, surviving)), valid, 1)
+			if err != nil {
+				return 0, err
+			}
+			return ml.Accuracy(valid.Y, ix.PredictBatch(knnK)), nil
+		})
+	}
+	return evalVariants(ft, variants, cfg.Workers, func(alive []bool, surviving int) (float64, error) {
+		return ml.EvaluateAccuracy(newModel(), ft.Data.Subset(aliveRows(alive, surviving)), valid)
+	})
+}
+
+// WhatIfRemovalsWithIndex evaluates the batch for a k-NN model over ix, an
+// exact neighbor index whose training rows are ft.Data's and whose
+// queries are valid's (by features: its labels are never read). Every
+// variant, a baseline included, votes ft.Data.Y over the first k
+// surviving rows of each query's cached order
+// (ml.NeighborIndex.PredictSurvivors) and scores the votes against
+// valid.Y. The results are bit-for-bit those of WhatIfRemovalsConfig with
+// ForceRebuild and a k-NN factory, at any worker count (<= 0 =
+// GOMAXPROCS). k < 1 returns ErrBadK, and a valid split whose length
+// differs from ix's queries ErrShapeMismatch.
+func WhatIfRemovalsWithIndex(ft *Featurized, variants []RemovalVariant, ix *ml.NeighborIndex, k int, valid *ml.Dataset, workers int) ([]WhatIfResult, error) {
+	if k < 1 {
+		return nil, nderr.BadK("pipeline: what-if", k, ix.Train.Len())
+	}
+	if valid.Len() != ix.Queries.Len() {
+		return nil, nderr.Mismatch("pipeline: what-if validation rows", ix.Queries.Len(), valid.Len())
+	}
+	out, err := evalVariants(ft, variants, workers, func(alive []bool, _ int) (float64, error) {
+		preds, err := ix.PredictSurvivors(k, ft.Data.Y, alive)
+		if err != nil {
+			return 0, err
+		}
+		return ml.Accuracy(valid.Y, preds), nil
+	})
+	obs.Count("whatif_delta_variants_total", int64(len(variants)))
+	return out, err
+}
+
+// evalVariants evaluates every variant of the batch on workers: it finds
+// the output rows that survive the variant's removals (batchLineage) and,
+// unless none does, scores them with metric. A variant that removes every
+// surviving row reports the documented NaN sentinel rather than failing
+// the batch. metric runs concurrently across variants, so it may only
+// read shared state and write what it allocates. Results are reduced in
+// variant order, so they — including which error is reported when several
+// variants fail — are identical for any worker count.
+func evalVariants(ft *Featurized, variants []RemovalVariant, workers int, metric func(alive []bool, surviving int) (float64, error)) ([]WhatIfResult, error) {
 	sp := obs.StartSpan("pipeline.whatif")
 	sp.SetInt("variants", int64(len(variants))).
 		SetInt("workers", int64(par.Workers(workers, len(variants))))
 	defer sp.End()
 
-	knnK := 0
-	if knn, ok := newModel().(*ml.KNN); ok && knn.K >= 1 {
-		knnK = knn.K
-	}
-	var base *ml.NeighborIndex
-	if knnK > 0 && !cfg.ForceRebuild && ft.Data.Len() > 0 {
-		// One shared exact index over the unmodified featurized data; every
-		// variant votes over its order. A build failure (e.g. non-finite
-		// features a caller slipped past featurization) falls back to the
-		// generic retrain path, which reports the same condition per variant.
-		if ix, err := ml.SharedIndex(ft.Data, valid, workers); err == nil {
-			base = ix
-		}
-	}
-
+	lin := newBatchLineage(ft.Prov, variants)
 	out := make([]WhatIfResult, len(variants))
 	_, err := par.ForErr("pipeline.whatif", workers, len(variants), func(_, i int) error {
 		vsp := sp.StartChild("pipeline.whatif.variant")
 		vsp.SetStr("name", variants[i].Name)
 		defer vsp.End()
-		var res WhatIfResult
-		var err error
-		if knnK > 0 && (base != nil || cfg.ForceRebuild) {
-			res, err = evalRemovalVariantKNN(ft, variants[i], base, knnK, valid)
-		} else {
-			res, err = evalRemovalVariant(ft, variants[i], newModel, valid)
-		}
-		if err != nil {
-			return fmt.Errorf("pipeline: what-if variant %q: %w", variants[i].Name, err)
+		alive, surviving := lin.survivors(variants[i].Remove)
+		res := WhatIfResult{Name: variants[i].Name, Metric: math.NaN(), Surviving: surviving}
+		if surviving > 0 {
+			m, err := metric(alive, surviving)
+			if err != nil {
+				return fmt.Errorf("pipeline: what-if variant %q: %w", variants[i].Name, err)
+			}
+			res.Metric = m
 		}
 		out[i] = res
-		vsp.SetInt("surviving", int64(res.Surviving))
+		vsp.SetInt("surviving", int64(surviving))
 		return nil
 	})
 	obs.Count("whatif_variants_total", int64(len(variants)))
-	if base != nil {
-		obs.Count("whatif_delta_variants_total", int64(len(variants)))
-	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// evalRemovalVariant runs one variant's filter → subset → retrain →
-// evaluate chain. It touches only its arguments and freshly allocated
-// state, which is what makes the variant fan-out safe.
-func evalRemovalVariant(ft *Featurized, v RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset) (WhatIfResult, error) {
-	keep := survivors(ft, v)
-	if len(keep) == 0 {
-		// the variant removed every surviving output row: report the
-		// documented NaN sentinel rather than failing the whole batch
-		return WhatIfResult{Name: v.Name, Metric: math.NaN(), Surviving: 0}, nil
-	}
-	subset := ft.Data.Subset(keep)
-	metric, err := ml.EvaluateAccuracy(newModel(), subset, valid)
-	if err != nil {
-		return WhatIfResult{}, err
-	}
-	return WhatIfResult{Name: v.Name, Metric: metric, Surviving: len(keep)}, nil
+// batchLineage answers, for each variant of one what-if batch, which
+// featurized output rows survive its removals. A provenance polynomial is
+// positive, so removing source tuples can turn it false only if it names
+// one of them: one pass over the polynomials records, for every tuple the
+// batch removes, the rows whose polynomial names it, and a variant starts
+// from the nothing-removed mask (the rows with a non-zero polynomial) and
+// re-evaluates only the rows its own tuples touch. Read-only once built,
+// so variants use it concurrently.
+type batchLineage struct {
+	prov    []prov.Polynomial
+	base    []bool                 // alive with nothing removed
+	alive   int                    // rows set in base
+	touched map[prov.TupleID][]int // removed tuple → ascending rows naming it
 }
 
-// survivors returns, in row order, the featurized output rows whose
-// provenance still holds once v's source tuples are removed.
-func survivors(ft *Featurized, v RemovalVariant) []int {
-	removed := make(map[prov.TupleID]bool, len(v.Remove))
-	for _, id := range v.Remove {
-		removed[id] = true
-	}
-	alive := func(id prov.TupleID) bool { return !removed[id] }
-	keep := make([]int, 0, len(ft.Prov))
-	for o, p := range ft.Prov {
-		if p.EvalBool(alive) {
-			keep = append(keep, o)
+// lineageFilterBits sizes the pass's row filter: a tuple is looked up in
+// the removal map only if a removed tuple's row number equals its own
+// modulo this, so most tuples a batch does not remove cost one bit test
+// instead of a map lookup.
+const lineageFilterBits = 4096
+
+func newBatchLineage(polys []prov.Polynomial, variants []RemovalVariant) *batchLineage {
+	l := &batchLineage{prov: polys, base: make([]bool, len(polys)), touched: map[prov.TupleID][]int{}}
+	var filter [lineageFilterBits / 64]uint64
+	for _, v := range variants {
+		for _, id := range v.Remove {
+			l.touched[id] = nil
+			r := uint(id.Row) % lineageFilterBits
+			filter[r/64] |= 1 << (r % 64)
 		}
 	}
-	return keep
+	for o, p := range polys {
+		if p.IsZero() {
+			continue
+		}
+		l.base[o] = true
+		l.alive++
+		for _, m := range p.Monomials() {
+			for _, id := range m {
+				if r := uint(id.Row) % lineageFilterBits; filter[r/64]&(1<<(r%64)) == 0 {
+					continue
+				}
+				if rows, ok := l.touched[id]; ok && (len(rows) == 0 || rows[len(rows)-1] != o) {
+					l.touched[id] = append(rows, o)
+				}
+			}
+		}
+	}
+	return l
 }
 
-// evalRemovalVariantKNN answers one variant for a kNN model. With a base
-// index it votes ft.Data.Y over the surviving rows of the base's cached
-// orders (PredictSurvivors); with base == nil (the ForceRebuild oracle) it
-// builds the variant's index from scratch. Both arms classify by the same
-// exact (distance, index) top-k, so their metrics are bit-for-bit
-// identical.
-func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIndex, k int, valid *ml.Dataset) (WhatIfResult, error) {
-	keep := survivors(ft, v)
-	if len(keep) == 0 {
-		return WhatIfResult{Name: v.Name, Metric: math.NaN(), Surviving: 0}, nil
+// survivors returns the alive mask of the output rows once remove's
+// tuples are gone, and how many rows it keeps. remove must be among the
+// removals the lineage was built for.
+func (l *batchLineage) survivors(remove []prov.TupleID) ([]bool, int) {
+	alive := slices.Clone(l.base)
+	n := l.alive
+	if len(remove) == 0 {
+		return alive, n
 	}
-	var preds []int
-	var err error
-	if base != nil {
-		alive := make([]bool, ft.Data.Len())
-		for _, o := range keep {
-			alive[o] = true
-		}
-		preds, err = base.PredictSurvivors(k, ft.Data.Y, alive)
-	} else {
-		var ix *ml.NeighborIndex
-		ix, err = ml.NewNeighborIndex(ft.Data.Subset(keep), valid, 1)
-		if err == nil {
-			preds = ix.PredictBatch(k)
+	gone := make(map[prov.TupleID]bool, len(remove))
+	for _, id := range remove {
+		gone[id] = true
+	}
+	present := func(id prov.TupleID) bool { return !gone[id] }
+	for _, id := range remove {
+		for _, o := range l.touched[id] {
+			if alive[o] && !l.prov[o].EvalBool(present) {
+				alive[o] = false
+				n--
+			}
 		}
 	}
-	if err != nil {
-		return WhatIfResult{}, err
+	return alive, n
+}
+
+// aliveRows lists the n rows set in alive, in row order.
+func aliveRows(alive []bool, n int) []int {
+	rows := make([]int, 0, n)
+	for o, ok := range alive {
+		if ok {
+			rows = append(rows, o)
+		}
 	}
-	return WhatIfResult{Name: v.Name, Metric: ml.Accuracy(valid.Y, preds), Surviving: len(keep)}, nil
+	return rows
 }
 
 // CompareWithReplay runs a removal variant both ways — via the provenance

@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/prov"
 )
@@ -72,7 +74,7 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	for i, y := range flipped.Y {
 		flipped.Y[i] = 1 - y
 	}
-	if _, err := ml.SharedIndex(flipped, valid, 1); err != nil {
+	if _, err := ml.SharedIndex(ml.KeyOf(flipped, valid), flipped, valid, 1); err != nil {
 		t.Fatal(err)
 	}
 	obs.Enable()
@@ -139,5 +141,23 @@ func TestWhatIfDeltaEmptyVariant(t *testing.T) {
 	}
 	if results[0].Surviving != 0 || !math.IsNaN(results[0].Metric) {
 		t.Fatalf("empty variant = %+v, want 0 survivors and NaN metric", results[0])
+	}
+}
+
+// WhatIfRemovalsWithIndex rejects a non-positive k and a validation split
+// that does not match the index's queries instead of voting over them.
+func TestWhatIfRemovalsWithIndexErrors(t *testing.T) {
+	_, _, ft, _, valid := whatIfFixture(t)
+	ix, err := ml.NewNeighborIndex(ft.Data, valid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []RemovalVariant{{Name: "none"}}
+	if _, err := WhatIfRemovalsWithIndex(ft, variants, ix, 0, valid, 1); !errors.Is(err, nderr.ErrBadK) {
+		t.Errorf("k=0: err = %v, want ErrBadK", err)
+	}
+	short := valid.Subset([]int{0, 1, 2})
+	if _, err := WhatIfRemovalsWithIndex(ft, variants, ix, 3, short, 1); !errors.Is(err, nderr.ErrShapeMismatch) {
+		t.Errorf("short valid: err = %v, want ErrShapeMismatch", err)
 	}
 }

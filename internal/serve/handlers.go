@@ -22,15 +22,41 @@ import (
 	"nde/internal/prov"
 )
 
-// newModel is the classifier factory every serving computation retrains
-// with — the facade default (5-NN), fresh per call so concurrent
-// retrains never share state.
-func newModel() ml.Classifier { return ml.NewKNN(5) }
+// modelK is the neighborhood of the classifier every serving computation
+// retrains with — the facade default, 5-NN.
+const modelK = 5
 
-// writeJSON writes v as the JSON response body.
+// newModel is the classifier factory of that model, fresh per call so
+// concurrent retrains never share state.
+func newModel() ml.Classifier { return ml.NewKNN(modelK) }
+
+// reply is a response body as encoding/json wrote it, kept so that later
+// requests write the stored bytes instead of encoding again. As an async
+// run's result it is embedded in the poll reply through MarshalJSON,
+// whose output the encoder compacts (dropping the trailing newline).
+type reply []byte
+
+func (r reply) MarshalJSON() ([]byte, error) { return r, nil }
+
+// encodeReply encodes v as writeJSON's encoder writes it: json.Marshal
+// escapes HTML as an Encoder does by default, and Encode ends with a
+// newline.
+func encodeReply(v any) (reply, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// writeJSON writes v as the JSON response body; a reply is written as is.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if b, ok := v.(reply); ok {
+		_, _ = w.Write(b)
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -168,10 +194,11 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleImportance implements POST /v1/importance: kNN-Shapley over the
-// train split. Score vectors are content-addressed by (dataset, k) in a
+// train split. Encoded replies are content-addressed by (dataset, k) in a
 // singleflight store, so concurrent identical requests share one
-// computation and repeated ones are cache hits; distinct k values over
-// the same dataset still share the one neighbor index underneath.
+// computation and repeated ones write the stored bytes; distinct k values
+// over the same dataset still share the one neighbor index underneath,
+// looked up by the dataset's key without hashing its matrices.
 func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
 	if !post(w, r) {
 		return
@@ -194,17 +221,17 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compute(w, r, "ServeImportance", req.Async, d.train.Len(), req.Workers, func() (any, error) {
-		scores, err := s.scores.GetOrBuild(scoreKey{dataset: d.id, k: req.K}, func() ([]float64, error) {
-			sc, err := importance.KNNShapleyParallel(req.K, d.train, d.valid, req.Workers)
+		return s.scores.GetOrBuild(scoreKey{dataset: d.id, k: req.K}, func() (reply, error) {
+			ix, err := ml.SharedIndex(d.key, d.train, d.valid, req.Workers)
 			if err != nil {
 				return nil, err
 			}
-			return []float64(sc), nil
+			sc, err := importance.KNNShapleyWithIndex(req.K, ix, d.train.Y, d.valid.Y, req.Workers)
+			if err != nil {
+				return nil, err
+			}
+			return encodeReply(ImportanceResponse{Dataset: d.id, K: req.K, Scores: sc})
 		})
-		if err != nil {
-			return nil, err
-		}
-		return ImportanceResponse{Dataset: d.id, K: req.K, Scores: scores}, nil
 	})
 }
 
@@ -250,7 +277,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return WhatIfResponse{}, err
 			}
-			results, err := pipeline.WhatIfRemovalsParallel(ft, variants, newModel, d.valid, req.Workers)
+			ix, err := ml.SharedIndex(d.key, d.train, d.valid, req.Workers)
+			if err != nil {
+				return WhatIfResponse{}, err
+			}
+			results, err := pipeline.WhatIfRemovalsWithIndex(ft, variants, ix, modelK, d.valid, req.Workers)
 			if err != nil {
 				return WhatIfResponse{}, err
 			}

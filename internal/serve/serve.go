@@ -9,10 +9,11 @@
 //   - Datasets are registered once (POST /v1/datasets) and referenced by
 //     a content-addressed id, so repeated scoring of the same data keys
 //     into the same cached artifacts.
-//   - Derived artifacts — the shared neighbor index (internal/
-//     importance), the identity-provenance featurized table, and score
-//     vectors — live in singleflight internal/store caches: concurrent
-//     identical requests share one build instead of duplicating work.
+//   - Derived artifacts — the shared neighbor index (internal/ml), the
+//     identity-provenance featurized table, encoded score replies and
+//     what-if responses — live in singleflight internal/store caches:
+//     concurrent identical requests share one build instead of
+//     duplicating work.
 //   - Admission is budgeted (internal/par.Budget): at most Slots
 //     computations run concurrently, at most Queue callers wait, and
 //     anything beyond that is shed with 429 instead of queueing without
@@ -88,6 +89,9 @@ type dataset struct {
 	valid *ml.Dataset
 	test  *ml.Dataset // nil unless registered
 	truth []int       // nil unless registered
+	// key addresses the (train, valid) neighbor index in the shared store;
+	// its fingerprints also feed the id, so they are hashed once.
+	key ml.IndexKey
 }
 
 // Server is the serving core. Create with NewServer, mount Handler.
@@ -101,13 +105,13 @@ type Server struct {
 	dsOrder  []string // registration order for bounded eviction
 
 	// Derived-artifact caches, all singleflight (internal/store):
-	// featurized tables keyed by dataset id, score vectors keyed by
-	// (dataset id, k), what-if responses keyed by (dataset id, variant
+	// featurized tables keyed by dataset id, encoded score replies keyed
+	// by (dataset id, k), what-if responses keyed by (dataset id, variant
 	// fingerprint). The neighbor-index store in internal/ml is shared
-	// process-wide and needs no wiring here: importance scoring and what-if
-	// batches on one dataset look up the same exact index in it.
+	// process-wide: importance scoring and what-if batches on one dataset
+	// look up the same exact index in it under the dataset's key.
 	featurized *store.Store[string, *pipeline.Featurized]
-	scores     *store.Store[scoreKey, []float64]
+	scores     *store.Store[scoreKey, reply]
 	whatifs    *store.Store[whatifKey, WhatIfResponse]
 }
 
@@ -135,7 +139,7 @@ func NewServer(cfg Config) *Server {
 		runs:       newRunRegistry(cfg.KeepRuns),
 		datasets:   map[string]*dataset{},
 		featurized: store.New[string, *pipeline.Featurized]("serve_featurized", 8),
-		scores:     store.New[scoreKey, []float64]("serve_scores", 32),
+		scores:     store.New[scoreKey, reply]("serve_scores", 32),
 		whatifs:    store.New[whatifKey, WhatIfResponse]("serve_whatif", 32),
 	}
 }
@@ -214,6 +218,7 @@ func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
 		valid: valid,
 		test:  test,
 		truth: req.Truth,
+		key:   ml.KeyOf(train, valid),
 	}
 	d.id = datasetID(d)
 
@@ -241,7 +246,8 @@ func (s *Server) lookup(id string) (*dataset, bool) {
 }
 
 // datasetID derives the content-addressed id: an FNV-1a combination of
-// the split fingerprints and label/truth vectors. Same content, same id.
+// the split fingerprints (train and valid from d.key) and label/truth
+// vectors. Same content, same id.
 func datasetID(d *dataset) string {
 	h := fnv.New64a()
 	write := func(v uint64) {
@@ -251,8 +257,8 @@ func datasetID(d *dataset) string {
 		}
 		h.Write(b[:])
 	}
-	write(d.train.X.Fingerprint())
-	write(d.valid.X.Fingerprint())
+	write(d.key.Train)
+	write(d.key.Queries)
 	for _, y := range d.train.Y {
 		write(uint64(int64(y)))
 	}

@@ -62,8 +62,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// postJSON posts v (marshaled) and returns status, parsed body.
-func postJSON(t *testing.T, url string, v any) (int, map[string]any) {
+// postRaw posts v (marshaled) and returns status and the raw reply body.
+func postRaw(t *testing.T, url string, v any) (int, []byte) {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -78,13 +78,20 @@ func postJSON(t *testing.T, url string, v any) (int, map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp.StatusCode, raw
+}
+
+// postJSON posts v (marshaled) and returns status, parsed body.
+func postJSON(t *testing.T, url string, v any) (int, map[string]any) {
+	t.Helper()
+	code, raw := postRaw(t, url, v)
 	var out map[string]any
 	if len(raw) > 0 {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("non-JSON response %q: %v", raw, err)
 		}
 	}
-	return resp.StatusCode, out
+	return code, out
 }
 
 func register(t *testing.T, ts *httptest.Server, trainRows int) string {
@@ -298,31 +305,16 @@ func TestAsyncRunLifecycle(t *testing.T) {
 		t.Fatalf("run id = %q", runID)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/runs/" + runID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rr RunResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if rr.State == "done" {
-			res, _ := rr.Result.(map[string]any)
-			if scores, _ := res["scores"].([]any); len(scores) != 30 {
-				t.Fatalf("async result scores = %d, want 30", len(scores))
-			}
-			break
-		}
-		if rr.State == "error" {
-			t.Fatalf("async run failed: %s (%s)", rr.Error, rr.Class)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async run never finished")
-		}
-		runtime.Gosched()
+	var rr RunResponse
+	if err := json.Unmarshal(pollRun(t, ts, runID), &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.State != "done" {
+		t.Fatalf("async run failed: %s (%s)", rr.Error, rr.Class)
+	}
+	res, _ := rr.Result.(map[string]any)
+	if scores, _ := res["scores"].([]any); len(scores) != 30 {
+		t.Fatalf("async result scores = %d, want 30", len(scores))
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/runs/r-999999")
@@ -332,6 +324,35 @@ func TestAsyncRunLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown run = %d, want 404", resp.StatusCode)
+	}
+}
+
+// pollRun polls /v1/runs/{id} until the run leaves state "running" and
+// returns that poll's raw reply.
+func pollRun(t *testing.T, ts *httptest.Server, runID string) []byte {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(raw, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.State != "running" {
+			return raw
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("async run never finished")
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -428,10 +449,10 @@ func TestSharedBuildWaits(t *testing.T) {
 	flight.Add(1)
 	go func() {
 		defer flight.Done()
-		_, _ = s.scores.GetOrBuild(scoreKey{dataset: id, k: 3}, func() ([]float64, error) {
+		_, _ = s.scores.GetOrBuild(scoreKey{dataset: id, k: 3}, func() (reply, error) {
 			close(built)
 			<-release
-			return []float64{0.5}, nil
+			return encodeReply(ImportanceResponse{Dataset: id, K: 3, Scores: []float64{0.5}})
 		})
 	}()
 	<-built

@@ -7,10 +7,11 @@
 # tree (everything but the BENCH_*.json files) differs from HEAD, i.e. the
 # numbers belong to uncommitted changes on top of that commit. Four series
 # are emitted: the importance/pipeline hot paths plus one serve-cold
-# registration (BENCH_importance.json), the what-if fan-out
-# (BENCH_whatif.json), exact top-k and the full-argsort layer
-# (BENCH_neighbor.json), and the delta-vs-rebuild incremental-maintenance
-# gate (BENCH_incremental.json). `make bench` runs this.
+# registration and the /v1/importance reply layer (BENCH_importance.json),
+# the what-if fan-out and serve-warm's warm batch (BENCH_whatif.json),
+# exact top-k and the full-argsort layer (BENCH_neighbor.json), and the
+# delta-vs-rebuild incremental-maintenance gate (BENCH_incremental.json).
+# `make bench` runs this.
 #
 # Usage: sh scripts/bench.sh [importance-output.json]
 #   NDE_BENCHTIME=2s   benchtime per benchmark (default 1s)
@@ -22,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 outdir="${NDE_BENCH_OUTDIR:-.}"
 out="${1:-$outdir/BENCH_importance.json}"
-filter="${NDE_BENCH_FILTER:-BenchmarkAblation|BenchmarkMCShapleyParallel|BenchmarkKNNShapley|BenchmarkKNNPredictBatch|BenchmarkPipelineRunObs|BenchmarkServeRegister}"
+filter="${NDE_BENCH_FILTER:-BenchmarkAblation|BenchmarkMCShapleyParallel|BenchmarkKNNShapley|BenchmarkKNNPredictBatch|BenchmarkPipelineRunObs|BenchmarkServeRegister|BenchmarkServeImportance}"
 benchtime="${NDE_BENCHTIME:-1s}"
 
 tmp="$(mktemp)"

@@ -56,6 +56,11 @@ go test -run='^FuzzReadCSV$' -fuzz='^FuzzReadCSV$' -fuzztime=2s ./internal/frame
 echo "==> go test -fuzz FuzzDecodeRegister (2s)"
 go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./internal/serve/
 
+# the what-if batch lineage, differential against evaluating every output
+# row's provenance polynomial
+echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"
+go test -run='^FuzzWhatIfSurvivors$' -fuzz='^FuzzWhatIfSurvivors$' -fuzztime=2s ./internal/pipeline/
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then
