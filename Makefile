@@ -34,8 +34,8 @@ ops-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# tracked benchmark series -> BENCH_importance.json + BENCH_whatif.json +
-# BENCH_neighbor.json
+# tracked benchmark series, medians of five runs -> BENCH_importance.json +
+# BENCH_whatif.json + BENCH_neighbor.json + BENCH_incremental.json
 bench:
 	sh scripts/bench.sh
 
@@ -44,6 +44,7 @@ bench-all:
 	go test -bench=. -benchmem ./...
 
 # perf-regression gate: fresh run vs the checked-in BENCH_*.json baselines,
-# fails on >15% ns/op regression (scripts/check.sh runs this when NDE_BENCH=1)
+# fails on a >15% regression of a median ns/op, B/op or allocs/op
+# (scripts/check.sh runs this when NDE_BENCH=1)
 bench-diff:
 	sh scripts/bench_diff.sh

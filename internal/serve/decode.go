@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 )
 
 // errTrailingData rejects request bodies with bytes after the JSON
@@ -82,9 +81,9 @@ func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
 //     truth, split objects whose keys are exactly csv, label, x and y,
 //     each key at most once;
 //   - strings with no backslash, control byte or byte >= 0x7f;
-//   - numbers that match the JSON grammar, floats converted by
-//     strconv.ParseFloat and ints by strconv.ParseInt, as encoding/json
-//     converts them;
+//   - numbers that match the JSON grammar, read in one pass and
+//     converted as strconv.ParseFloat/ParseInt convert them, which is how
+//     encoding/json converts them;
 //   - no null, and nothing after the object but whitespace.
 //
 // On such a body it fills req exactly as encoding/json would — nil and
@@ -298,74 +297,9 @@ func (d *regDecoder) ints() []int {
 	}
 	out := make([]int, 0, n)
 	for i := 0; d.more(i == 0, ']'); i++ {
-		v, err := strconv.ParseInt(string(d.number()), 10, strconv.IntSize)
-		if err != nil {
-			d.fail()
-		}
-		out = append(out, int(v))
+		out = append(out, d.label())
 	}
 	return out
-}
-
-// float reads one number as encoding/json converts it into a float64.
-func (d *regDecoder) float() float64 {
-	v, err := strconv.ParseFloat(string(d.number()), 64)
-	if err != nil {
-		d.fail()
-	}
-	return v
-}
-
-// number returns the literal of the JSON number at the cursor, checked
-// against the JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
-// What follows it is left to the caller, so "01" reads as "0" and then
-// fails there.
-func (d *regDecoder) number() []byte {
-	d.ws()
-	b, start := d.b, d.p
-	p := start
-	if p < len(b) && b[p] == '-' {
-		p++
-	}
-	if p < len(b) && b[p] == '0' {
-		p++
-	} else if q := digitsEnd(b, p); q > p {
-		p = q
-	} else {
-		d.fail()
-		return nil
-	}
-	if p < len(b) && b[p] == '.' {
-		q := digitsEnd(b, p+1)
-		if q == p+1 {
-			d.fail()
-			return nil
-		}
-		p = q
-	}
-	if p < len(b) && (b[p] == 'e' || b[p] == 'E') {
-		p++
-		if p < len(b) && (b[p] == '+' || b[p] == '-') {
-			p++
-		}
-		q := digitsEnd(b, p)
-		if q == p {
-			d.fail()
-			return nil
-		}
-		p = q
-	}
-	d.p = p
-	return b[start:p]
-}
-
-// digitsEnd returns the index just past the run of decimal digits that
-// starts at b[p].
-func digitsEnd(b []byte, p int) int {
-	for p < len(b) && b[p]-'0' < 10 {
-		p++
-	}
-	return p
 }
 
 // skipWS returns the index of the first non-whitespace byte of b, or

@@ -85,6 +85,12 @@ func canonicalBodies(t testing.TB) map[string][]byte {
 		"spaced":      []byte(" {\n\t\"valid\" : { \"y\" : [ 0 , 1 ] , \"x\" : [ [ -0 , 2.5e-3 ] , [ 1E+2 , -7 ] ] } ,\r\n \"train\":{\"x\":[[],[1]],\"y\":[],\"label\":\"\"}, \"truth\": [] } \n"),
 		"empty":       []byte(`{}`),
 		"neg-zero":    []byte(`{"train":{"x":[[-0,0,-0.0,0e5,-0E-5]],"y":[-0]},"valid":{"x":[[]]}}`),
+		// numbers the scanner hands to strconv.ParseFloat: the smallest
+		// subnormal and normal, the largest float, underflow, a halfway
+		// integer and mantissas past 19 digits
+		"hard-numbers": []byte(`{"train":{"x":[[4.9406564584124654e-324,2.2250738585072011e-308,1.7976931348623157e308],` +
+			`[1e-400,9007199254740993,12345678901234567890123]],"y":[0,1]},` +
+			`"valid":{"x":[[0.12345678901234567890123,-1.00000000000000000000001,9007199254740993.0000000000000000001]],"y":[7]}}`),
 	}
 }
 
@@ -129,6 +135,7 @@ func outsideBodies(t testing.TB) map[string][]byte {
 		"null-name":      []byte(`{"name":null}`),
 		"null-body":      []byte(`null`),
 		"huge":           []byte(`{"train":{"x":[[1e400]],"y":[0]}}`),
+		"past-max":       []byte(`{"train":{"x":[[1.7976931348623159e308]],"y":[0]}}`),
 		"leading-zero":   []byte(`{"train":{"x":[[01]],"y":[0]}}`),
 		"float-label":    []byte(`{"train":{"x":[[1]],"y":[1.0]}}`),
 		"exp-label":      []byte(`{"truth":[1e2]}`),

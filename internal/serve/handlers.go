@@ -169,13 +169,19 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// the op's clock covers the decode; a body that fails to decode
+	// records no op, as on every other endpoint
+	start := time.Now()
 	var req RegisterRequest
 	if !decodeRegister(body, &req) && !decodeJSON(w, body, &req) {
 		return
 	}
-	start := time.Now()
 	d, err := s.registerDataset(&req)
-	obs.RecordOp("ServeRegister", time.Since(start), 0, 0, "", nde.ErrorClass(err))
+	rows := 0
+	if err == nil {
+		rows = d.train.Len()
+	}
+	obs.RecordOp("ServeRegister", time.Since(start), rows, 0, "", nde.ErrorClass(err))
 	if err != nil {
 		writeComputeErr(w, err)
 		return

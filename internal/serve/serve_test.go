@@ -680,6 +680,61 @@ func TestComputePanicRecovered(t *testing.T) {
 	}
 }
 
+// POST /v1/datasets records one ServeRegister op, whose clock covers the
+// decode, with the train row count: on either decoder, and with no rows
+// when registration fails. A body that fails to decode records no op.
+func TestRegisterLedgerOp(t *testing.T) {
+	var ledger bytes.Buffer
+	prev := obs.SetLedger(obs.NewLedger(&ledger, obs.LedgerMeta{Cmd: "serve-test", Git: "-"}))
+	t.Cleanup(func() { obs.SetLedger(prev) })
+	h := NewServer(Config{}).Handler()
+	fast := mustMarshal(t, registerBody(20))
+	var viaJSON map[string]any
+	if err := json.Unmarshal(fast, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+	viaJSON["name"] = "escé" // outside the fast path's strings
+	bodies := []struct {
+		body []byte
+		code int
+	}{
+		{fast, http.StatusOK},
+		{mustMarshal(t, viaJSON), http.StatusOK},
+		{[]byte(`{"train":{"x":[[1]],"y":[0]}`), http.StatusBadRequest},
+		{[]byte(`{"train":{"x":[[1]],"y":[0]}}`), http.StatusBadRequest},
+	}
+	for i, c := range bodies {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Fatalf("body %d = %d %s, want %d", i, rec.Code, rec.Body, c.code)
+		}
+	}
+	obs.SetLedger(prev)
+	var ops []obs.LedgerRecord
+	for _, line := range strings.Split(strings.TrimSpace(ledger.String()), "\n") {
+		var r obs.LedgerRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("ledger line %q: %v", line, err)
+		}
+		if r.Type == "op" {
+			ops = append(ops, r)
+		}
+	}
+	want := []struct {
+		rows int
+		err  string
+	}{{20, ""}, {20, ""}, {0, "empty_input"}}
+	if len(ops) != len(want) {
+		t.Fatalf("ledger ops %+v, want %d", ops, len(want))
+	}
+	for i, w := range want {
+		if r := ops[i]; r.Op != "ServeRegister" || r.Rows != w.rows || r.Err != w.err || r.MS <= 0 {
+			t.Errorf("op %d = %+v, want ServeRegister with %d rows, class %q and a duration", i, r, w.rows, w.err)
+		}
+	}
+}
+
 // The ops plane is mounted on the same handler as the API.
 func TestOpsPlaneMounted(t *testing.T) {
 	obs.Reset()

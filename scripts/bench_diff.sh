@@ -1,15 +1,16 @@
 #!/bin/sh
 # bench_diff.sh — the perf-regression gate: re-run the tracked benchmark
-# series into a temp directory and compare each benchmark's ns/op and
-# allocs/op against the checked-in BENCH_*.json baselines. Fails when any
-# benchmark regresses on either by more than the threshold (default 15%).
+# series into a temp directory and compare each benchmark's median ns/op,
+# B/op and allocs/op (bench.sh records medians over five runs) against
+# the checked-in BENCH_*.json baselines. Fails when any benchmark
+# regresses on any of the three by more than the threshold (default 15%).
 # Benchmarks present only on one side (just added, or just retired) are
 # reported but never fail the gate — refresh the baselines with
 # `make bench` when the set changes on purpose.
 # `make bench-diff` runs this; scripts/check.sh runs it when NDE_BENCH=1.
 #
 # Usage: sh scripts/bench_diff.sh
-#   NDE_BENCH_DIFF_PCT=15   allowed ns/op and allocs/op regression percentage
+#   NDE_BENCH_DIFF_PCT=15   allowed ns/op, B/op and allocs/op regression percentage
 #   NDE_BENCHTIME=1s        benchtime per benchmark (passed through)
 set -eu
 cd "$(dirname "$0")/.."
@@ -19,12 +20,12 @@ threshold="${NDE_BENCH_DIFF_PCT:-15}"
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
 
-echo "==> fresh benchmark run (comparing against checked-in baselines, +${threshold}% ns/op and allocs/op allowed)"
+echo "==> fresh benchmark run (comparing medians against checked-in baselines, +${threshold}% ns/op, B/op and allocs/op allowed)"
 NDE_BENCH_OUTDIR="$fresh" sh scripts/bench.sh
 
-# extract NAME NS ALLOCS triples from one of our generated JSON files (one
-# benchmark object per line, a format bench.sh controls); ALLOCS is "-"
-# when the line has no allocs_per_op
+# extract NAME NS BYTES ALLOCS from one of our generated JSON files (one
+# benchmark object per line, a format bench.sh controls); BYTES or ALLOCS
+# is "-" when the line has no bytes_per_op or allocs_per_op
 extract() {
     awk '
 function field(key,    line) {
@@ -36,7 +37,7 @@ function field(key,    line) {
 /"name":/ {
     line = $0
     sub(/.*"name": "/, "", line); name = line; sub(/".*/, "", name)
-    print name, field("ns_per_op"), field("allocs_per_op")
+    print name, field("ns_per_op"), field("bytes_per_op"), field("allocs_per_op")
 }' "$1"
 }
 
@@ -52,21 +53,23 @@ for base in BENCH_importance.json BENCH_whatif.json BENCH_neighbor.json BENCH_in
     if ! awk -v threshold="$threshold" '
 # pct OLD NEW — relative change in percent (0 against a zero baseline)
 function pct(o, n) { return o > 0 ? (n - o) / o * 100 : 0 }
-NR == FNR { old[$1] = $2; oldAllocs[$1] = $3; next }
+# gate OLD NEW UNIT — "" when either side lacks the value, else the change
+# as text; marks the benchmark regressed past the threshold
+function gate(o, n, unit,    p) {
+    if (o == "-" || n == "-") return ""
+    p = pct(o, n)
+    if (p > threshold) verdict = "REGRESSION"
+    return sprintf("  %s -> %s %s (%+.1f%%)", o, n, unit, p)
+}
+NR == FNR { old[$1] = $2; oldBytes[$1] = $3; oldAllocs[$1] = $4; next }
 {
     new[$1] = $2
     if (!($1 in old)) { printf "  NEW   %-55s %12.0f ns/op (no baseline)\n", $1, $2; next }
     verdict = "ok"
-    nsPct = pct(old[$1], $2)
-    if (nsPct > threshold) verdict = "REGRESSION"
-    allocs = ""
-    if (oldAllocs[$1] != "-" && $3 != "-") {
-        allocPct = pct(oldAllocs[$1], $3)
-        if (allocPct > threshold) verdict = "REGRESSION"
-        allocs = sprintf("  %s -> %s allocs/op (%+.1f%%)", oldAllocs[$1], $3, allocPct)
-    }
+    ns = gate(old[$1], $2, "ns/op")
+    rest = gate(oldBytes[$1], $3, "B/op") gate(oldAllocs[$1], $4, "allocs/op")
     if (verdict != "ok") failed = 1
-    printf "  %-5s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n", verdict, $1, old[$1], $2, nsPct, allocs
+    printf "  %-5s %-55s%s%s\n", verdict, $1, ns, rest
 }
 END {
     for (name in old) if (!(name in new))
@@ -78,7 +81,7 @@ END {
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "bench_diff: ns/op or allocs/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
+    echo "bench_diff: median ns/op, B/op or allocs/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
     exit 1
 fi
-echo "bench_diff: OK (no benchmark regressed more than ${threshold}% in ns/op or allocs/op)"
+echo "bench_diff: OK (no benchmark regressed more than ${threshold}% in median ns/op, B/op or allocs/op)"

@@ -56,6 +56,11 @@ go test -run='^FuzzReadCSV$' -fuzz='^FuzzReadCSV$' -fuzztime=2s ./internal/frame
 echo "==> go test -fuzz FuzzDecodeRegister (2s)"
 go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./internal/serve/
 
+# its one-pass number scanner, differential against the literal through
+# strconv.ParseFloat and strconv.ParseInt
+echo "==> go test -fuzz FuzzRegisterNumber (2s)"
+go test -run='^FuzzRegisterNumber$' -fuzz='^FuzzRegisterNumber$' -fuzztime=2s ./internal/serve/
+
 # the what-if batch lineage, differential against evaluating every output
 # row's provenance polynomial
 echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"
@@ -78,8 +83,9 @@ if [ "${NDE_SKIP_SMOKE:-0}" != "1" ]; then
 fi
 
 # opt-in: perf-regression gate — fresh benchmark run compared against the
-# checked-in BENCH_*.json baselines, failing on >15% ns/op regression
-# (refresh the baselines themselves with `make bench`)
+# checked-in BENCH_*.json baselines, failing on a >15% regression of a
+# median ns/op, B/op or allocs/op (refresh the baselines themselves with
+# `make bench`)
 if [ "${NDE_BENCH:-0}" = "1" ]; then
     echo "==> scripts/bench_diff.sh"
     sh scripts/bench_diff.sh

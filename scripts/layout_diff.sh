@@ -26,13 +26,17 @@ trap 'rm -rf "$tmp"' EXIT
 
 # the hot symbols of the benchmark's workloads and of its reference kernel
 hot='main.(*refBuf).kernel
+nde/internal/linalg.pairwiseD2Block
+nde/internal/ml.argsortInto
 nde/internal/ml.SquaredDistance
 nde/internal/ml.(*KNN).topK
 nde/internal/ml.selectK
 nde/internal/ml.partition
 nde/internal/importance.knnShapleyKernel
 nde/internal/importance.shapleyPoint
-slices.partitionOrdered[go.shape.float64]'
+slices.partitionOrdered[go.shape.float64]
+nde/internal/serve.(*regDecoder).scanNumber
+nde/internal/serve.eiselLemire'
 
 # hex converts a hexadecimal string (with or without 0x) to a number;
 # addresses fit a double exactly
