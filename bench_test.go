@@ -173,6 +173,26 @@ func BenchmarkE18DetectionBenchmark(b *testing.B) {
 
 // --- micro-benchmarks and ablations on the core primitives ---
 
+// warmStore returns a store holding the neighbor index of (train, valid)
+// with its order table, built outside any timed loop; a lookup in the
+// loop then hashes both matrices and hits, as an owner's repeated calls
+// do.
+func warmStore(b *testing.B, train, valid *ml.Dataset) *ml.IndexStore {
+	b.Helper()
+	st := ml.NewIndexStore()
+	lookupIndex(b, st, train, valid).Order(0)
+	return st
+}
+
+// lookupIndex is an owner's lookup of the (train, valid) index in st.
+func lookupIndex(b *testing.B, st *ml.IndexStore, train, valid *ml.Dataset) *ml.NeighborIndex {
+	ix, err := st.Index(ml.KeyOf(train, valid), train, valid, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
+}
+
 func benchDataset(b *testing.B, n int) (*ml.Dataset, *ml.Dataset) {
 	b.Helper()
 	s := nde.LoadRecommendationLetters(n, 7)
@@ -187,9 +207,10 @@ func benchDataset(b *testing.B, n int) (*ml.Dataset, *ml.Dataset) {
 // same training size — quantifies the cost of skipping the closed form.
 func BenchmarkAblationKNNShapleyClosedForm(b *testing.B) {
 	train, valid := benchDataset(b, 200)
+	st := warmStore(b, train, valid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := importance.KNNShapley(5, train, valid); err != nil {
+		if _, err := importance.KNNShapleyWithIndex(5, lookupIndex(b, st, train, valid), train.Y, valid.Y, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,6 +324,7 @@ func BenchmarkPipelineRunObs(b *testing.B) {
 
 func BenchmarkKNNShapleyObs(b *testing.B) {
 	train, valid := benchDataset(b, 200)
+	st := warmStore(b, train, valid)
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
 			if mode == "on" {
@@ -317,7 +339,7 @@ func BenchmarkKNNShapleyObs(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := importance.KNNShapley(5, train, valid); err != nil {
+				if _, err := importance.KNNShapleyWithIndex(5, lookupIndex(b, st, train, valid), train.Y, valid.Y, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -327,10 +349,11 @@ func BenchmarkKNNShapleyObs(b *testing.B) {
 
 func BenchmarkKNNShapleyParallelObsOff(b *testing.B) {
 	train, valid := benchDataset(b, 200)
+	st := warmStore(b, train, valid)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := importance.KNNShapleyParallel(5, train, valid, 0); err != nil {
+		if _, err := importance.KNNShapleyWithIndex(5, lookupIndex(b, st, train, valid), train.Y, valid.Y, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,16 +385,16 @@ func BenchmarkMCShapleyParallel(b *testing.B) {
 
 // What-if removal batches (scripts/bench.sh records this series in
 // BENCH_whatif.json). workers=1 and workers=auto run the same 8-variant
-// batch over the letters pipeline serially and fanned out, on a warm
-// neighbor-index store: every call after the first votes over the stored
-// index. cold and warm-4000 run serve-warm's what-if shape — identity
-// provenance over 4000 rows of 32 features, 100 queries, the baseline
-// plus 8 variants removing 10 rows each. cold empties the store every
-// iteration, so each batch pays the distance kernel and the order table
-// it leaves stored for the next request. warm-4000 makes the calls a
-// /v1/whatif makes below its handler, on a stored index: the store lookup
-// by a key hashed once beforehand, then the batch — its lineage pass and
-// every variant's vote.
+// batch over the letters pipeline serially and fanned out, on the
+// facade's warm neighbor-index store: every call after the first votes
+// over the stored index. cold and warm-4000 run serve-warm's what-if
+// shape — identity provenance over 4000 rows of 32 features, 100 queries,
+// the baseline plus 8 variants removing 10 rows each. cold empties the
+// facade's store every iteration, so each batch pays the distance kernel
+// and the order table it leaves stored for the next request. warm-4000
+// makes the calls a /v1/whatif makes below its handler, on a stored
+// index: the store lookup by a key hashed once beforehand, then the
+// batch — its lineage pass and every variant's vote.
 func BenchmarkWhatIf(b *testing.B) {
 	s := nde.LoadRecommendationLetters(300, 11)
 	hp, err := nde.BuildHiringPipeline(s.Train, s.Data.Jobs, s.Data.Social)
@@ -429,21 +452,22 @@ func BenchmarkWhatIf(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			importance.ResetNeighborIndexCache()
+			nde.ResetNeighborIndexCache()
 			if _, err := nde.WhatIfParallel(coldFt, cold, valid, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm-4000", func(b *testing.B) {
+		st := ml.NewIndexStore()
 		key := ml.KeyOf(train, valid) // hashed once, as at registration
-		if _, err := ml.SharedIndex(key, train, valid, 0); err != nil {
+		if _, err := st.Index(key, train, valid, 0); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix, err := ml.SharedIndex(key, train, valid, 0)
+			ix, err := st.Index(key, train, valid, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -674,16 +698,14 @@ func BenchmarkIncremental(b *testing.B) {
 	for _, n := range []int{2000, 20000} {
 		train, valid := mk(n), mk(queries)
 		b.Run(fmt.Sprintf("delta/n=%d", n), func(b *testing.B) {
-			importance.ResetNeighborIndexCache()
-			// warm the shared base index once; each iteration then pays only
-			// the derivation + recurrence, the steady-state interactive cost
-			if _, _, _, err := importance.KNNShapleyDelta(k, train, valid, nil, 0); err != nil {
-				b.Fatal(err)
-			}
+			// build the base index once; each iteration then pays only the
+			// base lookup, derivation + recurrence, the steady-state
+			// interactive cost
+			st := warmStore(b, train, valid)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := importance.KNNShapleyDelta(k, train, valid, []int{i % n}, 0); err != nil {
+				if _, _, _, err := importance.KNNShapleyDerive(k, lookupIndex(b, st, train, valid), train.Y, valid.Y, []int{i % n}, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -694,7 +716,6 @@ func BenchmarkIncremental(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				importance.ResetNeighborIndexCache() // force the full kernel
 				keep = keep[:0]
 				for row := 0; row < n; row++ {
 					if row != i%n {

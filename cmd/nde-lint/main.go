@@ -1,18 +1,19 @@
 // Command nde-lint runs the repo's contract-enforcing static analysis
 // pass (internal/lint) over the whole module: determinism, panicsite,
-// errwrap, and obsguard. `make lint` and scripts/check.sh run it between
-// vet and build; see DESIGN.md §10 "Static analysis contract".
+// errwrap, obsguard, and globalstate. `make lint` and scripts/check.sh
+// run it between vet and build; see DESIGN.md §10 "Static analysis
+// contract".
 //
 // Usage:
 //
 //	nde-lint [-json] [-update] [-allow dir] [-root dir] [analyzer ...]
 //
 // With no analyzer names, all analyzers run. Findings are keyed
-// file:func and matched against scripts/lint/<analyzer>.txt; unmatched
-// findings fail the run. -update rewrites the allowlists from the
-// current tree (review the diff — every entry is a deliberate
-// exception). -json emits the full finding list, allowlisted included,
-// for CI annotations.
+// file:func (globalstate: file:var) and matched against
+// scripts/lint/<analyzer>.txt; unmatched findings fail the run. -update
+// rewrites the allowlists from the current tree (review the diff — every
+// entry is a deliberate exception). -json emits the full finding list,
+// allowlisted included, for CI annotations.
 package main
 
 import (
@@ -119,7 +120,7 @@ func selectAnalyzers(names []string) ([]*lint.Analyzer, error) {
 	for _, n := range names {
 		a, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: determinism, panicsite, errwrap, obsguard)", n)
+			return nil, fmt.Errorf("unknown analyzer %q (have: determinism, panicsite, errwrap, obsguard, globalstate)", n)
 		}
 		out = append(out, a)
 	}

@@ -48,6 +48,15 @@ func main() {
 	}
 }
 
+// serveConfig maps the flags to a serve.Config. The config reads Queue 0
+// as "use the default", so -queue 0, no queue at all, becomes -1.
+func serveConfig(slots, queue int, maxBody int64, pprof bool) serve.Config {
+	if queue == 0 {
+		queue = -1
+	}
+	return serve.Config{Slots: slots, Queue: queue, MaxBodyBytes: maxBody, Ops: ops.Config{Pprof: pprof}}
+}
+
 // run is the whole daemon behind flag parsing; it returns instead of
 // exiting so tests can drive a full lifecycle in-process. It serves
 // until the listener fails or a termination signal completes a drain.
@@ -55,7 +64,7 @@ func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nde-serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for a free port)")
 	slots := fs.Int("slots", 4, "concurrent computation budget")
-	queue := fs.Int("queue", 8, "computations that may wait for a slot before 429s")
+	queue := fs.Int("queue", 8, "computations that may wait for a slot before 429s (0: shed as soon as every slot is busy)")
 	maxBody := fs.Int64("max-body", 8<<20, "request body cap in bytes")
 	pprofFlag := fs.Bool("pprof", false, "expose /debug/pprof on the listener")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight computations on shutdown")
@@ -71,12 +80,7 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	core := serve.NewServer(serve.Config{
-		Slots:        *slots,
-		Queue:        *queue,
-		MaxBodyBytes: *maxBody,
-		Ops:          ops.Config{Pprof: *pprofFlag},
-	})
+	core := serve.NewServer(serveConfig(*slots, *queue, *maxBody, *pprofFlag))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		sess.Close()

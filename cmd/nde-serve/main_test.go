@@ -162,3 +162,14 @@ func TestServeLifecycleSIGTERM(t *testing.T) {
 	}
 	_ = runID // the async run's op record is the second ServeImportance
 }
+
+// -queue 0 asks for no queue: a computation arriving while every slot is
+// busy is shed at once. serve.Config reads Queue 0 as its default of 8,
+// so the command passes -1; other values pass through.
+func TestQueueFlagZeroMeansNoQueue(t *testing.T) {
+	for flagQueue, want := range map[int]int{0: -1, 1: 1, 8: 8} {
+		if got := serveConfig(4, flagQueue, 1<<20, false).Queue; got != want {
+			t.Errorf("-queue %d: Config.Queue = %d, want %d", flagQueue, got, want)
+		}
+	}
+}

@@ -62,7 +62,7 @@ func WhatIfParallel(ft *Featurized, variants []RemovalVariant, valid *Dataset, w
 
 // WhatIfWithOptions is WhatIf with full control. Since the default model
 // is a kNN, the batch takes the exact neighbor index over the featurized
-// data from the process-wide store that kNN-Shapley scoring shares, and
+// data from the facade's store, which kNN-Shapley scoring shares, and
 // every variant votes its labels over the first k surviving rows of each
 // query's cached order — no distance kernel and no derived index per
 // variant, and none per call once the geometry is stored. ForceRebuild
@@ -76,19 +76,14 @@ func WhatIfWithOptions(ft *Featurized, variants []RemovalVariant, valid *Dataset
 	if err := checkPair("pipeline output", ft.Data, "valid", valid); err != nil {
 		return nil, err
 	}
+	if !opts.ForceRebuild && ft.Data.Len() > 0 {
+		// A build failure falls through to WhatIfRemovalsConfig, which
+		// reports the condition per variant on its generic path.
+		if ix, err := storedIndex(ft.Data, valid, opts.Workers); err == nil {
+			return pipeline.WhatIfRemovalsWithIndex(ft, variants, ix, defaultK, valid, opts.Workers)
+		}
+	}
 	return pipeline.WhatIfRemovalsConfig(ft, variants, func() ml.Classifier { return DefaultModel() }, valid, opts)
-}
-
-// ResetNeighborIndexCache drops every cached kNN neighbor index. The
-// process-wide store holds the distance geometry and neighbor orders of
-// the last few (train, valid) pairs seen by kNN-Shapley scoring and kNN
-// what-if batches (at most 4 indexes by default); long-running processes
-// that churn through many datasets can call this to release the memory
-// eagerly. Safe for concurrent use; in-flight computations keep their own
-// reference and finish unaffected.
-func ResetNeighborIndexCache() {
-	defer recordOp("ResetNeighborIndexCache", time.Now(), 0, 0, nil)
-	importance.ResetNeighborIndexCache()
 }
 
 // SelfConfidenceScores ranks training examples by out-of-fold predicted
@@ -176,7 +171,7 @@ func IterativeCleaning(train, valid, test *Dataset, truth []int, batch, budget i
 	}
 	return cleaning.IterativeClean(train, valid, test,
 		&cleaning.LabelOracle{Truth: truth},
-		&cleaning.KNNShapleyStrategy{K: 5},
+		&cleaning.KNNShapleyStrategy{K: 5, Indexes: indexes.Load()},
 		func() ml.Classifier { return DefaultModel() },
 		batch, budget)
 }

@@ -20,8 +20,8 @@ import (
 // merged neighbor walk — so iterating "drop the worst row, look again" is
 // interactive even at tens of thousands of rows, while staying
 // Float64bits-identical to recomputing everything from scratch. Only the
-// opening index comes from the shared cache; derived indexes are the
-// session's own and are not registered there.
+// opening index comes from the facade's index store; derived indexes are
+// the session's own and are not registered there.
 //
 // Safe for concurrent use; mutations serialize on an internal mutex.
 type DebugSession struct {
@@ -49,7 +49,11 @@ func NewDebugSession(train, valid *Dataset, k, workers int) (_ *DebugSession, er
 	if err := checkK("DebugSession", k, train.Len()); err != nil {
 		return nil, err
 	}
-	scores, keep, ix, err := importance.KNNShapleyDelta(k, train, valid, nil, workers)
+	parent, err := storedIndex(train, valid, workers)
+	if err != nil {
+		return nil, err
+	}
+	scores, keep, ix, err := importance.KNNShapleyDerive(k, parent, train.Y, valid.Y, nil, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +92,7 @@ func (s *DebugSession) OriginalIDs() []int {
 // of the survivors. The update is the delta path end to end: the next
 // index derives from the one the session holds, so the chain never
 // rebuilds distance geometry, fingerprints the training set, or touches
-// the shared index cache. The call is atomic: on error the session is
+// the facade's index store. The call is atomic: on error the session is
 // unchanged.
 func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 	defer recordOp("DebugSessionRemoveRows", time.Now(), len(rows), s.workers, &err)
@@ -106,7 +110,7 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 		return nil, fmt.Errorf("nde: removal leaves %d rows for k=%d: %w", len(keep), s.k, nderr.ErrBadK)
 	}
 	// Survivor features are the child index's own; labels and groups stay
-	// the session's (the index's may be stale, see importance's cache).
+	// the session's (a stored index may carry another label revision).
 	train := &Dataset{X: ix.Train.X, Y: make([]int, len(keep))}
 	if len(s.train.Groups) > 0 {
 		train.Groups = make([]string, len(keep))

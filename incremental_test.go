@@ -27,8 +27,6 @@ func sessionFixture(t *testing.T) (*nde.Dataset, *nde.Dataset) {
 // recomputing kNN-Shapley from scratch over the surviving subset, and its
 // Accuracy must match a freshly rebuilt index.
 func TestDebugSessionMatchesRecompute(t *testing.T) {
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 	dTrain, dValid := sessionFixture(t)
 	const k = 5
 	sess, err := nde.NewDebugSession(dTrain, dValid, k, 2)
@@ -77,21 +75,19 @@ func TestDebugSessionMatchesRecompute(t *testing.T) {
 }
 
 // Session steps derive from the index the session holds: after the
-// opening lookup they neither read nor register anything in the shared
-// index cache, so they never evict another caller's index.
+// opening lookup they never read the facade's index store, so they never
+// evict another caller's index.
 func TestDebugSessionStepsBypassSharedCache(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
 	defer obs.Reset()
 	defer obs.Disable()
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 	dTrain, dValid := sessionFixture(t)
 	sess, err := nde.NewDebugSession(dTrain, dValid, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"hits", "misses", "waits", "puts"}
+	names := []string{"hits", "misses", "waits"}
 	before := make([]int64, len(names))
 	for i, name := range names {
 		before[i] = obs.Default().Counter("importance_neighbor_index_" + name + "_total").Value()
@@ -109,8 +105,6 @@ func TestDebugSessionStepsBypassSharedCache(t *testing.T) {
 }
 
 func TestDebugSessionAtomicOnError(t *testing.T) {
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 	dTrain, dValid := sessionFixture(t)
 	sess, err := nde.NewDebugSession(dTrain, dValid, 5, 1)
 	if err != nil {
@@ -152,12 +146,10 @@ func TestDebugSessionAtomicOnError(t *testing.T) {
 }
 
 // Race-stress: concurrent WhatIfParallel callers share one base index while
-// a DebugSession derives delta indexes from the same cache and a churn
-// goroutine resets it. Run under -race; results must stay bit-identical to
+// a DebugSession derives delta indexes from the same facade store and a
+// churn goroutine resets it. Run under -race; results must stay bit-identical to
 // the serial baseline throughout.
 func TestStressWhatIfUnderIndexMutation(t *testing.T) {
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 	s := nde.LoadRecommendationLetters(120, 23)
 	hp, err := nde.BuildHiringPipeline(s.Train, s.Data.Jobs, s.Data.Social)
 	if err != nil {
@@ -212,7 +204,7 @@ func TestStressWhatIfUnderIndexMutation(t *testing.T) {
 			}
 		}(g)
 	}
-	// session goroutine: derives delta indexes from the shared cache while
+	// session goroutine: derives delta indexes from the facade's store while
 	// the what-if callers run
 	wg.Add(1)
 	go func() {
@@ -231,7 +223,7 @@ func TestStressWhatIfUnderIndexMutation(t *testing.T) {
 			}
 		}
 	}()
-	// churn goroutine: the cache reset path must never corrupt in-flight work
+	// churn goroutine: the store reset path must never corrupt in-flight work
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

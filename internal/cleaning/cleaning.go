@@ -77,9 +77,13 @@ func (s *RandomStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
 	return rand.New(rand.NewSource(s.Seed)).Perm(train.Len()), nil
 }
 
-// KNNShapleyStrategy ranks by ascending kNN-Shapley value.
+// KNNShapleyStrategy ranks by ascending kNN-Shapley value, scored at one
+// worker. Rounds of a cleaning loop relabel rows but keep the features,
+// so with Indexes set every round after the first reads the neighbor
+// index the first one stored; without it each round builds its own.
 type KNNShapleyStrategy struct {
-	K int // neighbors (default 5)
+	K       int            // neighbors (default 5)
+	Indexes *ml.IndexStore // where rounds look up their neighbor index; nil builds one per round
 }
 
 // Name returns "knn-shapley".
@@ -91,7 +95,18 @@ func (s *KNNShapleyStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
 	if k <= 0 {
 		k = 5
 	}
-	scores, err := importance.KNNShapley(k, train, valid)
+	if s.Indexes == nil {
+		scores, err := importance.KNNShapley(k, train, valid)
+		if err != nil {
+			return nil, err
+		}
+		return scores.RankAscending(), nil
+	}
+	ix, err := s.Indexes.Index(ml.KeyOf(train, valid), train, valid, 1)
+	if err != nil {
+		return nil, err
+	}
+	scores, err := importance.KNNShapleyWithIndex(k, ix, train.Y, valid.Y, 1)
 	if err != nil {
 		return nil, err
 	}

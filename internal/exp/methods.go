@@ -105,7 +105,7 @@ func E6Scalability(seed int64) (*E6Result, error) {
 		ID:      "E6",
 		Title:   "§2.1 — Shapley runtime scaling: Monte-Carlo retraining vs. closed-form kNN",
 		Columns: []string{"n train", "tmc-shapley", "tmc-parallel", "knn-shapley", "knn-parallel", "speedup"},
-		Notes:   "the kNN closed form is O(n log n) per validation point; TMC retrains O(perms · n) times; both parallel columns run on the shared pool and are deterministic for any worker count",
+		Notes:   "the kNN closed form is O(n log n) per validation point; TMC retrains O(perms · n) times; both parallel columns run on the shared pool and are deterministic for any worker count; each kNN column times a whole call, its own neighbor-index build (distance kernel and order table) included",
 	}
 	res := &E6Result{Table: t, Sizes: sizes, Seconds: map[string][]float64{"tmc": nil, "tmc-par": nil, "knn": nil, "knn-par": nil}}
 	for _, n := range sizes {

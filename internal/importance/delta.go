@@ -8,39 +8,28 @@ import (
 	"nde/internal/obs"
 )
 
-// KNNShapleyDelta recomputes kNN-Shapley after removing training rows,
-// reusing the shared neighbor index for the ORIGINAL training set instead
-// of rebuilding from scratch: it looks the parent index up in the shared
-// cache, derives and scores the reduced index with KNNShapleyDerive, and
-// registers the derived index in the cache under the reduced train's own
-// fingerprint so follow-up calls, and further removals chained on top,
-// hit it directly.
+// KNNShapleyDelta recomputes kNN-Shapley after removing training rows: it
+// builds the neighbor index of the ORIGINAL training set and derives and
+// scores the reduced index with KNNShapleyDerive. A caller that already
+// holds the parent index calls KNNShapleyDerive directly and skips the
+// build.
 //
 // It returns the reduced scores (one per surviving row, in surviving
-// order), the surviving original row ids, and the derived index.
+// order), the surviving original row ids, and the derived index, which a
+// caller can keep to chain further removals on top.
 //
 // Determinism: the result is Float64bits-identical to
 // KNNShapley(k, train.Subset(keep), valid) — the full-rebuild oracle —
 // for every worker count.
-//
-// Labels are read from the caller's train argument, never from a cached
-// index: cached geometry may be shared across label revisions.
 func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int) (Scores, []int, *ml.NeighborIndex, error) {
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, nil, nil, err
 	}
-	parent, err := sharedNeighborIndex(train, valid, workers)
+	parent, err := ml.NewNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	scores, keep, child, err := KNNShapleyDerive(k, parent, train.Y, valid.Y, remove, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if child != parent {
-		ml.PutSharedIndex(child)
-	}
-	return scores, keep, child, nil
+	return KNNShapleyDerive(k, parent, train.Y, valid.Y, remove, workers)
 }
 
 // KNNShapleyDerive removes rows (indices into parent.Train, duplicates
@@ -51,7 +40,7 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 // its queries; the indexes' own labels are never read. An empty removal
 // scores parent itself. The child is not registered anywhere, so a caller
 // that holds on to it, such as nde.DebugSession, chains derivations
-// without fingerprinting or touching the shared cache.
+// without fingerprinting or touching an index store.
 //
 // It returns the survivors' scores, their row ids in parent, and the
 // child index. The scores are Float64bits-identical to KNNShapley over
@@ -100,7 +89,8 @@ func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []
 			return nil, nil, nil, err
 		}
 	}
-	// survivor labels from the CALLER (stale-label cache contract)
+	// survivor labels from the CALLER: a stored parent may carry another
+	// label revision
 	reducedY := make([]int, len(keep))
 	for o, i := range keep {
 		reducedY[o] = trainY[i]

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nde/internal/nderr"
-	"nde/internal/obs"
 )
 
 func assertScoresBitIdentical(t *testing.T, got, want Scores, ctx string) {
@@ -27,8 +26,6 @@ func assertScoresBitIdentical(t *testing.T, got, want Scores, ctx string) {
 // KNNShapley(k, train.Subset(keep), valid), for every worker count and
 // random removal sets.
 func TestKNNShapleyDeltaMatchesRebuild(t *testing.T) {
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
 	r := rand.New(rand.NewSource(31))
 	train := blobs(70, 1.5, 931)
 	valid := blobs(20, 1.5, 932)
@@ -61,8 +58,6 @@ func TestKNNShapleyDeltaMatchesRebuild(t *testing.T) {
 }
 
 func TestKNNShapleyDeltaNilRemovalEqualsFull(t *testing.T) {
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
 	train := blobs(40, 1.5, 933)
 	valid := blobs(15, 1.5, 934)
 	scores, keep, ix, err := KNNShapleyDelta(3, train, valid, nil, 2)
@@ -80,8 +75,6 @@ func TestKNNShapleyDeltaNilRemovalEqualsFull(t *testing.T) {
 }
 
 func TestKNNShapleyDeltaErrors(t *testing.T) {
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
 	train := blobs(10, 1.5, 935)
 	valid := blobs(5, 1.5, 936)
 	if _, _, _, err := KNNShapleyDelta(3, train, valid, []int{10}, 1); !errors.Is(err, nderr.ErrDegenerateInput) {
@@ -102,43 +95,9 @@ func TestKNNShapleyDeltaErrors(t *testing.T) {
 	}
 }
 
-// The derived index is registered under the reduced train's fingerprint:
-// a follow-up full KNNShapley over the subset must hit the cache, not
-// rebuild.
-func TestKNNShapleyDeltaRegistersDerivedIndex(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	defer obs.Reset()
-	obs.Reset()
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
-
-	train := blobs(50, 1.5, 937)
-	valid := blobs(20, 1.5, 938)
-	_, keep, _, err := KNNShapleyDelta(5, train, valid, []int{3, 11, 29}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_derived_total").Value(); got != 1 {
-		t.Fatalf("derived registrations = %d, want 1", got)
-	}
-	missesBefore := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
-	if _, err := KNNShapley(5, train.Subset(keep), valid); err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_misses_total").Value(); got != missesBefore {
-		t.Fatalf("full recompute on reduced data missed the cache (%d -> %d misses)", missesBefore, got)
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_hits_total").Value(); got < 1 {
-		t.Fatalf("expected a cache hit on the derived index, hits = %d", got)
-	}
-}
-
 // Chained deltas: repeatedly removing rows via the session pattern stays
 // identical to the oracle at every step.
 func TestKNNShapleyDeltaChained(t *testing.T) {
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
 	train := blobs(60, 1.5, 939)
 	valid := blobs(18, 1.5, 940)
 	cur := train

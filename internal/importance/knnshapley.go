@@ -25,10 +25,12 @@ import (
 // The total score of a training point is its sum over validation points,
 // normalized by the number of validation points.
 //
-// Distances and neighbor orders come from the shared NeighborIndex cache:
-// the valid×train squared-distance matrix is computed once through the
-// batched linalg kernel and reused across calls (and with
-// KNNShapleyParallel, which is bit-for-bit identical to this function).
+// Distances and neighbor orders come from a NeighborIndex this call
+// builds: the valid×train squared-distance matrix through the batched
+// linalg kernel, then the order table. A caller that scores one geometry
+// repeatedly holds the index (ml.IndexStore) and passes it to
+// KNNShapleyWithIndex, which is bit-for-bit identical to this function, as
+// is KNNShapleyParallel.
 func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, err
@@ -39,7 +41,7 @@ func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 	prog := obs.NewProgress("knnshapley", valid.Len())
 	defer prog.Done()
 
-	ix, err := sharedNeighborIndex(train, valid, 1)
+	ix, err := ml.NewNeighborIndex(train, valid, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -47,12 +49,20 @@ func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 	return scores, nil
 }
 
+// ResetNeighborIndexCache does nothing. The package holds no index store:
+// an owner of one (each serve.Server, and the nde facade, whose own
+// ResetNeighborIndexCache empties its store) drops it itself.
+//
+// Deprecated: KNNShapley, KNNShapleyParallel and KNNShapleyDelta build
+// their index on every call, so there is nothing to reset.
+func ResetNeighborIndexCache() {}
+
 // KNNShapleyWithIndex computes the same closed form from a caller-provided
 // NeighborIndex whose Train/Queries pair is the (train, valid) geometry of
 // interest, reusing its cached neighbor orders, on workers with
 // KNNShapleyParallel's telemetry. Labels come only from trainY (one per
 // training row) and validY (one per query), never from the index, which
-// the shared store may have built under another label revision; labels
+// an ml.IndexStore may have built under another label revision; labels
 // of the wrong length return ErrShapeMismatch. On the index and labels
 // KNNShapley uses, the result is bit-for-bit identical to KNNShapley.
 func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int) (Scores, error) {

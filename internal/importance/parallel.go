@@ -29,12 +29,12 @@ type ParallelStats struct {
 }
 
 // KNNShapleyParallel computes the same exact kNN-Shapley values as
-// KNNShapley using the shared worker pool over validation points. Results
-// are bit-for-bit deterministic and identical to the sequential function:
-// both read neighbor orders from the same shared NeighborIndex and run the
-// same kernel, which adds every validation point's contributions into the
-// scores in validation-point order, so float summation order never
-// depends on scheduling.
+// KNNShapley using the shared worker pool over validation points, over an
+// index it builds on workers. Results are bit-for-bit deterministic and
+// identical to the sequential function: both read the same exact neighbor
+// orders and run the same kernel, which adds every validation point's
+// contributions into the scores in validation-point order, so float
+// summation order never depends on scheduling.
 func KNNShapleyParallel(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
 	scores, _, err := KNNShapleyParallelStats(k, train, valid, workers)
 	return scores, err
@@ -48,7 +48,7 @@ func KNNShapleyParallelStats(k int, train, valid *ml.Dataset, workers int) (Scor
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, nil, err
 	}
-	ix, err := sharedNeighborIndex(train, valid, workers)
+	ix, err := ml.NewNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,7 +18,7 @@ type Diagnostic struct {
 	File     string         `json:"file"` // repo-root-relative, slash-separated
 	Line     int            `json:"line"`
 	Col      int            `json:"col"`
-	Func     string         `json:"func"` // enclosing top-level function, "-" at file scope
+	Func     string         `json:"func"` // enclosing top-level function, "-" at file scope (globalstate: the var)
 	Message  string         `json:"message"`
 	Allowed  bool           `json:"allowed"` // present in the analyzer's allowlist
 	pos      token.Position `json:"-"`
@@ -49,11 +49,17 @@ type Pass struct {
 // Report records a finding at node n, attributed to the enclosing
 // top-level function fn (nil for file-scope findings).
 func (p *Pass) Report(n ast.Node, fn *ast.FuncDecl, format string, args ...any) {
-	pos := p.Mod.Fset.Position(n.Pos())
 	name := "-"
 	if fn != nil {
 		name = fn.Name.Name
 	}
+	p.report(n, name, format, args...)
+}
+
+// report records a finding at node n keyed by name in place of the
+// enclosing function.
+func (p *Pass) report(n ast.Node, name, format string, args ...any) {
+	pos := p.Mod.Fset.Position(n.Pos())
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.analyzer.Name,
 		File:     p.Mod.Rel(pos.Filename),
@@ -174,9 +180,10 @@ func LoadAllowlists(dir string, analyzers []*Analyzer) (Allowlists, error) {
 
 // WriteAllowlists rewrites dir/<analyzer>.txt from the given findings:
 // the union of finding keys per analyzer, sorted. A leading #-comment
-// block in an existing file (the human rationale) is preserved.
-// Analyzers with no findings get their file removed — an empty contract
-// needs no exceptions file.
+// block in an existing file (the human rationale) is preserved, also
+// when the analyzer has no findings; otherwise an analyzer with no
+// findings gets its file removed — an empty contract needs no exceptions
+// file.
 func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -193,7 +200,8 @@ func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) erro
 	for _, a := range analyzers {
 		path := filepath.Join(dir, a.Name+".txt")
 		set := byAnalyzer[a.Name]
-		if len(set) == 0 {
+		header := leadingComments(path)
+		if len(set) == 0 && header == "" {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				return err
 			}
@@ -201,10 +209,10 @@ func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) erro
 		}
 		keys := make([]string, 0, len(set))
 		for k := range set {
-			keys = append(keys, k)
+			keys = append(keys, k+"\n")
 		}
 		sort.Strings(keys)
-		body := leadingComments(path) + strings.Join(keys, "\n") + "\n"
+		body := header + strings.Join(keys, "")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			return err
 		}
@@ -242,5 +250,5 @@ func (m *Module) relPkg(pkgPath string) string {
 
 // Analyzers returns the repo's analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard}
+	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard, Globalstate}
 }

@@ -85,6 +85,18 @@ func TestAllowlistUpdatePreservesComments(t *testing.T) {
 	if !strings.Contains(got, "a.go:F") {
 		t.Errorf("fresh entry missing:\n%s", got)
 	}
+
+	// an analyzer left with no findings keeps its rationale, not its keys
+	empty := filepath.Join(dir, "errwrap.txt")
+	if err := os.WriteFile(empty, []byte("# why\nstale.go:Old\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAllowlists(dir, Analyzers(), diags); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(empty); err != nil || string(data) != "# why\n" {
+		t.Errorf("finding-free allowlist = %q, %v; want its header only", data, err)
+	}
 }
 
 func TestLoadAllowlistsSkipsCommentsAndBlanks(t *testing.T) {

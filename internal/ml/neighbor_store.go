@@ -4,17 +4,20 @@ import (
 	"fmt"
 
 	"nde/internal/nderr"
-	"nde/internal/obs"
 	"nde/internal/store"
 )
 
-// The process-wide neighbor-index store. Its two consumers need the same
-// query×train geometry over datasets whose features rarely change:
-// kNN-Shapley scoring (internal/importance) reads the full per-query
-// orders, and kNN what-if batches (internal/pipeline) vote over their
-// surviving prefixes. Both look the index up here, so the distance matrix
-// and the order table are computed once per geometry and shared across
-// calls, packages and concurrent requests. Keys are content fingerprints
+// IndexStore is a bounded neighbor-index store. Its two consumers need
+// the same query×train geometry over datasets whose features rarely
+// change: kNN-Shapley scoring reads the full per-query orders, and kNN
+// what-if batches vote over their surviving prefixes. An owner that
+// serves both — a serve.Server, or the nde facade's package-level
+// functions — holds one IndexStore and looks every index up in it, so
+// the distance matrix and the order table are computed once per geometry
+// and shared across calls and concurrent requests. The kernels keep no
+// store of their own: importance.KNNShapleyWithIndex,
+// importance.KNNShapleyDerive and pipeline.WhatIfRemovalsWithIndex take
+// the index an owner resolved here. Keys are content fingerprints
 // (linalg.Matrix.Fingerprint) of both feature matrices, not pointer
 // identities, so an in-place feature mutation gets a fresh index. The
 // caller supplies the key (IndexKey): one that already holds both
@@ -27,16 +30,30 @@ import (
 // same-key callers always share one build even while other geometries
 // churn the store past its bound (see internal/store).
 //
-// Labels: the key covers features only, so a cached index may carry
+// Labels: the key covers features only, so a stored index may carry
 // another label revision's Train.Y. Consumers read geometry from it (D2,
 // Order, TopK) and labels from their own arguments (PredictBatchLabels,
 // PredictSurvivors) — never PredictBatch or PredictRow.
 //
 // Metrics keep the names the store exported when it lived in
 // internal/importance: importance_neighbor_index_{hits,misses,evictions,
-// waits,puts,derived}_total plus the importance_neighbor_index_{entries,
-// inflight} gauges. A "wait" is a caller that blocked on another
-// goroutine's in-flight build.
+// waits}_total plus the importance_neighbor_index_{entries,inflight}
+// gauges. Every IndexStore in a process adds to the same counters (obs
+// metrics are process-wide), and the gauges read the store that changed
+// last. A "wait" is a caller that blocked on another goroutine's
+// in-flight build.
+type IndexStore struct {
+	s *store.Store[IndexKey, *NeighborIndex]
+}
+
+// indexStoreCapacity bounds the ready indexes of one IndexStore.
+const indexStoreCapacity = 4
+
+// NewIndexStore returns an empty store that keeps at most four ready
+// indexes.
+func NewIndexStore() *IndexStore {
+	return &IndexStore{s: store.New[IndexKey, *NeighborIndex]("importance_neighbor_index", indexStoreCapacity)}
+}
 
 // IndexKey is the store key of one geometry: the content fingerprints
 // (linalg.Matrix.Fingerprint) of its training and query feature matrices.
@@ -50,68 +67,20 @@ func KeyOf(train, queries *Dataset) IndexKey {
 	return IndexKey{Train: train.X.Fingerprint(), Queries: queries.X.Fingerprint()}
 }
 
-// defaultSharedIndexCapacity is the initial LRU bound;
-// SetSharedIndexCapacity changes it.
-const defaultSharedIndexCapacity = 4
-
-var sharedIndexes = store.New[IndexKey, *NeighborIndex]("importance_neighbor_index", defaultSharedIndexCapacity)
-
-// SharedIndex returns the shared index over (train, queries), stored
-// under key, building it with NewNeighborIndex on a miss. key must be
-// KeyOf(train, queries); a caller that already holds both fingerprints
-// builds it from them instead of hashing again. Concurrent callers for
-// the same geometry share one build; a failed build (the validation
-// errors of NewNeighborIndex) is returned and not cached.
-func SharedIndex(key IndexKey, train, queries *Dataset, workers int) (*NeighborIndex, error) {
+// Index returns the stored index over (train, queries) under key,
+// building it with NewNeighborIndex on a miss. key must be KeyOf(train,
+// queries); a caller that already holds both fingerprints builds it from
+// them instead of hashing again. Concurrent callers for the same geometry
+// share one build; a failed build (the validation errors of
+// NewNeighborIndex) is returned and not stored.
+func (st *IndexStore) Index(key IndexKey, train, queries *Dataset, workers int) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
 		return NewNeighborIndex(train, queries, workers) // reports the nil set; not a store miss
 	}
-	return sharedIndexes.GetOrBuild(key, func() (*NeighborIndex, error) {
+	return st.s.GetOrBuild(key, func() (*NeighborIndex, error) {
 		return NewNeighborIndex(train, queries, workers)
 	})
 }
-
-// PutSharedIndex publishes an index built elsewhere — a delta-derived
-// child — under its own geometry, so the next SharedIndex call for the
-// mutated training set hits it instead of rebuilding. The first build
-// wins on collision; it reports whether ix was stored, and
-// importance_neighbor_index_derived_total counts those that were.
-func PutSharedIndex(ix *NeighborIndex) bool {
-	ok := sharedIndexes.Put(KeyOf(ix.Train, ix.Queries), ix)
-	if ok {
-		obs.Inc("importance_neighbor_index_derived_total")
-	}
-	return ok
-}
-
-// SetSharedIndexCapacity resizes the store's LRU bound and returns the
-// previous capacity. Shrinking evicts the least recently used ready
-// entries immediately, each counted in
-// importance_neighbor_index_evictions_total; in-flight builds are never
-// evicted, and the store trims back to the new bound as they complete.
-//
-// n must be >= 1: a zero or negative capacity would silently clamp and
-// leave the caller believing the store was disabled, so it is rejected
-// with a wrapped nderr.ErrDegenerateInput and the capacity is unchanged
-// (the current value is returned alongside the error).
-func SetSharedIndexCapacity(n int) (int, error) {
-	if n < 1 {
-		return sharedIndexes.Capacity(), fmt.Errorf("ml: neighbor-index store capacity %d, need >= 1: %w", n, nderr.ErrDegenerateInput)
-	}
-	return sharedIndexes.SetCapacity(n), nil
-}
-
-// SharedIndexCapacity returns the store's current LRU bound.
-func SharedIndexCapacity() int { return sharedIndexes.Capacity() }
-
-// SharedIndexLen returns the number of entries in the store, ready or in
-// flight.
-func SharedIndexLen() int { return sharedIndexes.Len() }
-
-// ResetSharedIndexes drops every stored index. In-flight builds are
-// unaffected: their waiters still receive the built index, it just is no
-// longer stored afterwards.
-func ResetSharedIndexes() { sharedIndexes.Reset() }
 
 // PredictSurvivors is PredictBatchLabels over only the training rows i
 // with alive[i], answered from the exact order table: for each query it
@@ -123,7 +92,7 @@ func ResetSharedIndexes() { sharedIndexes.Reset() }
 // derived index. A query whose nearest rows are mostly dead walks further
 // down its order, up to O(n).
 //
-// Labels come only from trainY, never from Train.Y (a shared index may
+// Labels come only from trainY, never from Train.Y (a stored index may
 // carry another label revision); trainY needs one non-negative label per
 // training row, and alive one entry per training row.
 func (ix *NeighborIndex) PredictSurvivors(k int, trainY []int, alive []bool) ([]int, error) {

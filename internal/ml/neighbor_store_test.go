@@ -23,8 +23,8 @@ func waitCounter(t *testing.T, name string, want int64) {
 }
 
 // REGRESSION for the in-flight eviction bug: under the old FIFO cache,
-// inserting a second geometry at capacity 1 evicted the *in-flight* head
-// entry, detaching the key from its running build — so any same-key caller
+// inserting geometries past the bound evicted the *in-flight* head entry,
+// detaching the key from its running build — so any same-key caller
 // arriving afterwards silently started a duplicate build of the same
 // geometry. The store must never evict an in-flight entry: concurrent
 // same-key callers during churn coalesce into exactly one build (one miss
@@ -37,18 +37,10 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	defer obs.Disable()
 	defer obs.Reset()
 	obs.Reset()
-	ResetSharedIndexes()
-	defer ResetSharedIndexes()
-	prev, err := SetSharedIndexCapacity(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetSharedIndexCapacity(prev)
+	st := NewIndexStore()
 
 	trainA := blobs(60, 1.5, 2001)
 	validA := blobs(30, 1.5, 2002)
-	trainB := blobs(10, 1.5, 2003)
-	validB := blobs(5, 1.5, 2004)
 
 	// the wave's first caller builds A through the store and blocks until
 	// released; the rest of the wave joins its flight
@@ -62,7 +54,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ix, err := sharedIndexes.GetOrBuild(KeyOf(trainA, validA), func() (*NeighborIndex, error) {
+		ix, err := st.s.GetOrBuild(KeyOf(trainA, validA), func() (*NeighborIndex, error) {
 			close(built)
 			<-release
 			return NewNeighborIndex(trainA, validA, 1)
@@ -76,7 +68,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	<-built
 	lookupA := func(out []*NeighborIndex, c int) {
 		defer wg.Done()
-		ix, err := SharedIndex(KeyOf(trainA, validA), trainA, validA, 1)
+		ix, err := st.Index(KeyOf(trainA, validA), trainA, validA, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -89,13 +81,15 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	}
 	waitCounter(t, "importance_neighbor_index_waits_total", wave-1)
 
-	// churn while A is in flight: build B at capacity 1, which under the
-	// old FIFO evicted in-flight A, and exercise the shrink path too
-	if _, err := SharedIndex(KeyOf(trainB, validB), trainB, validB, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SetSharedIndexCapacity(1); err != nil {
-		t.Fatal(err)
+	// churn while A is in flight: fill the store with as many other
+	// geometries as it holds, one more than fits beside A, which under
+	// the old FIFO evicted in-flight A
+	for i := 0; i < indexStoreCapacity; i++ {
+		train := blobs(10, 1.5, int64(2003+2*i))
+		valid := blobs(5, 1.5, int64(2004+2*i))
+		if _, err := st.Index(KeyOf(train, valid), train, valid, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// stragglers arrive strictly after the churn: the first joins A's
 	// flight, the second hits its stored entry once the flight is over;
@@ -119,8 +113,11 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 			t.Fatalf("straggler %d got a different index instance: geometry A was rebuilt", c)
 		}
 	}
+	if ev := obs.Default().Counter("importance_neighbor_index_evictions_total").Value(); ev != 1 {
+		t.Errorf("evictions = %d, want 1 (the churn crossed the bound once, never evicting A)", ev)
+	}
 	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
-	if misses != 2 { // one for A, one for B — a third means A rebuilt
-		t.Errorf("misses = %d, want 2 (A built once, B built once)", misses)
+	if misses != 1+indexStoreCapacity { // A once, each churn geometry once — more means A rebuilt
+		t.Errorf("misses = %d, want %d (A built once, each churn geometry once)", misses, 1+indexStoreCapacity)
 	}
 }

@@ -66,8 +66,8 @@ type WhatIfConfig struct {
 	// Workers bounds the variant fan-out (<= 0 = GOMAXPROCS).
 	Workers int
 	// ForceRebuild disables the kNN fast path: every variant builds a
-	// private neighbor index over its surviving rows from scratch, and the
-	// shared index store is neither read nor filled. This is the
+	// private neighbor index over its surviving rows from scratch instead
+	// of voting over one index of the whole batch. This is the
 	// determinism oracle — results are bit-for-bit identical to the fast
 	// path (asserted in tests), it just does the O(n·d·q) work per variant
 	// the fast path skips.
@@ -76,12 +76,11 @@ type WhatIfConfig struct {
 
 // WhatIfRemovalsConfig is the fully configurable what-if evaluator. When
 // the model factory produces a *ml.KNN (the default debugging model), the
-// batch takes one exact neighbor index over the full featurized data from
-// the process-wide store (ml.SharedIndex, the entry kNN-Shapley scoring
-// uses) and hands it to WhatIfRemovalsWithIndex: no distance kernel,
-// selection or derived index per variant, and none at all once the
-// geometry is stored. Non-kNN factories use the generic retrain path
-// unchanged.
+// batch builds one exact neighbor index over the full featurized data and
+// hands it to WhatIfRemovalsWithIndex: no distance kernel, selection or
+// derived index per variant. A caller that holds the index already (an
+// ml.IndexStore owner) calls WhatIfRemovalsWithIndex itself and builds
+// nothing. Non-kNN factories use the generic retrain path unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
 		return nil, fmt.Errorf("pipeline: WhatIfRemovals needs a model factory")
@@ -91,11 +90,11 @@ func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel fu
 		knnK = knn.K
 	}
 	if knnK > 0 && !cfg.ForceRebuild && ft.Data.Len() > 0 && valid != nil {
-		// One shared exact index over the unmodified featurized data; every
+		// One exact index over the unmodified featurized data; every
 		// variant votes over its order. A build failure (e.g. non-finite
 		// features a caller slipped past featurization) falls back to the
 		// generic retrain path, which reports the same condition per variant.
-		if ix, err := ml.SharedIndex(ml.KeyOf(ft.Data, valid), ft.Data, valid, cfg.Workers); err == nil {
+		if ix, err := ml.NewNeighborIndex(ft.Data, valid, cfg.Workers); err == nil {
 			return WhatIfRemovalsWithIndex(ft, variants, ix, knnK, valid, cfg.Workers)
 		}
 	}

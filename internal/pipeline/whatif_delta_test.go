@@ -9,7 +9,6 @@ import (
 
 	"nde/internal/ml"
 	"nde/internal/nderr"
-	"nde/internal/obs"
 	"nde/internal/prov"
 )
 
@@ -27,14 +26,14 @@ func randomVariants(r *rand.Rand, n, count int) []RemovalVariant {
 	return variants
 }
 
-// The kNN fast path (one index from the shared store, every variant voted
+// The kNN fast path (one index of the whole batch, every variant voted
 // over its cached orders) must be bit-identical to the per-variant full
-// rebuild, at every worker count — including when the stored index was
-// built with other labels (the store is keyed by features only, so labels
-// must come from ft.Data.Y), for an empty removal list, a variant that
-// removes every row (NaN sentinel), duplicate removals, and a variant
-// that removes a query's k nearest rows so its vote walks past them. The
-// fast path must take the primed index, never build its own.
+// rebuild, at every worker count — whether WhatIfRemovalsConfig builds the
+// index or the caller passes one built with other labels (a store is
+// keyed by features only, so labels must come from ft.Data.Y) — for an
+// empty removal list, a variant that removes every row (NaN sentinel),
+// duplicate removals, and a variant that removes a query's k nearest rows
+// so its vote walks past them.
 func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	_, _, ft, _, valid := whatIfFixture(t)
 	newModel := func() ml.Classifier { return ml.NewKNN(3) }
@@ -67,39 +66,38 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// prime the store with the same features under flipped labels
-	ml.ResetSharedIndexes()
-	defer ml.ResetSharedIndexes()
+	// an index over the same features under flipped labels, as a store
+	// shared across label revisions hands out
 	flipped := ft.Data.Clone()
 	for i, y := range flipped.Y {
 		flipped.Y[i] = 1 - y
 	}
-	if _, err := ml.SharedIndex(ml.KeyOf(flipped, valid), flipped, valid, 1); err != nil {
+	primed, err := ml.NewNeighborIndex(flipped, valid, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Enable()
-	defer obs.Disable()
-	defer obs.Reset()
-	obs.Reset()
 
 	for _, workers := range []int{1, 4} {
-		got, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: workers})
+		built, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range oracle {
-			if got[i].Surviving != oracle[i].Surviving {
-				t.Fatalf("workers=%d variant %q: surviving %d, rebuild %d",
-					workers, variants[i].Name, got[i].Surviving, oracle[i].Surviving)
-			}
-			if math.Float64bits(got[i].Metric) != math.Float64bits(oracle[i].Metric) {
-				t.Fatalf("workers=%d variant %q: metric %x, rebuild %x",
-					workers, variants[i].Name, math.Float64bits(got[i].Metric), math.Float64bits(oracle[i].Metric))
+		given, err := WhatIfRemovalsWithIndex(ft, variants, primed, 3, valid, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, got := range map[string][]WhatIfResult{"built": built, "primed": given} {
+			for i := range oracle {
+				if got[i].Surviving != oracle[i].Surviving {
+					t.Fatalf("workers=%d %s variant %q: surviving %d, rebuild %d",
+						workers, path, variants[i].Name, got[i].Surviving, oracle[i].Surviving)
+				}
+				if math.Float64bits(got[i].Metric) != math.Float64bits(oracle[i].Metric) {
+					t.Fatalf("workers=%d %s variant %q: metric %x, rebuild %x",
+						workers, path, variants[i].Name, math.Float64bits(got[i].Metric), math.Float64bits(oracle[i].Metric))
+				}
 			}
 		}
-	}
-	if misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value(); misses != 0 {
-		t.Errorf("fast path built %d neighbor indexes, want 0 (the primed one serves)", misses)
 	}
 }
 

@@ -228,7 +228,7 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
 	}
 	s.compute(w, r, "ServeImportance", req.Async, d.train.Len(), req.Workers, func() (any, error) {
 		return s.scores.GetOrBuild(scoreKey{dataset: d.id, k: req.K}, func() (reply, error) {
-			ix, err := ml.SharedIndex(d.key, d.train, d.valid, req.Workers)
+			ix, err := s.indexes.Index(d.key, d.train, d.valid, req.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +283,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return WhatIfResponse{}, err
 			}
-			ix, err := ml.SharedIndex(d.key, d.train, d.valid, req.Workers)
+			ix, err := s.indexes.Index(d.key, d.train, d.valid, req.Workers)
 			if err != nil {
 				return WhatIfResponse{}, err
 			}
@@ -329,13 +329,14 @@ func variantsFingerprint(variants []pipeline.RemovalVariant) uint64 {
 }
 
 // strategyByName maps wire names to cleaning strategies. Seeded
-// strategies use a fixed seed so responses are reproducible.
-func strategyByName(name string) (cleaning.Strategy, bool) {
+// strategies use a fixed seed so responses are reproducible, and
+// kNN-Shapley rounds look their neighbor index up in the server's store.
+func (s *Server) strategyByName(name string) (cleaning.Strategy, bool) {
 	switch name {
 	case "random":
 		return &cleaning.RandomStrategy{Seed: 1}, true
 	case "knn-shapley":
-		return &cleaning.KNNShapleyStrategy{}, true
+		return &cleaning.KNNShapleyStrategy{Indexes: s.indexes}, true
 	case "loo":
 		return &cleaning.LOOStrategy{}, true
 	case "noise-score":
@@ -373,7 +374,7 @@ func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 	}
 	strategies := make([]cleaning.Strategy, len(req.Strategies))
 	for i, name := range req.Strategies {
-		st, ok := strategyByName(name)
+		st, ok := s.strategyByName(name)
 		if !ok {
 			writeErr(w, http.StatusBadRequest, "unknown cleaning strategy "+name, "bad_request")
 			return

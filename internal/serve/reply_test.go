@@ -39,17 +39,14 @@ func encoded(t *testing.T, v any) []byte {
 	return b.Bytes()
 }
 
-// withObs resets the metrics and the neighbor-index store for one test
-// and turns metrics on for it.
+// withObs resets the metrics for one test and turns them on for it.
 func withObs(t *testing.T) *obs.Registry {
 	t.Helper()
 	obs.Reset()
 	obs.Enable()
-	importance.ResetNeighborIndexCache()
 	t.Cleanup(func() {
 		obs.Disable()
 		obs.Reset()
-		importance.ResetNeighborIndexCache()
 	})
 	return obs.Default()
 }
@@ -118,37 +115,34 @@ func TestAsyncImportanceResult(t *testing.T) {
 	}
 }
 
-// Serve keys a dataset's neighbor index by the fingerprints it computed
-// at registration, and the library hashes the same matrices into the same
-// key: a /v1/importance miss and an importance.KNNShapley call on
-// equal-content splits share one store entry in either order.
-func TestImportanceSharesLibraryIndex(t *testing.T) {
-	for _, serverFirst := range []bool{true, false} {
-		r := withObs(t)
+// Each Server owns its neighbor-index store: two servers in one process
+// that register the same content each build its index once, and a
+// /v1/cleaning comparison after /v1/importance on that dataset reads the
+// stored index in every kNN-Shapley round instead of building one.
+func TestServersOwnTheirIndexStores(t *testing.T) {
+	r := withObs(t)
+	counter := func(name string) int64 { return r.Counter("importance_neighbor_index_" + name + "_total").Value() }
+	for n := int64(1); n <= 2; n++ {
 		_, ts := newTestServer(t, Config{})
 		id := register(t, ts, 40)
-		train, valid := blobSplits(t, 40)
-		library := func() {
-			if _, err := importance.KNNShapley(3, train, valid); err != nil {
-				t.Fatal(err)
-			}
+		if code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": 3}); code != http.StatusOK {
+			t.Fatalf("server %d: importance = %d: %v", n, code, body)
 		}
-		server := func() {
-			if code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": 3}); code != http.StatusOK {
-				t.Fatalf("importance = %d: %v", code, body)
-			}
+		if misses := counter("misses"); misses != n {
+			t.Fatalf("server %d: neighbor index misses %d, want %d (one per server)", n, misses, n)
 		}
-		if serverFirst {
-			server()
-			library()
-		} else {
-			library()
-			server()
+		hits := counter("hits")
+		code, body := postJSON(t, ts.URL+"/v1/cleaning", map[string]any{
+			"dataset": id, "strategies": []string{"knn-shapley"}, "batch": 5, "budget": 10,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("server %d: cleaning = %d: %v", n, code, body)
 		}
-		misses := r.Counter("importance_neighbor_index_misses_total").Value()
-		hits := r.Counter("importance_neighbor_index_hits_total").Value()
-		if misses != 1 || hits != 1 {
-			t.Errorf("server first %v: neighbor index misses %d hits %d, want 1 and 1", serverFirst, misses, hits)
+		if misses := counter("misses"); misses != n {
+			t.Errorf("server %d: cleaning built %d neighbor indexes, want 0", n, misses-n)
+		}
+		if got := counter("hits"); got <= hits {
+			t.Errorf("server %d: neighbor index hits %d after cleaning, want more than %d", n, got, hits)
 		}
 	}
 }

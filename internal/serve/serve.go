@@ -9,11 +9,11 @@
 //   - Datasets are registered once (POST /v1/datasets) and referenced by
 //     a content-addressed id, so repeated scoring of the same data keys
 //     into the same cached artifacts.
-//   - Derived artifacts — the shared neighbor index (internal/ml), the
+//   - Derived artifacts — the neighbor index (an ml.IndexStore), the
 //     identity-provenance featurized table, encoded score replies and
-//     what-if responses — live in singleflight internal/store caches:
-//     concurrent identical requests share one build instead of
-//     duplicating work.
+//     what-if responses — live in singleflight internal/store caches the
+//     Server owns: concurrent identical requests share one build instead
+//     of duplicating work.
 //   - Admission is budgeted (internal/par.Budget): at most Slots
 //     computations run concurrently, at most Queue callers wait, and
 //     anything beyond that is shed with 429 instead of queueing without
@@ -50,11 +50,6 @@ type Config struct {
 	Queue int
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxDatasets bounds the dataset registry; registering past it
-	// evicts the oldest dataset (default 32).
-	MaxDatasets int
-	// KeepRuns bounds retained finished async runs (default 256).
-	KeepRuns int
 	// Ops configures the mounted telemetry plane. Its Ready func is
 	// overridden to reflect drain state.
 	Ops ops.Config
@@ -72,14 +67,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.MaxDatasets <= 0 {
-		c.MaxDatasets = 32
-	}
-	if c.KeepRuns <= 0 {
-		c.KeepRuns = 256
-	}
 	return c
 }
+
+const (
+	// maxDatasets bounds the dataset registry; registering past it
+	// evicts the oldest dataset.
+	maxDatasets = 32
+	// keepRuns bounds retained finished async runs.
+	keepRuns = 256
+)
 
 // dataset is one registered dataset. Immutable after registration.
 type dataset struct {
@@ -89,8 +86,8 @@ type dataset struct {
 	valid *ml.Dataset
 	test  *ml.Dataset // nil unless registered
 	truth []int       // nil unless registered
-	// key addresses the (train, valid) neighbor index in the shared store;
-	// its fingerprints also feed the id, so they are hashed once.
+	// key addresses the (train, valid) neighbor index in the server's
+	// store; its fingerprints also feed the id, so they are hashed once.
 	key ml.IndexKey
 }
 
@@ -107,12 +104,13 @@ type Server struct {
 	// Derived-artifact caches, all singleflight (internal/store):
 	// featurized tables keyed by dataset id, encoded score replies keyed
 	// by (dataset id, k), what-if responses keyed by (dataset id, variant
-	// fingerprint). The neighbor-index store in internal/ml is shared
-	// process-wide: importance scoring and what-if batches on one dataset
-	// look up the same exact index in it under the dataset's key.
+	// fingerprint), and neighbor indexes keyed by the dataset's key, where
+	// importance scoring, what-if batches and every kNN-Shapley cleaning
+	// round on one dataset find the same exact index.
 	featurized *store.Store[string, *pipeline.Featurized]
 	scores     *store.Store[scoreKey, reply]
 	whatifs    *store.Store[whatifKey, WhatIfResponse]
+	indexes    *ml.IndexStore
 }
 
 type scoreKey struct {
@@ -136,11 +134,12 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:        cfg,
 		budget:     par.NewBudget("serve_budget", cfg.Slots, cfg.Queue),
-		runs:       newRunRegistry(cfg.KeepRuns),
+		runs:       newRunRegistry(keepRuns),
 		datasets:   map[string]*dataset{},
 		featurized: store.New[string, *pipeline.Featurized]("serve_featurized", 8),
 		scores:     store.New[scoreKey, reply]("serve_scores", 32),
 		whatifs:    store.New[whatifKey, WhatIfResponse]("serve_whatif", 32),
+		indexes:    ml.NewIndexStore(),
 	}
 }
 
@@ -229,7 +228,7 @@ func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
 	}
 	s.datasets[d.id] = d
 	s.dsOrder = append(s.dsOrder, d.id)
-	for len(s.datasets) > s.cfg.MaxDatasets {
+	for len(s.datasets) > maxDatasets {
 		oldest := s.dsOrder[0]
 		s.dsOrder = s.dsOrder[1:]
 		delete(s.datasets, oldest)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"nde/internal/importance"
 	"nde/internal/obs"
 )
 
@@ -161,6 +160,30 @@ func TestEndpointsHappyPath(t *testing.T) {
 		m := r.(map[string]any)
 		if curve, _ := m["curve"].([]any); len(curve) < 2 {
 			t.Errorf("strategy %v curve too short: %v", m["strategy"], m["curve"])
+		}
+	}
+}
+
+// The registry keeps the last maxDatasets registrations: one more evicts
+// the oldest, whose id then answers 404 not_found, and the rest answer.
+func TestRegistryEvictsOldestDataset(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ids := make([]string, maxDatasets+1)
+	seen := map[string]bool{}
+	for i := range ids {
+		ids[i] = register(t, ts, 20+i)
+		if seen[ids[i]] {
+			t.Fatalf("registration %d reused id %s", i, ids[i])
+		}
+		seen[ids[i]] = true
+	}
+	code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": ids[0], "k": 3})
+	if code != http.StatusNotFound || body["class"] != "not_found" {
+		t.Errorf("oldest dataset = %d %v, want 404 not_found", code, body)
+	}
+	for _, id := range ids[1:] {
+		if code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": 3}); code != http.StatusOK {
+			t.Errorf("dataset %s = %d %v, want 200", id, code, body)
 		}
 	}
 }
@@ -379,11 +402,9 @@ func TestBudgetExhausted429(t *testing.T) {
 func TestConcurrentRequestsShareBuild(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
-	importance.ResetNeighborIndexCache()
 	t.Cleanup(func() {
 		obs.Disable()
 		obs.Reset()
-		importance.ResetNeighborIndexCache()
 	})
 	_, ts := newTestServer(t, Config{Slots: 8})
 	id := register(t, ts, 60)

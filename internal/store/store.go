@@ -26,8 +26,7 @@
 //	<name>_hits_total       ready entry served (possibly after a wait)
 //	<name>_misses_total     build started
 //	<name>_waits_total      caller blocked on another caller's build
-//	<name>_evictions_total  LRU eviction (bound or capacity shrink)
-//	<name>_puts_total       pre-built artifact inserted via Put
+//	<name>_evictions_total  LRU eviction past the bound
 //	<name>_entries          gauge: current entry count
 //	<name>_inflight         gauge: builds currently running
 package store
@@ -58,10 +57,10 @@ func (e *entry[V]) isReady() bool {
 // Store is a bounded content-addressed artifact cache. The zero value is
 // not usable; use New. Safe for concurrent use.
 type Store[K comparable, V any] struct {
-	// Metric names under the store's prefix, precomputed so that GetOrBuild
-	// and Get allocate nothing while obs is off: concatenating at the call
-	// site would allocate on every call even with telemetry disabled.
-	mHits, mMisses, mWaits, mEvictions, mPuts, mEntries, mInflight string
+	// Metric names under the store's prefix, precomputed so that
+	// GetOrBuild allocates nothing while obs is off: concatenating at the
+	// call site would allocate on every call even with telemetry disabled.
+	mHits, mMisses, mWaits, mEvictions, mEntries, mInflight string
 
 	mu       sync.Mutex
 	capacity int
@@ -83,7 +82,6 @@ func New[K comparable, V any](name string, capacity int) *Store[K, V] {
 		mMisses:    name + "_misses_total",
 		mWaits:     name + "_waits_total",
 		mEvictions: name + "_evictions_total",
-		mPuts:      name + "_puts_total",
 		mEntries:   name + "_entries",
 		mInflight:  name + "_inflight",
 		capacity:   capacity,
@@ -150,48 +148,6 @@ func (s *Store[K, V]) GetOrBuild(key K, build func() (V, error)) (V, error) {
 	return val, nil
 }
 
-// Put inserts an already-built artifact at the most-recently-used end,
-// reporting whether it was stored. A key that is already present — ready
-// OR in flight — is left untouched (first build wins, preserving the
-// singleflight invariant that a key's value never changes once published);
-// the existing entry is only refreshed in recency. Used by the delta
-// derivation path, where a child artifact is produced as a by-product of
-// its parent rather than by a flight of its own.
-//
-// Metric: <name>_puts_total counts successful inserts.
-func (s *Store[K, V]) Put(key K, val V) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		s.touchLocked(key)
-		return false
-	}
-	e := &entry[V]{ready: make(chan struct{}), val: val}
-	close(e.ready)
-	s.entries[key] = e
-	s.order = append(s.order, key)
-	obs.Inc(s.mPuts)
-	s.trimLocked()
-	s.gaugesLocked()
-	return true
-}
-
-// Get returns the ready artifact for key without building. In-flight
-// entries report !ok rather than blocking.
-func (s *Store[K, V]) Get(key K) (V, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok && e.isReady() && e.err == nil {
-		s.touchLocked(key)
-		s.mu.Unlock()
-		obs.Inc(s.mHits)
-		return e.val, true
-	}
-	s.mu.Unlock()
-	var zero V
-	return zero, false
-}
-
 // trimLocked evicts least-recently-used READY entries until the store is
 // within capacity or only in-flight entries remain.
 func (s *Store[K, V]) trimLocked() {
@@ -240,29 +196,6 @@ func (s *Store[K, V]) touchLocked(key K) {
 func (s *Store[K, V]) gaugesLocked() {
 	obs.SetGauge(s.mEntries, float64(len(s.entries)))
 	obs.SetGauge(s.mInflight, float64(s.inflight))
-}
-
-// SetCapacity resizes the store (minimum 1) and returns the previous
-// capacity. Shrinking evicts least-recently-used ready entries immediately;
-// in-flight overflow trims as builds complete.
-func (s *Store[K, V]) SetCapacity(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.capacity
-	s.capacity = n
-	s.trimLocked()
-	s.gaugesLocked()
-	return prev
-}
-
-// Capacity returns the current bound on ready artifacts.
-func (s *Store[K, V]) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
 }
 
 // Len returns the current entry count (ready + in flight).

@@ -46,6 +46,15 @@ func waitCounter(t *testing.T, name string, n int64) {
 	}
 }
 
+// has reports whether key holds an entry, ready or in flight, without
+// touching its recency.
+func has[K comparable, V any](s *Store[K, V], key K) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
 func withObs(t *testing.T) {
 	t.Helper()
 	obs.Reset()
@@ -225,10 +234,10 @@ func TestLRURecency(t *testing.T) {
 	if _, err := s.GetOrBuild("c", build(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("a"); !ok {
+	if !has(s, "a") {
 		t.Error("recently used entry a was evicted")
 	}
-	if _, ok := s.Get("b"); ok {
+	if has(s, "b") {
 		t.Error("least recently used entry b survived eviction")
 	}
 }
@@ -273,30 +282,6 @@ func TestFailedBuildNotCached(t *testing.T) {
 	}
 }
 
-// Shrinking the capacity evicts ready entries immediately and clamps at 1.
-func TestSetCapacity(t *testing.T) {
-	withObs(t)
-	s := New[int, int]("st_cap", 4)
-	for i := 0; i < 4; i++ {
-		if _, err := s.GetOrBuild(i, func() (int, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if prev := s.SetCapacity(2); prev != 4 {
-		t.Errorf("previous capacity = %d, want 4", prev)
-	}
-	if n := s.Len(); n != 2 {
-		t.Errorf("len = %d after shrink, want 2", n)
-	}
-	_, _, _, evictions := counters(t, "st_cap")
-	if evictions != 2 {
-		t.Errorf("evictions = %d after shrink, want 2", evictions)
-	}
-	if s.SetCapacity(0); s.Capacity() != 1 {
-		t.Errorf("capacity = %d, want clamp to 1", s.Capacity())
-	}
-}
-
 // Reset drops everything but in-flight waiters still get their artifact.
 func TestResetDuringFlight(t *testing.T) {
 	s := New[string, int]("st_reset", 4)
@@ -318,7 +303,7 @@ func TestResetDuringFlight(t *testing.T) {
 	if v := <-done; v != 9 {
 		t.Errorf("waiter got %d across Reset, want 9", v)
 	}
-	if _, ok := s.Get("k"); ok {
+	if has(s, "k") {
 		t.Error("entry survived Reset")
 	}
 }
@@ -341,21 +326,6 @@ func TestOrderNoLeak(t *testing.T) {
 	if cap(s.order) > 8 {
 		t.Errorf("order cap = %d after churn: evicted keys are being retained", cap(s.order))
 	}
-}
-
-// Get never blocks on an in-flight entry.
-func TestGetNonBlocking(t *testing.T) {
-	s := New[string, int]("st_get", 4)
-	release := make(chan struct{})
-	go s.GetOrBuild("k", func() (int, error) {
-		<-release
-		return 1, nil
-	})
-	waitInflight(t, s, 1)
-	if _, ok := s.Get("k"); ok {
-		t.Error("Get returned an in-flight entry as ready")
-	}
-	close(release)
 }
 
 // A cache hit with obs off allocates nothing: the metric names are built

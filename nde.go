@@ -180,9 +180,12 @@ func featurizeWith(ct *encode.ColumnTransformer, f *Frame, fit bool) (*Dataset, 
 	return ml.NewDataset(x, y)
 }
 
+// defaultK is DefaultModel's neighborhood.
+const defaultK = 5
+
 // DefaultModel returns the classifier used by the facade's evaluation
 // helpers: a 5-nearest-neighbor vote, the tutorial's proxy model of choice.
-func DefaultModel() Classifier { return ml.NewKNN(5) }
+func DefaultModel() Classifier { return ml.NewKNN(defaultK) }
 
 // EvaluateModel featurizes train and test letters (fitting the encoder on
 // train), trains the default model, and returns test accuracy — the Go
@@ -252,7 +255,11 @@ func KNNShapleyValues(train, valid *Frame, k int) (_ Scores, err error) {
 	if err := checkTrainable("train letters", dTrain); err != nil {
 		return nil, err
 	}
-	return importance.KNNShapley(k, dTrain, dValid)
+	ix, err := storedIndex(dTrain, dValid, 1)
+	if err != nil {
+		return nil, err
+	}
+	return importance.KNNShapleyWithIndex(k, ix, dTrain.Y, dValid.Y, 1)
 }
 
 // PrettyPrint renders the given rows of a frame as an aligned table — the

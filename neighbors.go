@@ -1,25 +1,41 @@
 package nde
 
 import (
+	"sync/atomic"
 	"time"
 
-	"nde/internal/importance"
 	"nde/internal/ml"
 )
 
-// Neighbor facade: bounds the shared neighbor-index cache that
-// kNN-Shapley scoring and kNN what-ifs read, and answers nearest-letter
-// queries by exact search.
+// Neighbor facade: the neighbor-index store the package-level functions
+// share, and nearest-letter queries by exact search.
 
-// SetNeighborIndexCacheCapacity bounds the shared neighbor-index LRU cache
-// (default 4) and returns the previous capacity. Shrinking evicts the
-// least recently used entries immediately. n < 1 is rejected with a
-// wrapped ErrDegenerateInput, leaving the capacity unchanged (the current
-// value is returned alongside the error).
-func SetNeighborIndexCacheCapacity(n int) (int, error) { return importance.SetIndexCacheCapacity(n) }
+// indexes is the facade's neighbor-index store. KNNShapleyValues, the
+// WhatIf functions, NewDebugSession and IterativeCleaning look their
+// geometry up in it, so repeated calls over one dataset build its
+// distance matrix and order table once. ResetNeighborIndexCache swaps in
+// an empty store.
+var indexes atomic.Pointer[ml.IndexStore]
 
-// NeighborIndexCacheCapacity returns the current shared-cache capacity.
-func NeighborIndexCacheCapacity() int { return importance.IndexCacheCapacity() }
+func init() { indexes.Store(ml.NewIndexStore()) }
+
+// storedIndex returns the neighbor index over (train, valid) from the
+// facade's store.
+func storedIndex(train, valid *Dataset, workers int) (*ml.NeighborIndex, error) {
+	return indexes.Load().Index(ml.KeyOf(train, valid), train, valid, workers)
+}
+
+// ResetNeighborIndexCache drops every neighbor index the facade holds: the
+// distance geometry and neighbor orders of the last few (train, valid)
+// pairs seen by KNNShapleyValues, the WhatIf functions, NewDebugSession
+// and IterativeCleaning (at most 4 indexes). Long-running processes that
+// churn through many datasets can call this to release the memory
+// eagerly. Safe for concurrent use; in-flight computations keep their own
+// reference and finish unaffected.
+func ResetNeighborIndexCache() {
+	defer recordOp("ResetNeighborIndexCache", time.Now(), 0, 0, nil)
+	indexes.Store(ml.NewIndexStore())
+}
 
 // NearestLetters featurizes the letters splits (fitting the encoder on
 // train) and returns, for each query letter, the indices of its k nearest

@@ -1,6 +1,10 @@
 package nde
 
-import "testing"
+import (
+	"testing"
+
+	"nde/internal/obs"
+)
 
 func TestNearestLettersModes(t *testing.T) {
 	s := LoadRecommendationLetters(300, 7)
@@ -25,13 +29,24 @@ func TestNearestLettersModes(t *testing.T) {
 	}
 }
 
-func TestFacadeNeighborSearchSettings(t *testing.T) {
-	prev, err := SetNeighborIndexCacheCapacity(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetNeighborIndexCacheCapacity(prev)
-	if got := NeighborIndexCacheCapacity(); got != 2 {
-		t.Fatalf("capacity = %d, want 2", got)
+// ResetNeighborIndexCache empties the facade's store: the next call over
+// a geometry the store held builds its index again.
+func TestResetNeighborIndexCacheEmptiesFacadeStore(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer obs.Reset()
+	defer obs.Disable()
+	s := LoadRecommendationLetters(60, 3)
+	misses := func() int64 { return obs.Default().Counter("importance_neighbor_index_misses_total").Value() }
+	for round, want := range []int64{1, 1, 2} {
+		if round == 2 {
+			ResetNeighborIndexCache()
+		}
+		if _, err := KNNShapleyValues(s.Train, s.Valid, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got := misses(); got != want {
+			t.Fatalf("call %d: neighbor index misses %d, want %d", round, got, want)
+		}
 	}
 }

@@ -102,10 +102,7 @@ func (h *HiringPipeline) WithProvenance() (_ *Featurized, err error) {
 // valid must live in the same feature space as ft.Data; use
 // FeaturizeValidationLike to build it.
 func (h *HiringPipeline) DatascopeScores(ft *Featurized, valid *Dataset, k int) (_ Scores, err error) {
-	cache := ""
-	defer recordOpCache("DatascopeScores", time.Now(), h.TrainRows, &cache, &err)
-	outcome := indexCacheOutcome()
-	defer func() { cache = outcome() }()
+	defer recordOp("DatascopeScores", time.Now(), h.TrainRows, 0, &err)
 	if ft == nil || ft.Data == nil {
 		return nil, nderr.Empty("nde: featurized pipeline output is nil")
 	}

@@ -8,7 +8,8 @@ echo "==> go vet ./..."
 go vet ./...
 
 # contract-enforcing static analysis (determinism, panicsite, errwrap,
-# obsguard; see DESIGN.md §10). Skip with NDE_SKIP_LINT=1 when in a hurry.
+# obsguard, globalstate; see DESIGN.md §10). Skip with NDE_SKIP_LINT=1
+# when in a hurry.
 if [ "${NDE_SKIP_LINT:-0}" != "1" ]; then
     echo "==> nde-lint"
     go run ./cmd/nde-lint
@@ -36,8 +37,8 @@ go test -race ./...
 echo "==> go test -race -count=20 -run 'Drain|Lifecycle' (serve, nde-serve)"
 go test -race -count=20 -run 'Drain|Lifecycle' ./internal/serve ./cmd/nde-serve
 
-# the same for the shared neighbor-index store: its in-flight churn test
-# and the what-if paths that read the store concurrently
+# the same for ml.IndexStore: its in-flight churn test, on a store of its
+# own, and the what-if paths that vote over one index concurrently
 echo "==> go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' (ml, importance, pipeline)"
 go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' ./internal/ml ./internal/importance ./internal/pipeline
 

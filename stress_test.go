@@ -4,8 +4,8 @@ package nde_test
 // entry points (kNN-Shapley scoring, what-if removal batches, iterative
 // cleaning) from many goroutines over several distinct datasets, under the
 // race detector, and assert that every concurrent result is bit-for-bit
-// identical to a serial baseline. A cache-churn goroutine resets the shared
-// neighbor-index cache throughout, so the singleflight build/evict/reset
+// identical to a serial baseline. A churn goroutine resets the facade's
+// neighbor-index store throughout, so the singleflight build/evict/reset
 // paths are exercised at the same time.
 //
 // The default scale is small enough for `go test -race ./...`; set
@@ -102,7 +102,7 @@ func newStressFixture(t *testing.T, id int) *stressFixture {
 	}
 	fx.variants = append(fx.variants, nde.RemovalVariant{Name: "everything", Remove: all})
 
-	// serial baselines: workers pinned to 1, cache cold
+	// serial baselines: workers pinned to 1, facade store cold
 	nde.ResetNeighborIndexCache()
 	if fx.baseShapley, err = nde.KNNShapleyValues(s.Train, s.Valid, 5); err != nil {
 		t.Fatal(err)
@@ -208,15 +208,12 @@ type serveBaseline struct {
 // TestStressServerBacked hammers the serving core over real HTTP: every
 // goroutine loops registrations (idempotent re-register), sync and async
 // importance, and what-ifs across two datasets, comparing each response
-// bit-for-bit against the first one, while the cache-churn goroutine forces
-// concurrent index rebuilds underneath the score store.
+// bit-for-bit against the first one.
 func TestStressServerBacked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress gate skipped in -short mode")
 	}
 	_, goroutines, iters := stressScale()
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 
 	core := serve.NewServer(serve.Config{Slots: goroutines + 2, Queue: 4 * goroutines})
 	ts := httptest.NewServer(core.Handler())
@@ -353,7 +350,6 @@ func TestStressServerBacked(t *testing.T) {
 	}
 
 	errc := make(chan error, goroutines)
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -380,22 +376,7 @@ func TestStressServerBacked(t *testing.T) {
 			}
 		}(g)
 	}
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(5 * time.Millisecond):
-				nde.ResetNeighborIndexCache()
-			}
-		}
-	}()
 	wg.Wait()
-	close(done)
-	churn.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
@@ -405,7 +386,7 @@ func TestStressServerBacked(t *testing.T) {
 // TestStressConcurrentFacade is the gate itself: every goroutine loops over
 // every dataset calling all three entry points (starting at a different one
 // per goroutine so the interleavings differ), while a churn goroutine
-// resets the neighbor-index cache to force concurrent rebuilds.
+// resets the facade's neighbor-index store to force concurrent rebuilds.
 func TestStressConcurrentFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress gate skipped in -short mode")
@@ -415,8 +396,6 @@ func TestStressConcurrentFacade(t *testing.T) {
 	for d := range fixtures {
 		fixtures[d] = newStressFixture(t, d)
 	}
-	nde.ResetNeighborIndexCache()
-	defer nde.ResetNeighborIndexCache()
 
 	errc := make(chan error, goroutines)
 	done := make(chan struct{})

@@ -55,11 +55,12 @@ func recordOpCache(op string, start time.Time, rows int, cache *string, errp *er
 	obs.RecordOp(op, time.Since(start), rows, 0, *cache, class)
 }
 
-// indexCacheOutcome samples the neighbor-index cache counters and returns
+// indexCacheOutcome samples the neighbor-index store counters and returns
 // a closure classifying what one intervening computation did: "hit",
 // "miss", or "" when observability is off (the counters only move while
 // obs is enabled) or nothing happened. Best-effort under concurrency —
-// overlapping calls can misattribute each other's outcome, which is
+// the counters are process-wide, so overlapping calls, or a server's
+// store in the same process, can misattribute an outcome, which is
 // acceptable for a telemetry annotation.
 func indexCacheOutcome() func() string {
 	if !obs.Enabled() {
