@@ -6,8 +6,8 @@ build:
 	go build ./...
 
 # contract-enforcing static analysis: determinism, panicsite, errwrap,
-# obsguard, globalstate over the whole module (DESIGN.md §10). `-update`
-# regenerates the scripts/lint/ allowlists after review.
+# obsguard, globalstate, deadcode over the whole module (DESIGN.md §10).
+# `-update` regenerates the scripts/lint/ allowlists after review.
 lint:
 	go run ./cmd/nde-lint
 

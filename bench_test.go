@@ -655,7 +655,9 @@ func BenchmarkNeighborTopK(b *testing.B) {
 	})
 }
 
-// The batched prediction path vs. row-by-row prediction on the same kNN.
+// The batched prediction path (a fresh neighbor index over the training
+// set, voting every validation row at once) vs. row-by-row prediction on
+// the same kNN.
 func BenchmarkKNNPredictBatch(b *testing.B) {
 	train, valid := benchDataset(b, 300)
 	knn := ml.NewKNN(5)
@@ -665,9 +667,11 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := knn.PredictBatch(valid, 0); err != nil {
+			ix, err := ml.NewNeighborIndex(train, valid, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
+			ix.PredictBatch(knn.K)
 		}
 	})
 	b.Run("rowwise", func(b *testing.B) {
@@ -683,7 +687,7 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 // The incremental-maintenance gate (scripts/bench.sh records this series in
 // BENCH_incremental.json): deleting one row from an n-row training set and
 // recomputing kNN-Shapley via the delta path (derive the index with
-// RemoveRows, re-run the closed form over the merged neighbor walk) vs. the
+// RemoveRows, re-run the closed form over the walked neighbor order) vs. the
 // full recompute (fresh distance kernel + argsort, cache cold). The delta
 // path must be >= 10x faster at n = 20000; both paths are bit-identical,
 // which internal/importance/delta_test.go asserts.

@@ -1,18 +1,20 @@
 // Command nde-lint runs the repo's contract-enforcing static analysis
 // pass (internal/lint) over the whole module: determinism, panicsite,
-// errwrap, obsguard, and globalstate. `make lint` and scripts/check.sh
-// run it between vet and build; see DESIGN.md §10 "Static analysis
-// contract".
+// errwrap, obsguard, globalstate, and deadcode. `make lint` and
+// scripts/check.sh run it between vet and build; see DESIGN.md §10
+// "Static analysis contract".
 //
 // Usage:
 //
 //	nde-lint [-json] [-update] [-allow dir] [-root dir] [analyzer ...]
 //
 // With no analyzer names, all analyzers run. Findings are keyed
-// file:func (globalstate: file:var) and matched against
-// scripts/lint/<analyzer>.txt; unmatched findings fail the run. -update
-// rewrites the allowlists from the current tree (review the diff — every
-// entry is a deliberate exception). -json emits the full finding list,
+// file:func (globalstate: file:var; deadcode: file:Name or
+// file:Type.Method) and matched against scripts/lint/<analyzer>.txt;
+// unmatched findings fail the run, and so does an allowlist key that no
+// finding matches any more. -update rewrites the allowlists from the
+// current tree, keeping their comments (review the diff — every entry is
+// a deliberate exception). -json emits the full finding list,
 // allowlisted included, for CI annotations.
 package main
 
@@ -23,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"nde/internal/lint"
 )
@@ -67,37 +70,44 @@ func run(args []string, out io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
+	// -update runs against the current allowlists too: deadcode counts an
+	// allowlisted test seam as a root, so the code it calls stays unlisted
+	allow, err := lint.LoadAllowlists(dir, analyzers)
+	if err != nil {
+		return 2, err
+	}
+	diags := lint.Run(mod, analyzers, allow)
 	if *update {
-		diags := lint.Run(mod, analyzers, lint.Allowlists{})
 		if err := lint.WriteAllowlists(dir, analyzers, diags); err != nil {
 			return 2, err
 		}
 		fmt.Fprintf(out, "nde-lint: rewrote allowlists in %s (%d findings)\n", dir, len(diags))
 		return 0, nil
 	}
-
-	allow, err := lint.LoadAllowlists(dir, analyzers)
-	if err != nil {
-		return 2, err
-	}
-	diags := lint.Run(mod, analyzers, allow)
-	violations := lint.Violations(diags)
+	stale := lint.Stale(analyzers, allow, diags)
+	unallowed := lint.Violations(diags)
+	violations := append(unallowed, stale...)
 
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
+		all := append(diags, stale...)
+		if all == nil {
+			all = []lint.Diagnostic{}
 		}
-		if err := enc.Encode(diags); err != nil {
+		if err := enc.Encode(all); err != nil {
 			return 2, err
 		}
 	} else {
 		for _, d := range violations {
-			fmt.Fprintf(out, "%s:%d:%d: [%s] %s (key %s)\n", d.File, d.Line, d.Col, d.Analyzer, d.Message, d.Key())
+			pos := d.File
+			if d.Line > 0 {
+				pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
+			}
+			fmt.Fprintf(out, "%s: [%s] %s (key %s)\n", pos, d.Analyzer, d.Message, d.Key())
 		}
 		fmt.Fprintf(out, "nde-lint: %d findings, %d violations (%d allowlisted)\n",
-			len(diags), len(violations), len(diags)-len(violations))
+			len(diags), len(violations), len(diags)-len(unallowed))
 	}
 	if len(violations) > 0 {
 		return 1, nil
@@ -113,14 +123,16 @@ func selectAnalyzers(names []string) ([]*lint.Analyzer, error) {
 		return all, nil
 	}
 	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
+	have := make([]string, len(all))
+	for i, a := range all {
 		byName[a.Name] = a
+		have[i] = a.Name
 	}
 	var out []*lint.Analyzer
 	for _, n := range names {
 		a, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: determinism, panicsite, errwrap, obsguard, globalstate)", n)
+			return nil, fmt.Errorf("unknown analyzer %q (have: %s)", n, strings.Join(have, ", "))
 		}
 		out = append(out, a)
 	}

@@ -41,7 +41,8 @@ func TestRunJSONCleanTree(t *testing.T) {
 }
 
 // TestRunViolationAndUpdate drives the full violation -> -update ->
-// clean cycle against a synthetic one-file module, so it stays cheap.
+// clean cycle, then a stale allowlist key through the same cycle, against
+// a synthetic one-file module, so it stays cheap.
 func TestRunViolationAndUpdate(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module tinymod\n\ngo 1.22\n")
@@ -79,6 +80,22 @@ func Boom() error {
 	if code, err = run([]string{"-root", dir, "errwrap"}, &buf); err != nil || code != 0 {
 		t.Fatalf("post-update run: exit %d, err %v, output:\n%s", code, err, buf.String())
 	}
+
+	// a key no finding matches fails the run until -update drops it
+	allowPath := filepath.Join(dir, "scripts", "lint", "errwrap.txt")
+	writeFile(t, allowPath, "# why\ngone.go:Old\ntiny.go:Boom\n")
+	buf.Reset()
+	code, err = run([]string{"-root", dir, "errwrap"}, &buf)
+	if err != nil || code != 1 || !strings.Contains(buf.String(), "gone.go:Old") || !strings.Contains(buf.String(), "-update") {
+		t.Fatalf("stale key: exit %d, err %v, output:\n%s", code, err, buf.String())
+	}
+	buf.Reset()
+	if code, err = run([]string{"-root", dir, "-update", "errwrap"}, &buf); err != nil || code != 0 {
+		t.Fatalf("-update: exit %d, err %v", code, err)
+	}
+	if allow, err := os.ReadFile(allowPath); err != nil || string(allow) != "# why\ntiny.go:Boom\n" {
+		t.Fatalf("allowlist after -update = %q, %v; want the stale key dropped", allow, err)
+	}
 }
 
 func writeFile(t *testing.T, path, body string) {
@@ -93,8 +110,14 @@ func writeFile(t *testing.T, path, body string) {
 
 func TestRunUnknownAnalyzer(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run([]string{"nosuch"}, &buf); err == nil {
+	_, err := run([]string{"nosuch"}, &buf)
+	if err == nil {
 		t.Fatal("expected error for unknown analyzer")
+	}
+	for _, a := range lint.Analyzers() {
+		if !strings.Contains(err.Error(), a.Name) {
+			t.Errorf("error %q does not list analyzer %s", err, a.Name)
+		}
 	}
 }
 

@@ -19,9 +19,8 @@
 //
 //  3. Learn — reasoning under unresolved errors: Zorro-style uncertainty
 //     propagation with prediction ranges and worst-case loss bounds,
-//     CPClean certain predictions for kNN over incomplete data, certain-
-//     model checks for linear models, and possible-world enumeration
-//     (internal/uncertain).
+//     CPClean certain predictions for kNN over incomplete data, and
+//     possible-world enumeration (internal/uncertain).
 //
 // This package is the convenience facade: it regenerates the tutorial's
 // hands-on hiring scenario (recommendation letters with side tables),

@@ -38,8 +38,7 @@ func ExampleEncodeSymbolic() {
 	scenario := nde.LoadRecommendationLetters(150, 3)
 	train, _, _, _ := nde.FeaturizeLetterSplits(scenario.Train, scenario.Valid, scenario.Test)
 	sym, missing, _ := nde.EncodeSymbolic(train, train.Dim()-1, 0.2, nde.MNAR, 5)
-	fmt.Printf("%d of %d rating cells are now intervals (%d uncertain)\n",
-		len(missing), train.Len(), sym.UncertainCells())
+	fmt.Printf("%d of %d rating cells are now intervals\n", len(missing), sym.Len())
 	// Output:
-	// 18 of 90 rating cells are now intervals (18 uncertain)
+	// 18 of 90 rating cells are now intervals
 }

@@ -17,7 +17,7 @@ import (
 // index from the current one (ml.NeighborIndex.RemoveRows: tombstones over
 // the cached distance geometry, O(queries·k) top-k repair, no fresh
 // distance kernel) and re-evaluates the Shapley closed form over the O(n)
-// merged neighbor walk — so iterating "drop the worst row, look again" is
+// walked neighbor order — so iterating "drop the worst row, look again" is
 // interactive even at tens of thousands of rows, while staying
 // Float64bits-identical to recomputing everything from scratch. Only the
 // opening index comes from the facade's index store; derived indexes are

@@ -164,7 +164,7 @@ func TestRevoteMatchesRefit(t *testing.T) {
 	}{
 		{"knn5", func() ml.Classifier { return ml.NewKNN(5) }, all},
 		{"knn>n", func() ml.Classifier { return ml.NewKNN(61) }, all[:2]},
-		{"tree", func() ml.Classifier { return ml.NewDecisionTree() }, all[:2]},
+		{"tree", func() ml.Classifier { return &ml.DecisionTree{MaxDepth: 5, MinSamplesSplit: 2} }, all[:2]},
 	}
 	const batch = 7
 	for _, sp := range splits {

@@ -336,39 +336,6 @@ func TestAppendOOD(t *testing.T) {
 	}
 }
 
-func TestInjectDuplicates(t *testing.T) {
-	h := Hiring(Config{N: 60, Seed: 21})
-	out, originals, err := InjectDuplicates(h.Letters, 0.1, 0.05, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(originals) != 6 {
-		t.Fatalf("originals = %d", len(originals))
-	}
-	if out.NumRows() != 66 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-	// duplicates share non-float columns with their originals and jitter
-	// the float ones slightly
-	for o, src := range originals {
-		dupRow := 60 + o
-		if out.MustColumn("person_id").Int(dupRow) != h.Letters.MustColumn("person_id").Int(src) {
-			t.Errorf("dup %d person_id mismatch", o)
-		}
-		orig := h.Letters.MustColumn("employer_rating").Float(src)
-		dup := out.MustColumn("employer_rating").Float(dupRow)
-		if dup == orig {
-			t.Errorf("dup %d rating not jittered", o)
-		}
-		if math.Abs(dup-orig)/orig > 0.06 {
-			t.Errorf("dup %d jitter too large: %v vs %v", o, dup, orig)
-		}
-	}
-	if _, _, err := InjectDuplicates(h.Letters, 2, 0.1, 1); err == nil {
-		t.Error("expected error for bad fraction")
-	}
-}
-
 func TestSaveLoadHiringCSVRoundTrip(t *testing.T) {
 	h := Hiring(Config{N: 40, Seed: 31})
 	dir := t.TempDir()

@@ -205,45 +205,6 @@ func InjectOutliers(f *frame.Frame, col string, fraction, factor float64, seed i
 	return out, affected, nil
 }
 
-// InjectDuplicates appends near-duplicates of a random fraction of rows:
-// each duplicate copies a source row with numeric columns jittered by a
-// relative noise factor (string/bool/int columns copied verbatim). It
-// returns the extended frame and, for each appended row, the index of the
-// original it duplicates. Duplicates inflate the apparent support of their
-// source rows — a classic integration error that leaks across train/test
-// splits and skews importance scores.
-func InjectDuplicates(f *frame.Frame, fraction, jitter float64, seed int64) (*frame.Frame, []int, error) {
-	if fraction < 0 || fraction > 1 {
-		return nil, nil, fmt.Errorf("datagen: fraction %v outside [0,1]", fraction)
-	}
-	n := f.NumRows()
-	k := int(float64(n) * fraction)
-	r := rand.New(rand.NewSource(seed))
-	originals := append([]int(nil), r.Perm(n)[:k]...)
-	dup := f.Take(originals)
-	// jitter float columns of the duplicates
-	for _, name := range dup.ColumnNames() {
-		col := dup.MustColumn(name)
-		if col.Kind() != frame.KindFloat {
-			continue
-		}
-		for i := 0; i < col.Len(); i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			v := col.Float(i) * (1 + jitter*(2*r.Float64()-1))
-			if err := col.Set(i, frame.Float(v)); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	out, _, _, err := frame.Concat(f, dup)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, originals, nil
-}
-
 // BiasedSample returns a subsample of the frame where rows whose column
 // equals value are kept with probability keepProb and all other rows are
 // kept unconditionally — a programmable selection bias.

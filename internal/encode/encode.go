@@ -1,6 +1,6 @@
 // Package encode implements the feature encoders that ML pipelines apply to
-// relational data before model training: imputation, scaling, one-hot and
-// ordinal encoding, discretization, and text vectorization (hashing
+// relational data before model training: imputation, scaling, one-hot
+// encoding, and text vectorization (hashing
 // bag-of-words and TF-IDF — the stand-ins for the heavyweight neural text
 // encoders used in the tutorial's pipelines).
 //
@@ -12,7 +12,6 @@ package encode
 
 import (
 	"fmt"
-	"math"
 
 	"nde/internal/frame"
 	"nde/internal/linalg"
@@ -71,55 +70,6 @@ func (e *StandardScaler) Transform(s *frame.Series) (*linalg.Matrix, error) {
 // Names returns the single output feature name.
 func (e *StandardScaler) Names() []string { return []string{e.name + "_scaled"} }
 
-// Mean returns the fitted mean.
-func (e *StandardScaler) Mean() float64 { return e.mean }
-
-// Std returns the fitted standard deviation.
-func (e *StandardScaler) Std() float64 { return e.std }
-
-// MinMaxScaler rescales a numeric column to [0, 1]. Nulls map to the fitted
-// midpoint 0.5.
-type MinMaxScaler struct {
-	name    string
-	min, mx float64
-}
-
-// NewMinMaxScaler returns an unfitted min-max scaler.
-func NewMinMaxScaler() *MinMaxScaler { return &MinMaxScaler{} }
-
-// Fit learns the column range.
-func (e *MinMaxScaler) Fit(s *frame.Series) error {
-	lo, hi, ok := s.MinMax()
-	if !ok {
-		return fmt.Errorf("encode: cannot scale column %q with no numeric values", s.Name())
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	e.name, e.min, e.mx = s.Name(), lo, hi
-	return nil
-}
-
-// Transform rescales to [0,1], clipping out-of-range values.
-func (e *MinMaxScaler) Transform(s *frame.Series) (*linalg.Matrix, error) {
-	if e.name == "" {
-		return nil, fmt.Errorf("encode: MinMaxScaler used before Fit")
-	}
-	out := linalg.NewMatrix(s.Len(), 1)
-	for i := 0; i < s.Len(); i++ {
-		if s.IsNull(i) {
-			out.Set(i, 0, 0.5)
-			continue
-		}
-		v := (s.Float(i) - e.min) / (e.mx - e.min)
-		out.Set(i, 0, math.Min(1, math.Max(0, v)))
-	}
-	return out, nil
-}
-
-// Names returns the single output feature name.
-func (e *MinMaxScaler) Names() []string { return []string{e.name + "_minmax"} }
-
 // OneHotEncoder maps a categorical column to indicator columns, one per
 // category seen at fit time (in first-appearance order). Unknown categories
 // and nulls encode as all zeros.
@@ -172,114 +122,6 @@ func (e *OneHotEncoder) Names() []string {
 	names := make([]string, len(e.categories))
 	for i, c := range e.categories {
 		names[i] = e.name + "=" + c
-	}
-	return names
-}
-
-// Categories returns the fitted category strings in encoding order.
-func (e *OneHotEncoder) Categories() []string { return e.categories }
-
-// OrdinalEncoder maps categories to their fit-order index (a single numeric
-// column). Unknown categories and nulls map to -1.
-type OrdinalEncoder struct {
-	name  string
-	index map[string]int
-}
-
-// NewOrdinalEncoder returns an unfitted ordinal encoder.
-func NewOrdinalEncoder() *OrdinalEncoder { return &OrdinalEncoder{} }
-
-// Fit collects the distinct category strings.
-func (e *OrdinalEncoder) Fit(s *frame.Series) error {
-	e.name = s.Name()
-	e.index = make(map[string]int)
-	for _, v := range s.Unique() {
-		key := v.String()
-		if _, seen := e.index[key]; !seen {
-			e.index[key] = len(e.index)
-		}
-	}
-	return nil
-}
-
-// Transform emits the ordinal code column.
-func (e *OrdinalEncoder) Transform(s *frame.Series) (*linalg.Matrix, error) {
-	if e.index == nil {
-		return nil, fmt.Errorf("encode: OrdinalEncoder used before Fit")
-	}
-	out := linalg.NewMatrix(s.Len(), 1)
-	for i := 0; i < s.Len(); i++ {
-		code := -1.0
-		if !s.IsNull(i) {
-			if j, ok := e.index[s.Value(i).String()]; ok {
-				code = float64(j)
-			}
-		}
-		out.Set(i, 0, code)
-	}
-	return out, nil
-}
-
-// Names returns the single output feature name.
-func (e *OrdinalEncoder) Names() []string { return []string{e.name + "_ord"} }
-
-// KBinsDiscretizer buckets a numeric column into K equal-width bins encoded
-// one-hot. Nulls encode as all zeros.
-type KBinsDiscretizer struct {
-	K    int // number of bins (default 5)
-	name string
-	lo   float64
-	hi   float64
-}
-
-// NewKBinsDiscretizer returns a discretizer with k bins.
-func NewKBinsDiscretizer(k int) *KBinsDiscretizer { return &KBinsDiscretizer{K: k} }
-
-// Fit learns the column range.
-func (e *KBinsDiscretizer) Fit(s *frame.Series) error {
-	if e.K <= 0 {
-		e.K = 5
-	}
-	lo, hi, ok := s.MinMax()
-	if !ok {
-		return fmt.Errorf("encode: cannot bin column %q with no numeric values", s.Name())
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	e.name, e.lo, e.hi = s.Name(), lo, hi
-	return nil
-}
-
-// Transform emits K indicator columns; out-of-range values clip to the edge
-// bins.
-func (e *KBinsDiscretizer) Transform(s *frame.Series) (*linalg.Matrix, error) {
-	if e.name == "" {
-		return nil, fmt.Errorf("encode: KBinsDiscretizer used before Fit")
-	}
-	out := linalg.NewMatrix(s.Len(), e.K)
-	width := (e.hi - e.lo) / float64(e.K)
-	for i := 0; i < s.Len(); i++ {
-		if s.IsNull(i) {
-			continue
-		}
-		b := int((s.Float(i) - e.lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= e.K {
-			b = e.K - 1
-		}
-		out.Set(i, b, 1)
-	}
-	return out, nil
-}
-
-// Names returns "<col>_bin<i>" per bin.
-func (e *KBinsDiscretizer) Names() []string {
-	names := make([]string, e.K)
-	for i := range names {
-		names[i] = fmt.Sprintf("%s_bin%d", e.name, i)
 	}
 	return names
 }

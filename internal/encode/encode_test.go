@@ -15,8 +15,8 @@ func TestStandardScaler(t *testing.T) {
 	if err := e.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	if e.Mean() != 4 {
-		t.Errorf("mean = %v", e.Mean())
+	if e.mean != 4 {
+		t.Errorf("mean = %v", e.mean)
 	}
 	m, err := e.Transform(s)
 	if err != nil {
@@ -61,31 +61,6 @@ func TestScalerErrors(t *testing.T) {
 	if _, err := NewStandardScaler().Transform(allNull); err == nil {
 		t.Error("expected error on transform before fit")
 	}
-	if err := NewMinMaxScaler().Fit(allNull); err == nil {
-		t.Error("expected error on all-null minmax fit")
-	}
-}
-
-func TestMinMaxScaler(t *testing.T) {
-	s := frame.NewFloatSeries("x", []float64{10, 20, 30}, nil)
-	e := NewMinMaxScaler()
-	if err := e.Fit(s); err != nil {
-		t.Fatal(err)
-	}
-	test := frame.NewFloatSeries("x", []float64{10, 30, 40, -5, 0}, []bool{true, true, true, true, false})
-	m, err := e.Transform(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 0) != 0 || m.At(1, 0) != 1 {
-		t.Errorf("range endpoints wrong: %v %v", m.At(0, 0), m.At(1, 0))
-	}
-	if m.At(2, 0) != 1 || m.At(3, 0) != 0 {
-		t.Error("out-of-range should clip")
-	}
-	if m.At(4, 0) != 0.5 {
-		t.Errorf("null should map to 0.5, got %v", m.At(4, 0))
-	}
 }
 
 func TestOneHotEncoder(t *testing.T) {
@@ -94,7 +69,7 @@ func TestOneHotEncoder(t *testing.T) {
 	if err := e.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Categories(); len(got) != 3 || got[0] != "bsc" || got[2] != "phd" {
+	if got := e.categories; len(got) != 3 || got[0] != "bsc" || got[2] != "phd" {
 		t.Errorf("categories = %v", got)
 	}
 	test := frame.NewStringSeries("deg", []string{"msc", "unknown", ""}, []bool{true, true, false})
@@ -127,51 +102,6 @@ func TestOneHotIntColumn(t *testing.T) {
 	m, _ := e.Transform(s)
 	if m.Cols != 2 || m.At(1, 1) != 1 {
 		t.Error("int one-hot wrong")
-	}
-}
-
-func TestOrdinalEncoder(t *testing.T) {
-	s := frame.NewStringSeries("c", []string{"lo", "hi", "lo"}, nil)
-	e := NewOrdinalEncoder()
-	if err := e.Fit(s); err != nil {
-		t.Fatal(err)
-	}
-	test := frame.NewStringSeries("c", []string{"hi", "nope", ""}, []bool{true, true, false})
-	m, _ := e.Transform(test)
-	if m.At(0, 0) != 1 {
-		t.Errorf("hi code = %v", m.At(0, 0))
-	}
-	if m.At(1, 0) != -1 || m.At(2, 0) != -1 {
-		t.Error("unknown/null should be -1")
-	}
-}
-
-func TestKBinsDiscretizer(t *testing.T) {
-	s := frame.NewFloatSeries("v", []float64{0, 10}, nil)
-	e := NewKBinsDiscretizer(5)
-	if err := e.Fit(s); err != nil {
-		t.Fatal(err)
-	}
-	test := frame.NewFloatSeries("v", []float64{1, 9.9, -3, 42, 0}, []bool{true, true, true, true, false})
-	m, _ := e.Transform(test)
-	if m.Cols != 5 {
-		t.Fatalf("cols = %d", m.Cols)
-	}
-	if m.At(0, 0) != 1 {
-		t.Error("1 should land in bin 0")
-	}
-	if m.At(1, 4) != 1 {
-		t.Error("9.9 should land in bin 4")
-	}
-	if m.At(2, 0) != 1 || m.At(3, 4) != 1 {
-		t.Error("out-of-range should clip to edge bins")
-	}
-	sum := 0.0
-	for j := 0; j < 5; j++ {
-		sum += m.At(4, j)
-	}
-	if sum != 0 {
-		t.Error("null row should be all zeros")
 	}
 }
 
@@ -224,7 +154,7 @@ func TestTfidfVectorizer(t *testing.T) {
 	if err := e.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	vocab := e.Vocabulary()
+	vocab := e.terms
 	if len(vocab) != 4 { // excellent, hire, poor, work
 		t.Fatalf("vocab = %v", vocab)
 	}
@@ -258,7 +188,7 @@ func TestTfidfMaxFeatures(t *testing.T) {
 	if err := e.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	v := e.Vocabulary()
+	v := e.terms
 	if len(v) != 2 || v[0] != "a" || v[1] != "b" {
 		t.Errorf("capped vocab = %v", v)
 	}

@@ -85,9 +85,6 @@ func (e *Imputer) Fit(s *frame.Series) error {
 	return nil
 }
 
-// FillValue returns the fitted fill value.
-func (e *Imputer) FillValue() frame.Value { return e.fill }
-
 // Transform returns a copy of s with nulls replaced by the fitted value.
 func (e *Imputer) Transform(s *frame.Series) (*frame.Series, error) {
 	if !e.fitted {

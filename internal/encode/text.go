@@ -184,6 +184,3 @@ func (e *TfidfVectorizer) Names() []string {
 	}
 	return names
 }
-
-// Vocabulary returns the fitted terms in encoding order.
-func (e *TfidfVectorizer) Vocabulary() []string { return e.terms }

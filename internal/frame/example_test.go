@@ -25,16 +25,3 @@ func ExampleJoin() {
 	// ana   10      healthcare
 	// [1 rows x 3 columns]
 }
-
-// Fuzzy joins tolerate typos in keys.
-func ExampleFuzzyJoin() {
-	typos := frame.MustNew(frame.NewStringSeries("sector", []string{"helthcare"}, nil))
-	clean := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"healthcare", "finance"}, nil),
-		frame.NewFloatSeries("growth", []float64{0.125, 0.25}, nil),
-	)
-	res, _ := frame.FuzzyJoin(typos, clean, "sector", "sector", 2, frame.FuzzyBestMatch)
-	fmt.Println(res.Frame.MustColumn("growth").Float(0))
-	// Output:
-	// 0.125
-}

@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Frame is an ordered collection of equally long Series, i.e. a table.
 // Frames are value-like: operations return new frames and never mutate
@@ -127,43 +124,6 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 	return New(cols...)
 }
 
-// Drop returns a frame without the named columns. Unknown names are errors.
-func (f *Frame) Drop(names ...string) (*Frame, error) {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		if !f.HasColumn(n) {
-			return nil, fmt.Errorf("frame: cannot drop missing column %q", n)
-		}
-		drop[n] = true
-	}
-	var keep []string
-	for _, n := range f.ColumnNames() {
-		if !drop[n] {
-			keep = append(keep, n)
-		}
-	}
-	return f.Select(keep...)
-}
-
-// RenameColumn returns a frame with column old renamed to new.
-func (f *Frame) RenameColumn(old, new string) (*Frame, error) {
-	if _, err := f.Column(old); err != nil {
-		return nil, err
-	}
-	if old != new && f.HasColumn(new) {
-		return nil, fmt.Errorf("frame: rename target %q already exists", new)
-	}
-	cols := make([]*Series, len(f.cols))
-	for i, c := range f.cols {
-		if c.Name() == old {
-			cols[i] = c.Rename(new)
-		} else {
-			cols[i] = c.Clone()
-		}
-	}
-	return New(cols...)
-}
-
 // AddColumn appends a column to the frame in place.
 func (f *Frame) AddColumn(c *Series) error { return f.addColumn(c) }
 
@@ -196,18 +156,6 @@ func (f *Frame) Take(idx []int) *Frame {
 	return MustNew(cols...)
 }
 
-// Head returns the first n rows (fewer if the frame is shorter).
-func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return f.Take(idx)
-}
-
 // Row is a lightweight view of one frame row.
 type Row struct {
 	f *Frame
@@ -232,17 +180,8 @@ func (r Row) Value(col string) Value {
 // IsNull reports whether the named cell is null.
 func (r Row) IsNull(col string) bool { return r.Value(col).IsNull() }
 
-// Int returns the named cell as int64.
-func (r Row) Int(col string) int64 { return r.Value(col).Int() }
-
-// Float returns the named cell as float64 (ints widen).
-func (r Row) Float(col string) float64 { return r.Value(col).Float() }
-
 // Str returns the named cell as string.
 func (r Row) Str(col string) string { return r.Value(col).Str() }
-
-// Bool returns the named cell as bool.
-func (r Row) Bool(col string) bool { return r.Value(col).Bool() }
 
 // Filter returns the rows for which pred is true, along with the indices of
 // the kept input rows (the row-level lineage of the output).
@@ -254,79 +193,6 @@ func (f *Frame) Filter(pred func(Row) bool) (*Frame, []int) {
 		}
 	}
 	return f.Take(idx), idx
-}
-
-// FilterMask keeps the rows where mask is true. The mask must have one entry
-// per row.
-func (f *Frame) FilterMask(mask []bool) (*Frame, []int, error) {
-	if len(mask) != f.NumRows() {
-		return nil, nil, fmt.Errorf("frame: mask length %d != rows %d", len(mask), f.NumRows())
-	}
-	var idx []int
-	for i, keep := range mask {
-		if keep {
-			idx = append(idx, i)
-		}
-	}
-	return f.Take(idx), idx, nil
-}
-
-// SortBy returns the frame stably sorted by the given column (ascending when
-// asc is true). Nulls sort last regardless of direction. It also returns the
-// permutation applied (output row o came from input row perm[o]).
-func (f *Frame) SortBy(col string, asc bool) (*Frame, []int, error) {
-	c, err := f.Column(col)
-	if err != nil {
-		return nil, nil, err
-	}
-	perm := make([]int, f.NumRows())
-	for i := range perm {
-		perm[i] = i
-	}
-	less := func(a, b int) bool {
-		va, vb := c.Value(a), c.Value(b)
-		if va.IsNull() || vb.IsNull() {
-			return !va.IsNull() && vb.IsNull()
-		}
-		var cmp int
-		switch c.Kind() {
-		case KindInt:
-			switch {
-			case va.Int() < vb.Int():
-				cmp = -1
-			case va.Int() > vb.Int():
-				cmp = 1
-			}
-		case KindFloat:
-			switch {
-			case va.Float() < vb.Float():
-				cmp = -1
-			case va.Float() > vb.Float():
-				cmp = 1
-			}
-		case KindString:
-			switch {
-			case va.Str() < vb.Str():
-				cmp = -1
-			case va.Str() > vb.Str():
-				cmp = 1
-			}
-		case KindBool:
-			ba, bb := va.Bool(), vb.Bool()
-			switch {
-			case !ba && bb:
-				cmp = -1
-			case ba && !bb:
-				cmp = 1
-			}
-		}
-		if asc {
-			return cmp < 0
-		}
-		return cmp > 0
-	}
-	sort.SliceStable(perm, func(x, y int) bool { return less(perm[x], perm[y]) })
-	return f.Take(perm), perm, nil
 }
 
 // Concat vertically stacks frames with identical schemas (same column names,
@@ -370,18 +236,6 @@ func Concat(frames ...*Frame) (*Frame, []int, []int, error) {
 		return nil, nil, nil, err
 	}
 	return out, srcFrame, srcRow, nil
-}
-
-// HStack horizontally concatenates frames with equal row counts and disjoint
-// column names.
-func HStack(frames ...*Frame) (*Frame, error) {
-	var cols []*Series
-	for _, g := range frames {
-		for _, c := range g.cols {
-			cols = append(cols, c.Clone())
-		}
-	}
-	return New(cols...)
 }
 
 // Equal reports deep equality of schemas and data.

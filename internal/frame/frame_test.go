@@ -63,26 +63,6 @@ func TestSelectDropRename(t *testing.T) {
 	if got := sel.ColumnNames(); got[0] != "sex" || got[1] != "id" || len(got) != 2 {
 		t.Errorf("Select names = %v", got)
 	}
-	dropped, err := f.Drop("age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped.HasColumn("age") || dropped.NumCols() != 3 {
-		t.Error("Drop failed")
-	}
-	if _, err := f.Drop("nope"); err == nil {
-		t.Error("expected error dropping unknown column")
-	}
-	ren, err := f.RenameColumn("sex", "gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ren.HasColumn("gender") || ren.HasColumn("sex") {
-		t.Error("rename failed")
-	}
-	if _, err := f.RenameColumn("sex", "id"); err == nil {
-		t.Error("expected rename collision error")
-	}
 }
 
 func TestFilterReturnsLineage(t *testing.T) {
@@ -93,54 +73,6 @@ func TestFilterReturnsLineage(t *testing.T) {
 	}
 	if got.MustColumn("id").Int(0) != 2 {
 		t.Error("filtered data wrong")
-	}
-}
-
-func TestFilterMask(t *testing.T) {
-	f := sampleFrame(t)
-	got, idx, err := f.FilterMask([]bool{true, false, false, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 2 || idx[1] != 3 {
-		t.Errorf("FilterMask rows=%d idx=%v", got.NumRows(), idx)
-	}
-	if _, _, err := f.FilterMask([]bool{true}); err == nil {
-		t.Error("expected mask length error")
-	}
-}
-
-func TestSortByNullsLast(t *testing.T) {
-	f := sampleFrame(t)
-	sorted, perm, err := f.SortBy("age", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ages := sorted.MustColumn("age")
-	if ages.Float(0) != 38 || ages.Float(1) != 26 || ages.Float(2) != 18 || !ages.IsNull(3) {
-		t.Errorf("desc sort wrong: %v", sorted)
-	}
-	if perm[0] != 2 {
-		t.Errorf("perm = %v", perm)
-	}
-	asc, _, err := f.SortBy("age", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asc.MustColumn("age").Float(0) != 18 || !asc.MustColumn("age").IsNull(3) {
-		t.Errorf("asc sort wrong: %v", asc)
-	}
-}
-
-func TestSortByString(t *testing.T) {
-	f := sampleFrame(t)
-	sorted, _, err := f.SortBy("sex", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sorted.MustColumn("sex")
-	if s.Str(0) != "f" || s.Str(3) != "m" {
-		t.Errorf("string sort wrong")
 	}
 }
 
@@ -160,22 +92,6 @@ func TestConcatLineage(t *testing.T) {
 	bad := MustNew(NewIntSeries("id", []int64{1}, nil))
 	if _, _, _, err := Concat(f, bad); err == nil {
 		t.Error("expected schema mismatch")
-	}
-}
-
-func TestHStack(t *testing.T) {
-	a := MustNew(NewIntSeries("x", []int64{1, 2}, nil))
-	b := MustNew(NewIntSeries("y", []int64{3, 4}, nil))
-	h, err := HStack(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumCols() != 2 || h.MustColumn("y").Int(1) != 4 {
-		t.Error("HStack wrong")
-	}
-	c := MustNew(NewIntSeries("x", []int64{9, 9}, nil))
-	if _, err := HStack(a, c); err == nil {
-		t.Error("expected duplicate column error")
 	}
 }
 
@@ -206,13 +122,13 @@ func TestMap(t *testing.T) {
 		if r.IsNull("age") {
 			return Null(), nil
 		}
-		return Bool(r.Float("age") >= 18), nil
+		return Bool(r.Value("age").Float() >= 18), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := g.MustColumn("is_adult")
-	if !c.Bool(0) || !c.IsNull(3) {
+	if !c.Value(0).Equal(Bool(true)) || !c.IsNull(3) {
 		t.Error("Map values wrong")
 	}
 }
@@ -244,80 +160,9 @@ func TestEqualAndClone(t *testing.T) {
 
 func TestHeadAndRender(t *testing.T) {
 	f := sampleFrame(t)
-	h := f.Head(2)
-	if h.NumRows() != 2 {
-		t.Errorf("Head rows = %d", h.NumRows())
-	}
-	if f.Head(10).NumRows() != 4 {
-		t.Error("Head beyond length should clamp")
-	}
 	out := f.Render(2)
 	if !strings.Contains(out, "sex") || !strings.Contains(out, "(2 more rows)") || !strings.Contains(out, "[4 rows x 4 columns]") {
 		t.Errorf("Render output unexpected:\n%s", out)
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	f := sampleFrame(t)
-	g, members, err := f.GroupBy([]string{"sex"}, []Agg{
-		{Func: AggCount},
-		{Col: "age", Func: AggMean},
-		{Col: "age", Func: AggMax},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumRows() != 2 {
-		t.Fatalf("groups = %d", g.NumRows())
-	}
-	// first-appearance order: f then m
-	if g.MustColumn("sex").Str(0) != "f" {
-		t.Errorf("group order wrong: %v", g)
-	}
-	if got := g.MustColumn("count").Int(0); got != 2 {
-		t.Errorf("count f = %d", got)
-	}
-	// f group has ages {18, null} -> mean 18
-	if got := g.MustColumn("mean_age").Float(0); got != 18 {
-		t.Errorf("mean_age f = %v", got)
-	}
-	if got := g.MustColumn("max_age").Float(1); got != 38 {
-		t.Errorf("max_age m = %v", got)
-	}
-	if len(members[0]) != 2 || members[0][0] != 0 || members[0][1] != 3 {
-		t.Errorf("members = %v", members)
-	}
-}
-
-func TestGroupByAggVariants(t *testing.T) {
-	f := MustNew(
-		NewStringSeries("k", []string{"a", "a", "b"}, nil),
-		NewFloatSeries("v", []float64{1, 3, 10}, nil),
-	)
-	g, _, err := f.GroupBy([]string{"k"}, []Agg{
-		{Col: "v", Func: AggSum},
-		{Col: "v", Func: AggMin},
-		{Col: "v", Func: AggCount},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MustColumn("sum_v").Float(0) != 4 || g.MustColumn("min_v").Float(0) != 1 || g.MustColumn("count_v").Int(1) != 1 {
-		t.Errorf("agg wrong: %v", g)
-	}
-}
-
-func TestGroupByAllNullGroupYieldsNullAgg(t *testing.T) {
-	f := MustNew(
-		NewStringSeries("k", []string{"a"}, nil),
-		NewFloatSeries("v", []float64{0}, []bool{false}),
-	)
-	g, _, err := f.GroupBy([]string{"k"}, []Agg{{Col: "v", Func: AggMean}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.MustColumn("mean_v").IsNull(0) {
-		t.Error("mean over all-null group should be null")
 	}
 }
 

@@ -129,9 +129,6 @@ func (s *Series) Float(i int) float64 { return s.Value(i).Float() }
 // Str returns the string at row i; it panics on nulls or non-string columns.
 func (s *Series) Str(i int) string { return s.Value(i).Str() }
 
-// Bool returns the bool at row i; it panics on nulls or non-bool columns.
-func (s *Series) Bool(i int) bool { return s.Value(i).Bool() }
-
 func (s *Series) set(i int, v Value) error {
 	if v.IsNull() {
 		s.valid[i] = false
@@ -172,13 +169,6 @@ func (s *Series) Clone() *Series {
 	return c
 }
 
-// Rename returns a copy of the series under a new name sharing no state.
-func (s *Series) Rename(name string) *Series {
-	c := s.Clone()
-	c.name = name
-	return c
-}
-
 // Take returns a new series with the rows at the given indices, in order.
 // Indices may repeat.
 func (s *Series) Take(idx []int) *Series {
@@ -197,22 +187,6 @@ func (s *Series) Take(idx []int) *Series {
 		}
 	}
 	return out
-}
-
-// AppendValue grows the series by one row holding v.
-func (s *Series) AppendValue(v Value) error {
-	s.valid = append(s.valid, false)
-	switch s.kind {
-	case KindInt:
-		s.ints = append(s.ints, 0)
-	case KindFloat:
-		s.flts = append(s.flts, 0)
-	case KindString:
-		s.strs = append(s.strs, "")
-	case KindBool:
-		s.bools = append(s.bools, false)
-	}
-	return s.set(s.Len()-1, v)
 }
 
 // AppendSeries concatenates another series of the same kind onto s.
@@ -320,23 +294,6 @@ func (s *Series) Std() (float64, bool) {
 	return math.Sqrt(sum / float64(n)), true
 }
 
-// MinMax returns the minimum and maximum of the non-null values of a numeric
-// column. The third return is false when there are no non-null values.
-func (s *Series) MinMax() (float64, float64, bool) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	any := false
-	for i := 0; i < s.Len(); i++ {
-		if !s.valid[i] || (s.kind != KindInt && s.kind != KindFloat) {
-			continue
-		}
-		v := s.Float(i)
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-		any = true
-	}
-	return lo, hi, any
-}
-
 // Mode returns the most frequent non-null value; ties break toward the
 // smaller key ordering for determinism. The second return is false when the
 // column has no non-null values.
@@ -387,25 +344,4 @@ func (s *Series) Unique() []Value {
 		}
 	}
 	return out
-}
-
-// ValueCounts returns distinct non-null values with their frequencies, most
-// frequent first (ties by first appearance).
-func (s *Series) ValueCounts() ([]Value, []int) {
-	order := s.Unique()
-	counts := make(map[valueKey]int)
-	for i := 0; i < s.Len(); i++ {
-		v := s.Value(i)
-		if !v.IsNull() {
-			counts[v.key()]++
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return counts[order[a].key()] > counts[order[b].key()]
-	})
-	cs := make([]int, len(order))
-	for i, v := range order {
-		cs[i] = counts[v.key()]
-	}
-	return order, cs
 }

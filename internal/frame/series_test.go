@@ -122,21 +122,12 @@ func TestSeriesSetKindMismatch(t *testing.T) {
 }
 
 func TestSeriesAppend(t *testing.T) {
-	s := NewBoolSeries("b", []bool{true}, nil)
-	if err := s.AppendValue(Null()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendValue(Bool(false)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || !s.IsNull(1) || s.Bool(2) != false {
-		t.Errorf("append results wrong: len=%d", s.Len())
-	}
-	o := NewBoolSeries("b2", []bool{true, true}, nil)
+	s := NewBoolSeries("b", []bool{true, false}, []bool{true, false})
+	o := NewBoolSeries("b2", []bool{true, false}, nil)
 	if err := s.AppendSeries(o); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 5 || !s.Bool(4) {
+	if s.Len() != 4 || !s.IsNull(1) || !s.Value(2).Equal(Bool(true)) || !s.Value(3).Equal(Bool(false)) {
 		t.Errorf("AppendSeries wrong: len=%d", s.Len())
 	}
 	i := NewIntSeries("i", []int64{1}, nil)
@@ -152,10 +143,6 @@ func TestSeriesStats(t *testing.T) {
 	}
 	if sd, ok := s.Std(); !ok || sd != 1 {
 		t.Errorf("Std = %v,%v", sd, ok)
-	}
-	lo, hi, ok := s.MinMax()
-	if !ok || lo != 2 || hi != 4 {
-		t.Errorf("MinMax = %v,%v,%v", lo, hi, ok)
 	}
 	empty := NewFloatSeries("e", []float64{1}, []bool{false})
 	if _, ok := empty.Mean(); ok {
@@ -197,10 +184,6 @@ func TestSeriesUniqueAndValueCounts(t *testing.T) {
 	u := s.Unique()
 	if len(u) != 3 || u[0].Int() != 3 || u[1].Int() != 1 || u[2].Int() != 2 {
 		t.Errorf("Unique = %v", u)
-	}
-	vals, counts := s.ValueCounts()
-	if vals[0].Int() != 3 && counts[0] != 2 {
-		t.Errorf("ValueCounts = %v %v", vals, counts)
 	}
 }
 

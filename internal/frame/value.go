@@ -3,7 +3,7 @@
 // It is the relational substrate for the nde library: every dataset that
 // flows through an ML pipeline — source tables, joined side data, encoded
 // training matrices — is represented as a Frame of named, homogeneously
-// typed Series. Operations that reshape rows (filter, join, sort, take)
+// typed Series. Operations that reshape rows (filter, join, concat, take)
 // report the input-row indices that produced each output row so that
 // higher layers can maintain fine-grained provenance.
 package frame
@@ -109,14 +109,6 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// Bool returns the bool payload. It panics if the value is not a non-null bool.
-func (v Value) Bool() bool {
-	if !v.valid || v.kind != KindBool {
-		panic(fmt.Sprintf("frame: Bool() on %s value", v.describe()))
-	}
-	return v.b
-}
-
 // Equal reports whether two values have the same kind, nullness and payload.
 // Two nulls of any kind compare equal.
 func (v Value) Equal(o Value) bool {
@@ -164,8 +156,8 @@ func (v Value) describe() string {
 	return v.kind.String()
 }
 
-// key returns a comparable representation used for hashing in joins and
-// group-bys. Nulls of every kind map to the same key.
+// key returns a comparable representation used for hashing in joins.
+// Nulls of every kind map to the same key.
 func (v Value) key() valueKey {
 	if !v.valid {
 		return valueKey{null: true}

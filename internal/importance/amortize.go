@@ -107,49 +107,3 @@ func (a *AmortizedEstimator) Predict() (Scores, error) {
 	}
 	return out, nil
 }
-
-// AmortizedBanzhaf runs the full amortization loop with a genuinely
-// per-row-priced oracle: Monte-Carlo Banzhaf values are computed for only
-// `budget` randomly chosen rows (paying budget/n of the full cost), the
-// amortized regression is fitted on those noisy targets, and scores are
-// predicted for every row. Returned alongside are the oracle rows used.
-func AmortizedBanzhaf(train, valid *ml.Dataset, newModel func() ml.Classifier, budget, samplesPerRow int, seed int64) (Scores, []int, error) {
-	if budget < 2 || budget > train.Len() {
-		return nil, nil, fmt.Errorf("importance: amortization budget %d outside [2,%d]", budget, train.Len())
-	}
-	rows := deterministicSample(train.Len(), budget, seed)
-	u := AccuracyUtility(newModel, train, valid)
-	targets, err := MCBanzhafRows(train.Len(), u, rows, SemivalueConfig{SamplesPerPoint: samplesPerRow, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	est := NewAmortizedEstimator()
-	if err := est.Fit(train, rows, targets); err != nil {
-		return nil, nil, err
-	}
-	scores, err := est.Predict()
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, rows, nil
-}
-
-// deterministicSample returns `budget` distinct indices from [0,n) chosen
-// by a seeded linear-congruential walk (avoids importing math/rand here).
-func deterministicSample(n, budget int, seed int64) []int {
-	state := uint64(seed)*6364136223846793005 + 1442695040888963407
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 11
-	}
-	seen := make(map[int]bool, budget)
-	out := make([]int, 0, budget)
-	for len(out) < budget {
-		i := int(next() % uint64(n))
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	return out
-}

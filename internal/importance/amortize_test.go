@@ -1,10 +1,6 @@
 package importance
 
-import (
-	"testing"
-
-	"nde/internal/ml"
-)
+import "testing"
 
 func TestAmortizedEstimatorRecoversSignal(t *testing.T) {
 	// flipped points have low exact scores; the amortized model trained on
@@ -50,46 +46,6 @@ func TestAmortizedEstimatorErrors(t *testing.T) {
 	}
 }
 
-func TestAmortizedBanzhafEndToEnd(t *testing.T) {
-	clean := blobs(80, 2.5, 411)
-	valid := blobs(40, 2.5, 412)
-	dirty, flipped := flipLabels(clean, 0.15, 413)
-	scores, rows, err := AmortizedBanzhaf(dirty, valid,
-		func() ml.Classifier { return ml.NewKNN(5) }, 30, 15, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 30 {
-		t.Errorf("oracle rows = %d", len(rows))
-	}
-	if len(scores) != dirty.Len() {
-		t.Fatalf("scores len = %d", len(scores))
-	}
-	k := len(flipped)
-	if prec := scores.PrecisionAtK(flipped, k); prec < 0.4 {
-		t.Errorf("amortized banzhaf precision@%d = %v, want >= 0.4", k, prec)
-	}
-	if _, _, err := AmortizedBanzhaf(dirty, valid, func() ml.Classifier { return ml.NewKNN(5) }, 1, 5, 7); err == nil {
-		t.Error("expected budget error")
-	}
-}
-
-func TestMCBanzhafRowsMatchesFull(t *testing.T) {
-	w := []float64{2, -1, 0.5, 3}
-	u := additiveUtility(w)
-	partial, err := MCBanzhafRows(4, u, []int{1, 3}, SemivalueConfig{SamplesPerPoint: 50, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// additive utility: every semivalue equals the weight exactly
-	if partial[0] != -1 || partial[1] != 3 {
-		t.Errorf("partial banzhaf = %v", partial)
-	}
-	if _, err := MCBanzhafRows(4, u, []int{9}, SemivalueConfig{}); err == nil {
-		t.Error("expected range error")
-	}
-}
-
 func TestDeterministicSample(t *testing.T) {
 	a := deterministicSample(100, 20, 1)
 	b := deterministicSample(100, 20, 1)
@@ -116,4 +72,24 @@ func TestDeterministicSample(t *testing.T) {
 	if same {
 		t.Error("different seeds gave identical samples")
 	}
+}
+
+// deterministicSample returns `budget` distinct indices from [0,n) chosen
+// by a seeded linear-congruential walk (avoids importing math/rand here).
+func deterministicSample(n, budget int, seed int64) []int {
+	state := uint64(seed)*6364136223846793005 + 1442695040888963407
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 11
+	}
+	seen := make(map[int]bool, budget)
+	out := make([]int, 0, budget)
+	for len(out) < budget {
+		i := int(next() % uint64(n))
+		if !seen[i] {
+			seen[i] = true
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -3,11 +3,9 @@ package importance
 import (
 	"fmt"
 
-	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/obs"
 	"nde/internal/pipeline"
-	"nde/internal/prov"
 )
 
 // AggMode selects how per-output-row importance is folded into source-tuple
@@ -163,42 +161,4 @@ func GroupShapley(ft *pipeline.Featurized, valid *ml.Dataset, table string, tabl
 		}
 	}
 	return scores, nil
-}
-
-// PipelineUtility builds a Utility over the rows of one source table of a
-// pipeline: U(S) replays the pipeline with only the source tuples in S
-// present (all other tables intact), featurizes the result, trains a fresh
-// model and reports validation accuracy. It is the exact-but-expensive
-// ground truth that Datascope approximates, used by tests and ablations.
-func PipelineUtility(
-	p *pipeline.Pipeline,
-	out *pipeline.Node,
-	featurize func(*pipeline.Result) (*ml.Dataset, error),
-	newModel func() ml.Classifier,
-	valid *ml.Dataset,
-	table string,
-) Utility {
-	return func(subset []int) (float64, error) {
-		keep := make(map[int]bool, len(subset))
-		for _, i := range subset {
-			keep[i] = true
-		}
-		res, err := p.Replay(out, func(id prov.TupleID) bool {
-			return id.Table == table && !keep[id.Row]
-		})
-		if err != nil {
-			return 0, err
-		}
-		if res.Frame.NumRows() == 0 {
-			// the subset eliminated every training row; fall back to the
-			// empty-train baseline (predicting class 0)
-			empty := &ml.Dataset{X: linalg.NewMatrix(0, valid.Dim()), Y: nil}
-			return ml.EvaluateAccuracy(newModel(), empty, valid)
-		}
-		train, err := featurize(res)
-		if err != nil {
-			return 0, err
-		}
-		return ml.EvaluateAccuracy(newModel(), train, valid)
-	}
 }

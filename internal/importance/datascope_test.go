@@ -122,38 +122,6 @@ func TestDatascopeErrors(t *testing.T) {
 	}
 }
 
-func TestPipelineUtilityReplays(t *testing.T) {
-	p, node, ft, valid := mapPipelineFixture(t, 10, 73)
-	ct := encode.NewColumnTransformer(encode.ColumnSpec{Column: "x", Encoder: encode.NewStandardScaler()})
-	feat := func(res *pipeline.Result) (*ml.Dataset, error) {
-		f, err := pipeline.Featurize(res, ct, "y", "")
-		if err != nil {
-			return nil, err
-		}
-		return f.Data, nil
-	}
-	u := PipelineUtility(p, node, feat, func() ml.Classifier { return ml.NewKNN(1) }, valid, "train")
-	full := make([]int, 10)
-	for i := range full {
-		full[i] = i
-	}
-	accFull, err := u(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accFull < 0.8 {
-		t.Errorf("full accuracy = %v", accFull)
-	}
-	accEmpty, err := u(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accEmpty >= accFull {
-		t.Errorf("empty accuracy %v >= full %v", accEmpty, accFull)
-	}
-	_ = ft
-}
-
 // Datascope vs. exact pipeline Shapley on a map pipeline with label noise:
 // the rankings should agree on who is most harmful.
 func TestDatascopeFindsInjectedErrorOnPipeline(t *testing.T) {
@@ -219,25 +187,28 @@ func TestGroupShapleyExactOnMapPipeline(t *testing.T) {
 }
 
 func TestGroupShapleyForkPipeline(t *testing.T) {
-	// fork pipeline: concat duplicates every source row into two outputs,
-	// so each group has two outputs per tuple; efficiency must hold over
-	// the grouped game
+	// fork pipeline: a join against a two-row table duplicates every
+	// source row into two outputs, so each group has two outputs per
+	// tuple; efficiency must hold over the grouped game
 	r := rand.New(rand.NewSource(802))
 	n := 6
 	xs := make([]float64, n)
 	ys := make([]string, n)
+	keys := make([]string, n)
 	for i := range xs {
 		c := i % 2
 		xs[i] = float64(2*c-1)*2 + r.NormFloat64()
 		ys[i] = []string{"neg", "pos"}[c]
+		keys[i] = "k"
 	}
 	src := frame.MustNew(
 		frame.NewFloatSeries("x", xs, nil),
 		frame.NewStringSeries("y", ys, nil),
+		frame.NewStringSeries("key", keys, nil),
 	)
+	copies := frame.MustNew(frame.NewStringSeries("key", []string{"k", "k"}, nil))
 	p := pipeline.New()
-	s := p.Source("train", src)
-	forked := p.Concat(s, s)
+	forked := p.Join(p.Source("train", src), p.Source("copies", copies), "key", frame.InnerJoin)
 	res, err := p.Run(forked)
 	if err != nil {
 		t.Fatal(err)
@@ -281,37 +252,5 @@ func TestGroupShapleyMCFallback(t *testing.T) {
 	}
 	if _, err := GroupShapley(ft, valid, "train", 0, 1, 0, 1); err == nil {
 		t.Error("expected error for tableRows=0")
-	}
-}
-
-func TestMCBanzhafMSRMatchesExact(t *testing.T) {
-	r := rand.New(rand.NewSource(804))
-	n := 5
-	utils := make([]float64, 1<<n)
-	for i := range utils {
-		utils[i] = r.Float64()
-	}
-	u := func(subset []int) (float64, error) {
-		mask := 0
-		for _, i := range subset {
-			mask |= 1 << i
-		}
-		return utils[mask], nil
-	}
-	exact, err := ExactBanzhaf(n, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msr, err := MCBanzhafMSR(n, u, 20000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
-		if math.Abs(exact[i]-msr[i]) > 0.05 {
-			t.Errorf("msr[%d] = %v, exact %v", i, msr[i], exact[i])
-		}
-	}
-	if _, err := MCBanzhafMSR(0, u, 10, 1); err == nil {
-		t.Error("expected error for n=0")
 	}
 }

@@ -64,8 +64,8 @@ func TestKNNShapleyDeltaNilRemovalEqualsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keep) != train.Len() || ix.Derived() {
-		t.Fatalf("nil removal: keep=%d derived=%v, want full base index", len(keep), ix.Derived())
+	if len(keep) != train.Len() || ix.Train != train {
+		t.Fatalf("nil removal: keep=%d rows, want the full base index over train", len(keep))
 	}
 	full, err := KNNShapley(3, train, valid)
 	if err != nil {

@@ -5,8 +5,8 @@
 //   - leave-one-out (LOO) scores;
 //   - Monte-Carlo permutation Shapley values, with TMC truncation
 //     (Ghorbani & Zou, "Data Shapley");
-//   - exact Shapley/Banzhaf values by subset enumeration (for small n and
-//     for validating the estimators);
+//   - exact Shapley values by subset enumeration (for small n and for
+//     validating the estimators);
 //   - the efficient closed-form kNN-Shapley (Jia et al.);
 //   - Banzhaf values and Beta(α,β)-Shapley semivalues (Wang & Jia;
 //     Kwon & Zou);
@@ -70,24 +70,6 @@ func (s Scores) BottomK(k int) []int {
 	})
 }
 
-// TopK returns the k indices with the highest scores (k clamped to
-// [0, len]): RankAscending reversed, so descending score, ties to the
-// larger index. It shares BottomK's selection and NaN fallback.
-func (s Scores) TopK(k int) []int {
-	k = clampK(k, len(s))
-	if s.hasNaN() {
-		r := s.RankAscending()
-		out := make([]int, k)
-		for i := range out {
-			out[i] = r[len(r)-1-i]
-		}
-		return out
-	}
-	return firstK(len(s), k, func(a, b int) bool {
-		return s[a] > s[b] || (s[a] == s[b] && a > b)
-	})
-}
-
 func clampK(k, n int) int {
 	if k < 0 {
 		return 0
@@ -147,16 +129,6 @@ func firstK(n, k int, before func(a, b int) bool) []int {
 		down(0, end)
 	}
 	return h
-}
-
-// Sum returns the total of all scores (used to verify the Shapley
-// efficiency axiom Σφ = U(D) − U(∅)).
-func (s Scores) Sum() float64 {
-	t := 0.0
-	for _, v := range s {
-		t += v
-	}
-	return t
 }
 
 // PrecisionAtK measures detection quality: the fraction of the bottom-k

@@ -1,6 +1,7 @@
 package importance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -62,9 +63,6 @@ func TestScoresRanking(t *testing.T) {
 	if got := s.BottomK(2); got[0] != 1 || got[1] != 3 {
 		t.Errorf("BottomK = %v", got)
 	}
-	if got := s.TopK(2); got[0] != 0 || got[1] != 2 {
-		t.Errorf("TopK = %v", got)
-	}
 	if got := s.BottomK(99); len(got) != 4 {
 		t.Error("BottomK should clamp")
 	}
@@ -73,10 +71,9 @@ func TestScoresRanking(t *testing.T) {
 	}
 }
 
-// BottomK and TopK select without sorting every score, and must equal
-// the RankAscending prefix (TopK: of its reverse) wherever the stable
-// sort defines one: ties, ±0, NaN (the fallback path), and k outside
-// [0, len].
+// BottomK selects without sorting every score, and must equal the
+// RankAscending prefix wherever the stable sort defines one: ties, ±0,
+// NaN (the fallback path), and k outside [0, len].
 func TestBottomKTopKMatchRankAscending(t *testing.T) {
 	negZero, nan := math.Copysign(0, -1), math.NaN()
 	cases := []Scores{
@@ -106,15 +103,8 @@ func TestBottomKTopKMatchRankAscending(t *testing.T) {
 			if kk > n {
 				kk = n
 			}
-			wantTop := make([]int, kk)
-			for i := range wantTop {
-				wantTop[i] = rank[n-1-i]
-			}
 			if got := s.BottomK(k); !slices.Equal(got, rank[:kk]) {
 				t.Errorf("%v.BottomK(%d) = %v, want %v", s, k, got, rank[:kk])
-			}
-			if got := s.TopK(k); !slices.Equal(got, wantTop) {
-				t.Errorf("%v.TopK(%d) = %v, want %v", s, k, got, wantTop)
 			}
 		}
 	}
@@ -429,4 +419,51 @@ func TestAdditiveSemivaluesEqualWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Sum returns the total of all scores (used to verify the Shapley
+// efficiency axiom Σφ = U(D) − U(∅)).
+func (s Scores) Sum() float64 {
+	t := 0.0
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
+// ExactBanzhaf computes Banzhaf values by full enumeration: the average
+// marginal contribution over all 2^(n-1) subsets not containing i.
+func ExactBanzhaf(n int, u Utility) (Scores, error) {
+	if n <= 0 || n > 24 {
+		return nil, fmt.Errorf("importance: ExactBanzhaf supports 1..24 examples, got %d", n)
+	}
+	utils := make([]float64, 1<<n)
+	subset := make([]int, 0, n)
+	for mask := 0; mask < 1<<n; mask++ {
+		subset = subset[:0]
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				subset = append(subset, i)
+			}
+		}
+		v, err := u(subset)
+		if err != nil {
+			return nil, err
+		}
+		utils[mask] = v
+	}
+	scores := make(Scores, n)
+	for i := 0; i < n; i++ {
+		for mask := 0; mask < 1<<n; mask++ {
+			if mask&(1<<i) != 0 {
+				continue
+			}
+			scores[i] += utils[mask|1<<i] - utils[mask]
+		}
+	}
+	inv := 1 / float64(int(1)<<(n-1))
+	for i := range scores {
+		scores[i] *= inv
+	}
+	return scores, nil
 }

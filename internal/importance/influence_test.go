@@ -60,8 +60,8 @@ func TestInfluenceOrdersExtremesLikeLOO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := scores.BottomK(1)[0]
-	best := scores.TopK(1)[0]
+	rank := scores.RankAscending()
+	worst, best := rank[0], rank[len(rank)-1]
 	u := AccuracyUtility(func() ml.Classifier { return ml.NewLogisticRegression() }, dirty, valid)
 	without := func(i int) []int {
 		var s []int

@@ -90,42 +90,3 @@ func MarginScore(train *ml.Dataset, cfg NoiseConfig) (Scores, error) {
 	}
 	return scores, nil
 }
-
-// ConfidentLearningFlags returns the indices the confident-joint rule flags
-// as label errors: example i is flagged when the out-of-fold probability of
-// some other class c exceeds that class's confidence threshold (the mean
-// self-confidence of examples labeled c) while P(c|x_i) > P(y_i|x_i).
-func ConfidentLearningFlags(train *ml.Dataset, cfg NoiseConfig) ([]int, error) {
-	probs, err := outOfFoldProbs(train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nc := train.NumClasses()
-	thresh := make([]float64, nc)
-	counts := make([]int, nc)
-	for i, p := range probs {
-		thresh[train.Y[i]] += p[train.Y[i]]
-		counts[train.Y[i]]++
-	}
-	for c := range thresh {
-		if counts[c] > 0 {
-			thresh[c] /= float64(counts[c])
-		} else {
-			thresh[c] = 1.01 // unreachable: class absent from data
-		}
-	}
-	var flagged []int
-	for i, p := range probs {
-		y := train.Y[i]
-		for c := 0; c < nc; c++ {
-			if c == y {
-				continue
-			}
-			if p[c] >= thresh[c] && p[c] > p[y] {
-				flagged = append(flagged, i)
-				break
-			}
-		}
-	}
-	return flagged, nil
-}

@@ -42,43 +42,6 @@ func TestMarginScoreDetectsFlips(t *testing.T) {
 	}
 }
 
-func TestConfidentLearningFlags(t *testing.T) {
-	clean := blobs(200, 3, 65)
-	dirty, flipped := flipLabels(clean, 0.1, 66)
-	flags, err := ConfidentLearningFlags(dirty, NoiseConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flags) == 0 {
-		t.Fatal("no examples flagged despite 10% label noise")
-	}
-	hits := 0
-	for _, i := range flags {
-		if flipped[i] {
-			hits++
-		}
-	}
-	prec := float64(hits) / float64(len(flags))
-	rec := float64(hits) / float64(len(flipped))
-	if prec < 0.7 {
-		t.Errorf("confident-learning precision = %v, want >= 0.7", prec)
-	}
-	if rec < 0.5 {
-		t.Errorf("confident-learning recall = %v, want >= 0.5", rec)
-	}
-}
-
-func TestConfidentLearningCleanDataFewFlags(t *testing.T) {
-	clean := blobs(200, 3, 67)
-	flags, err := ConfidentLearningFlags(clean, NoiseConfig{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flags) > clean.Len()/10 {
-		t.Errorf("flagged %d of %d clean examples", len(flags), clean.Len())
-	}
-}
-
 func TestNoiseConfigCustomModel(t *testing.T) {
 	clean := blobs(100, 2.5, 68)
 	dirty, flipped := flipLabels(clean, 0.1, 69)

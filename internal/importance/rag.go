@@ -2,7 +2,6 @@ package importance
 
 import (
 	"fmt"
-	"sort"
 
 	"nde/internal/encode"
 	"nde/internal/frame"
@@ -66,23 +65,6 @@ func (c *RAGCorpus) Answer(query string, k int) (int, error) {
 	return m.Predict(q.Row(0)), nil
 }
 
-// Retrieve returns the indices of the k nearest documents to the query.
-func (c *RAGCorpus) Retrieve(query string, k int) ([]int, error) {
-	q, err := c.embedQueries([]string{query})
-	if err != nil {
-		return nil, err
-	}
-	m := ml.NewKNN(k)
-	if err := m.Fit(c.data); err != nil {
-		return nil, err
-	}
-	order := m.Neighbors(q.Row(0))
-	if k > len(order) {
-		k = len(order)
-	}
-	return order[:k], nil
-}
-
 // DocumentImportance computes the exact kNN-Shapley value of every corpus
 // document with respect to a benchmark of (query, expected answer) pairs.
 // Low-importance documents are the ones whose retrieval hurts answers —
@@ -100,34 +82,6 @@ func (c *RAGCorpus) DocumentImportance(queries []string, answers []int, k int) (
 		return nil, err
 	}
 	return KNNShapley(k, c.data, bench)
-}
-
-// PruneBottom removes the lowest-importance documents and returns the
-// pruned corpus together with the removed indices, the cleanup action the
-// importance analysis recommends.
-func (c *RAGCorpus) PruneBottom(scores Scores, k int) (*RAGCorpus, []int, error) {
-	if len(scores) != len(c.Docs) {
-		return nil, nil, fmt.Errorf("importance: %d scores for %d docs", len(scores), len(c.Docs))
-	}
-	drop := scores.BottomK(k)
-	dropSet := make(map[int]bool, len(drop))
-	for _, i := range drop {
-		dropSet[i] = true
-	}
-	var docs []string
-	var labels []int
-	for i := range c.Docs {
-		if !dropSet[i] {
-			docs = append(docs, c.Docs[i])
-			labels = append(labels, c.Labels[i])
-		}
-	}
-	pruned, err := NewRAGCorpus(docs, labels)
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Ints(drop)
-	return pruned, drop, nil
 }
 
 // PruneNegative removes every document with a strictly negative importance

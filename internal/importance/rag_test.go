@@ -66,13 +66,6 @@ func TestRAGCorpusAnswer(t *testing.T) {
 	if got != answers[0] {
 		t.Errorf("answer = %d, want %d", got, answers[0])
 	}
-	retrieved, err := c.Retrieve(queries[0], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(retrieved) != 3 {
-		t.Errorf("retrieved = %v", retrieved)
-	}
 }
 
 func TestRAGDocumentImportanceFindsPollution(t *testing.T) {
@@ -101,7 +94,7 @@ func TestRAGDocumentImportanceFindsPollution(t *testing.T) {
 }
 
 func TestRAGPruneImprovesBenchmark(t *testing.T) {
-	docs, labels, queries, answers, polluted := ragFixture()
+	docs, labels, queries, answers, _ := ragFixture()
 	c, err := NewRAGCorpus(docs, labels)
 	if err != nil {
 		t.Fatal(err)
@@ -114,15 +107,17 @@ func TestRAGPruneImprovesBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, dropped, err := c.PruneBottom(scores, len(polluted))
+	pruned, dropped, err := c.PruneNegative(scores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pruned.Docs) != len(docs)-len(polluted) {
-		t.Errorf("pruned size = %d", len(pruned.Docs))
+	if len(dropped) == 0 || len(pruned.Docs)+len(dropped) != len(docs) {
+		t.Errorf("pruned %d docs, dropped %v of %d", len(pruned.Docs), dropped, len(docs))
 	}
-	if len(dropped) != len(polluted) {
-		t.Errorf("dropped = %v", dropped)
+	for _, i := range dropped {
+		if scores[i] >= 0 {
+			t.Errorf("dropped doc %d with score %v >= 0", i, scores[i])
+		}
 	}
 	after, err := pruned.BenchmarkAccuracy(queries, answers, 3)
 	if err != nil {
@@ -148,7 +143,7 @@ func TestRAGCorpusErrors(t *testing.T) {
 	if _, err := c.DocumentImportance(nil, nil, 3); err == nil {
 		t.Error("expected error for empty benchmark")
 	}
-	if _, _, err := c.PruneBottom(Scores{1}, 1); err == nil {
+	if _, _, err := c.PruneNegative(Scores{1}); err == nil {
 		t.Error("expected error for score length mismatch")
 	}
 	if _, err := c.BenchmarkAccuracy(nil, nil, 3); err == nil {

@@ -38,72 +38,6 @@ func MCBetaShapley(n int, u Utility, alpha, beta float64, cfg SemivalueConfig) (
 	return mcSemivalue(n, u, cfg, func(r *rand.Rand) float64 { return betaSample(r, beta, alpha) })
 }
 
-// MCBanzhafMSR estimates Banzhaf values for ALL examples from one shared
-// pool of sampled subsets — the maximum-sample-reuse estimator of Wang &
-// Jia: φ_i = mean(U(S) | i ∈ S) − mean(U(S) | i ∉ S). With `samples`
-// utility evaluations total (instead of 2·n·samples), it is the estimator
-// of choice when utility calls dominate the cost.
-func MCBanzhafMSR(n int, u Utility, samples int, seed int64) (Scores, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("importance: need at least one example, got %d", n)
-	}
-	if samples <= 0 {
-		samples = 200
-	}
-	r := rand.New(rand.NewSource(seed))
-	sumIn := make([]float64, n)
-	cntIn := make([]int, n)
-	sumOut := make([]float64, n)
-	cntOut := make([]int, n)
-	subset := make([]int, 0, n)
-	member := make([]bool, n)
-	for s := 0; s < samples; s++ {
-		subset = subset[:0]
-		for j := 0; j < n; j++ {
-			member[j] = r.Intn(2) == 0
-			if member[j] {
-				subset = append(subset, j)
-			}
-		}
-		v, err := u(subset)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < n; j++ {
-			if member[j] {
-				sumIn[j] += v
-				cntIn[j]++
-			} else {
-				sumOut[j] += v
-				cntOut[j]++
-			}
-		}
-	}
-	scores := make(Scores, n)
-	for j := 0; j < n; j++ {
-		if cntIn[j] == 0 || cntOut[j] == 0 {
-			continue // no information for this point at this sample count
-		}
-		scores[j] = sumIn[j]/float64(cntIn[j]) - sumOut[j]/float64(cntOut[j])
-	}
-	return scores, nil
-}
-
-// MCBanzhafRows estimates Banzhaf values for a subset of the examples only,
-// at proportionally reduced cost — the per-row oracle used by amortized
-// estimation. The returned slice is aligned with rows.
-func MCBanzhafRows(n int, u Utility, rows []int, cfg SemivalueConfig) ([]float64, error) {
-	full, err := mcSemivalueRows(n, u, cfg, func(*rand.Rand) float64 { return 0.5 }, rows)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(rows))
-	for o, i := range rows {
-		out[o] = full[i]
-	}
-	return out, nil
-}
-
 // mcSemivalue runs the shared estimator: for each example i and each
 // sample, draw an inclusion probability t from tDist, build a subset of the
 // other examples by independent coin flips with probability t, and average

@@ -139,43 +139,6 @@ func ExactShapley(n int, u Utility) (Scores, error) {
 	return scores, nil
 }
 
-// ExactBanzhaf computes Banzhaf values by full enumeration: the average
-// marginal contribution over all 2^(n-1) subsets not containing i.
-func ExactBanzhaf(n int, u Utility) (Scores, error) {
-	if n <= 0 || n > 24 {
-		return nil, fmt.Errorf("importance: ExactBanzhaf supports 1..24 examples, got %d", n)
-	}
-	utils := make([]float64, 1<<n)
-	subset := make([]int, 0, n)
-	for mask := 0; mask < 1<<n; mask++ {
-		subset = subset[:0]
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				subset = append(subset, i)
-			}
-		}
-		v, err := u(subset)
-		if err != nil {
-			return nil, err
-		}
-		utils[mask] = v
-	}
-	scores := make(Scores, n)
-	for i := 0; i < n; i++ {
-		for mask := 0; mask < 1<<n; mask++ {
-			if mask&(1<<i) != 0 {
-				continue
-			}
-			scores[i] += utils[mask|1<<i] - utils[mask]
-		}
-	}
-	inv := 1 / float64(int(1)<<(n-1))
-	for i := range scores {
-		scores[i] *= inv
-	}
-	return scores, nil
-}
-
 func popcount(x int) int {
 	c := 0
 	for x != 0 {

@@ -86,28 +86,6 @@ func pairwiseD2Block(a, b *Matrix, na, nb []float64, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulPar returns m @ o with output rows computed in parallel on the
-// shared pool (workers <= 0 = auto). Each output row is produced by exactly
-// the same sequence of operations as the serial MatMul, so the result is
-// bit-for-bit identical to it for any worker count.
-func MatMulPar(m, o *Matrix, workers int) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("linalg: MatMulPar shape %dx%d @ %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	par.For("linalg.matmul", workers, m.Rows, func(_, r int) {
-		row := out.Row(r)
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[r*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			AXPY(a, o.Data[k*o.Cols:(k+1)*o.Cols], row)
-		}
-	})
-	return out
-}
-
 // Fingerprint returns a cheap content hash over the matrix shape and the
 // raw bits of its elements. Used to key caches of derived quantities
 // (e.g. pairwise-distance matrices) by content rather than pointer

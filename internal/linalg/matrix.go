@@ -37,15 +37,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -58,17 +49,6 @@ func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			t.Data[c*t.Cols+r] = m.Data[r*m.Cols+c]
-		}
-	}
-	return t
 }
 
 // MulVec returns m @ x.
@@ -91,25 +71,6 @@ func (m *Matrix) MulTransVec(x []float64) []float64 {
 	out := make([]float64, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		AXPY(x[r], m.Row(r), out)
-	}
-	return out
-}
-
-// MatMul returns m @ o.
-func (m *Matrix) MatMul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("linalg: MatMul shape %dx%d @ %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for r := 0; r < m.Rows; r++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[r*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			orow := o.Data[k*o.Cols : (k+1)*o.Cols]
-			AXPY(a, orow, out.Row(r))
-		}
 	}
 	return out
 }

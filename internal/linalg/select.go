@@ -24,20 +24,3 @@ func (m *Matrix) SelectColumns(cols []int) *Matrix {
 	}
 	return out
 }
-
-// HConcat returns [a | b]: a new matrix whose rows are a's rows followed by
-// b's rows element-wise. Both inputs must have the same row count. Used to
-// extend a cached query×extra distance block when more rows are appended to
-// a derived neighbor index.
-func HConcat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("linalg: HConcat rows %d vs %d", a.Rows, b.Rows))
-	}
-	out := NewMatrix(a.Rows, a.Cols+b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		dst := out.Row(r)
-		copy(dst[:a.Cols], a.Row(r))
-		copy(dst[a.Cols:], b.Row(r))
-	}
-	return out
-}

@@ -25,26 +25,3 @@ func TestSelectColumns(t *testing.T) {
 	}()
 	m.SelectColumns([]int{4})
 }
-
-func TestHConcat(t *testing.T) {
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{1, 2, 3, 4})
-	b := NewMatrix(2, 3)
-	copy(b.Data, []float64{5, 6, 7, 8, 9, 10})
-	got := HConcat(a, b)
-	if got.Rows != 2 || got.Cols != 5 {
-		t.Fatalf("shape = %dx%d, want 2x5", got.Rows, got.Cols)
-	}
-	want := []float64{1, 2, 5, 6, 7, 3, 4, 8, 9, 10}
-	for i, v := range got.Data {
-		if v != want[i] {
-			t.Fatalf("Data[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row mismatch must panic")
-		}
-	}()
-	HConcat(a, NewMatrix(3, 1))
-}

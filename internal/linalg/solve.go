@@ -178,31 +178,3 @@ func ConjugateGradient(a *Matrix, b []float64, tol float64, maxIter int) []float
 	}
 	return x
 }
-
-// HVPSolver solves H x = v for an implicitly defined SPD Hessian given only
-// Hessian-vector products, via conjugate gradients. Used by influence
-// functions where materializing H is wasteful.
-func HVPSolver(hvp func([]float64) []float64, v []float64, tol float64, maxIter int) []float64 {
-	n := len(v)
-	x := make([]float64, n)
-	r := Clone(v)
-	p := Clone(v)
-	rs := Dot(r, r)
-	for it := 0; it < maxIter && math.Sqrt(rs) > tol; it++ {
-		ap := hvp(p)
-		denom := Dot(p, ap)
-		if denom <= 0 {
-			break
-		}
-		alpha := rs / denom
-		AXPY(alpha, p, x)
-		AXPY(-alpha, ap, r)
-		rsNew := Dot(r, r)
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return x
-}

@@ -43,44 +43,5 @@ func Scale(alpha float64, v []float64) {
 	}
 }
 
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Clone returns a copy of v.
 func Clone(v []float64) []float64 { return append([]float64(nil), v...) }
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
-// MaxAbsDiff returns max_i |a[i]-b[i]|.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: MaxAbsDiff length mismatch %d vs %d", len(a), len(b)))
-	}
-	m := 0.0
-	for i := range a {
-		m = math.Max(m, math.Abs(a[i]-b[i]))
-	}
-	return m
-}

@@ -38,11 +38,14 @@ type Analyzer struct {
 	Run     func(p *Pass)
 }
 
-// Pass is the per-(analyzer, package) reporting context handed to Run.
+// Pass is the reporting context handed to Run, one per analyzer and
+// Run; Pkg is the package being analyzed.
 type Pass struct {
 	Mod      *Module
 	Pkg      *Package
 	analyzer *Analyzer
+	allow    map[string]bool // the analyzer's allowlisted keys
+	memo     any             // what the analyzer computes once per module (deadcode's dead set)
 	diags    *[]Diagnostic
 }
 
@@ -93,26 +96,18 @@ func (p *Pass) InspectFuncs(visit func(fn *ast.FuncDecl, n ast.Node) bool) {
 	}
 }
 
-// RunAnalyzer applies one analyzer to one package, ignoring its Applies
-// scope — the golden tests use it to drive analyzers over fixture
-// packages directly.
-func RunAnalyzer(a *Analyzer, m *Module, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	a.Run(&Pass{Mod: m, Pkg: pkg, analyzer: a, diags: &diags})
-	sortDiags(diags)
-	return diags
-}
-
 // Run applies every analyzer to every loaded package it covers and
 // returns all findings, allowlist-annotated, in deterministic order.
 func Run(m *Module, analyzers []*Analyzer, allow Allowlists) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
+		p := &Pass{Mod: m, analyzer: a, allow: allow[a.Name], diags: &diags}
 		for _, pkg := range m.Packages() {
 			if a.Applies != nil && !a.Applies(m.relPkg(pkg.Path)) {
 				continue
 			}
-			a.Run(&Pass{Mod: m, Pkg: pkg, analyzer: a, diags: &diags})
+			p.Pkg = pkg
+			a.Run(p)
 		}
 	}
 	for i := range diags {
@@ -134,7 +129,10 @@ func sortDiags(diags []Diagnostic) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Func < b.Func
 	})
 }
 
@@ -146,6 +144,33 @@ func Violations(diags []Diagnostic) []Diagnostic {
 			out = append(out, d)
 		}
 	}
+	return out
+}
+
+// Stale returns one violation per key in the analyzers' allowlists that
+// no finding in diags matches, keyed like the finding it once excused,
+// so an exception dies with the code it excused. Its Line is 0.
+func Stale(analyzers []*Analyzer, allow Allowlists, diags []Diagnostic) []Diagnostic {
+	found := make(map[string]bool, len(diags))
+	for _, d := range diags {
+		found[d.Analyzer+" "+d.Key()] = true
+	}
+	var out []Diagnostic
+	for _, a := range analyzers {
+		for key := range allow[a.Name] {
+			if found[a.Name+" "+key] {
+				continue
+			}
+			file, fn, _ := strings.Cut(key, ":")
+			out = append(out, Diagnostic{
+				Analyzer: a.Name,
+				File:     file,
+				Func:     fn,
+				Message:  "stale allowlist key: no finding matches it (run `go run ./cmd/nde-lint -update`)",
+			})
+		}
+	}
+	sortDiags(out)
 	return out
 }
 
@@ -179,11 +204,11 @@ func LoadAllowlists(dir string, analyzers []*Analyzer) (Allowlists, error) {
 }
 
 // WriteAllowlists rewrites dir/<analyzer>.txt from the given findings:
-// the union of finding keys per analyzer, sorted. A leading #-comment
-// block in an existing file (the human rationale) is preserved, also
-// when the analyzer has no findings; otherwise an analyzer with no
-// findings gets its file removed — an empty contract needs no exceptions
-// file.
+// the union of finding keys per analyzer, sorted. The human rationale in
+// an existing file is preserved: its leading #-comment block, also when
+// the analyzer has no findings, and the comment lines directly above
+// each key that is kept. An analyzer with no findings and no rationale
+// gets its file removed — an empty contract needs no exceptions file.
 func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -200,7 +225,7 @@ func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) erro
 	for _, a := range analyzers {
 		path := filepath.Join(dir, a.Name+".txt")
 		set := byAnalyzer[a.Name]
-		header := leadingComments(path)
+		header, notes := allowlistComments(path)
 		if len(set) == 0 && header == "" {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				return err
@@ -209,10 +234,13 @@ func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) erro
 		}
 		keys := make([]string, 0, len(set))
 		for k := range set {
-			keys = append(keys, k+"\n")
+			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		body := header + strings.Join(keys, "")
+		body := header
+		for _, k := range keys {
+			body += notes[k] + k + "\n"
+		}
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			return err
 		}
@@ -220,23 +248,37 @@ func WriteAllowlists(dir string, analyzers []*Analyzer, diags []Diagnostic) erro
 	return nil
 }
 
-// leadingComments returns the initial #-comment block of an existing
-// allowlist file (terminated by the first non-comment line), so -update
-// keeps the recorded rationale.
-func leadingComments(path string) string {
+// allowlistComments returns the rationale of an existing allowlist file,
+// so -update keeps it: the header — the initial #-comment block, with the
+// blank line that ends it, if one does — and, per key, the #-comment
+// lines directly above it.
+func allowlistComments(path string) (header string, notes map[string]string) {
+	notes = make(map[string]string)
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return ""
+	if err != nil || len(data) == 0 {
+		return "", notes
 	}
-	var b strings.Builder
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(strings.TrimSpace(line), "#") {
-			break
+	inHeader := true
+	var pending string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "#") && inHeader:
+			header += line + "\n"
+		case strings.HasPrefix(trimmed, "#"):
+			pending += line + "\n"
+		case trimmed == "" && inHeader:
+			header += "\n"
+			inHeader = false
+		case trimmed == "":
+			pending = ""
+		default:
+			inHeader = false
+			notes[trimmed] = pending
+			pending = ""
 		}
-		b.WriteString(line)
-		b.WriteString("\n")
 	}
-	return b.String()
+	return header, notes
 }
 
 // relPkg maps an import path of this module to its module-relative form:
@@ -250,5 +292,5 @@ func (m *Module) relPkg(pkgPath string) string {
 
 // Analyzers returns the repo's analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard, Globalstate}
+	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard, Globalstate, Deadcode}
 }

@@ -97,6 +97,18 @@ func TestAllowlistUpdatePreservesComments(t *testing.T) {
 	if data, err := os.ReadFile(empty); err != nil || string(data) != "# why\n" {
 		t.Errorf("finding-free allowlist = %q, %v; want its header only", data, err)
 	}
+
+	// a note directly above a key stays with the key; a stale key's goes
+	noted := "# header\n\n# note for F\na.go:F\n# note for Old\nstale.go:Old\n"
+	if err := os.WriteFile(path, []byte(noted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAllowlists(dir, Analyzers(), diags); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "# header\n\n# note for F\na.go:F\n" {
+		t.Errorf("noted allowlist = %q, %v; want the header and F's note", data, err)
+	}
 }
 
 func TestLoadAllowlistsSkipsCommentsAndBlanks(t *testing.T) {

@@ -3,7 +3,8 @@
 // no-external-deps ethos as the rest of the tree), runs a small set of
 // analyzers that encode the contracts the paper's debugging workflow
 // depends on (bit-for-bit determinism, a panic-free facade, nderr error
-// wrapping, zero-alloc observability), and reports findings keyed by
+// wrapping, zero-alloc observability, no package state in the kernels,
+// no internal code that nothing runs), and reports findings keyed by
 // file:function so deliberate exceptions can be allowlisted under
 // scripts/lint/. `cmd/nde-lint` is the driver; `make lint` the entry
 // point. See DESIGN.md §10 "Static analysis contract".
@@ -218,14 +219,9 @@ func (m *Module) check(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// CheckDir parses and type-checks a single directory outside the normal
-// module layout (the golden-test fixtures under testdata) as import path
-// asPath. Imports of the module's own packages still resolve, so fixtures
-// can call into internal/obs and friends.
-func (m *Module) CheckDir(dir, asPath string) (*Package, error) {
-	return m.checkDir(dir, asPath)
-}
-
+// checkDir parses and type-checks the non-test files of dir as import
+// path path. The golden tests also point it at fixture directories under
+// testdata, whose imports of the module's own packages still resolve.
 func (m *Module) checkDir(dir, path string) (*Package, error) {
 	names, err := goFiles(dir)
 	if err != nil {

@@ -14,8 +14,8 @@ type argsortScratch struct {
 // folded onto +0 first (the comparator treats them as equal), then a
 // positive value gets its sign bit set and a negative one is
 // complemented. NaN has no place in the (distance, index) order and is
-// out of contract: NewNeighborIndex and AppendRows reject non-finite
-// features, so no distance they sort is NaN.
+// out of contract: NewNeighborIndex rejects non-finite features, so no
+// distance it sorts is NaN.
 func distKey(d float64) uint64 {
 	b := math.Float64bits(d)
 	if b == 1<<63 {

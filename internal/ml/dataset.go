@@ -1,7 +1,7 @@
 // Package ml implements the machine-learning substrate of nde: feature-
 // matrix datasets, a family of classifiers and regressors trained from
-// scratch (k-nearest neighbors, logistic and linear regression, linear SVM,
-// naive Bayes, decision trees), model-quality metrics — including the
+// scratch (k-nearest neighbors, logistic and linear regression, decision
+// trees and random forests), model-quality metrics — including the
 // fairness and stability metrics of the tutorial's Figure 1 — and
 // deterministic data splits. Everything is seeded and reproducible.
 package ml

@@ -18,10 +18,10 @@ import (
 // is the (distance, index) total order — full orderings from a stable
 // radix argsort, top-k sets from a comparator quickselect — and votes are
 // tallied in a label-indexed slice. Batch workloads
-// should go through PredictBatch or a NeighborIndex, which compute all
-// query×train distances through the batched linalg kernel, or through
-// Neighborhoods where the predictions must equal Predict's and only the
-// training labels change between batches.
+// should go through a NeighborIndex, which computes all query×train
+// distances through the batched linalg kernel, or through Neighborhoods
+// where the predictions must equal Predict's and only the training labels
+// change between batches.
 type KNN struct {
 	K     int
 	train *Dataset
@@ -42,21 +42,6 @@ func (m *KNN) Fit(d *Dataset) error {
 	m.train = d
 	m.nc = d.NumClasses()
 	return nil
-}
-
-// Neighbors returns the indices of all training points sorted by ascending
-// distance to x (distance ties break by index). The slice is freshly
-// allocated. Training rows or an x holding NaN leave the order
-// unspecified (see argsortInto).
-func (m *KNN) Neighbors(x []float64) []int {
-	n := m.train.Len()
-	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = SquaredDistance(m.train.Row(i), x)
-	}
-	idx := make([]int, n)
-	argsortInto(d2, idx, &argsortScratch{})
-	return idx
 }
 
 // SquaredDistance returns the squared L2 distance between two equal-length
@@ -163,23 +148,6 @@ func (nb *Neighborhoods) Vote(trainY []int) ([]int, error) {
 		out[q] = tallyVotes(votes, trainY, nb.ids[q*nb.k:(q+1)*nb.k])
 	}
 	return out, nil
-}
-
-// PredictBatch classifies every row of queries, computing all distances at
-// once through the batched kernel on the shared pool (workers <= 0 =
-// auto). Its distances come from the Gram identity rather than Predict's
-// direct differences, so on rows at tied or nearly tied distances it can
-// select different neighbors and predict differently from calling Predict
-// row by row; Neighborhoods and Vote reproduce Predict exactly.
-func (m *KNN) PredictBatch(queries *Dataset, workers int) ([]int, error) {
-	if m.train == nil {
-		return nil, fmt.Errorf("ml: PredictBatch before Fit")
-	}
-	ix, err := NewNeighborIndex(m.train, queries, workers)
-	if err != nil {
-		return nil, err
-	}
-	return ix.PredictBatch(m.K), nil
 }
 
 // Proba returns the vote fractions over classes among the k nearest points.

@@ -101,3 +101,18 @@ func TestNeighborhoodsErrors(t *testing.T) {
 		t.Errorf("wide queries err = %v, want ErrShapeMismatch", err)
 	}
 }
+
+// Neighbors returns the indices of all training points sorted by ascending
+// distance to x (distance ties break by index). The slice is freshly
+// allocated. Training rows or an x holding NaN leave the order
+// unspecified (see argsortInto).
+func (m *KNN) Neighbors(x []float64) []int {
+	n := m.train.Len()
+	d2 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d2[i] = SquaredDistance(m.train.Row(i), x)
+	}
+	idx := make([]int, n)
+	argsortInto(d2, idx, &argsortScratch{})
+	return idx
+}

@@ -109,15 +109,6 @@ type LinearRegression struct {
 	intercept float64
 }
 
-// NewLinearRegression returns a ridge regressor with a tiny default penalty.
-func NewLinearRegression() *LinearRegression { return &LinearRegression{L2: 1e-6} }
-
-// Weights returns the learned weight vector (shared backing).
-func (m *LinearRegression) Weights() []float64 { return m.weights }
-
-// Intercept returns the learned bias term.
-func (m *LinearRegression) Intercept() float64 { return m.intercept }
-
 // FitXY trains on an explicit matrix and continuous targets.
 func (m *LinearRegression) FitXY(x *linalg.Matrix, y []float64) error {
 	if x.Rows == 0 {
@@ -178,86 +169,6 @@ func (m *LinearRegression) PredictValue(x []float64) float64 {
 // Predict thresholds the regression output at 0.5 for 0/1 labels.
 func (m *LinearRegression) Predict(x []float64) int {
 	if m.PredictValue(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// LinearSVM is a binary linear support vector machine trained by
-// deterministic subgradient descent on the L2-regularized hinge loss
-// (Pegasos-style with a fixed epoch schedule). Labels must be 0 or 1;
-// internally they map to ±1.
-type LinearSVM struct {
-	Lambda float64 // regularization strength (default 1e-3)
-	Epochs int     // full passes (default 200)
-
-	weights   []float64
-	intercept float64
-}
-
-// NewLinearSVM returns an SVM with sensible defaults.
-func NewLinearSVM() *LinearSVM { return &LinearSVM{Lambda: 1e-3, Epochs: 200} }
-
-// Weights returns the learned weight vector (shared backing).
-func (m *LinearSVM) Weights() []float64 { return m.weights }
-
-// Intercept returns the learned bias term.
-func (m *LinearSVM) Intercept() float64 { return m.intercept }
-
-// Fit trains by full-batch subgradient descent on the hinge loss.
-func (m *LinearSVM) Fit(d *Dataset) error {
-	if d.Len() == 0 {
-		return fmt.Errorf("ml: SVM cannot fit an empty dataset")
-	}
-	for _, y := range d.Y {
-		if y != 0 && y != 1 {
-			return fmt.Errorf("ml: SVM requires binary 0/1 labels, got %d", y)
-		}
-	}
-	lambda, epochs := m.Lambda, m.Epochs
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-	if epochs <= 0 {
-		epochs = 200
-	}
-	n, dim := d.Len(), d.Dim()
-	w := make([]float64, dim)
-	b := 0.0
-	g := make([]float64, dim)
-	for e := 1; e <= epochs; e++ {
-		step := 1 / (lambda * float64(e+10))
-		for i := range g {
-			g[i] = lambda * w[i]
-		}
-		gb := 0.0
-		inv := 1 / float64(n)
-		for i := 0; i < n; i++ {
-			yi := 2*float64(d.Y[i]) - 1
-			margin := yi * (linalg.Dot(w, d.Row(i)) + b)
-			if margin < 1 {
-				linalg.AXPY(-yi*inv, d.Row(i), g)
-				gb -= yi * inv
-			}
-		}
-		linalg.AXPY(-step, g, w)
-		b -= step * gb
-	}
-	m.weights, m.intercept = w, b
-	return nil
-}
-
-// Margin returns the signed distance proxy w·x + b.
-func (m *LinearSVM) Margin(x []float64) float64 {
-	if m.weights == nil {
-		panic("ml: Margin before Fit")
-	}
-	return linalg.Dot(m.weights, x) + m.intercept
-}
-
-// Predict returns 1 when the margin is non-negative, else 0.
-func (m *LinearSVM) Predict(x []float64) int {
-	if m.Margin(x) >= 0 {
 		return 1
 	}
 	return 0

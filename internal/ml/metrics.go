@@ -80,45 +80,6 @@ func F1(truth, pred []int, pos int) float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MacroF1 averages the per-class F1 over all classes present in truth.
-func MacroF1(truth, pred []int) float64 {
-	present := make(map[int]bool)
-	for _, y := range truth {
-		present[y] = true
-	}
-	classes := make([]int, 0, len(present))
-	for c := range present {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	if len(classes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, c := range classes {
-		sum += F1(truth, pred, c)
-	}
-	return sum / float64(len(classes))
-}
-
-// LogLoss returns the mean negative log likelihood given per-example
-// probability vectors.
-func LogLoss(truth []int, probs [][]float64) float64 {
-	if len(truth) == 0 {
-		return 0
-	}
-	const eps = 1e-15
-	sum := 0.0
-	for i, y := range truth {
-		p := probs[i][y]
-		if p < eps {
-			p = eps
-		}
-		sum -= math.Log(p)
-	}
-	return sum / float64(len(truth))
-}
-
 // groupIndices partitions example indices by group value.
 func groupIndices(groups []string) map[string][]int {
 	out := make(map[string][]int)
@@ -163,24 +124,6 @@ func PredictiveParityDifference(truth, pred []int, groups []string, pos int) flo
 		precs = append(precs, c.Precision())
 	}
 	return maxGap(precs)
-}
-
-// DemographicParityDifference returns the largest pairwise gap in positive-
-// prediction rate between groups.
-func DemographicParityDifference(pred []int, groups []string, pos int) float64 {
-	byGroup := groupIndices(groups)
-	var rates []float64
-	for _, g := range sortedKeys(byGroup) {
-		idx := byGroup[g]
-		n := 0
-		for _, i := range idx {
-			if pred[i] == pos {
-				n++
-			}
-		}
-		rates = append(rates, float64(n)/float64(len(idx)))
-	}
-	return maxGap(rates)
 }
 
 // PredictionEntropy is the Shannon entropy (nats) of the empirical label

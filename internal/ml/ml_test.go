@@ -70,10 +70,8 @@ func TestModelsSeparateBlobs(t *testing.T) {
 	models := map[string]Classifier{
 		"knn":    NewKNN(5),
 		"logreg": NewLogisticRegression(),
-		"linreg": NewLinearRegression(),
-		"svm":    NewLinearSVM(),
-		"gnb":    NewGaussianNB(),
-		"tree":   NewDecisionTree(),
+		"linreg": &LinearRegression{L2: 1e-6},
+		"tree":   &DecisionTree{MaxDepth: 5, MinSamplesSplit: 2},
 	}
 	for name, m := range models {
 		if acc := fitAccuracy(t, m, train, test); acc < 0.9 {
@@ -85,8 +83,8 @@ func TestModelsSeparateBlobs(t *testing.T) {
 func TestModelsRejectEmptyFit(t *testing.T) {
 	empty := &Dataset{X: linalg.NewMatrix(0, 2), Y: nil}
 	for name, m := range map[string]Classifier{
-		"knn": NewKNN(3), "logreg": NewLogisticRegression(), "svm": NewLinearSVM(),
-		"gnb": NewGaussianNB(), "tree": NewDecisionTree(), "mnb": NewMultinomialNB(),
+		"knn": NewKNN(3), "logreg": NewLogisticRegression(),
+		"tree": &DecisionTree{MaxDepth: 5, MinSamplesSplit: 2},
 	} {
 		if err := m.Fit(empty); err == nil {
 			t.Errorf("%s: expected error fitting empty dataset", name)
@@ -152,12 +150,12 @@ func TestLogisticRegressionProbaAndLabels(t *testing.T) {
 func TestLinearRegressionFitXY(t *testing.T) {
 	// y = 2x + 1 exactly
 	x := linalg.FromRows([][]float64{{0}, {1}, {2}, {3}})
-	m := NewLinearRegression()
+	m := &LinearRegression{L2: 1e-6}
 	if err := m.FitXY(x, []float64{1, 3, 5, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Weights()[0]-2) > 1e-6 || math.Abs(m.Intercept()-1) > 1e-6 {
-		t.Errorf("w=%v b=%v", m.Weights(), m.Intercept())
+	if math.Abs(m.weights[0]-2) > 1e-6 || math.Abs(m.intercept-1) > 1e-6 {
+		t.Errorf("w=%v b=%v", m.weights, m.intercept)
 	}
 	if math.Abs(m.PredictValue([]float64{10})-21) > 1e-5 {
 		t.Errorf("PredictValue(10) = %v", m.PredictValue([]float64{10}))
@@ -167,59 +165,11 @@ func TestLinearRegressionFitXY(t *testing.T) {
 	}
 }
 
-func TestSVMMarginSign(t *testing.T) {
-	train := blobs(150, 3, 5)
-	m := NewLinearSVM()
-	if err := m.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if m.Margin([]float64{3, 3}) <= 0 {
-		t.Error("margin should be positive deep in class-1 region")
-	}
-	if m.Margin([]float64{-3, -3}) >= 0 {
-		t.Error("margin should be negative deep in class-0 region")
-	}
-	bad := &Dataset{X: linalg.NewMatrix(1, 1), Y: []int{3}}
-	if err := m.Fit(bad); err == nil {
-		t.Error("expected error for non-binary labels")
-	}
-}
-
-func TestGaussianNBProbaSumsToOne(t *testing.T) {
-	train := blobs(100, 2, 3)
-	m := NewGaussianNB()
-	if err := m.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	p := m.Proba([]float64{0.5, 0.5})
-	if math.Abs(p[0]+p[1]-1) > 1e-9 {
-		t.Errorf("Proba sums to %v", p[0]+p[1])
-	}
-}
-
-func TestMultinomialNBOnCounts(t *testing.T) {
-	// class 0 uses token 0, class 1 uses token 1
-	x := linalg.FromRows([][]float64{{5, 0}, {4, 1}, {0, 5}, {1, 4}})
-	d, _ := NewDataset(x, []int{0, 0, 1, 1})
-	m := NewMultinomialNB()
-	if err := m.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	if m.Predict([]float64{3, 0}) != 0 || m.Predict([]float64{0, 3}) != 1 {
-		t.Error("MultinomialNB predictions wrong")
-	}
-	neg := linalg.FromRows([][]float64{{-1}})
-	nd, _ := NewDataset(neg, []int{0})
-	if err := m.Fit(nd); err == nil {
-		t.Error("expected error for negative features")
-	}
-}
-
 func TestDecisionTreeXOR(t *testing.T) {
 	// XOR is not linearly separable; a depth-2 tree nails it
 	x := linalg.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {0.1, 0.1}, {0.9, 0.9}, {0.1, 0.9}, {0.9, 0.1}})
 	d, _ := NewDataset(x, []int{0, 1, 1, 0, 0, 0, 1, 1})
-	m := NewDecisionTree()
+	m := &DecisionTree{MaxDepth: 5, MinSamplesSplit: 2}
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -254,4 +204,20 @@ func TestEvaluateAccuracyEmptyTrain(t *testing.T) {
 	if acc != 0.5 {
 		t.Errorf("empty-train accuracy = %v, want 0.5 (predicts class 0)", acc)
 	}
+}
+
+// Depth returns the height of the fitted tree (0 for a single leaf).
+func (m *DecisionTree) Depth() int {
+	var h func(n *treeNode) int
+	h = func(n *treeNode) int {
+		if n == nil || n.leaf {
+			return 0
+		}
+		l, r := h(n.left), h(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return h(m.root)
 }

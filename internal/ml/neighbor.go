@@ -86,7 +86,7 @@ func NewNeighborIndex(train, queries *Dataset, workers int) (*NeighborIndex, err
 func (ix *NeighborIndex) D2() *linalg.Matrix {
 	ix.d2Once.Do(func() {
 		if g := ix.delta; g != nil {
-			ix.d2 = g.materializeD2(ix.Queries.Len(), ix.Workers)
+			ix.d2 = g.materializeD2()
 		} else {
 			ix.d2 = linalg.PairwiseSquaredDistances(ix.Queries.X, ix.Train.X, ix.Workers)
 		}
@@ -95,9 +95,9 @@ func (ix *NeighborIndex) D2() *linalg.Matrix {
 }
 
 // ensureOrders materializes the full per-query argsort table once. A root
-// sorts its distance rows; a derived index merges the root's cached order
-// with the extra-slot order in O(n) per query — no sorting — which is
-// where the kNN-Shapley delta path gets its speedup.
+// sorts its distance rows; a derived index walks the root's cached order
+// past its tombstones in O(n) per query — no sorting — which is where the
+// kNN-Shapley delta path gets its speedup.
 func (ix *NeighborIndex) ensureOrders() {
 	ix.ordersOnce.Do(func() {
 		n := ix.Train.Len()
@@ -156,18 +156,6 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 	return ix.topKInto(row, k, pairs, out)
 }
 
-// TopKChecked is TopK with strict validation instead of clamping: qi must
-// be a valid query index and k must satisfy 1 <= k <= Train.Len().
-func (ix *NeighborIndex) TopKChecked(qi, k int) ([]int, error) {
-	if nq := ix.Queries.Len(); qi < 0 || qi >= nq {
-		return nil, fmt.Errorf("ml: TopK query %d outside [0,%d): %w", qi, nq, nderr.ErrDegenerateInput)
-	}
-	if n := ix.Train.Len(); k < 1 || k > n {
-		return nil, nderr.BadK("ml: TopK", k, n)
-	}
-	return ix.TopK(qi, k), nil
-}
-
 // topKInto is TopK over one distance row, writing into caller-provided
 // buffers: pairs must have length Train.Len(), out length k. It returns
 // out. Extracted so the batch prediction path can reuse per-worker
@@ -183,18 +171,6 @@ func (ix *NeighborIndex) topKInto(row []float64, k int, pairs []distIdx, out []i
 		out[i] = p.i
 	}
 	return out
-}
-
-// PredictRow returns the majority label among the k nearest training
-// points to query qi; vote ties break toward the smaller label.
-func (ix *NeighborIndex) PredictRow(qi, k int) int {
-	votes := make([]int, ix.Train.NumClasses())
-	return ix.predictRow(qi, k, votes)
-}
-
-// predictRow is PredictRow with a caller-provided (zeroed) vote buffer.
-func (ix *NeighborIndex) predictRow(qi, k int, votes []int) int {
-	return tallyVotes(votes, ix.Train.Y, ix.TopK(qi, k))
 }
 
 // tallyVotes counts the labels of the given training indices into votes
@@ -215,8 +191,8 @@ func tallyVotes(votes []int, trainY []int, top []int) int {
 	return best
 }
 
-// PredictBatch classifies every query with the k-nearest-neighbor vote.
-// The result is identical to calling PredictRow per query.
+// PredictBatch classifies every query by the majority label among its k
+// nearest training points, vote ties breaking toward the smaller label.
 func (ix *NeighborIndex) PredictBatch(k int) []int {
 	out, _ := ix.PredictBatchLabels(k, ix.Train.Y) // error impossible: lengths match
 	return out

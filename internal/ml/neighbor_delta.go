@@ -11,48 +11,38 @@ import (
 )
 
 // This file implements incremental maintenance of a NeighborIndex:
-// RemoveRows and AppendRows return a NEW index over the mutated training
-// set that reuses the parent's cached distance geometry instead of
-// recomputing it. The receiver is never mutated, so concurrent readers
-// (what-if variant workers, serving requests) can derive children from a
-// shared base freely.
+// RemoveRows returns a NEW index over the reduced training set that
+// reuses the parent's cached distance geometry instead of recomputing
+// it. The receiver is never mutated, so concurrent readers (what-if
+// variant workers, serving requests) can derive children from a shared
+// base freely.
 //
 // Representation: a derived index carries a deltaGeom mapping its logical
-// training rows onto the ROOT index's physical space — the root's column
-// ids plus "extra" slots for appended rows. Removals are tombstones in
-// that map; appends pay one query×block distance kernel (the only fresh
-// distance work a delta ever does). Chains of derivations stay flattened
-// against the same root; when tombstones or extras pile past
-// 1/compactDeadFrac of the physical space, derivation folds the child into
+// training rows onto the ROOT index's columns. Removals are tombstones in
+// that map; a delta never computes a distance. Chains of derivations stay
+// flattened against the same root; when tombstones pile past
+// 1/compactDeadFrac of the root's columns, derivation folds the child into
 // a fresh self-contained root by gathering (never recomputing) distances.
 //
 // Determinism contract (DESIGN §11): every observable of a derived index —
 // D2, Order, TopK, PredictBatch — is Float64bits-identical to a freshly
 // built index over the same training rows. This holds because the Gram
 // kernel computes each (query, row) distance independently of the rest of
-// the matrix, removal preserves the relative order of survivors, and
-// appended rows take logical ids larger than every existing row, so merge
-// tie-breaks coincide with the rebuild's (distance, index) comparator.
-const (
-	// compactDeadFrac: compact when dead slots exceed phys/compactDeadFrac.
-	compactDeadFrac = 4
-	// compactExtraFrac: compact when extras exceed nBase/compactExtraFrac.
-	compactExtraFrac = 4
-)
+// the matrix, and removal preserves the relative order of survivors, so a
+// survivor's logical id orders it against every other survivor exactly as
+// its root column did, and the root's (distance, index) order restricted
+// to the survivors is the rebuild's.
+
+// compactDeadFrac: compact when dead columns exceed nBase/compactDeadFrac.
+const compactDeadFrac = 4
 
 // deltaGeom maps a derived index's logical training rows onto its root's
-// physical space. Physical ids < nBase are root columns; id nBase+s is
-// appended extra slot s. physOf/logOf are private to one index; extraD2
-// and extraOrder are immutable once built and shared down chains.
+// columns (physical ids). physOf/logOf are private to one index.
 type deltaGeom struct {
 	base   *NeighborIndex // the root: never itself derived (delta == nil)
 	physOf []int          // logical -> physical, ascending
 	logOf  []int          // physical -> logical, -1 = tombstone
-	nExtra int            // appended slots (alive + dead)
-	dead   int            // tombstoned physical slots
-
-	extraD2    *linalg.Matrix // queries × nExtra block distances (nil when nExtra == 0)
-	extraOrder []int          // flat queries × nExtra argsort of slots by (d, slot)
+	dead   int            // tombstoned physical columns
 }
 
 func (g *deltaGeom) nBase() int { return g.base.Train.Len() }
@@ -62,13 +52,10 @@ func (g *deltaGeom) nBase() int { return g.base.Train.Len() }
 func (ix *NeighborIndex) childGeom() *deltaGeom {
 	if g := ix.delta; g != nil {
 		return &deltaGeom{
-			base:       g.base,
-			physOf:     append([]int(nil), g.physOf...),
-			logOf:      append([]int(nil), g.logOf...),
-			nExtra:     g.nExtra,
-			dead:       g.dead,
-			extraD2:    g.extraD2,
-			extraOrder: g.extraOrder,
+			base:   g.base,
+			physOf: append([]int(nil), g.physOf...),
+			logOf:  append([]int(nil), g.logOf...),
+			dead:   g.dead,
 		}
 	}
 	n := ix.Train.Len()
@@ -118,11 +105,8 @@ func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 		return nil, fmt.Errorf("ml: RemoveRows would empty the training set: %w", nderr.ErrEmptyInput)
 	}
 	g := ix.childGeom()
-	removedPhys := make(map[int]bool, len(uniq))
 	for _, r := range uniq {
-		p := g.physOf[r]
-		removedPhys[p] = true
-		g.logOf[p] = -1
+		g.logOf[g.physOf[r]] = -1
 	}
 	g.dead += len(uniq)
 	g.renumber()
@@ -136,80 +120,16 @@ func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 		}
 		keep = append(keep, i)
 	}
-	return ix.deriveChild(ix.Train.Subset(keep), g, removedPhys, 0, 0), nil
-}
-
-// AppendRows returns a new index over the training set extended by the
-// given feature rows and labels. The receiver is unchanged. The only fresh
-// distance work is the queries×block kernel for the appended rows; the
-// existing geometry is reused, and per-query top-k structures are repaired
-// in O(queries·k) plus O(n) for each query where an appended row actually
-// enters the top k. Appended rows take training indices after all existing
-// rows, matching a rebuild over the concatenated dataset bit for bit.
-func (ix *NeighborIndex) AppendRows(x *linalg.Matrix, y []int) (*NeighborIndex, error) {
-	if x == nil || x.Rows == 0 {
-		return nil, nderr.Empty("ml: AppendRows block")
-	}
-	if x.Cols != ix.Train.Dim() {
-		return nil, nderr.Mismatch("ml: AppendRows dims", ix.Train.Dim(), x.Cols)
-	}
-	if len(y) != x.Rows {
-		return nil, fmt.Errorf("ml: %d appended rows vs %d labels: %w", x.Rows, len(y), nderr.ErrShapeMismatch)
-	}
-	for i, v := range y {
-		if v < 0 {
-			return nil, fmt.Errorf("ml: negative label %d at appended row %d: %w", v, i, nderr.ErrDegenerateInput)
-		}
-	}
-	if err := x.CheckFinite("AppendRows features"); err != nil {
-		return nil, fmt.Errorf("ml: %w", err)
-	}
-
-	m := x.Rows
-	nq := ix.Queries.Len()
-	g := ix.childGeom()
-	nBase := g.nBase()
-
-	blockD2 := linalg.PairwiseSquaredDistances(ix.Queries.X, x, ix.Workers)
-	blockOrder := make([]int, nq*m)
-	scratch := make([]argsortScratch, par.Workers(ix.Workers, nq))
-	par.For("ml.neighbor_append_argsort", ix.Workers, nq, func(w, q int) {
-		argsortInto(blockD2.Row(q), blockOrder[q*m:(q+1)*m], &scratch[w])
-	})
-
-	newLo := nBase + g.nExtra
-	if g.nExtra == 0 {
-		g.extraD2, g.extraOrder = blockD2, blockOrder
-	} else {
-		prev := g.nExtra
-		g.extraD2 = linalg.HConcat(g.extraD2, blockD2)
-		merged := make([]int, nq*(prev+m))
-		par.For("ml.neighbor_append_merge", ix.Workers, nq, func(_, q int) {
-			mergeOrderRows(
-				merged[q*(prev+m):(q+1)*(prev+m)],
-				g.extraOrder[q*prev:(q+1)*prev],
-				blockOrder[q*m:(q+1)*m],
-				g.extraD2.Row(q), prev)
-		})
-		g.extraOrder = merged
-	}
-	for s := 0; s < m; s++ {
-		g.logOf = append(g.logOf, len(g.physOf))
-		g.physOf = append(g.physOf, nBase+g.nExtra+s)
-	}
-	g.nExtra += m
-
-	return ix.deriveChild(appendDataset(ix.Train, x, y), g, nil, newLo, newLo+m), nil
+	return ix.deriveChild(ix.Train.Subset(keep), g), nil
 }
 
 // deriveChild assembles the derived index: attaches the geometry, repairs
 // the top-k cache from the receiver's (when it has one), and compacts into
-// a self-contained root when tombstones or extras have piled up.
-func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom, removedPhys map[int]bool, newLo, newHi int) *NeighborIndex {
+// a self-contained root when tombstones have piled up.
+func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom) *NeighborIndex {
 	child := &NeighborIndex{Train: train, Queries: ix.Queries, Workers: ix.Workers, delta: g}
-	deriveTopK(child, ix, g, removedPhys, newLo, newHi)
-	nBase := g.nBase()
-	if g.dead*compactDeadFrac > nBase+g.nExtra || g.nExtra*compactExtraFrac > nBase {
+	deriveTopK(child, ix, g)
+	if g.dead*compactDeadFrac > g.nBase() {
 		g.compactInto(child)
 	}
 	if obs.Enabled() {
@@ -224,12 +144,12 @@ func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom, removedPhys m
 // compactInto folds the delta into child as a self-contained root: the
 // distance matrix is gathered (element copies, never recomputed) and, when
 // the base's full argsort was already materialized, neighbor orders are
-// rebuilt by the merge walk with no sorting. child.delta is cleared, so
-// future derivations chain against this new root.
+// rebuilt by the tombstone-skipping walk with no sorting. child.delta is
+// cleared, so future derivations chain against this new root.
 func (g *deltaGeom) compactInto(child *NeighborIndex) {
 	q := child.Queries.Len()
 	n := len(g.physOf)
-	d2 := g.materializeD2(q, child.Workers)
+	d2 := g.materializeD2()
 	child.d2Once.Do(func() { child.d2 = d2 })
 	if g.base.ordersReady.Load() {
 		orders := make([]int, q*n)
@@ -243,68 +163,21 @@ func (g *deltaGeom) compactInto(child *NeighborIndex) {
 }
 
 // materializeD2 gathers the derived index's queries×rows distance matrix
-// from the root's matrix and the extra blocks. Pure element copies: the
-// result is bit-identical to running the kernel over the derived Train.
-func (g *deltaGeom) materializeD2(q, workers int) *linalg.Matrix {
-	baseD2 := g.base.D2()
-	if g.nExtra == 0 {
-		return baseD2.SelectColumns(g.physOf)
-	}
-	nBase := g.nBase()
-	out := linalg.NewMatrix(q, len(g.physOf))
-	par.For("ml.neighbor_delta_d2", workers, q, func(_, r int) {
-		src, ex, dst := baseD2.Row(r), g.extraD2.Row(r), out.Row(r)
-		for o, p := range g.physOf {
-			if p < nBase {
-				dst[o] = src[p]
-			} else {
-				dst[o] = ex[p-nBase]
-			}
-		}
-	})
-	return out
+// from the root's matrix. Pure element copies: the result is
+// bit-identical to running the kernel over the derived Train.
+func (g *deltaGeom) materializeD2() *linalg.Matrix {
+	return g.base.D2().SelectColumns(g.physOf)
 }
 
 // walkInto writes query qi's full neighbor order (logical ids, ascending
-// (distance, id)) into out by merging the root's cached argsort with the
-// extra slots' argsort, skipping tombstones — O(n) per query, no sorting.
-// Ties between a base row and an extra go to the base row: its logical id
-// is always smaller, matching the rebuild comparator.
+// (distance, id)) into out by walking the root's cached argsort and
+// skipping tombstones — O(n) per query, no sorting.
 func (g *deltaGeom) walkInto(qi int, out []int) {
-	baseOrd := g.base.Order(qi)
 	o := 0
-	if g.nExtra == 0 {
-		for _, p := range baseOrd {
-			if l := g.logOf[p]; l >= 0 {
-				out[o] = l
-				o++
-			}
-		}
-		return
-	}
-	nBase := g.nBase()
-	baseD2 := g.base.D2().Row(qi)
-	exOrd := g.extraOrder[qi*g.nExtra : (qi+1)*g.nExtra]
-	exD2 := g.extraD2.Row(qi)
-	bi, ei := 0, 0
-	for {
-		for bi < len(baseOrd) && g.logOf[baseOrd[bi]] < 0 {
-			bi++
-		}
-		for ei < len(exOrd) && g.logOf[nBase+exOrd[ei]] < 0 {
-			ei++
-		}
-		switch {
-		case bi >= len(baseOrd) && ei >= len(exOrd):
-			return
-		case ei >= len(exOrd), bi < len(baseOrd) && baseD2[baseOrd[bi]] <= exD2[exOrd[ei]]:
-			out[o] = g.logOf[baseOrd[bi]]
+	for _, p := range g.base.Order(qi) {
+		if l := g.logOf[p]; l >= 0 {
+			out[o] = l
 			o++
-			bi++
-		default:
-			out[o] = g.logOf[nBase+exOrd[ei]]
-			o++
-			ei++
 		}
 	}
 }
@@ -317,22 +190,11 @@ func (g *deltaGeom) walkInto(qi int, out []int) {
 // distance bits as a rebuilt matrix row, so the selection is bit-identical
 // to the rebuild's topKInto.
 func (g *deltaGeom) reselectInto(qi, kk int, pairs []distIdx, ids []int) float64 {
-	nBase := g.nBase()
-	bd := g.base.D2().Row(qi)
 	m := 0
-	for p := 0; p < nBase; p++ {
+	for p, d := range g.base.D2().Row(qi) {
 		if l := g.logOf[p]; l >= 0 {
-			pairs[m] = distIdx{d: bd[p], i: l}
+			pairs[m] = distIdx{d: d, i: l}
 			m++
-		}
-	}
-	if g.nExtra > 0 {
-		ed := g.extraD2.Row(qi)
-		for s := 0; s < g.nExtra; s++ {
-			if l := g.logOf[nBase+s]; l >= 0 {
-				pairs[m] = distIdx{d: ed[s], i: l}
-				m++
-			}
 		}
 	}
 	sel := pairs[:m]
@@ -347,10 +209,11 @@ func (g *deltaGeom) reselectInto(qi, kk int, pairs []distIdx, ids []int) float64
 
 // deriveTopK repairs the parent's cached top-k lists for the child: a
 // query inherits its list (remapped to child ids) when none of its entries
-// were removed and no appended row beats its k-th distance; only the
-// remaining queries re-select. With no cache on the parent the child's
-// builds lazily on first use instead.
-func deriveTopK(child, parent *NeighborIndex, g *deltaGeom, removedPhys map[int]bool, newLo, newHi int) {
+// were removed; only the remaining queries re-select. A parent's entries
+// are alive in the parent, so a tombstone in the child's map marks a row
+// this derivation removed. With no cache on the parent the child's builds
+// lazily on first use instead.
+func deriveTopK(child, parent *NeighborIndex, g *deltaGeom) {
 	parent.topk.mu.Lock()
 	kk, pids, pkth := parent.topk.k, parent.topk.ids, parent.topk.kth
 	parent.topk.mu.Unlock()
@@ -363,7 +226,6 @@ func deriveTopK(child, parent *NeighborIndex, g *deltaGeom, removedPhys map[int]
 	if parent.delta != nil {
 		pPhys = parent.delta.physOf
 	}
-	nBase := g.nBase()
 	ids := make([]int, nq*kk)
 	kth := make([]float64, nq)
 	var pairs []distIdx
@@ -377,21 +239,9 @@ func deriveTopK(child, parent *NeighborIndex, g *deltaGeom, removedPhys map[int]
 			if pPhys != nil {
 				p = pPhys[l]
 			}
-			if removedPhys[p] {
+			if dst[i] = g.logOf[p]; dst[i] < 0 {
 				ok = false
 				break
-			}
-			dst[i] = g.logOf[p]
-		}
-		if ok && newHi > newLo {
-			ed := g.extraD2.Row(q)
-			for s := newLo; s < newHi; s++ {
-				// strict: an appended row tying the k-th distance loses to
-				// the incumbent's smaller id, exactly as in a rebuild
-				if ed[s-nBase] < pkth[q] {
-					ok = false
-					break
-				}
 			}
 		}
 		if ok {
@@ -411,50 +261,6 @@ func deriveTopK(child, parent *NeighborIndex, g *deltaGeom, removedPhys map[int]
 	}
 }
 
-// mergeOrderRows merges one query's old extra-slot order with a new
-// block's order (block-local slots offset by bOff) under the (distance,
-// slot) total order. Old slots always have smaller ids than new ones, so
-// distance ties keep the old slot first — the rebuild tie-break.
-func mergeOrderRows(dst, aOrd, bOrd []int, d []float64, bOff int) {
-	i, j, o := 0, 0, 0
-	for i < len(aOrd) && j < len(bOrd) {
-		as, bs := aOrd[i], bOrd[j]+bOff
-		if d[as] < d[bs] || (d[as] == d[bs] && as < bs) {
-			dst[o] = as
-			i++
-		} else {
-			dst[o] = bs
-			j++
-		}
-		o++
-	}
-	for ; i < len(aOrd); i++ {
-		dst[o] = aOrd[i]
-		o++
-	}
-	for ; j < len(bOrd); j++ {
-		dst[o] = bOrd[j] + bOff
-		o++
-	}
-}
-
-// appendDataset concatenates a dataset with a block of rows. Appended rows
-// get empty group attributes when the base carries groups.
-func appendDataset(d *Dataset, x *linalg.Matrix, y []int) *Dataset {
-	n, m, dim := d.Len(), x.Rows, d.Dim()
-	nx := linalg.NewMatrix(n+m, dim)
-	copy(nx.Data[:n*dim], d.X.Data)
-	copy(nx.Data[n*dim:], x.Data)
-	ny := make([]int, 0, n+m)
-	ny = append(append(ny, d.Y...), y...)
-	var groups []string
-	if len(d.Groups) > 0 {
-		groups = make([]string, n+m)
-		copy(groups, d.Groups)
-	}
-	return &Dataset{X: nx, Y: ny, Groups: groups}
-}
-
 // dedupSorted removes adjacent duplicates in place.
 func dedupSorted(a []int) []int {
 	out := a[:0]
@@ -465,10 +271,6 @@ func dedupSorted(a []int) []int {
 	}
 	return out
 }
-
-// Derived reports whether the index is a delta child still carrying its
-// root's geometry (false after compaction folds it into a new root).
-func (ix *NeighborIndex) Derived() bool { return ix.delta != nil }
 
 // OrderInto is Order for callers that read each query's order once: it
 // returns the cached row when the order table exists, and otherwise, on

@@ -33,7 +33,7 @@ import (
 // Labels: the key covers features only, so a stored index may carry
 // another label revision's Train.Y. Consumers read geometry from it (D2,
 // Order, TopK) and labels from their own arguments (PredictBatchLabels,
-// PredictSurvivors) — never PredictBatch or PredictRow.
+// PredictSurvivors) — never PredictBatch.
 //
 // Metrics keep the names the store exported when it lived in
 // internal/importance: importance_neighbor_index_{hits,misses,evictions,

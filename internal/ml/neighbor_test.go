@@ -178,20 +178,21 @@ func TestTopKDistanceTiesBreakByIndex(t *testing.T) {
 	}
 }
 
-// PredictBatch must equal per-row Predict for the wrapped KNN.
+// PredictBatch must equal per-row KNN.Predict on the same training set.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	train := randomNeighborDataset(r, 80, 4, 3)
 	queries := randomNeighborDataset(r, 30, 4, 3)
+	ix, err := NewNeighborIndex(train, queries, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []int{1, 3, 7} {
 		knn := NewKNN(k)
 		if err := knn.Fit(train); err != nil {
 			t.Fatal(err)
 		}
-		batch, err := knn.PredictBatch(queries, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch := ix.PredictBatch(k)
 		for q := 0; q < queries.Len(); q++ {
 			if want := knn.Predict(queries.Row(q)); batch[q] != want {
 				t.Fatalf("k=%d query %d: batch %d vs predict %d", k, q, batch[q], want)

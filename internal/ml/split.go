@@ -5,24 +5,6 @@ import (
 	"math/rand"
 )
 
-// TrainTestSplit shuffles the dataset with the given seed and splits it into
-// a training set of (1-testFrac) and a test set of testFrac of the rows.
-func TrainTestSplit(d *Dataset, testFrac float64, seed int64) (*Dataset, *Dataset, error) {
-	if testFrac <= 0 || testFrac >= 1 {
-		return nil, nil, fmt.Errorf("ml: testFrac must be in (0,1), got %v", testFrac)
-	}
-	n := d.Len()
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	nTest := int(float64(n) * testFrac)
-	if nTest == 0 {
-		nTest = 1
-	}
-	if nTest >= n {
-		return nil, nil, fmt.Errorf("ml: split leaves no training rows (n=%d, testFrac=%v)", n, testFrac)
-	}
-	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest]), nil
-}
-
 // KFold yields k deterministic cross-validation folds as (train, valid)
 // index pairs over a dataset of n rows.
 func KFold(n, k int, seed int64) ([][]int, [][]int, error) {
@@ -39,23 +21,4 @@ func KFold(n, k int, seed int64) ([][]int, [][]int, error) {
 		trains[f] = append(append([]int(nil), perm[:lo]...), perm[hi:]...)
 	}
 	return trains, valids, nil
-}
-
-// CrossValAccuracy runs k-fold cross validation of a classifier factory and
-// returns the mean validation accuracy.
-func CrossValAccuracy(newModel func() Classifier, d *Dataset, k int, seed int64) (float64, error) {
-	trains, valids, err := KFold(d.Len(), k, seed)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for f := range trains {
-		m := newModel()
-		acc, err := EvaluateAccuracy(m, d.Subset(trains[f]), d.Subset(valids[f]))
-		if err != nil {
-			return 0, err
-		}
-		sum += acc
-	}
-	return sum / float64(len(trains)), nil
 }

@@ -27,9 +27,6 @@ type treeNode struct {
 	leaf      bool
 }
 
-// NewDecisionTree returns a tree with default depth 5.
-func NewDecisionTree() *DecisionTree { return &DecisionTree{MaxDepth: 5, MinSamplesSplit: 2} }
-
 // Fit grows the tree greedily.
 func (m *DecisionTree) Fit(d *Dataset) error {
 	if d.Len() == 0 {
@@ -154,20 +151,4 @@ func (m *DecisionTree) Predict(x []float64) int {
 		}
 	}
 	return n.label
-}
-
-// Depth returns the height of the fitted tree (0 for a single leaf).
-func (m *DecisionTree) Depth() int {
-	var h func(n *treeNode) int
-	h = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := h(n.left), h(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return h(m.root)
 }

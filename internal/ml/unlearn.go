@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"nde/internal/linalg"
@@ -14,33 +13,6 @@ import (
 // debugging techniques repeatedly ask "what if these points were removed?",
 // and unlearning answers it without full retraining (cf. HedgeCut, Schelter
 // et al., SIGMOD 2021).
-
-// Unlearner is a model that can efficiently forget training examples.
-type Unlearner interface {
-	Classifier
-	// Unlearn removes the given training rows (indices into the dataset
-	// passed to Fit) from the model without retraining from scratch.
-	Unlearn(rows []int) error
-}
-
-// UnlearnableKNN is a kNN classifier with O(deleted) exact unlearning:
-// forgetting a point simply removes it from the vote set, and the result is
-// *identical* to retraining on the reduced data.
-type UnlearnableKNN struct {
-	K int
-
-	inner   *KNN
-	alive   []bool
-	nAlive  int
-	dataset *Dataset
-
-	// Eval plumbing (AttachEval): a delta-maintained NeighborIndex over the
-	// alive rows, so accuracy after each unlearn call is an O(queries·k)
-	// repair instead of a rebuild. evalLog maps original row -> logical row
-	// in evalIx.Train (-1 = dead).
-	evalIx  *NeighborIndex
-	evalLog []int
-}
 
 // normalizeUnlearnRows validates and canonicalizes an unlearn request
 // against the alive mask. Every id is range-checked BEFORE any state
@@ -65,155 +37,6 @@ func normalizeUnlearnRows(alive []bool, rows []int) ([]int, error) {
 		}
 	}
 	return dead, nil
-}
-
-// NewUnlearnableKNN returns an unlearnable kNN with the given k.
-func NewUnlearnableKNN(k int) *UnlearnableKNN { return &UnlearnableKNN{K: k} }
-
-// Fit memorizes the training data and marks every row alive.
-func (m *UnlearnableKNN) Fit(d *Dataset) error {
-	inner := NewKNN(m.K)
-	if err := inner.Fit(d); err != nil {
-		return err
-	}
-	m.inner = inner
-	m.dataset = d
-	m.alive = make([]bool, d.Len())
-	for i := range m.alive {
-		m.alive[i] = true
-	}
-	m.nAlive = d.Len()
-	return nil
-}
-
-// Unlearn marks rows as forgotten; subsequent predictions are exactly those
-// of a model retrained without them. The call is atomic: any error (row out
-// of range, removal would empty the training set) leaves the model — and
-// any attached eval index — exactly as it was. Repeated and already-dead
-// ids are tolerated and do not double-decrement the alive count.
-func (m *UnlearnableKNN) Unlearn(rows []int) error {
-	if m.dataset == nil {
-		return fmt.Errorf("ml: Unlearn before Fit")
-	}
-	dead, err := normalizeUnlearnRows(m.alive, rows)
-	if err != nil {
-		return err
-	}
-	if len(dead) == 0 {
-		return nil
-	}
-	if len(dead) == m.nAlive {
-		return fmt.Errorf("ml: unlearning would empty the training set: %w", nderr.ErrEmptyInput)
-	}
-	if m.evalIx != nil {
-		logical := make([]int, len(dead))
-		for i, r := range dead {
-			logical[i] = m.evalLog[r]
-		}
-		child, err := m.evalIx.RemoveRows(logical)
-		if err != nil {
-			return err
-		}
-		m.evalIx = child
-	}
-	for _, r := range dead {
-		m.alive[r] = false
-	}
-	m.nAlive -= len(dead)
-	if m.evalIx != nil {
-		m.renumberEvalLog()
-	}
-	return nil
-}
-
-// renumberEvalLog rebuilds the original-row -> eval-index-logical-row map
-// from the alive mask: alive rows keep their relative order, matching the
-// Subset order RemoveRows produces.
-func (m *UnlearnableKNN) renumberEvalLog() {
-	next := 0
-	for i, a := range m.alive {
-		if a {
-			m.evalLog[i] = next
-			next++
-		} else {
-			m.evalLog[i] = -1
-		}
-	}
-}
-
-// AttachEval attaches a fixed evaluation query set. After each Unlearn the
-// model derives the next index from the current one via RemoveRows, so
-// "flag → unlearn → re-measure accuracy" costs O(queries·k) per step
-// instead of an index rebuild. Returns an error before Fit or when the
-// query set is incompatible with the training features.
-func (m *UnlearnableKNN) AttachEval(queries *Dataset, workers int) error {
-	if m.dataset == nil {
-		return fmt.Errorf("ml: AttachEval before Fit")
-	}
-	idx := make([]int, 0, m.nAlive)
-	for i, a := range m.alive {
-		if a {
-			idx = append(idx, i)
-		}
-	}
-	ix, err := NewNeighborIndex(m.dataset.Subset(idx), queries, workers)
-	if err != nil {
-		return err
-	}
-	m.evalIx = ix
-	m.evalLog = make([]int, len(m.alive))
-	m.renumberEvalLog()
-	return nil
-}
-
-// EvalPredictions classifies the attached evaluation queries against the
-// current alive set via the incrementally maintained index. Bit-identical
-// to rebuilding a NeighborIndex over the surviving rows and calling
-// PredictBatch(K).
-func (m *UnlearnableKNN) EvalPredictions() ([]int, error) {
-	if m.evalIx == nil {
-		return nil, fmt.Errorf("ml: EvalPredictions without AttachEval: %w", nderr.ErrEmptyInput)
-	}
-	return m.evalIx.PredictBatchLabels(m.K, m.evalIx.Train.Y)
-}
-
-// EvalAccuracy scores EvalPredictions against the attached query labels.
-func (m *UnlearnableKNN) EvalAccuracy() (float64, error) {
-	preds, err := m.EvalPredictions()
-	if err != nil {
-		return 0, err
-	}
-	return Accuracy(m.evalIx.Queries.Y, preds), nil
-}
-
-// Alive returns the number of remaining training examples.
-func (m *UnlearnableKNN) Alive() int { return m.nAlive }
-
-// Predict votes among the k nearest *alive* training points.
-func (m *UnlearnableKNN) Predict(x []float64) int {
-	if m.dataset == nil {
-		panic("ml: Predict before Fit")
-	}
-	order := m.inner.Neighbors(x)
-	votes := make(map[int]int)
-	counted := 0
-	for _, i := range order {
-		if !m.alive[i] {
-			continue
-		}
-		votes[m.dataset.Y[i]]++
-		counted++
-		if counted == m.K {
-			break
-		}
-	}
-	best, bestV := 0, -1
-	for y := 0; y < m.dataset.NumClasses(); y++ {
-		if votes[y] > bestV {
-			best, bestV = y, votes[y]
-		}
-	}
-	return best
 }
 
 // UnlearnableLogReg is a logistic-regression classifier supporting
@@ -241,12 +64,6 @@ func NewUnlearnableLogReg() *UnlearnableLogReg {
 
 // Retrains reports how many times unlearning fell back to full retraining.
 func (m *UnlearnableLogReg) Retrains() int { return m.retrains }
-
-// Alive returns the number of remaining training examples.
-func (m *UnlearnableLogReg) Alive() int { return m.nAlive }
-
-// Theta returns the current parameter vector (weights ++ intercept).
-func (m *UnlearnableLogReg) Theta() []float64 { return linalg.Clone(m.theta) }
 
 func (m *UnlearnableLogReg) fitAlive() error {
 	var idx []int
@@ -390,13 +207,4 @@ func (m *UnlearnableLogReg) Predict(x []float64) int {
 func (m *UnlearnableLogReg) Proba(x []float64) []float64 {
 	p := Sigmoid(m.margin(x))
 	return []float64{1 - p, p}
-}
-
-// ParameterDistance returns ‖θ_a − θ_b‖₂ between two unlearnable models —
-// used to measure how close unlearning lands to exact retraining.
-func ParameterDistance(a, b *UnlearnableLogReg) float64 {
-	if len(a.theta) != len(b.theta) {
-		return math.Inf(1)
-	}
-	return linalg.Norm2(linalg.Sub(a.theta, b.theta))
 }

@@ -2,66 +2,65 @@ package ml
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"nde/internal/nderr"
 )
 
-// Regression tests for the unlearn stale-state sweep: atomic validation,
-// dedup without double-decrement, and the delta-maintained eval index.
+// Regression tests for the unlearn stale-state sweep: atomic validation
+// and dedup without double-decrement.
 
 func TestUnlearnAtomicOnBadRow(t *testing.T) {
 	d := blobs(24, 2.0, 1)
-	m := NewUnlearnableKNN(3)
+	m := NewUnlearnableLogReg()
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unlearn([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Alive()
+	before := m.nAlive
 	// a bad id in the MIDDLE of the list: nothing before it may take effect
 	err := m.Unlearn([]int{2, 99, 3})
 	if !errors.Is(err, nderr.ErrDegenerateInput) {
 		t.Fatalf("Unlearn with out-of-range id err = %v, want ErrDegenerateInput", err)
 	}
-	if m.Alive() != before {
-		t.Fatalf("failed Unlearn mutated state: alive %d -> %d", before, m.Alive())
+	if m.nAlive != before {
+		t.Fatalf("failed Unlearn mutated state: alive %d -> %d", before, m.nAlive)
 	}
 	// rows 2 and 3 must still be alive and forgettable
 	if err := m.Unlearn([]int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Alive() != before-2 {
-		t.Fatalf("alive = %d, want %d", m.Alive(), before-2)
+	if m.nAlive != before-2 {
+		t.Fatalf("alive = %d, want %d", m.nAlive, before-2)
 	}
 }
 
 func TestUnlearnDedupNoDoubleDecrement(t *testing.T) {
 	d := blobs(20, 2.0, 2)
-	m := NewUnlearnableKNN(3)
+	m := NewUnlearnableLogReg()
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unlearn([]int{4, 4, 4, 7, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Alive() != 18 {
-		t.Fatalf("after dup unlearn alive = %d, want 18", m.Alive())
+	if m.nAlive != 18 {
+		t.Fatalf("after dup unlearn alive = %d, want 18", m.nAlive)
 	}
 	// already-dead rows are a no-op, not a second decrement
 	if err := m.Unlearn([]int{4, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Alive() != 18 {
-		t.Fatalf("re-unlearning dead rows changed alive to %d, want 18", m.Alive())
+	if m.nAlive != 18 {
+		t.Fatalf("re-unlearning dead rows changed alive to %d, want 18", m.nAlive)
 	}
 }
 
 func TestUnlearnEmptyGuardBeforeMutation(t *testing.T) {
 	d := blobs(6, 2.0, 3)
-	m := NewUnlearnableKNN(1)
+	m := NewUnlearnableLogReg()
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +69,15 @@ func TestUnlearnEmptyGuardBeforeMutation(t *testing.T) {
 	if !errors.Is(err, nderr.ErrEmptyInput) {
 		t.Fatalf("unlearn-everything err = %v, want ErrEmptyInput", err)
 	}
-	if m.Alive() != 6 {
-		t.Fatalf("failed unlearn-everything mutated alive to %d, want 6", m.Alive())
+	if m.nAlive != 6 {
+		t.Fatalf("failed unlearn-everything mutated alive to %d, want 6", m.nAlive)
 	}
-	// the model must still predict
+	// the model must still unlearn
 	if err := m.Unlearn([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Alive() != 5 {
-		t.Fatalf("alive = %d, want 5", m.Alive())
+	if m.nAlive != 5 {
+		t.Fatalf("alive = %d, want 5", m.nAlive)
 	}
 }
 
@@ -93,8 +92,8 @@ func TestUnlearnLogRegAtomicValidation(t *testing.T) {
 	if !errors.Is(err, nderr.ErrDegenerateInput) {
 		t.Fatalf("bad-row err = %v, want ErrDegenerateInput", err)
 	}
-	if m.Alive() != 30 {
-		t.Fatalf("failed unlearn mutated alive to %d, want 30", m.Alive())
+	if m.nAlive != 30 {
+		t.Fatalf("failed unlearn mutated alive to %d, want 30", m.nAlive)
 	}
 	for i, v := range m.Theta() {
 		if v != theta[i] {
@@ -108,82 +107,7 @@ func TestUnlearnLogRegAtomicValidation(t *testing.T) {
 	if err := m.Unlearn(all); !errors.Is(err, nderr.ErrEmptyInput) {
 		t.Fatalf("unlearn-everything err = %v, want ErrEmptyInput", err)
 	}
-	if m.Alive() != 30 {
-		t.Fatalf("failed unlearn-everything mutated alive to %d", m.Alive())
-	}
-}
-
-// The AttachEval delta path must track multiple unlearn rounds and stay
-// bit-identical to a fresh index over the surviving rows.
-func TestUnlearnEvalIndexMatchesRebuild(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	train := randomNeighborDataset(r, 60, 4, 3)
-	queries := randomNeighborDataset(r, 15, 4, 3)
-	m := NewUnlearnableKNN(3)
-	if err := m.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.EvalPredictions(); !errors.Is(err, nderr.ErrEmptyInput) {
-		t.Fatal("EvalPredictions before AttachEval must error")
-	}
-	if err := m.AttachEval(queries, 2); err != nil {
-		t.Fatal(err)
-	}
-	alive := make([]bool, train.Len())
-	for i := range alive {
-		alive[i] = true
-	}
-	rounds := [][]int{{3, 17, 17, 41}, {0, 1, 2}, {59, 58}, {20, 21, 22, 23, 24, 25, 26}}
-	for _, rm := range rounds {
-		if err := m.Unlearn(rm); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rm {
-			alive[r] = false
-		}
-		var keep []int
-		for i, a := range alive {
-			if a {
-				keep = append(keep, i)
-			}
-		}
-		fresh, err := NewNeighborIndex(train.Subset(keep), queries, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fresh.PredictBatch(m.K)
-		got, err := m.EvalPredictions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := range want {
-			if got[q] != want[q] {
-				t.Fatalf("after unlearning %v: eval pred[%d] = %d, rebuild %d", rm, q, got[q], want[q])
-			}
-		}
-		acc, err := m.EvalAccuracy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := Accuracy(queries.Y, want); acc != want {
-			t.Fatalf("EvalAccuracy = %v, rebuild %v", acc, want)
-		}
-	}
-	// a failed unlearn must leave the eval index usable and unchanged
-	before, err := m.EvalPredictions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unlearn([]int{5, 1000}); !errors.Is(err, nderr.ErrDegenerateInput) {
-		t.Fatalf("bad unlearn err = %v", err)
-	}
-	after, err := m.EvalPredictions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range before {
-		if after[q] != before[q] {
-			t.Fatalf("failed unlearn changed eval pred[%d]", q)
-		}
+	if m.nAlive != 30 {
+		t.Fatalf("failed unlearn-everything mutated alive to %d", m.nAlive)
 	}
 }

@@ -1,100 +1,11 @@
 package ml
 
 import (
-	"math/rand"
+	"math"
 	"testing"
-	"testing/quick"
 
 	"nde/internal/linalg"
 )
-
-func TestUnlearnableKNNMatchesRetrain(t *testing.T) {
-	d := blobs(80, 1.5, 301)
-	test := blobs(40, 1.5, 302)
-	m := NewUnlearnableKNN(5)
-	if err := m.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	remove := []int{0, 7, 13, 21, 40}
-	if err := m.Unlearn(remove); err != nil {
-		t.Fatal(err)
-	}
-	if m.Alive() != 75 {
-		t.Errorf("alive = %d", m.Alive())
-	}
-	rm := make(map[int]bool)
-	for _, r := range remove {
-		rm[r] = true
-	}
-	rest, _ := d.Without(rm)
-	retrained := NewKNN(5)
-	if err := retrained.Fit(rest); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < test.Len(); i++ {
-		if m.Predict(test.Row(i)) != retrained.Predict(test.Row(i)) {
-			t.Fatalf("unlearned kNN diverges from retrained at test %d", i)
-		}
-	}
-}
-
-// Property: unlearnable kNN is EXACT — for random removals its predictions
-// equal a freshly retrained kNN.
-func TestQuickUnlearnableKNNExact(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := blobs(20+r.Intn(30), 1.2, seed)
-		m := NewUnlearnableKNN(1 + r.Intn(4))
-		if err := m.Fit(d); err != nil {
-			return false
-		}
-		rm := make(map[int]bool)
-		var rows []int
-		for i := 0; i < d.Len()/3; i++ {
-			row := r.Intn(d.Len())
-			rows = append(rows, row)
-			rm[row] = true
-		}
-		if len(rm) == d.Len() {
-			return true
-		}
-		if err := m.Unlearn(rows); err != nil {
-			return false
-		}
-		rest, _ := d.Without(rm)
-		fresh := NewKNN(m.K)
-		if err := fresh.Fit(rest); err != nil {
-			return false
-		}
-		for trial := 0; trial < 10; trial++ {
-			x := []float64{r.NormFloat64() * 2, r.NormFloat64() * 2}
-			if m.Predict(x) != fresh.Predict(x) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnlearnableKNNErrors(t *testing.T) {
-	m := NewUnlearnableKNN(3)
-	if err := m.Unlearn([]int{0}); err == nil {
-		t.Error("expected error before Fit")
-	}
-	d := blobs(5, 2, 303)
-	if err := m.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unlearn([]int{99}); err == nil {
-		t.Error("expected range error")
-	}
-	if err := m.Unlearn([]int{0, 1, 2, 3, 4}); err == nil {
-		t.Error("expected error emptying the set")
-	}
-}
 
 func TestUnlearnableLogRegApproximatesRetrain(t *testing.T) {
 	d := blobs(150, 2, 311)
@@ -150,8 +61,8 @@ func TestUnlearnableLogRegGuardrailRetrains(t *testing.T) {
 	if m.Retrains() != 1 {
 		t.Errorf("retrains = %d, want 1", m.Retrains())
 	}
-	if m.Alive() != 52 {
-		t.Errorf("alive = %d", m.Alive())
+	if m.nAlive != 52 {
+		t.Errorf("alive = %d", m.nAlive)
 	}
 }
 
@@ -215,4 +126,18 @@ func TestRandomForestDeterministicBySeed(t *testing.T) {
 			t.Fatal("same-seed forests disagree")
 		}
 	}
+}
+
+// Theta returns the current parameter vector (weights ++ intercept).
+func (m *UnlearnableLogReg) Theta() []float64 { return linalg.Clone(m.theta) }
+
+// ParameterDistance returns ‖θ_a − θ_b‖₂ between two unlearnable models —
+// used to measure how close unlearning lands to exact retraining.
+func ParameterDistance(a, b *UnlearnableLogReg) float64 {
+	if len(a.theta) != len(b.theta) {
+		return math.Inf(1)
+	}
+	diff := linalg.Clone(a.theta)
+	linalg.AXPY(-1, b.theta, diff)
+	return linalg.Norm2(diff)
 }

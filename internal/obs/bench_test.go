@@ -16,7 +16,7 @@ func BenchmarkNoopInstrumentation(b *testing.B) {
 		sp.SetStr("kind", "Filter").SetRows(100, 40)
 		Inc("pipeline_memo_misses_total")
 		SetGauge("workers", 8)
-		Observe("latency_seconds", 0.1)
+		ObserveWith("latency_seconds", 0.1, nil)
 		sp.End()
 	}
 }

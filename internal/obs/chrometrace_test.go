@@ -38,7 +38,7 @@ func decodeChromeTrace(t *testing.T, b []byte) chromeTrace {
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer()
 	tr.CaptureAllocs(false)
-	root := tr.StartSpan("root", Str("phase", "run"))
+	root := tr.StartSpan("root", Attr{Key: "phase", Val: "run"})
 	child := tr.StartSpan("child")
 	child.SetRows(10, 5)
 	time.Sleep(2 * time.Millisecond)

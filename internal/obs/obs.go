@@ -80,15 +80,6 @@ func AddGauge(name string, delta float64) {
 	defaultRegistry.Gauge(name).Add(delta)
 }
 
-// Observe records v into the named histogram in the default registry,
-// creating it with DefBuckets if needed. No-op while disabled.
-func Observe(name string, v float64) {
-	if !Enabled() {
-		return
-	}
-	defaultRegistry.Histogram(name, nil).Observe(v)
-}
-
 // ObserveWith records v into the named histogram, creating it with the
 // given bucket upper bounds if it does not exist yet. No-op while
 // disabled.

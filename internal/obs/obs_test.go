@@ -17,7 +17,7 @@ func TestRegistryConcurrentHammering(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				r.Counter("ops_total").Inc()
+				r.Counter("ops_total").Add(1)
 				r.Gauge("last_op").Set(float64(i))
 				r.Histogram("op_size", []float64{10, 100, 1000}).Observe(float64(i))
 			}
@@ -46,7 +46,7 @@ func TestDefaultHelpersRespectEnabled(t *testing.T) {
 	Disable()
 	Inc("disabled_total")
 	SetGauge("disabled_gauge", 1)
-	Observe("disabled_hist", 1)
+	ObserveWith("disabled_hist", 1, nil)
 	if got := Default().Counter("disabled_total").Value(); got != 0 {
 		t.Errorf("disabled counter = %d, want 0", got)
 	}

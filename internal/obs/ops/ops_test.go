@@ -190,7 +190,7 @@ func TestServeScrapeMidRun(t *testing.T) {
 				return
 			default:
 			}
-			reg.Counter("run_ops_total").Inc()
+			reg.Counter("run_ops_total").Add(1)
 			if spans < 500 {
 				c := root.StartChild("op")
 				c.End()

@@ -1,13 +1,12 @@
 package obs
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
 
-// Progress tracks a long-running loop: completed units, processing rate
-// and estimated time to completion. It mirrors itself into two gauges
+// Progress tracks a long-running loop's completed units. It mirrors
+// itself into two gauges
 // (progress_<name>_done / progress_<name>_total) so a metrics dump taken
 // mid-run shows how far each loop has come, and observes its total elapsed
 // seconds into progress_<name>_seconds on Done.
@@ -54,40 +53,4 @@ func (p *Progress) Done() {
 		return
 	}
 	p.reg.Histogram("progress_"+p.name+"_seconds", nil).Observe(time.Since(p.start).Seconds())
-}
-
-// ProgressSnapshot is a point-in-time view of a Progress.
-type ProgressSnapshot struct {
-	Name    string
-	Done    int64
-	Total   int64
-	Elapsed time.Duration
-	Rate    float64       // units per second
-	ETA     time.Duration // zero when the rate is unknown or the loop is done
-}
-
-// Snapshot returns the current state. The no-op progress returns a zero
-// snapshot.
-func (p *Progress) Snapshot() ProgressSnapshot {
-	if p.reg == nil {
-		return ProgressSnapshot{}
-	}
-	done := p.done.Load()
-	elapsed := time.Since(p.start)
-	s := ProgressSnapshot{Name: p.name, Done: done, Total: p.total, Elapsed: elapsed}
-	if elapsed > 0 {
-		s.Rate = float64(done) / elapsed.Seconds()
-	}
-	if s.Rate > 0 && done < p.total {
-		s.ETA = time.Duration(float64(p.total-done) / s.Rate * float64(time.Second))
-	}
-	return s
-}
-
-// String renders the snapshot as "name 30/100 (12.3/s, ETA 5.7s)".
-func (s ProgressSnapshot) String() string {
-	if s.Total <= 0 {
-		return fmt.Sprintf("%s %d (%.1f/s)", s.Name, s.Done, s.Rate)
-	}
-	return fmt.Sprintf("%s %d/%d (%.1f/s, ETA %s)", s.Name, s.Done, s.Total, s.Rate, s.ETA.Round(time.Millisecond))
 }

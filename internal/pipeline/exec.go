@@ -44,24 +44,11 @@ type RunStats struct {
 
 // Run executes the DAG rooted at out, memoizing shared sub-plans, tracking
 // provenance through every operator, and feeding registered inspections.
-// Per-operator stats are collected when obs is enabled or CollectStats was
-// requested; otherwise the run is instrumentation-free (no extra
-// allocations).
+// Per-operator stats are collected when obs is enabled; otherwise the run
+// is instrumentation-free (no extra allocations).
 func (p *Pipeline) Run(out *Node) (*Result, error) {
-	res, _, err := p.run(out, false)
-	return res, err
-}
-
-// RunWithStats executes like Run and always collects per-operator stats,
-// returning them alongside the result. The stats are also retained for
-// LastRunStats / RenderPlanWithCosts.
-func (p *Pipeline) RunWithStats(out *Node) (*Result, *RunStats, error) {
-	return p.run(out, true)
-}
-
-func (p *Pipeline) run(out *Node, forceStats bool) (*Result, *RunStats, error) {
 	var rs *RunStats
-	if forceStats || p.collectStats || obs.Enabled() {
+	if obs.Enabled() {
 		rs = &RunStats{Nodes: make(map[int]*NodeStats, len(p.nodes))}
 	}
 	sp := obs.StartSpan("pipeline.run")
@@ -70,7 +57,7 @@ func (p *Pipeline) run(out *Node, forceStats bool) (*Result, *RunStats, error) {
 	res, err := p.exec(out, memo, rs)
 	if err != nil {
 		sp.SetStr("error", err.Error()).End()
-		return nil, nil, err
+		return nil, err
 	}
 	if rs != nil {
 		rs.Wall = time.Since(start)
@@ -81,7 +68,7 @@ func (p *Pipeline) run(out *Node, forceStats bool) (*Result, *RunStats, error) {
 	}
 	obs.Inc("pipeline_runs_total")
 	sp.SetInt("rows_out", int64(res.Frame.NumRows())).End()
-	return res, rs, nil
+	return res, nil
 }
 
 // LastRunStats returns the stats of the most recent stats-collecting Run
@@ -92,11 +79,6 @@ func (p *Pipeline) LastRunStats() *RunStats {
 	defer p.statsMu.Unlock()
 	return p.lastRun
 }
-
-// CollectStats forces per-operator stat collection on every Run of this
-// pipeline, independent of the global obs switch. Off by default to keep
-// Run allocation-free.
-func (p *Pipeline) CollectStats(on bool) { p.collectStats = on }
 
 func (p *Pipeline) exec(n *Node, memo map[int]*Result, rs *RunStats) (*Result, error) {
 	if r, ok := memo[n.id]; ok {
@@ -208,48 +190,6 @@ func (p *Pipeline) apply(n *Node, ins []*Result) (*Result, error) {
 		}
 		return &Result{Frame: out, Prov: in.Prov}, nil
 
-	case KindFuzzyJoin:
-		left, right := ins[0], ins[1]
-		jr, err := frame.FuzzyJoin(left.Frame, right.Frame, n.leftOn[0], n.rightOn[0], n.fuzzyDist, frame.FuzzyAllMatches)
-		if err != nil {
-			return nil, err
-		}
-		polys := make([]prov.Polynomial, len(jr.LeftIdx))
-		for o := range jr.LeftIdx {
-			polys[o] = prov.Mul(left.Prov[jr.LeftIdx[o]], right.Prov[jr.RightIdx[o]])
-		}
-		return &Result{Frame: jr.Frame, Prov: polys}, nil
-
-	case KindGroupAgg:
-		in := ins[0]
-		out, members, err := in.Frame.GroupBy(n.groupKeys, n.groupAggs)
-		if err != nil {
-			return nil, err
-		}
-		polys := make([]prov.Polynomial, out.NumRows())
-		for gi, m := range members {
-			poly := prov.Zero()
-			for _, row := range m {
-				poly = prov.Add(poly, in.Prov[row])
-			}
-			polys[gi] = poly
-		}
-		return &Result{Frame: out, Prov: polys}, nil
-
-	case KindConcat:
-		frames := make([]*frame.Frame, len(ins))
-		for i, r := range ins {
-			frames[i] = r.Frame
-		}
-		out, srcFrame, srcRow, err := frame.Concat(frames...)
-		if err != nil {
-			return nil, err
-		}
-		polys := make([]prov.Polynomial, out.NumRows())
-		for o := range polys {
-			polys[o] = ins[srcFrame[o]].Prov[srcRow[o]]
-		}
-		return &Result{Frame: out, Prov: polys}, nil
 	}
 	return nil, fmt.Errorf("unknown node kind %v", n.kind)
 }

@@ -33,25 +33,6 @@ func (i *RowCountInspection) Observe(n *Node, res *Result) {
 	i.Counts[n.id] = res.Frame.NumRows()
 }
 
-// NullCountInspection records per-node, per-column null counts.
-type NullCountInspection struct {
-	Nulls map[int]map[string]int // node id -> column -> nulls
-}
-
-// NewNullCountInspection returns an empty null-count inspection.
-func NewNullCountInspection() *NullCountInspection {
-	return &NullCountInspection{Nulls: make(map[int]map[string]int)}
-}
-
-// Observe tallies nulls per column of the node's output.
-func (i *NullCountInspection) Observe(n *Node, res *Result) {
-	cols := make(map[string]int)
-	for _, name := range res.Frame.ColumnNames() {
-		cols[name] = res.Frame.MustColumn(name).NullCount()
-	}
-	i.Nulls[n.id] = cols
-}
-
 // GroupDistributionInspection tracks the relative frequency of the values
 // of one column (typically a protected attribute) after every operator —
 // the "data distribution debugging" of Grafberger et al. A large change in

@@ -1,6 +1,6 @@
 // Package pipeline implements provenance-tracked ML preprocessing pipelines:
 // a DAG of relational operators (sources, filters, joins, projections,
-// user-defined map columns, unions) that executes over frames while
+// user-defined map columns) that executes over frames while
 // annotating every intermediate and output row with a provenance polynomial
 // over source tuples (package prov). This is the substrate that enables
 // pipeline-aware data debugging à la mlinspect/Datascope: importance scores
@@ -30,12 +30,6 @@ const (
 	KindProject
 	// KindMapCol appends a computed column (a user-defined function).
 	KindMapCol
-	// KindConcat vertically unions inputs with identical schemas.
-	KindConcat
-	// KindGroupAgg groups rows and computes aggregates.
-	KindGroupAgg
-	// KindFuzzyJoin joins on approximate string-key equality.
-	KindFuzzyJoin
 )
 
 // String returns the operator name.
@@ -51,12 +45,6 @@ func (k Kind) String() string {
 		return "Project"
 	case KindMapCol:
 		return "MapCol"
-	case KindConcat:
-		return "Concat"
-	case KindGroupAgg:
-		return "GroupAgg"
-	case KindFuzzyJoin:
-		return "FuzzyJoin"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -80,22 +68,13 @@ type Node struct {
 	mapCol      string
 	mapKind     frame.Kind
 	mapFn       func(frame.Row) (frame.Value, error)
-	groupKeys   []string
-	groupAggs   []frame.Agg
-	fuzzyDist   int
 }
 
 // ID returns the node's position in its pipeline.
 func (n *Node) ID() int { return n.id }
 
-// Kind returns the operator type.
-func (n *Node) Kind() Kind { return n.kind }
-
 // Label returns the human-readable description used in plan rendering.
 func (n *Node) Label() string { return n.label }
-
-// Inputs returns the upstream nodes.
-func (n *Node) Inputs() []*Node { return n.inputs }
 
 // Pipeline is a builder and executor for an operator DAG. All nodes must be
 // created through the same Pipeline value.
@@ -103,9 +82,8 @@ type Pipeline struct {
 	nodes       []*Node
 	inspections []Inspection
 
-	collectStats bool
-	statsMu      sync.Mutex
-	lastRun      *RunStats
+	statsMu sync.Mutex
+	lastRun *RunStats
 }
 
 // New returns an empty pipeline.
@@ -184,46 +162,5 @@ func (p *Pipeline) MapCol(in *Node, newCol string, kind frame.Kind, fn func(fram
 		mapCol:  newCol,
 		mapKind: kind,
 		mapFn:   fn,
-	})
-}
-
-// Concat adds a vertical union of inputs with identical schemas.
-func (p *Pipeline) Concat(ins ...*Node) *Node {
-	return p.add(&Node{
-		kind:   KindConcat,
-		label:  fmt.Sprintf("Concat(%d inputs)", len(ins)),
-		inputs: ins,
-	})
-}
-
-// FuzzyJoin adds an approximate string-key join tolerating up to maxDist
-// edit operations between keys. The operator uses frame.FuzzyAllMatches —
-// the monotone semantics under which provenance polynomials correctly
-// predict pipeline replays (best-match joins are non-monotone: removing a
-// tuple can create new matches).
-func (p *Pipeline) FuzzyJoin(left, right *Node, leftOn, rightOn string, maxDist int) *Node {
-	return p.add(&Node{
-		kind:      KindFuzzyJoin,
-		label:     fmt.Sprintf("FuzzyJoin(%s≈%s, dist<=%d)", leftOn, rightOn, maxDist),
-		inputs:    []*Node{left, right},
-		leftOn:    []string{leftOn},
-		rightOn:   []string{rightOn},
-		fuzzyDist: maxDist,
-	})
-}
-
-// GroupAgg adds a group-by with aggregates. The provenance of each output
-// group row is the SUM (disjunction) of its members' polynomials: the group
-// row exists as long as any member survives. Note this is existence
-// provenance — the aggregate's *value* depends on every surviving member,
-// so removal what-ifs over aggregates are conservative (the row is kept but
-// its value may shift).
-func (p *Pipeline) GroupAgg(in *Node, keys []string, aggs []frame.Agg) *Node {
-	return p.add(&Node{
-		kind:      KindGroupAgg,
-		label:     fmt.Sprintf("GroupAgg(by=%v, %d aggs)", keys, len(aggs)),
-		inputs:    []*Node{in},
-		groupKeys: keys,
-		groupAggs: aggs,
 	})
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestPipelineRunShapes(t *testing.T) {
 		t.Errorf("columns = %v", cols)
 	}
 	ht := res.Frame.MustColumn("has_twitter")
-	if !ht.Bool(0) || ht.Bool(1) || !ht.Bool(2) {
+	if !ht.Value(0).Equal(frame.Bool(true)) || !ht.Value(1).Equal(frame.Bool(false)) || !ht.Value(2).Equal(frame.Bool(true)) {
 		t.Errorf("has_twitter wrong: %v", res.Frame)
 	}
 }
@@ -88,7 +89,7 @@ func TestPipelineProvenance(t *testing.T) {
 	// person 3 (train[2]) matched social[1] (null twitter but present row):
 	// three source tuples
 	vars1 := res.Prov[1].Vars()
-	if len(vars1) != 3 || !res.Prov[1].DependsOn(prov.TupleID{Table: "social", Row: 1}) {
+	if len(vars1) != 3 || !slices.Contains(vars1, prov.TupleID{Table: "social", Row: 1}) {
 		t.Errorf("prov[1] = %v", res.Prov[1])
 	}
 }
@@ -110,27 +111,10 @@ func TestRenderPlanAndDot(t *testing.T) {
 func TestRenderPlanSharedNode(t *testing.T) {
 	p := New()
 	src := p.Source("t", frame.MustNew(frame.NewIntSeries("a", []int64{1, 2}, nil)))
-	c := p.Concat(src, src)
+	c := p.Join(src, src, "a", frame.InnerJoin)
 	plan := p.RenderPlan(c)
 	if !strings.Contains(plan, "shared") {
 		t.Errorf("shared node not marked:\n%s", plan)
-	}
-}
-
-func TestConcatProvenance(t *testing.T) {
-	p := New()
-	a := p.Source("a", frame.MustNew(frame.NewIntSeries("x", []int64{1}, nil)))
-	b := p.Source("b", frame.MustNew(frame.NewIntSeries("x", []int64{2}, nil)))
-	res, err := p.Run(p.Concat(a, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frame.NumRows() != 2 {
-		t.Fatal("concat rows wrong")
-	}
-	if !res.Prov[0].DependsOn(prov.TupleID{Table: "a", Row: 0}) ||
-		!res.Prov[1].DependsOn(prov.TupleID{Table: "b", Row: 0}) {
-		t.Error("concat provenance wrong")
 	}
 }
 
@@ -180,7 +164,7 @@ func TestQuickProvenancePredictsReplay(t *testing.T) {
 		tr := p.Source("train", train)
 		jo := p.Source("jobs", jobs)
 		joined := p.Join(tr, jo, "job_id", frame.InnerJoin)
-		filtered := p.Filter(joined, "score >= 2", func(r frame.Row) bool { return r.Int("score") >= 2 })
+		filtered := p.Filter(joined, "score >= 2", func(r frame.Row) bool { return r.Value("score").Int() >= 2 })
 		out := p.Project(filtered, "person_id", "sector")
 		sizes := map[string]int{"train": 6, "jobs": 4}
 		return p, out, sizes
@@ -225,94 +209,6 @@ func TestQuickProvenancePredictsReplay(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFuzzyJoinPipelineProvenance(t *testing.T) {
-	letters := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"healthcare", "helthcare", "finanse"}, nil),
-		frame.NewIntSeries("id", []int64{1, 2, 3}, nil),
-	)
-	sectors := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"healthcare", "finance"}, nil),
-		frame.NewFloatSeries("growth", []float64{0.1, 0.2}, nil),
-	)
-	p := New()
-	l := p.Source("letters", letters)
-	s := p.Source("sectors", sectors)
-	joined := p.FuzzyJoin(l, s, "sector", "sector", 2)
-	res, err := p.Run(joined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frame.NumRows() != 3 {
-		t.Fatalf("rows = %d\n%v", res.Frame.NumRows(), res.Frame)
-	}
-	if !strings.Contains(joined.Label(), "FuzzyJoin") {
-		t.Errorf("label = %q", joined.Label())
-	}
-	// provenance mentions both sides
-	if len(res.Prov[0].Vars()) != 2 {
-		t.Errorf("fuzzy join provenance = %v", res.Prov[0])
-	}
-}
-
-// Property: for fuzzy-join pipelines with all-matches semantics, provenance
-// evaluation predicts replay survival exactly — the monotonicity argument
-// for choosing that mode.
-func TestQuickFuzzyJoinProvenancePredictsReplay(t *testing.T) {
-	letters := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"healthcare", "helthcare", "finanse", "retail", "tech"}, nil),
-		frame.NewIntSeries("id", []int64{1, 2, 3, 4, 5}, nil),
-	)
-	sectors := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"healthcare", "finance", "tech", "retale"}, nil),
-		frame.NewFloatSeries("growth", []float64{0.1, 0.2, 0.3, 0.4}, nil),
-	)
-	prop := func(seed int64) bool {
-		p := New()
-		l := p.Source("letters", letters)
-		s := p.Source("sectors", sectors)
-		joined := p.FuzzyJoin(l, s, "sector", "sector", 2)
-		full, err := p.Run(joined)
-		if err != nil {
-			return false
-		}
-		r := rand.New(rand.NewSource(seed))
-		removed := make(map[prov.TupleID]bool)
-		for row := 0; row < 5; row++ {
-			if r.Float64() < 0.4 {
-				removed[prov.TupleID{Table: "letters", Row: row}] = true
-			}
-		}
-		for row := 0; row < 4; row++ {
-			if r.Float64() < 0.4 {
-				removed[prov.TupleID{Table: "sectors", Row: row}] = true
-			}
-		}
-		replayed, err := p.Replay(joined, func(id prov.TupleID) bool { return removed[id] })
-		if err != nil {
-			return false
-		}
-		var predicted []int64
-		for i := 0; i < full.Frame.NumRows(); i++ {
-			if full.Prov[i].EvalBool(func(id prov.TupleID) bool { return !removed[id] }) {
-				predicted = append(predicted, full.Frame.MustColumn("id").Int(i))
-			}
-		}
-		actual := replayed.Frame.MustColumn("id")
-		if len(predicted) != actual.Len() {
-			return false
-		}
-		for i, want := range predicted {
-			if actual.Int(i) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

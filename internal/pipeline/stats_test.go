@@ -9,8 +9,8 @@ import (
 )
 
 // diamondFixture builds a DAG where one filter feeds two branches that are
-// concatenated — the shared sub-plan whose single execution the memo must
-// guarantee.
+// joined back together — the shared sub-plan whose single execution the
+// memo must guarantee.
 func diamondFixture(t *testing.T) (*Pipeline, *Node, *Node) {
 	t.Helper()
 	src := frame.MustNew(
@@ -18,11 +18,25 @@ func diamondFixture(t *testing.T) (*Pipeline, *Node, *Node) {
 	)
 	p := New()
 	s := p.Source("t", src)
-	shared := p.Filter(s, "a >= 2", func(r frame.Row) bool { return r.Int("a") >= 2 })
-	left := p.Filter(shared, "a <= 4", func(r frame.Row) bool { return r.Int("a") <= 4 })
-	right := p.Filter(shared, "a >= 5", func(r frame.Row) bool { return r.Int("a") >= 5 })
-	out := p.Concat(left, right)
+	shared := p.Filter(s, "a >= 2", func(r frame.Row) bool { return r.Value("a").Int() >= 2 })
+	left := p.Filter(shared, "a <= 4", func(r frame.Row) bool { return r.Value("a").Int() <= 4 })
+	right := p.Project(shared, "a")
+	out := p.Join(left, right, "a", frame.InnerJoin)
 	return p, out, shared
+}
+
+// runWithStats runs out with obs enabled, so the run collects
+// per-operator stats, and returns them.
+func runWithStats(t *testing.T, p *Pipeline, out *Node) (*Result, *RunStats) {
+	t.Helper()
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	res, err := p.Run(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, p.LastRunStats()
 }
 
 // Regression: a sub-plan consumed by two parents executes exactly once per
@@ -30,17 +44,14 @@ func diamondFixture(t *testing.T) (*Pipeline, *Node, *Node) {
 // behavior was invisible — RunStats now exposes it.
 func TestMemoSharedSubPlanExecutesOnce(t *testing.T) {
 	p, out, shared := diamondFixture(t)
-	res, rs, err := p.RunWithStats(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frame.NumRows() != 5 {
+	res, rs := runWithStats(t, p, out)
+	if res.Frame.NumRows() != 3 {
 		t.Fatalf("rows = %d", res.Frame.NumRows())
 	}
 	if rs == nil {
-		t.Fatal("RunWithStats returned nil stats")
+		t.Fatal("an obs-enabled Run collected no stats")
 	}
-	// 5 distinct operators: source, shared filter, two branch filters, concat
+	// 5 distinct operators: source, shared filter, two branches, join
 	if rs.MemoMisses != 5 {
 		t.Errorf("memo misses = %d, want 5 (one per distinct operator)", rs.MemoMisses)
 	}
@@ -73,12 +84,8 @@ func TestRunWithoutStatsCollectsNothing(t *testing.T) {
 	if rs := p.LastRunStats(); rs != nil {
 		t.Errorf("plain Run collected stats: %+v", rs)
 	}
-	p.CollectStats(true)
-	if _, err := p.Run(out); err != nil {
-		t.Fatal(err)
-	}
-	if rs := p.LastRunStats(); rs == nil {
-		t.Error("CollectStats(true) Run collected no stats")
+	if _, rs := runWithStats(t, p, out); rs == nil {
+		t.Error("an obs-enabled Run collected no stats")
 	}
 }
 
@@ -88,9 +95,7 @@ func TestRenderPlanWithCosts(t *testing.T) {
 	if plan := p.RenderPlanWithCosts(out); strings.Contains(plan, "rows,") {
 		t.Errorf("unexpected annotations before run:\n%s", plan)
 	}
-	if _, _, err := p.RunWithStats(out); err != nil {
-		t.Fatal(err)
-	}
+	runWithStats(t, p, out)
 	plan := p.RenderPlanWithCosts(out)
 	if !strings.Contains(plan, "rows,") {
 		t.Errorf("plan missing cost annotations:\n%s", plan)

@@ -267,41 +267,3 @@ func aliveRows(alive []bool, n int) []int {
 	}
 	return rows
 }
-
-// CompareWithReplay runs a removal variant both ways — via the provenance
-// shortcut and via a full pipeline replay + featurize — and returns both
-// metrics. Used by tests and benchmarks to validate and quantify the
-// optimization.
-func CompareWithReplay(
-	p *Pipeline,
-	outNode *Node,
-	ft *Featurized,
-	variant RemovalVariant,
-	featurize func(*Result) (*ml.Dataset, error),
-	newModel func() ml.Classifier,
-	valid *ml.Dataset,
-) (fast, slow float64, err error) {
-	fastRes, err := WhatIfRemovals(ft, []RemovalVariant{variant}, newModel, valid)
-	if err != nil {
-		return 0, 0, err
-	}
-	fast = fastRes[0].Metric
-
-	removed := make(map[prov.TupleID]bool, len(variant.Remove))
-	for _, id := range variant.Remove {
-		removed[id] = true
-	}
-	replayed, err := p.Replay(outNode, func(id prov.TupleID) bool { return removed[id] })
-	if err != nil {
-		return 0, 0, err
-	}
-	train, err := featurize(replayed)
-	if err != nil {
-		return 0, 0, err
-	}
-	slow, err = ml.EvaluateAccuracy(newModel(), train, valid)
-	if err != nil {
-		return 0, 0, err
-	}
-	return fast, slow, nil
-}

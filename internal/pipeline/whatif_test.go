@@ -128,81 +128,6 @@ func TestQuickWhatIfEqualsReplay(t *testing.T) {
 	}
 }
 
-func TestGroupAggProvenance(t *testing.T) {
-	data := frame.MustNew(
-		frame.NewStringSeries("sector", []string{"a", "a", "b"}, nil),
-		frame.NewFloatSeries("v", []float64{1, 3, 10}, nil),
-	)
-	p := New()
-	src := p.Source("t", data)
-	agg := p.GroupAgg(src, []string{"sector"}, []frame.Agg{{Col: "v", Func: frame.AggMean}})
-	res, err := p.Run(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frame.NumRows() != 2 {
-		t.Fatalf("groups = %d", res.Frame.NumRows())
-	}
-	if got := res.Frame.MustColumn("mean_v").Float(0); got != 2 {
-		t.Errorf("mean a = %v", got)
-	}
-	// group "a" provenance: t[0] + t[1] (exists if either survives)
-	pa := res.Prov[0]
-	if !pa.DependsOn(prov.TupleID{Table: "t", Row: 0}) || !pa.DependsOn(prov.TupleID{Table: "t", Row: 1}) {
-		t.Errorf("group provenance = %v", pa)
-	}
-	only0 := pa.EvalBool(func(id prov.TupleID) bool { return id.Row == 0 })
-	if !only0 {
-		t.Error("group should survive with only one member")
-	}
-	none := pa.EvalBool(func(id prov.TupleID) bool { return id.Row == 2 })
-	if none {
-		t.Error("group should vanish when all members are removed")
-	}
-	// plan label
-	if got := agg.Label(); got != "GroupAgg(by=[sector], 1 aggs)" {
-		t.Errorf("label = %q", got)
-	}
-	if KindGroupAgg.String() != "GroupAgg" {
-		t.Error("kind name wrong")
-	}
-}
-
-func TestGroupAggExistenceMatchesReplay(t *testing.T) {
-	data := frame.MustNew(
-		frame.NewStringSeries("g", []string{"a", "a", "b", "c"}, nil),
-		frame.NewFloatSeries("v", []float64{1, 2, 3, 4}, nil),
-	)
-	p := New()
-	src := p.Source("t", data)
-	agg := p.GroupAgg(src, []string{"g"}, []frame.Agg{{Func: frame.AggCount}})
-	full, err := p.Run(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// remove t[0] and t[3]: group a survives (via t[1]), c vanishes
-	removed := map[int]bool{0: true, 3: true}
-	replayed, err := p.Replay(agg, func(id prov.TupleID) bool { return removed[id.Row] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var predicted []string
-	for gi := 0; gi < full.Frame.NumRows(); gi++ {
-		if full.Prov[gi].EvalBool(func(id prov.TupleID) bool { return !removed[id.Row] }) {
-			predicted = append(predicted, full.Frame.MustColumn("g").Str(gi))
-		}
-	}
-	actual, _ := replayed.Frame.MustColumn("g").Strings()
-	if len(predicted) != len(actual) {
-		t.Fatalf("predicted %v, actual %v", predicted, actual)
-	}
-	for i := range predicted {
-		if predicted[i] != actual[i] {
-			t.Errorf("group %d: predicted %s, actual %s", i, predicted[i], actual[i])
-		}
-	}
-}
-
 // Parallel what-if evaluation must be bit-for-bit identical to serial:
 // same variant order, same metrics (compared as float bits), same survivor
 // counts for workers 1, 4 and GOMAXPROCS.
@@ -306,4 +231,42 @@ func TestWhatIfRemovalsObsWiring(t *testing.T) {
 	if perVariant != 2 {
 		t.Errorf("batch span has %d per-variant children, want 2", perVariant)
 	}
+}
+
+// CompareWithReplay runs a removal variant both ways — via the provenance
+// shortcut and via a full pipeline replay + featurize — and returns both
+// metrics. Used by tests and benchmarks to validate and quantify the
+// optimization.
+func CompareWithReplay(
+	p *Pipeline,
+	outNode *Node,
+	ft *Featurized,
+	variant RemovalVariant,
+	featurize func(*Result) (*ml.Dataset, error),
+	newModel func() ml.Classifier,
+	valid *ml.Dataset,
+) (fast, slow float64, err error) {
+	fastRes, err := WhatIfRemovals(ft, []RemovalVariant{variant}, newModel, valid)
+	if err != nil {
+		return 0, 0, err
+	}
+	fast = fastRes[0].Metric
+
+	removed := make(map[prov.TupleID]bool, len(variant.Remove))
+	for _, id := range variant.Remove {
+		removed[id] = true
+	}
+	replayed, err := p.Replay(outNode, func(id prov.TupleID) bool { return removed[id] })
+	if err != nil {
+		return 0, 0, err
+	}
+	train, err := featurize(replayed)
+	if err != nil {
+		return 0, 0, err
+	}
+	slow, err = ml.EvaluateAccuracy(newModel(), train, valid)
+	if err != nil {
+		return 0, 0, err
+	}
+	return fast, slow, nil
 }

@@ -23,13 +23,3 @@ func ExamplePolynomial() {
 	// backup[5] + jobs[2]·train[0]
 	// survives without jobs[2]: true
 }
-
-// Absorption: a derivation subsumed by a simpler one disappears.
-func ExamplePolynomial_Simplify() {
-	a := prov.Var(prov.TupleID{Table: "t", Row: 1})
-	b := prov.Var(prov.TupleID{Table: "t", Row: 2})
-	p := prov.Add(a, prov.Mul(a, b))
-	fmt.Println(p.Simplify())
-	// Output:
-	// t[1]
-}

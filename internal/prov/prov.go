@@ -2,8 +2,8 @@
 // Tannen; PODS 2007) for fine-grained row-level lineage in ML pipelines.
 //
 // Every source tuple is a variable; each output row of a pipeline carries a
-// provenance polynomial over those variables. For the select-project-join-
-// union fragment used by preprocessing pipelines, a polynomial is a sum of
+// provenance polynomial over those variables. For the select-project-join
+// fragment used by preprocessing pipelines, a polynomial is a sum of
 // monomials, where each monomial is the set of source tuples that jointly
 // produced the output row. Evaluating the polynomial under a boolean
 // assignment ("which source tuples are present?") answers the interventional
@@ -55,22 +55,6 @@ func normalizeMonomial(vars []TupleID) Monomial {
 	return Monomial(out)
 }
 
-// contains reports whether m includes variable v.
-func (m Monomial) contains(v TupleID) bool {
-	i := sort.Search(len(m), func(i int) bool { return !m[i].Less(v) })
-	return i < len(m) && m[i] == v
-}
-
-// subsetOf reports whether every variable of m appears in o.
-func (m Monomial) subsetOf(o Monomial) bool {
-	for _, v := range m {
-		if !o.contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
 func (m Monomial) equal(o Monomial) bool {
 	if len(m) != len(o) {
 		return false
@@ -112,15 +96,6 @@ func One() Polynomial { return Polynomial{mons: []Monomial{{}}} }
 // Var returns the polynomial consisting of the single variable t.
 func Var(t TupleID) Polynomial {
 	return Polynomial{mons: []Monomial{{t}}}
-}
-
-// FromMonomials builds a polynomial from explicit variable products.
-func FromMonomials(monos ...[]TupleID) Polynomial {
-	p := Zero()
-	for _, m := range monos {
-		p.mons = append(p.mons, normalizeMonomial(m))
-	}
-	return p.dedup()
 }
 
 // IsZero reports whether the polynomial has no derivations.
@@ -173,29 +148,6 @@ func Mul(a, b Polynomial) Polynomial {
 	return Polynomial{mons: mons}.dedup()
 }
 
-// Simplify applies absorption (m + m·m' = m), yielding the canonical
-// positive-boolean form. EvalBool is invariant under Simplify.
-func (p Polynomial) Simplify() Polynomial {
-	q := p.dedup()
-	var kept []Monomial
-	for i, m := range q.mons {
-		absorbed := false
-		for j, o := range q.mons {
-			if i == j {
-				continue
-			}
-			if o.subsetOf(m) && (len(o) < len(m) || j < i) {
-				absorbed = true
-				break
-			}
-		}
-		if !absorbed {
-			kept = append(kept, m)
-		}
-	}
-	return Polynomial{mons: kept}
-}
-
 // EvalBool evaluates the polynomial in the boolean semiring: it reports
 // whether at least one derivation has all of its source tuples present.
 func (p Polynomial) EvalBool(present func(TupleID) bool) bool {
@@ -214,24 +166,6 @@ func (p Polynomial) EvalBool(present func(TupleID) bool) bool {
 	return false
 }
 
-// EvalCount evaluates the polynomial in the counting semiring N, where
-// multiplicity(t) gives the copies of each source tuple. This answers bag-
-// semantics questions ("how many derivations survive?").
-func (p Polynomial) EvalCount(multiplicity func(TupleID) int) int {
-	total := 0
-	for _, m := range p.mons {
-		prod := 1
-		for _, v := range m {
-			prod *= multiplicity(v)
-			if prod == 0 {
-				break
-			}
-		}
-		total += prod
-	}
-	return total
-}
-
 // Vars returns the distinct variables mentioned anywhere in p, sorted.
 func (p Polynomial) Vars() []TupleID {
 	seen := make(map[TupleID]bool)
@@ -246,30 +180,6 @@ func (p Polynomial) Vars() []TupleID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// DependsOn reports whether p mentions variable t in any derivation.
-func (p Polynomial) DependsOn(t TupleID) bool {
-	for _, m := range p.mons {
-		if m.contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports whether two polynomials have identical canonical monomials.
-func (p Polynomial) Equal(o Polynomial) bool {
-	a, b := p.dedup(), o.dedup()
-	if len(a.mons) != len(b.mons) {
-		return false
-	}
-	for i := range a.mons {
-		if !a.mons[i].equal(b.mons[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the polynomial as "a[0]·b[1] + a[2]"; the zero polynomial

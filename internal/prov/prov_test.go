@@ -85,52 +85,11 @@ func TestEvalBool(t *testing.T) {
 	}
 }
 
-func TestEvalCount(t *testing.T) {
-	// bag semantics: p = t1·s0 + t2 with mult(t1)=2, mult(s0)=3, mult(t2)=1
-	p := Add(Mul(Var(tid("t", 1)), Var(tid("s", 0))), Var(tid("t", 2)))
-	mult := map[TupleID]int{tid("t", 1): 2, tid("s", 0): 3, tid("t", 2): 1}
-	got := p.EvalCount(func(id TupleID) int { return mult[id] })
-	if got != 7 {
-		t.Errorf("EvalCount = %d, want 7", got)
-	}
-}
-
-func TestSimplifyAbsorption(t *testing.T) {
-	a, b := tid("t", 1), tid("t", 2)
-	// a + a·b simplifies to a
-	p := Add(Var(a), Mul(Var(a), Var(b)))
-	s := p.Simplify()
-	if !s.Equal(Var(a)) {
-		t.Errorf("Simplify(a + ab) = %v, want a", s)
-	}
-	// 1 + anything = 1
-	q := Add(One(), Var(a)).Simplify()
-	if !q.Equal(One()) {
-		t.Errorf("Simplify(1 + a) = %v, want 1", q)
-	}
-}
-
 func TestVarsAndDependsOn(t *testing.T) {
 	p := Add(Mul(Var(tid("t", 2)), Var(tid("s", 0))), Var(tid("t", 1)))
 	vars := p.Vars()
 	if len(vars) != 3 || vars[0] != tid("s", 0) || vars[1] != tid("t", 1) || vars[2] != tid("t", 2) {
 		t.Errorf("Vars = %v", vars)
-	}
-	if !p.DependsOn(tid("s", 0)) || p.DependsOn(tid("s", 99)) {
-		t.Error("DependsOn wrong")
-	}
-}
-
-func TestFromMonomials(t *testing.T) {
-	p := FromMonomials(
-		[]TupleID{tid("t", 1), tid("s", 0), tid("t", 1)}, // dup var collapses
-		[]TupleID{tid("t", 2)},
-	)
-	if len(p.Monomials()) != 2 {
-		t.Errorf("monomials = %v", p)
-	}
-	if len(p.Monomials()[1]) != 2 && len(p.Monomials()[0]) != 2 {
-		t.Errorf("dup variable not collapsed: %v", p)
 	}
 }
 
@@ -139,11 +98,11 @@ func randomPoly(r *rand.Rand, nVars int) Polynomial {
 	p := Zero()
 	nm := r.Intn(4)
 	for i := 0; i < nm; i++ {
-		var vars []TupleID
+		m := One()
 		for j := 0; j < 1+r.Intn(3); j++ {
-			vars = append(vars, tid("v", r.Intn(nVars)))
+			m = Mul(m, Var(tid("v", r.Intn(nVars))))
 		}
-		p = Add(p, FromMonomials(vars))
+		p = Add(p, m)
 	}
 	return p
 }
@@ -182,69 +141,16 @@ func TestQuickSemiringLaws(t *testing.T) {
 	}
 }
 
-// Property: Simplify preserves EvalBool under every assignment of its
-// variables (checked exhaustively for up to 2^10 assignments).
-func TestQuickSimplifyPreservesSemantics(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randomPoly(r, 5)
-		s := p.Simplify()
-		vars := p.Vars()
-		if len(vars) > 10 {
-			return true
+// Equal reports whether two polynomials have identical canonical monomials.
+func (p Polynomial) Equal(o Polynomial) bool {
+	a, b := p.dedup(), o.dedup()
+	if len(a.mons) != len(b.mons) {
+		return false
+	}
+	for i := range a.mons {
+		if !a.mons[i].equal(b.mons[i]) {
+			return false
 		}
-		for mask := 0; mask < 1<<len(vars); mask++ {
-			present := func(id TupleID) bool {
-				for i, v := range vars {
-					if v == id {
-						return mask&(1<<i) != 0
-					}
-				}
-				return false
-			}
-			if p.EvalBool(present) != s.EvalBool(present) {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSetOperations(t *testing.T) {
-	s := NewSet(tid("a", 1), tid("b", 2))
-	o := NewSet(tid("b", 2), tid("c", 3))
-	if !s.Has(tid("a", 1)) || s.Has(tid("c", 3)) {
-		t.Error("Has wrong")
-	}
-	inter := s.Intersect(o)
-	if inter.Len() != 1 || !inter.Has(tid("b", 2)) {
-		t.Errorf("Intersect = %v", inter.Sorted())
-	}
-	uni := s.Union(o)
-	if uni.Len() != 3 {
-		t.Errorf("Union = %v", uni.Sorted())
-	}
-	sorted := uni.Sorted()
-	if sorted[0] != tid("a", 1) || sorted[2] != tid("c", 3) {
-		t.Errorf("Sorted = %v", sorted)
-	}
-}
-
-func TestLineageAndGroupKey(t *testing.T) {
-	p := Add(Mul(Var(tid("t", 1)), Var(tid("s", 0))), Var(tid("t", 1)))
-	lin := Lineage(p)
-	if lin.Len() != 2 {
-		t.Errorf("Lineage = %v", lin.Sorted())
-	}
-	k1 := NewSet(tid("t", 1), tid("s", 0)).GroupKey()
-	k2 := NewSet(tid("s", 0), tid("t", 1)).GroupKey()
-	if k1 != k2 {
-		t.Error("GroupKey must be order-independent")
-	}
-	if NewSet().GroupKey() != "" {
-		t.Error("empty set key should be empty")
-	}
+	return true
 }

@@ -89,6 +89,12 @@ func New[K comparable, V any](name string, capacity int) *Store[K, V] {
 	}
 }
 
+// gaugesLocked refreshes the entries/inflight gauges.
+func (s *Store[K, V]) gaugesLocked() {
+	obs.SetGauge(s.mEntries, float64(len(s.entries)))
+	obs.SetGauge(s.mInflight, float64(s.inflight))
+}
+
 // GetOrBuild returns the artifact for key, building it with build on a
 // miss. Concurrent callers for the same key share one build; the builder's
 // error (if any) is delivered to every caller of that flight and nothing is
@@ -128,9 +134,9 @@ func (s *Store[K, V]) GetOrBuild(key K, build func() (V, error)) (V, error) {
 	s.mu.Lock()
 	s.inflight--
 	if err != nil {
-		// Drop the failed flight (unless Reset already replaced the map or a
-		// same-key rebuild superseded it) so the next caller retries instead
-		// of being served a cached error.
+		// Drop the failed flight (unless a same-key rebuild superseded it,
+		// or the store tests' Reset replaced the map) so the next caller
+		// retries instead of being served a cached error.
 		if s.entries[key] == e {
 			s.removeLocked(key)
 		}
@@ -190,34 +196,4 @@ func (s *Store[K, V]) touchLocked(key K) {
 			return
 		}
 	}
-}
-
-// gaugesLocked refreshes the entries/inflight gauges.
-func (s *Store[K, V]) gaugesLocked() {
-	obs.SetGauge(s.mEntries, float64(len(s.entries)))
-	obs.SetGauge(s.mInflight, float64(s.inflight))
-}
-
-// Len returns the current entry count (ready + in flight).
-func (s *Store[K, V]) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// InFlight returns the number of builds currently running.
-func (s *Store[K, V]) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
-}
-
-// Reset drops every entry. In-flight builds are unaffected: their waiters
-// still receive the built artifact, it just is no longer cached afterwards.
-func (s *Store[K, V]) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries = map[K]*entry[V]{}
-	s.order = nil
-	s.gaugesLocked()
 }

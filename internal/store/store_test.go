@@ -346,3 +346,27 @@ func TestGetOrBuildHitZeroAllocWithObsOff(t *testing.T) {
 		t.Errorf("GetOrBuild hit allocates %v times per call with obs off, want 0", allocs)
 	}
 }
+
+// Len returns the current entry count (ready + in flight).
+func (s *Store[K, V]) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
+// InFlight returns the number of builds currently running.
+func (s *Store[K, V]) InFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight
+}
+
+// Reset drops every entry. In-flight builds are unaffected: their waiters
+// still receive the built artifact, it just is no longer cached afterwards.
+func (s *Store[K, V]) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries = map[K]*entry[V]{}
+	s.order = nil
+	s.gaugesLocked()
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nde/internal/linalg"
 	"nde/internal/ml"
 )
 
@@ -190,71 +189,6 @@ func TestVoteOutcomeDeterministicTies(t *testing.T) {
 	// equal distances: tie in votes -> label 0 wins
 	if got := c.voteOutcome([]float64{1, 1}, labels); got != 0 {
 		t.Errorf("tie vote = %d, want 0", got)
-	}
-}
-
-func TestCertainModelCheckCertain(t *testing.T) {
-	// y depends only on feature 0; feature 1 has missing values but is
-	// irrelevant -> a certain model exists
-	x := linalg.FromRows([][]float64{{1, 5}, {2, 1}, {3, 4}, {4, 0}})
-	d, _ := ml.NewDataset(x, []int{0, 0, 1, 1})
-	s := NewSymbolic(d)
-	s.SetUncertain(3, 1, -10, 10)
-	y := []float64{2, 4, 6, 8} // y = 2 * x0
-	rep, err := CheckCertainModel(s, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Certain {
-		t.Errorf("expected certain model: %s", rep.Reason)
-	}
-	if !rep.ApproximatelyCertain(0) {
-		t.Error("certain implies approximately certain")
-	}
-}
-
-func TestCertainModelCheckUncertain(t *testing.T) {
-	// y depends on feature 1, which has a missing value -> no certain model
-	x := linalg.FromRows([][]float64{{1, 1}, {1, 2}, {1, 3}, {1, 4}})
-	d, _ := ml.NewDataset(x, []int{0, 0, 1, 1})
-	s := NewSymbolic(d)
-	s.SetUncertain(3, 1, 0, 10)
-	y := []float64{1, 2, 3, 4} // y = x1
-	rep, err := CheckCertainModel(s, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Certain {
-		t.Error("expected no certain model when a relevant feature is missing")
-	}
-	if rep.WorstCaseExtraLoss <= 0 {
-		t.Errorf("worst-case extra loss = %v", rep.WorstCaseExtraLoss)
-	}
-	// wide tolerance makes it approximately certain
-	if !rep.ApproximatelyCertain(1e6) {
-		t.Error("huge eps should accept")
-	}
-}
-
-func TestCertainModelCheckErrors(t *testing.T) {
-	if _, err := CheckCertainModel(&SymbolicDataset{}, nil); err == nil {
-		t.Error("expected error for empty dataset")
-	}
-	d := blobs(4, 1, 1)
-	if _, err := CheckCertainModel(NewSymbolic(d), []float64{1}); err == nil {
-		t.Error("expected error for target length mismatch")
-	}
-	// all rows incomplete: no anchor
-	s := NewSymbolic(d)
-	for i := 0; i < 4; i++ {
-		s.SetUncertain(i, 0, -1, 1)
-	}
-	rep, err := CheckCertainModel(s, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Certain {
-		t.Error("no complete rows cannot be certain")
 	}
 }
 

@@ -2,7 +2,6 @@ package uncertain
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"nde/internal/ml"
@@ -22,14 +21,6 @@ type FairnessRange struct {
 	Range Interval
 	// Worlds is the number of worlds evaluated.
 	Worlds int
-}
-
-// CertifiablyFair reports whether every evaluated world keeps the violation
-// at or below the threshold. Because the range is sampled, this is a
-// necessary-condition check: a false result is a definitive counterexample,
-// a true result certifies only the evaluated worlds.
-func (f *FairnessRange) CertifiablyFair(threshold float64) bool {
-	return f.Range.Hi <= threshold
 }
 
 // FairnessRangeConfig controls the range estimation.
@@ -106,118 +97,4 @@ func EstimateFairnessRange(train *SymbolicDataset, valid *ml.Dataset, cfg Fairne
 		observe(v)
 	}
 	return res, nil
-}
-
-// BiasRobustness quantifies robustness to programmable label bias (Meyer
-// et al., NeurIPS 2021): an adversary may flip up to budget labels of the
-// training set. The check samples flip sets — uniformly and targeted at the
-// points nearest each test point, the adversary's strongest simple strategy
-// for local models — retrains per variant, and reports the fraction of test
-// predictions that never change. 1.0 means no sampled bias within budget
-// moved any prediction.
-type BiasRobustness struct {
-	// RobustFraction is the fraction of test points with unanimous
-	// predictions across all sampled biased datasets.
-	RobustFraction float64
-	// Flipped[i] is true when some sampled bias changed test point i.
-	Flipped []bool
-	// Variants is the number of biased datasets evaluated.
-	Variants int
-}
-
-// EstimateBiasRobustness runs the sampled certification.
-func EstimateBiasRobustness(train, test *ml.Dataset, newModel func() ml.Classifier, budget, variants int, seed int64) (*BiasRobustness, error) {
-	if budget < 0 || budget >= train.Len() {
-		return nil, fmt.Errorf("uncertain: bias budget %d outside [0,%d)", budget, train.Len())
-	}
-	if variants <= 0 {
-		variants = 10
-	}
-	if newModel == nil {
-		newModel = func() ml.Classifier { return ml.NewDecisionTree() }
-	}
-	base := newModel()
-	if err := base.Fit(train); err != nil {
-		return nil, err
-	}
-	basePred := ml.PredictAll(base, test)
-	flipped := make([]bool, test.Len())
-	r := rand.New(rand.NewSource(seed))
-
-	evalVariant := func(rows []int) error {
-		variant := train.Clone()
-		for _, i := range rows {
-			variant.Y[i] = 1 - variant.Y[i]
-		}
-		m := newModel()
-		if err := m.Fit(variant); err != nil {
-			return err
-		}
-		for i := 0; i < test.Len(); i++ {
-			if m.Predict(test.Row(i)) != basePred[i] {
-				flipped[i] = true
-			}
-		}
-		return nil
-	}
-
-	evaluated := 0
-	// uniform random flip sets
-	for v := 0; v < variants; v++ {
-		if err := evalVariant(r.Perm(train.Len())[:budget]); err != nil {
-			return nil, err
-		}
-		evaluated++
-	}
-	// targeted flip sets: the budget nearest training points to each of a
-	// few random test points
-	targets := r.Perm(test.Len())
-	if len(targets) > 5 {
-		targets = targets[:5]
-	}
-	for _, ti := range targets {
-		rows := nearestRows(train, test.Row(ti), budget)
-		if err := evalVariant(rows); err != nil {
-			return nil, err
-		}
-		evaluated++
-	}
-
-	robust := 0
-	for _, f := range flipped {
-		if !f {
-			robust++
-		}
-	}
-	return &BiasRobustness{
-		RobustFraction: float64(robust) / math.Max(1, float64(test.Len())),
-		Flipped:        flipped,
-		Variants:       evaluated,
-	}, nil
-}
-
-func nearestRows(train *ml.Dataset, x []float64, k int) []int {
-	type di struct {
-		d float64
-		i int
-	}
-	ds := make([]di, train.Len())
-	for i := 0; i < train.Len(); i++ {
-		ds[i] = di{ml.EuclideanDistance(train.Row(i), x), i}
-	}
-	// partial selection of the k smallest
-	for sel := 0; sel < k && sel < len(ds); sel++ {
-		min := sel
-		for j := sel + 1; j < len(ds); j++ {
-			if ds[j].d < ds[min].d {
-				min = j
-			}
-		}
-		ds[sel], ds[min] = ds[min], ds[sel]
-	}
-	out := make([]int, 0, k)
-	for i := 0; i < k && i < len(ds); i++ {
-		out = append(out, ds[i].i)
-	}
-	return out
 }

@@ -63,18 +63,11 @@ func TestFairnessRangeWidensWithUncertainty(t *testing.T) {
 	if fr.Range.Width() <= 0 {
 		t.Errorf("range %v should widen under group uncertainty", fr.Range)
 	}
-	if !fr.Range.Contains(fr.Center) {
+	if !contains(fr.Range, fr.Center, 0) {
 		t.Errorf("center %v outside range %v", fr.Center, fr.Range)
 	}
 	if fr.Worlds < 17 { // center + 2 corners + 15 samples
 		t.Errorf("worlds = %d", fr.Worlds)
-	}
-	// certification semantics
-	if fr.CertifiablyFair(fr.Range.Hi - 1e-12) {
-		t.Error("threshold below the max should not certify")
-	}
-	if !fr.CertifiablyFair(fr.Range.Hi) {
-		t.Error("threshold at the max should certify")
 	}
 }
 
@@ -86,48 +79,5 @@ func TestFairnessRangeErrors(t *testing.T) {
 	}
 	if _, err := EstimateFairnessRange(&SymbolicDataset{}, train, FairnessRangeConfig{}); err == nil {
 		t.Error("expected error for empty training set")
-	}
-}
-
-func TestBiasRobustnessSeparableDataIsRobust(t *testing.T) {
-	train := blobs(120, 3, 511)
-	test := blobs(40, 3, 512)
-	br, err := EstimateBiasRobustness(train, test, nil, 2, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.RobustFraction < 0.9 {
-		t.Errorf("well-separated data should be robust to 2 flips, got %v", br.RobustFraction)
-	}
-	if br.Variants < 8 {
-		t.Errorf("variants = %d", br.Variants)
-	}
-}
-
-func TestBiasRobustnessLargeBudgetBreaks(t *testing.T) {
-	train := blobs(60, 1.0, 513)
-	test := blobs(30, 1.0, 514)
-	small, err := EstimateBiasRobustness(train, test, nil, 1, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := EstimateBiasRobustness(train, test, nil, 25, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.RobustFraction > small.RobustFraction {
-		t.Errorf("bigger bias budget should not increase robustness: %v -> %v",
-			small.RobustFraction, big.RobustFraction)
-	}
-}
-
-func TestBiasRobustnessErrors(t *testing.T) {
-	train := blobs(20, 2, 515)
-	test := blobs(10, 2, 516)
-	if _, err := EstimateBiasRobustness(train, test, nil, -1, 5, 1); err == nil {
-		t.Error("expected error for negative budget")
-	}
-	if _, err := EstimateBiasRobustness(train, test, nil, 20, 5, 1); err == nil {
-		t.Error("expected error for budget >= n")
 	}
 }

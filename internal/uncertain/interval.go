@@ -10,9 +10,7 @@
 //     worlds plus a sound interval over-approximation;
 //   - CPClean-style certain predictions for k-nearest-neighbor models over
 //     incomplete data (Karlaš et al., VLDB 2021), with a greedy
-//     minimal-repair cleaning strategy;
-//   - certain and approximately certain model checks for regularized linear
-//     models (Zhen et al., SIGMOD 2024); and
+//     minimal-repair cleaning strategy; and
 //   - exhaustive possible-world enumeration for small discrete uncertainty
 //     (the dataset-multiplicity view of Meyer et al.).
 package uncertain
@@ -48,50 +46,15 @@ func (a Interval) Width() float64 { return a.Hi - a.Lo }
 // Center returns the midpoint.
 func (a Interval) Center() float64 { return (a.Lo + a.Hi) / 2 }
 
-// Radius returns half the width.
-func (a Interval) Radius() float64 { return (a.Hi - a.Lo) / 2 }
-
-// Contains reports whether x lies in the interval.
-func (a Interval) Contains(x float64) bool { return a.Lo <= x && x <= a.Hi }
-
-// Add returns a + b (Minkowski sum).
-func (a Interval) Add(b Interval) Interval { return Interval{a.Lo + b.Lo, a.Hi + b.Hi} }
-
 // Sub returns a − b.
 func (a Interval) Sub(b Interval) Interval { return Interval{a.Lo - b.Hi, a.Hi - b.Lo} }
 
 // Neg returns −a.
 func (a Interval) Neg() Interval { return Interval{-a.Hi, -a.Lo} }
 
-// Mul returns the interval product {x*y : x∈a, y∈b}.
-func (a Interval) Mul(b Interval) Interval {
-	p1, p2, p3, p4 := a.Lo*b.Lo, a.Lo*b.Hi, a.Hi*b.Lo, a.Hi*b.Hi
-	return Interval{
-		Lo: math.Min(math.Min(p1, p2), math.Min(p3, p4)),
-		Hi: math.Max(math.Max(p1, p2), math.Max(p3, p4)),
-	}
-}
-
-// Scale returns {c*x : x∈a}.
-func (a Interval) Scale(c float64) Interval {
-	if c >= 0 {
-		return Interval{c * a.Lo, c * a.Hi}
-	}
-	return Interval{c * a.Hi, c * a.Lo}
-}
-
 // Union returns the smallest interval containing both a and b.
 func (a Interval) Union(b Interval) Interval {
 	return Interval{math.Min(a.Lo, b.Lo), math.Max(a.Hi, b.Hi)}
-}
-
-// Intersect returns the intersection and whether it is non-empty.
-func (a Interval) Intersect(b Interval) (Interval, bool) {
-	lo, hi := math.Max(a.Lo, b.Lo), math.Min(a.Hi, b.Hi)
-	if lo > hi {
-		return Interval{}, false
-	}
-	return Interval{lo, hi}, true
 }
 
 // Abs returns {|x| : x∈a}.
@@ -105,30 +68,10 @@ func (a Interval) Abs() Interval {
 	return Interval{0, math.Max(-a.Lo, a.Hi)}
 }
 
-// Sqr returns {x² : x∈a}.
-func (a Interval) Sqr() Interval {
-	ab := a.Abs()
-	return Interval{ab.Lo * ab.Lo, ab.Hi * ab.Hi}
-}
-
 // String renders the interval; points render as plain numbers.
 func (a Interval) String() string {
 	if a.IsPoint() {
 		return fmt.Sprintf("%g", a.Lo)
 	}
 	return fmt.Sprintf("[%g, %g]", a.Lo, a.Hi)
-}
-
-// DotRange returns the exact range of w·x over the box of intervals x:
-// w·center ± Σ |w_i| · radius_i.
-func DotRange(w []float64, x []Interval) Interval {
-	if len(w) != len(x) {
-		panic(fmt.Sprintf("uncertain: DotRange dims %d vs %d", len(w), len(x)))
-	}
-	center, spread := 0.0, 0.0
-	for i, wi := range w {
-		center += wi * x[i].Center()
-		spread += math.Abs(wi) * x[i].Radius()
-	}
-	return Interval{center - spread, center + spread}
 }

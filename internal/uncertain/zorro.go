@@ -199,23 +199,3 @@ func pointLogLoss(p, y float64) float64 {
 	}
 	return -math.Log(1 - p)
 }
-
-// WorstCaseLossCurve sweeps missing-value percentages over one feature and
-// returns the worst-case loss at each percentage — the series plotted in
-// the tutorial's Figure 4. The curve is non-decreasing in expectation:
-// more missing data can only enlarge the set of possible worlds.
-func WorstCaseLossCurve(d *ml.Dataset, test *ml.Dataset, feature int, percentages []float64, mech Missingness, z *Zorro, seed int64) ([]float64, error) {
-	out := make([]float64, len(percentages))
-	for i, pct := range percentages {
-		sym, _, err := EncodeSymbolic(d, feature, pct, mech, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := z.Analyze(sym, test)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res.WorstCaseLoss
-	}
-	return out, nil
-}

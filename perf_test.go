@@ -7,7 +7,8 @@ import (
 	"nde/internal/ml"
 )
 
-// PredictBatch once LOST to row-by-row prediction (1.30ms/282KB vs
+// Batched prediction (a fresh NeighborIndex and its PredictBatch) once
+// LOST to row-by-row KNN.Predict (1.30ms/282KB vs
 // 1.18ms/185KB per op) because it allocated quickselect arenas and vote
 // buffers per query. With per-worker scratch the batched path must
 // allocate strictly less, in count and in bytes — deterministic numbers
@@ -30,10 +31,17 @@ func TestPredictBatchBeatsRowwise(t *testing.T) {
 	if err := knn.Fit(train); err != nil {
 		t.Fatal(err)
 	}
+	predictBatch := func() ([]int, error) {
+		ix, err := ml.NewNeighborIndex(train, valid, 1)
+		if err != nil {
+			return nil, err
+		}
+		return ix.PredictBatch(knn.K), nil
+	}
 	batch := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := knn.PredictBatch(valid, 1); err != nil {
+			if _, err := predictBatch(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -57,7 +65,7 @@ func TestPredictBatchBeatsRowwise(t *testing.T) {
 		t.Errorf("batched prediction allocates %d B/op, rowwise %d — batch must be strictly lower", batchBytes, rowBytes)
 	}
 	// and the answers agree, so the win is not bought with wrong results
-	got, err := knn.PredictBatch(valid, 1)
+	got, err := predictBatch()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ echo "==> go vet ./..."
 go vet ./...
 
 # contract-enforcing static analysis (determinism, panicsite, errwrap,
-# obsguard, globalstate; see DESIGN.md §10). Skip with NDE_SKIP_LINT=1
-# when in a hurry.
+# obsguard, globalstate, deadcode; see DESIGN.md §10). Skip with
+# NDE_SKIP_LINT=1 when in a hurry.
 if [ "${NDE_SKIP_LINT:-0}" != "1" ]; then
     echo "==> nde-lint"
     go run ./cmd/nde-lint
