@@ -34,8 +34,9 @@ ops-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# tracked benchmark series, medians of five runs -> BENCH_importance.json +
-# BENCH_whatif.json + BENCH_neighbor.json + BENCH_incremental.json
+# tracked benchmark series (scripts/bench_series.sh), medians of five runs
+# -> BENCH_importance.json + BENCH_whatif.json + BENCH_neighbor.json +
+# BENCH_incremental.json, the record of this host's numbers
 bench:
 	sh scripts/bench.sh
 
@@ -43,8 +44,10 @@ bench:
 bench-all:
 	go test -bench=. -benchmem ./...
 
-# perf-regression gate: fresh run vs the checked-in BENCH_*.json baselines,
-# fails on a >15% regression of a median ns/op, B/op or allocs/op
+# perf-regression gate: the tracked series from a test binary of HEAD (or
+# BASE=rev) and one of the working tree, five rounds on this host with
+# each benchmark's two runs back to back; fails when the median paired
+# change in ns/op, B/op or allocs/op exceeds +15%
 # (scripts/check.sh runs this when NDE_BENCH=1)
 bench-diff:
 	sh scripts/bench_diff.sh

@@ -15,7 +15,7 @@ import (
 // kNN-Shapley scores against a fixed validation set, and the neighbor
 // index those scores came from. Each RemoveRows call DERIVES the next
 // index from the current one (ml.NeighborIndex.RemoveRows: tombstones over
-// the cached distance geometry, O(queries·k) top-k repair, no fresh
+// the root's neighbor order table, O(queries·k) top-k repair, no fresh
 // distance kernel) and re-evaluates the Shapley closed form over the O(n)
 // walked neighbor order — so iterating "drop the worst row, look again" is
 // interactive even at tens of thousands of rows, while staying
@@ -91,7 +91,7 @@ func (s *DebugSession) OriginalIDs() []int {
 // set, duplicates tolerated — and returns the freshly recomputed scores
 // of the survivors. The update is the delta path end to end: the next
 // index derives from the one the session holds, so the chain never
-// rebuilds distance geometry, fingerprints the training set, or touches
+// computes a distance, sorts, fingerprints the training set, or touches
 // the facade's index store. The call is atomic: on error the session is
 // unchanged.
 func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {

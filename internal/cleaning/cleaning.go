@@ -379,7 +379,7 @@ func CompareStrategies(
 // bit-for-bit identical for any worker count, including 1. Results and the
 // first error (if any) are reduced in strategy order. Strategies that rank
 // with kNN-Shapley share one neighbor index through the singleflight cache,
-// so the distance geometry is still computed only once across the fan-out.
+// so the neighbor order table is still built only once across the fan-out.
 // For a kNN factory the test rows' neighbors are selected once, before the
 // fan-out, and every strategy's rounds re-vote that read-only selection
 // (see IterativeClean). The cleaning_strategies_inflight gauge tracks

@@ -34,9 +34,9 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 
 // KNNShapleyDerive removes rows (indices into parent.Train, duplicates
 // tolerated) from parent and scores the survivors: the child index comes
-// from ml.NeighborIndex.RemoveRows (tombstones over the cached distances,
-// no fresh kernel, no argsort) and the closed form runs over the child's
-// walked neighbor order. trainY labels parent's training rows and validY
+// from ml.NeighborIndex.RemoveRows (tombstones over the root's order
+// table, no fresh kernel, no argsort beyond the root's own) and the
+// closed form runs over the child's walked neighbor order. trainY labels parent's training rows and validY
 // its queries; the indexes' own labels are never read. An empty removal
 // scores parent itself. The child is not registered anywhere, so a caller
 // that holds on to it, such as nde.DebugSession, chains derivations

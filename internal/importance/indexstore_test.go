@@ -120,7 +120,7 @@ func withStoreObs(t *testing.T) {
 }
 
 // Repeated scoring over the same features through one store must hit
-// the stored index — the distance matrix is computed exactly once — and
+// the stored index — the order table is built exactly once — and
 // score what KNNShapley scores; hits and misses are exported as
 // counters.
 func TestSharedNeighborIndexCacheHits(t *testing.T) {

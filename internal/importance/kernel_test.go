@@ -16,7 +16,7 @@ import (
 // reference the kernel is checked against bit for bit: every production
 // path runs the one kernel, so comparing the paths with each other would
 // only compare the kernel with itself.
-func knnShapleyContrib(k int, trainY []int, y int, order []int, s []float64) {
+func knnShapleyContrib(k int, trainY []int, y int, order []int32, s []float64) {
 	n := len(order)
 	match := func(pos int) float64 {
 		if trainY[order[pos]] == y {
@@ -160,8 +160,9 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // The parallel path works in blocks of validation points; these shapes
-// leave a short last block, including one where the block is raised to
-// the worker count because n is too large for the byte bound.
+// leave a short last block at their worker count, including one where
+// the block is raised to the worker count because n is too large for the
+// byte bound. Each shape also runs at GOMAXPROCS, whose block may differ.
 func TestKernelBlocksMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1208))
 	for _, shape := range []struct{ n, valid, workers int }{
@@ -190,6 +191,6 @@ func TestKernelBlocksMatchReference(t *testing.T) {
 			{"root", root, train.Y, train},
 			{"removed", removed, removed.Train.Y, removed.Train},
 		}
-		checkKernel(t, "blocks", 5, cases, valid, []int{shape.workers})
+		checkKernel(t, "blocks", 5, cases, valid, []int{shape.workers, runtime.GOMAXPROCS(0)})
 	}
 }

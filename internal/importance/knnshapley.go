@@ -25,9 +25,9 @@ import (
 // The total score of a training point is its sum over validation points,
 // normalized by the number of validation points.
 //
-// Distances and neighbor orders come from a NeighborIndex this call
-// builds: the valid×train squared-distance matrix through the batched
-// linalg kernel, then the order table. A caller that scores one geometry
+// Neighbor orders come from a NeighborIndex this call builds: its order
+// table, sorted block by block from the batched linalg kernel's
+// valid×train squared distances. A caller that scores one geometry
 // repeatedly holds the index (ml.IndexStore) and passes it to
 // KNNShapleyWithIndex, which is bit-for-bit identical to this function, as
 // is KNNShapleyParallel.
@@ -118,9 +118,9 @@ func knnShapleyKernel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers
 	scores := make(Scores, n)
 	resolved := par.Workers(workers, nv)
 	stats := &ParallelStats{RequestedWorkers: workers, Workers: resolved, Points: nv, PerWorker: make([]int, resolved)}
-	orders := make([][]int, resolved) // per-worker scratch for OrderInto
+	orders := make([][]int32, resolved) // per-worker scratch for OrderInto
 	if resolved == 1 {
-		orders[0] = make([]int, n)
+		orders[0] = make([]int32, n)
 		for v := 0; v < nv; v++ {
 			shapleyPoint(scores, ix.OrderInto(v, orders[0]), match[v], step)
 			if prog != nil {
@@ -144,7 +144,7 @@ func knnShapleyKernel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers
 			}
 			st := par.For("importance.knnshapley", resolved, hi-lo, func(w, b int) {
 				if orders[w] == nil {
-					orders[w] = make([]int, n)
+					orders[w] = make([]int32, n)
 				}
 				row := buf[b*n : (b+1)*n]
 				clear(row)
@@ -191,16 +191,18 @@ func addRows(dst, rows []float64) {
 // shapleyPoint evaluates the recurrence for one validation point, from
 // the farthest neighbor to the nearest, and adds each rank's value into
 // dst at that neighbor's training id. match marks the training rows that
-// share the point's label; step holds the per-rank factors.
-func shapleyPoint(dst []float64, order []int, match, step []float64) {
+// share the point's label; step holds the per-rank factors. Ids are
+// non-negative, so each is read as uint32: a zero-extending load, one
+// instruction, where a sign-extended int32 index takes two.
+func shapleyPoint(dst []float64, order []int32, match, step []float64) {
 	n := len(order)
 	step = step[:n-1]
-	i := order[n-1]
+	i := uint32(order[n-1])
 	prev := match[i]
 	acc := prev / float64(n)
 	dst[i] += acc
 	for j := n - 2; j >= 0; j-- {
-		i = order[j]
+		i = uint32(order[j])
 		cur := match[i]
 		acc += (cur - prev) * step[j]
 		dst[i] += acc

@@ -23,13 +23,11 @@ func RowNorms2(m *Matrix) []float64 {
 
 // PairwiseSquaredDistances returns the a.Rows × b.Rows matrix D with
 // D[i][j] = ‖a.Row(i) − b.Row(j)‖², computed with the Gram trick
-// ‖a‖² + ‖b‖² − 2·a·b over cached row norms. The inner loops are blocked
-// so a tile of B rows stays cache-hot across a block of A rows, and the
-// dot product is 4-way unrolled. Rows of the output are computed
-// independently on the shared pool (workers <= 0 = auto), and every
-// element has a fixed summation order, so the result is bit-for-bit
-// deterministic for any worker count. Tiny negative values produced by
-// floating-point cancellation are clamped to zero.
+// ‖a‖² + ‖b‖² − 2·a·b over cached row norms. Blocks of rows of the output
+// are computed independently on the shared pool (workers <= 0 = auto) by
+// PairwiseD2Rows, and every element has a fixed summation order, so the
+// result is bit-for-bit deterministic for any worker count. Tiny negative
+// values produced by floating-point cancellation are clamped to zero.
 func PairwiseSquaredDistances(a, b *Matrix, workers int) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: PairwiseSquaredDistances dims %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -40,28 +38,35 @@ func PairwiseSquaredDistances(a, b *Matrix, workers int) *Matrix {
 	}
 	na := RowNorms2(a)
 	nb := RowNorms2(b)
-	// rowBlock rows of A per task: large enough to reuse each B tile,
-	// small enough to load-balance across workers.
-	const rowBlock = 16
-	par.ForBlocks("linalg.pairwise_d2", workers, a.Rows, rowBlock, func(_, lo, hi int) {
-		pairwiseD2Block(a, b, na, nb, out, lo, hi)
+	n := b.Rows
+	par.ForBlocks("linalg.pairwise_d2", workers, a.Rows, D2RowBlock, func(_, lo, hi int) {
+		PairwiseD2Rows(a, b, na, nb, lo, hi, out.Data[lo*n:hi*n])
 	})
 	return out
 }
 
-// pairwiseD2Block fills output rows [lo, hi). B rows are walked in tiles of
-// jTile so they stay in cache while the block of A rows streams over them.
-func pairwiseD2Block(a, b *Matrix, na, nb []float64, out *Matrix, lo, hi int) {
+// D2RowBlock is the number of rows of A a caller of PairwiseD2Rows hands
+// it at once: large enough to reuse each tile of B, small enough to
+// load-balance across workers.
+const D2RowBlock = 16
+
+// PairwiseD2Rows writes rows [lo, hi) of PairwiseSquaredDistances(a, b)
+// into out, row i at out[(i-lo)*b.Rows:], given na = RowNorms2(a) and
+// nb = RowNorms2(b). It is the kernel's one body: B rows are walked in
+// tiles of jTile so they stay in cache while the block of A rows streams
+// over them, and the dot product is 4-way unrolled. Each element depends
+// only on its two rows and their norms, so any row block — and any
+// column subset of B — yields the same bits as the full matrix. a.Cols
+// must equal b.Cols and out must hold (hi-lo)·b.Rows elements.
+func PairwiseD2Rows(a, b *Matrix, na, nb []float64, lo, hi int, out []float64) {
 	d := a.Cols
+	n := b.Rows
 	const jTile = 64
-	for j0 := 0; j0 < b.Rows; j0 += jTile {
-		j1 := j0 + jTile
-		if j1 > b.Rows {
-			j1 = b.Rows
-		}
+	for j0 := 0; j0 < n; j0 += jTile {
+		j1 := min(j0+jTile, n)
 		for i := lo; i < hi; i++ {
 			ai := a.Row(i)[:d] // len==d ties the bounds checks to the loop condition
-			orow := out.Row(i)
+			orow := out[(i-lo)*n : (i-lo+1)*n]
 			for j := j0; j < j1; j++ {
 				bj := b.Row(j)[:d]
 				var s0, s1, s2, s3 float64

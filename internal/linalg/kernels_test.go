@@ -105,6 +105,42 @@ func TestPairwiseSquaredDistancesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// PairwiseD2Rows is the kernel's one body: any row block [lo, hi) it
+// writes into a caller's buffer holds the bits of those rows of the full
+// matrix, and so does a column subset of B (its rows of b alone).
+func TestPairwiseD2RowsMatchFullMatrix(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	a := randomMatrix(r, 37, 9)
+	b := randomMatrix(r, 150, 9)
+	full := PairwiseSquaredDistances(a, b, 2)
+	na, nb := RowNorms2(a), RowNorms2(b)
+	for _, blk := range [][2]int{{0, 37}, {0, 1}, {5, 21}, {36, 37}} {
+		lo, hi := blk[0], blk[1]
+		out := make([]float64, (hi-lo)*b.Rows)
+		PairwiseD2Rows(a, b, na, nb, lo, hi, out)
+		for i := lo; i < hi; i++ {
+			for j := 0; j < b.Rows; j++ {
+				if got, want := out[(i-lo)*b.Rows+j], full.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rows [%d,%d): (%d,%d) = %x, full matrix %x", lo, hi, i, j, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+	cols := []int{3, 4, 77, 149}
+	sub := NewMatrix(len(cols), b.Cols)
+	for o, j := range cols {
+		copy(sub.Row(o), b.Row(j))
+	}
+	subD := PairwiseSquaredDistances(a, sub, 1)
+	for i := 0; i < a.Rows; i++ {
+		for o, j := range cols {
+			if math.Float64bits(subD.At(i, o)) != math.Float64bits(full.At(i, j)) {
+				t.Fatalf("column subset: (%d,%d) differs from the full matrix", i, j)
+			}
+		}
+	}
+}
+
 func TestFingerprintDetectsMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	a := randomMatrix(r, 10, 4)

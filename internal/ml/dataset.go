@@ -189,10 +189,3 @@ func EvaluateAccuracy(c Classifier, train, test *Dataset) (float64, error) {
 	}
 	return Accuracy(test.Y, PredictAll(c, test)), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -106,13 +106,13 @@ func TestNeighborhoodsErrors(t *testing.T) {
 // distance to x (distance ties break by index). The slice is freshly
 // allocated. Training rows or an x holding NaN leave the order
 // unspecified (see argsortInto).
-func (m *KNN) Neighbors(x []float64) []int {
+func (m *KNN) Neighbors(x []float64) []int32 {
 	n := m.train.Len()
 	d2 := make([]float64, n)
 	for i := 0; i < n; i++ {
 		d2[i] = SquaredDistance(m.train.Row(i), x)
 	}
-	idx := make([]int, n)
+	idx := make([]int32, n)
 	argsortInto(d2, idx, &argsortScratch{})
 	return idx
 }

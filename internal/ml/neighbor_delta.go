@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nde/internal/linalg"
 	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/par"
@@ -12,17 +11,18 @@ import (
 
 // This file implements incremental maintenance of a NeighborIndex:
 // RemoveRows returns a NEW index over the reduced training set that
-// reuses the parent's cached distance geometry instead of recomputing
-// it. The receiver is never mutated, so concurrent readers (what-if
-// variant workers, serving requests) can derive children from a shared
-// base freely.
+// reuses the parent's neighbor order instead of recomputing it. The
+// receiver is never mutated, so concurrent readers (what-if variant
+// workers, serving requests) can derive children from a shared base
+// freely.
 //
 // Representation: a derived index carries a deltaGeom mapping its logical
 // training rows onto the ROOT index's columns. Removals are tombstones in
 // that map; a delta never computes a distance. Chains of derivations stay
 // flattened against the same root; when tombstones pile past
 // 1/compactDeadFrac of the root's columns, derivation folds the child into
-// a fresh self-contained root by gathering (never recomputing) distances.
+// a fresh self-contained root by walking (never sorting) the root's
+// order table.
 //
 // Determinism contract (DESIGN §11): every observable of a derived index —
 // D2, Order, TopK, PredictBatch — is Float64bits-identical to a freshly
@@ -83,11 +83,13 @@ func (g *deltaGeom) renumber() {
 
 // RemoveRows returns a new index over the training set with the given rows
 // (indices into the receiver's Train, duplicates tolerated) removed. The
-// receiver is unchanged and remains usable. The child reuses the cached
-// distance geometry: no distances are recomputed and no full argsort runs;
-// per-query top-k structures are repaired in O(queries·k) plus O(n) for
-// each query whose top-k actually intersects the removed rows. An empty
-// removal returns the receiver itself. Removing every row is an error.
+// receiver is unchanged and remains usable. The child reuses the root's
+// order table: no distances are recomputed and no argsort runs beyond
+// the root's own, which a derivation builds if it needs it first.
+// Per-query top-k lists are repaired in O(queries·k), plus a walk of the
+// root's order up to the k-th survivor for each query whose top-k
+// intersects the removed rows. An empty removal returns the receiver
+// itself. Removing every row is an error.
 func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 	n := ix.Train.Len()
 	if len(rows) == 0 {
@@ -141,81 +143,53 @@ func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom) *NeighborInde
 	return child
 }
 
-// compactInto folds the delta into child as a self-contained root: the
-// distance matrix is gathered (element copies, never recomputed) and, when
-// the base's full argsort was already materialized, neighbor orders are
-// rebuilt by the tombstone-skipping walk with no sorting. child.delta is
-// cleared, so future derivations chain against this new root.
+// compactInto folds the delta into child as a self-contained root: its
+// neighbor orders are the root's, walked past the tombstones with no
+// sorting and no distance. child.delta is cleared, so future derivations
+// chain against this new root.
 func (g *deltaGeom) compactInto(child *NeighborIndex) {
 	q := child.Queries.Len()
 	n := len(g.physOf)
-	d2 := g.materializeD2()
-	child.d2Once.Do(func() { child.d2 = d2 })
-	if g.base.ordersReady.Load() {
-		orders := make([]int, q*n)
-		par.For("ml.neighbor_compact_orders", child.Workers, q, func(_, qi int) {
-			g.walkInto(qi, orders[qi*n:(qi+1)*n])
-		})
-		child.ordersOnce.Do(func() { child.orders = orders })
-		child.ordersReady.Store(true)
-	}
+	orders := make([]int32, q*n)
+	par.For("ml.neighbor_compact_orders", child.Workers, q, func(_, qi int) {
+		g.walkInto(qi, orders[qi*n:(qi+1)*n])
+	})
+	child.ordersOnce.Do(func() { child.orders = orders })
+	child.ordersReady.Store(true)
 	child.delta = nil
 }
 
-// materializeD2 gathers the derived index's queries×rows distance matrix
-// from the root's matrix. Pure element copies: the result is
-// bit-identical to running the kernel over the derived Train.
-func (g *deltaGeom) materializeD2() *linalg.Matrix {
-	return g.base.D2().SelectColumns(g.physOf)
-}
-
-// walkInto writes query qi's full neighbor order (logical ids, ascending
-// (distance, id)) into out by walking the root's cached argsort and
-// skipping tombstones — O(n) per query, no sorting.
-func (g *deltaGeom) walkInto(qi int, out []int) {
+// walkInto writes into out query qi's first len(out) alive rows (logical
+// ids, ascending (distance, id)) by walking the root's cached order and
+// skipping tombstones: the full order when out holds every alive row,
+// the top-k when it holds k. O(rank of the last row written), no
+// sorting; the first walk builds the root's order table if it has none.
+func (g *deltaGeom) walkInto(qi int, out []int32) {
+	if len(out) == 0 {
+		return
+	}
+	logOf := g.logOf // a local, so the loop keeps its header in registers
 	o := 0
 	for _, p := range g.base.Order(qi) {
-		if l := g.logOf[p]; l >= 0 {
-			out[o] = l
-			o++
+		if l := logOf[p]; l >= 0 {
+			out[o] = int32(l)
+			if o++; o == len(out) {
+				return
+			}
 		}
 	}
-}
-
-// reselectInto recomputes query qi's exact top-k from scratch against the
-// cached geometry: O(n) gather + quickselect, no distance recomputation.
-// pairs must have length ≥ the derived training size, ids length kk.
-// Returns the k-th (largest kept) distance. Building candidates in
-// physical order yields pairs in ascending logical id with the same
-// distance bits as a rebuilt matrix row, so the selection is bit-identical
-// to the rebuild's topKInto.
-func (g *deltaGeom) reselectInto(qi, kk int, pairs []distIdx, ids []int) float64 {
-	m := 0
-	for p, d := range g.base.D2().Row(qi) {
-		if l := g.logOf[p]; l >= 0 {
-			pairs[m] = distIdx{d: d, i: l}
-			m++
-		}
-	}
-	sel := pairs[:m]
-	selectK(sel, kk)
-	top := sel[:kk]
-	sort.Sort(byDistIdx(top))
-	for i, p := range top {
-		ids[i] = p.i
-	}
-	return top[kk-1].d
 }
 
 // deriveTopK repairs the parent's cached top-k lists for the child: a
 // query inherits its list (remapped to child ids) when none of its entries
-// were removed; only the remaining queries re-select. A parent's entries
-// are alive in the parent, so a tombstone in the child's map marks a row
-// this derivation removed. With no cache on the parent the child's builds
+// were removed; only the remaining queries re-select, by walking the
+// root's order to the first kk survivors. A parent's entries are alive in
+// the parent, so a tombstone in the child's map marks a row this
+// derivation removed. With no cache on the parent the child's builds
 // lazily on first use instead.
 func deriveTopK(child, parent *NeighborIndex, g *deltaGeom) {
 	parent.topk.mu.Lock()
-	kk, pids, pkth := parent.topk.k, parent.topk.ids, parent.topk.kth
+	kk, pids := parent.topk.k, parent.topk.ids
 	parent.topk.mu.Unlock()
 	n := child.Train.Len()
 	if kk <= 0 || pids == nil || kk > n {
@@ -226,35 +200,26 @@ func deriveTopK(child, parent *NeighborIndex, g *deltaGeom) {
 	if parent.delta != nil {
 		pPhys = parent.delta.physOf
 	}
-	ids := make([]int, nq*kk)
-	kth := make([]float64, nq)
-	var pairs []distIdx
+	ids := make([]int32, nq*kk)
 	reselected := 0
 	for q := 0; q < nq; q++ {
 		src := pids[q*kk : (q+1)*kk]
 		dst := ids[q*kk : (q+1)*kk]
-		ok := true
-		for i, l := range src {
-			p := l
+		for i, pl := range src {
+			p := int(pl)
 			if pPhys != nil {
-				p = pPhys[l]
+				p = pPhys[pl]
 			}
-			if dst[i] = g.logOf[p]; dst[i] < 0 {
-				ok = false
+			l := g.logOf[p]
+			if l < 0 {
+				g.walkInto(q, dst)
+				reselected++
 				break
 			}
+			dst[i] = int32(l)
 		}
-		if ok {
-			kth[q] = pkth[q]
-			continue
-		}
-		if pairs == nil {
-			pairs = make([]distIdx, n)
-		}
-		kth[q] = g.reselectInto(q, kk, pairs, dst)
-		reselected++
 	}
-	child.topk.k, child.topk.ids, child.topk.kth = kk, ids, kth
+	child.topk.k, child.topk.ids = kk, ids
 	if obs.Enabled() {
 		obs.Count("neighbor_delta_topk_inherited_total", int64(nq-reselected))
 		obs.Count("neighbor_delta_topk_reselected_total", int64(reselected))
@@ -278,7 +243,7 @@ func dedupSorted(a []int) []int {
 // and returns buf, so one pass over the queries never builds the q×n
 // table. A root without a table builds it, as Order does. The result
 // MUST NOT be mutated.
-func (ix *NeighborIndex) OrderInto(qi int, buf []int) []int {
+func (ix *NeighborIndex) OrderInto(qi int, buf []int32) []int32 {
 	if g := ix.delta; g != nil && !ix.ordersReady.Load() {
 		g.walkInto(qi, buf)
 		return buf

@@ -101,7 +101,7 @@ func TestOrderIntoWalksWithoutTable(t *testing.T) {
 		t.Fatal("fixture compacted; the walk path needs a derived index")
 	}
 	fresh := rebuildIndex(t, child, 1)
-	buf := make([]int, child.Train.Len())
+	buf := make([]int32, child.Train.Len())
 	check := func(ix *NeighborIndex, wantBuf bool) {
 		t.Helper()
 		for q := 0; q < queries.Len(); q++ {

@@ -13,8 +13,9 @@ import (
 // what-if batches vote over their surviving prefixes. An owner that
 // serves both — a serve.Server, or the nde facade's package-level
 // functions — holds one IndexStore and looks every index up in it, so
-// the distance matrix and the order table are computed once per geometry
-// and shared across calls and concurrent requests. The kernels keep no
+// the order table, 4 bytes per (query, training row) and no distance
+// matrix, is built once per geometry and shared across calls and
+// concurrent requests. The kernels keep no
 // store of their own: importance.KNNShapleyWithIndex,
 // importance.KNNShapleyDerive and pipeline.WhatIfRemovalsWithIndex take
 // the index an owner resolved here. Keys are content fingerprints
@@ -31,8 +32,8 @@ import (
 // churn the store past its bound (see internal/store).
 //
 // Labels: the key covers features only, so a stored index may carry
-// another label revision's Train.Y. Consumers read geometry from it (D2,
-// Order, TopK) and labels from their own arguments (PredictBatchLabels,
+// another label revision's Train.Y. Consumers read geometry from it
+// (Order, TopK) and labels from their own arguments (PredictBatchLabels,
 // PredictSurvivors) — never PredictBatch.
 //
 // Metrics keep the names the store exported when it lived in
@@ -109,7 +110,7 @@ func (ix *NeighborIndex) PredictSurvivors(k int, trainY []int, alive []bool) ([]
 		return out, nil
 	}
 	votes := make([]int, nc)
-	top := make([]int, 0, min(k, n))
+	top := make([]int32, 0, min(k, n))
 	for q := range out {
 		top = top[:0]
 		for _, i := range ix.Order(q) {

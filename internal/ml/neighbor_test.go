@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -46,33 +47,38 @@ func clusteredDataset(r *rand.Rand, n, dim, c, classes int) *Dataset {
 	return d
 }
 
-// workers=1 ≡ workers=N: indexes over the same data built with 1, 2 and 4
-// workers agree bit for bit — same D2 bits, same orders, same top-k, same
-// batch predictions.
+// workers=1 ≡ workers=N: indexes over the same data built with 1, 2, 3
+// and GOMAXPROCS workers agree bit for bit — same D2 bits, same orders,
+// same top-k, same batch predictions — and an order table built by the
+// blocked kernel into scratch (no D2) equals one sorted from a stored D2.
 func TestNeighborIndexBitIdenticalAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	train := clusteredDataset(r, 120, 6, 5, 3)
-	queries := clusteredDataset(r, 30, 6, 5, 3)
+	queries := clusteredDataset(r, 37, 6, 5, 3) // a short last kernel row block
 	base, err := NewNeighborIndex(train, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4} {
+	bd2 := base.D2()
+	for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
 		ix, err := NewNeighborIndex(train, queries, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd2, gd2 := base.D2(), ix.D2()
-		for i := range bd2.Data {
-			if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
-				t.Fatalf("workers=%d: D2 element %d differs bitwise", w, i)
-			}
+		sorted, err := NewNeighborIndex(train, queries, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted.D2()
+		ix.Order(0)
+		if ix.d2.Load() != nil {
+			t.Fatalf("workers=%d: building the order table stored a distance matrix", w)
 		}
 		for q := 0; q < queries.Len(); q++ {
-			bo, gg := base.Order(q), ix.Order(q)
+			bo, gg, so := base.Order(q), ix.Order(q), sorted.Order(q)
 			for i := range bo {
-				if bo[i] != gg[i] {
-					t.Fatalf("workers=%d query %d: order rank %d differs", w, q, i)
+				if bo[i] != gg[i] || bo[i] != so[i] {
+					t.Fatalf("workers=%d query %d: order rank %d differs: %d, blocked %d, sorted from D2 %d", w, q, i, bo[i], gg[i], so[i])
 				}
 			}
 			bt, gt := base.TopK(q, 7), ix.TopK(q, 7)
@@ -87,6 +93,79 @@ func TestNeighborIndexBitIdenticalAcrossWorkers(t *testing.T) {
 			if bp[q] != gp[q] {
 				t.Fatalf("workers=%d: prediction %d differs", w, q)
 			}
+		}
+		gd2 := ix.D2()
+		for i := range bd2.Data {
+			if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
+				t.Fatalf("workers=%d: D2 element %d differs bitwise", w, i)
+			}
+		}
+	}
+}
+
+// TopK and PredictBatchLabels answer from the order table's prefix when
+// it exists and by quickselect over D2 when it does not; on a grid with
+// many tied distances both give the same ids in the same order, and the
+// same votes.
+func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
+	x := linalg.NewMatrix(0, 2)
+	var y []int
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 7; j++ {
+			for rep := 0; rep < 1+(i+j)%3; rep++ {
+				x.Data = append(x.Data, float64(i), float64(j))
+				x.Rows++
+				y = append(y, (i*7+j+rep)%3)
+			}
+		}
+	}
+	train, _ := NewDataset(x, y)
+	qx := linalg.NewMatrix(9, 2)
+	for q := 0; q < 9; q++ {
+		qx.Set(q, 0, float64(q%3)*2.5)
+		qx.Set(q, 1, float64(q/3)*3)
+	}
+	queries, _ := NewDataset(qx, make([]int, 9))
+	flipped := make([]int, train.Len())
+	for i := range flipped {
+		flipped[i] = (y[i] + 1) % 3
+	}
+	for _, k := range []int{1, 4, 9, 30, train.Len()} {
+		quick, err := NewNeighborIndex(train, queries, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, err := NewNeighborIndex(train, queries, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix.Order(0)
+		for q := 0; q < queries.Len(); q++ {
+			qt, pt := quick.TopK(q, k), prefix.TopK(q, k)
+			for i := range qt {
+				if qt[i] != pt[i] {
+					t.Fatalf("k=%d query %d: TopK rank %d = %d from the order prefix, %d by quickselect", k, q, i, pt[i], qt[i])
+				}
+			}
+		}
+		qp, err := quick.PredictBatchLabels(k, flipped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := prefix.PredictBatchLabels(k, flipped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range qp {
+			if qp[q] != pp[q] {
+				t.Fatalf("k=%d query %d: prefix predicts %d, quickselect %d", k, q, pp[q], qp[q])
+			}
+		}
+		if quick.ordersReady.Load() {
+			t.Fatalf("k=%d: the quickselect path built an order table", k)
+		}
+		if prefix.d2.Load() != nil {
+			t.Fatalf("k=%d: the order-prefix path computed D2", k)
 		}
 	}
 }
@@ -111,7 +190,7 @@ func TestQuickTopKMatchesFullSortPrefix(t *testing.T) {
 				return false
 			}
 			for i := range top {
-				if top[i] != full[i] {
+				if top[i] != int(full[i]) {
 					return false
 				}
 			}
@@ -164,7 +243,7 @@ func TestTopKDistanceTiesBreakByIndex(t *testing.T) {
 	want := []int{1, 4, 0, 2, 3, 5} // d2 0,0,1,1,4,4 with index tie-breaks
 	got := ix.Order(0)
 	for i := range want {
-		if got[i] != want[i] {
+		if int(got[i]) != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
@@ -227,6 +306,22 @@ func TestNeighborIndexErrors(t *testing.T) {
 	mismatch := randomNeighborDataset(r, 4, 3, 2)
 	if _, err := NewNeighborIndex(train, mismatch, 0); err == nil {
 		t.Error("expected error for dim mismatch")
+	}
+}
+
+// Training ids are int32 in the order table: the row-count check that
+// NewNeighborIndex runs accepts math.MaxInt32 rows and rejects one more
+// as degenerate input, checked on the count alone.
+func TestNeighborIndexRejectsMoreThanMaxInt32Rows(t *testing.T) {
+	if err := checkTrainRows(math.MaxInt32); err != nil {
+		t.Fatalf("MaxInt32 rows: %v", err)
+	}
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: no larger row count exists")
+	}
+	over := int64(math.MaxInt32) + 1
+	if err := checkTrainRows(int(over)); !errors.Is(err, nderr.ErrDegenerateInput) {
+		t.Fatalf("MaxInt32+1 rows: err = %v, want ErrDegenerateInput", err)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestWhatIfDeltaEqualsForceRebuild(t *testing.T) {
 	}
 	var nearest []prov.TupleID
 	for _, row := range probe.Order(0)[:3] {
-		nearest = append(nearest, prov.TupleID{Table: "train", Row: row})
+		nearest = append(nearest, prov.TupleID{Table: "train", Row: int(row)})
 	}
 	variants = append(variants,
 		RemovalVariant{Name: "empty", Remove: []prov.TupleID{}},

@@ -12,9 +12,8 @@ import (
 
 // indexes is the facade's neighbor-index store. KNNShapleyValues, the
 // WhatIf functions, NewDebugSession and IterativeCleaning look their
-// geometry up in it, so repeated calls over one dataset build its
-// distance matrix and order table once. ResetNeighborIndexCache swaps in
-// an empty store.
+// geometry up in it, so repeated calls over one dataset build its order
+// table once. ResetNeighborIndexCache swaps in an empty store.
 var indexes atomic.Pointer[ml.IndexStore]
 
 func init() { indexes.Store(ml.NewIndexStore()) }
@@ -26,7 +25,7 @@ func storedIndex(train, valid *Dataset, workers int) (*ml.NeighborIndex, error) 
 }
 
 // ResetNeighborIndexCache drops every neighbor index the facade holds: the
-// distance geometry and neighbor orders of the last few (train, valid)
+// neighbor order tables of the last few (train, valid)
 // pairs seen by KNNShapleyValues, the WhatIf functions, NewDebugSession
 // and IterativeCleaning (at most 4 indexes). Long-running processes that
 // churn through many datasets can call this to release the memory

@@ -8,24 +8,26 @@
 # comparable; the SHA gets a "-dirty" suffix when the source
 # tree (everything but the BENCH_*.json files) differs from HEAD, i.e. the
 # numbers belong to uncommitted changes on top of that commit. Four series
-# are emitted: the importance/pipeline hot paths plus one serve-cold
-# registration and the /v1/importance reply layer (BENCH_importance.json),
-# the what-if fan-out and serve-warm's warm batch (BENCH_whatif.json),
-# exact top-k and the full-argsort layer (BENCH_neighbor.json), and the
-# delta-vs-rebuild incremental-maintenance gate (BENCH_incremental.json).
-# `make bench` runs this.
+# are emitted (scripts/bench_series.sh names them): the importance/pipeline
+# hot paths plus one serve-cold registration and the /v1/importance reply
+# layer (BENCH_importance.json), the what-if fan-out and serve-warm's warm
+# batch (BENCH_whatif.json), exact top-k, the argsort layer and the cold
+# index build (BENCH_neighbor.json), and delta-vs-rebuild incremental
+# maintenance (BENCH_incremental.json). `make bench` runs this. The files
+# are the record; scripts/bench_diff.sh gates against a same-host run of
+# the base revision, not against them.
 #
 # Usage: sh scripts/bench.sh [importance-output.json]
 #   NDE_BENCHTIME=2s   benchtime per run of a benchmark (default 1s)
 #   NDE_BENCH_FILTER   importance-series benchmark regexp override
-#   NDE_BENCH_OUTDIR   directory for the series files (default repo root;
-#                      bench_diff.sh points this at a temp dir)
+#   NDE_BENCH_OUTDIR   directory for the series files (default repo root)
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/bench_series.sh
 
 outdir="${NDE_BENCH_OUTDIR:-.}"
 out="${1:-$outdir/BENCH_importance.json}"
-filter="${NDE_BENCH_FILTER:-BenchmarkAblation|BenchmarkMCShapleyParallel|BenchmarkKNNShapley|BenchmarkKNNPredictBatch|BenchmarkPipelineRunObs|BenchmarkServeRegister|BenchmarkServeImportance}"
+filter="${NDE_BENCH_FILTER:-$series_importance}"
 benchtime="${NDE_BENCHTIME:-1s}"
 
 tmp="$(mktemp)"
@@ -99,6 +101,6 @@ END {
 }
 
 run_bench "$filter" "$out"
-run_bench "^BenchmarkWhatIf$" "$outdir/BENCH_whatif.json"
-run_bench "^(BenchmarkNeighborTopK|BenchmarkNeighborOrder)$" "$outdir/BENCH_neighbor.json"
-run_bench "^BenchmarkIncremental$" "$outdir/BENCH_incremental.json"
+run_bench "$series_whatif" "$outdir/BENCH_whatif.json"
+run_bench "$series_neighbor" "$outdir/BENCH_neighbor.json"
+run_bench "$series_incremental" "$outdir/BENCH_incremental.json"

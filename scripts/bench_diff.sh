@@ -1,87 +1,149 @@
 #!/bin/sh
-# bench_diff.sh — the perf-regression gate: re-run the tracked benchmark
-# series into a temp directory and compare each benchmark's median ns/op,
-# B/op and allocs/op (bench.sh records medians over five runs) against
-# the checked-in BENCH_*.json baselines. Fails when any benchmark
-# regresses on any of the three by more than the threshold (default 15%).
-# Benchmarks present only on one side (just added, or just retired) are
-# reported but never fail the gate — refresh the baselines with
-# `make bench` when the set changes on purpose.
+# bench_diff.sh — the perf-regression gate, against a same-host parent:
+# build the root package's test binary from the base revision (a
+# `git archive` of ${BASE:-HEAD} unpacked in a temp dir) and from the
+# working tree, run the tracked series (scripts/bench_series.sh) with the
+# two binaries for five rounds, one benchmark at a time with both sides
+# back to back, and gate each benchmark's ns/op, B/op and allocs/op on
+# the median over the rounds of its paired change against the base.
+# Fails when any benchmark regresses on any of the three by more than the
+# threshold (default 15%). Benchmarks present on one side only (just
+# added, or just retired) are reported but never fail the gate. The
+# BENCH_*.json files are the record `make bench` writes, not the
+# reference: numbers from another day or host say nothing about a change.
 # `make bench-diff` runs this; scripts/check.sh runs it when NDE_BENCH=1.
 #
 # Usage: sh scripts/bench_diff.sh
+#   BASE=HEAD               revision to compare the working tree against
 #   NDE_BENCH_DIFF_PCT=15   allowed ns/op, B/op and allocs/op regression percentage
-#   NDE_BENCHTIME=1s        benchtime per benchmark (passed through)
+#   NDE_BENCHTIME=1s        benchtime per run of a benchmark
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/bench_series.sh
 
+base="${BASE:-HEAD}"
 threshold="${NDE_BENCH_DIFF_PCT:-15}"
+benchtime="${NDE_BENCHTIME:-1s}"
+rounds=5
+filter="($series_importance)|$series_whatif|$series_neighbor|$series_incremental"
 
-fresh="$(mktemp -d)"
-trap 'rm -rf "$fresh"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
-echo "==> fresh benchmark run (comparing medians against checked-in baselines, +${threshold}% ns/op, B/op and allocs/op allowed)"
-NDE_BENCH_OUTDIR="$fresh" sh scripts/bench.sh
+echo "==> building root test binaries: $base (git archive) and the working tree"
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
+(cd "$tmp/base" && go test -c -o "$tmp/base.test" .)
+go test -c -o "$tmp/new.test" .
 
-# extract NAME NS BYTES ALLOCS from one of our generated JSON files (one
-# benchmark object per line, a format bench.sh controls); BYTES or ALLOCS
-# is "-" when the line has no bytes_per_op or allocs_per_op
-extract() {
-    awk '
-function field(key,    line) {
-    line = $0
-    if (!sub(".*\"" key "\": ", "", line)) return "-"
-    sub(/[^0-9.eE+-].*/, "", line)
-    return line
-}
-/"name":/ {
-    line = $0
-    sub(/.*"name": "/, "", line); name = line; sub(/".*/, "", name)
-    print name, field("ns_per_op"), field("bytes_per_op"), field("allocs_per_op")
-}' "$1"
+# dir SIDE — the tree SIDE's binary runs from
+dir() {
+    if [ "$1" = base ]; then echo "$tmp/base"; else echo .; fi
 }
 
-status=0
-for base in BENCH_importance.json BENCH_whatif.json BENCH_neighbor.json BENCH_incremental.json; do
-    if [ ! -f "$base" ]; then
-        echo "--  $base: no checked-in baseline, skipping (run 'make bench' to record one)"
-        continue
-    fi
-    echo "==> $base"
-    extract "$base" > "$fresh/old.txt"
-    extract "$fresh/$base" > "$fresh/new.txt"
-    if ! awk -v threshold="$threshold" '
-# pct OLD NEW — relative change in percent (0 against a zero baseline)
-function pct(o, n) { return o > 0 ? (n - o) / o * 100 : 0 }
-# gate OLD NEW UNIT — "" when either side lacks the value, else the change
-# as text; marks the benchmark regressed past the threshold
-function gate(o, n, unit,    p) {
+# run SIDE NAME — one run of top-level benchmark NAME (its sub-benchmarks
+# included) with SIDE's binary, from its own tree, appended to $tmp/SIDE.txt
+run() {
+    (cd "$(dir "$1")" && "$tmp/$1.test" -test.run '^$' -test.bench "^$2\$" -test.benchmem \
+        -test.benchtime "$benchtime" -test.count 1) >>"$tmp/$1.txt"
+}
+
+# the tracked top-level benchmarks either binary has
+names=$(for side in base new; do
+    (cd "$(dir "$side")" && "$tmp/$side.test" -test.list "$filter")
+done | grep '^Benchmark' | sort -u)
+
+# Each round runs every benchmark on both sides back to back, so the two
+# runs of a pair see the same phase of a shared host's speed, which can
+# drift for minutes; the side that goes first alternates by round.
+round=1
+while [ "$round" -le "$rounds" ]; do
+    echo "==> round $round/$rounds"
+    if [ $((round % 2)) -eq 1 ]; then order="base new"; else order="new base"; fi
+    for name in $names; do
+        for side in $order; do
+            run "$side" "$name"
+        done
+    done
+    round=$((round + 1))
+done
+
+echo "==> paired medians over $rounds rounds, $base -> working tree (+${threshold}% ns/op, B/op and allocs/op allowed)"
+awk -v threshold="$threshold" '
+# median V N — the middle of V[1..N] (the lower middle of an even N);
+# sorts V in place
+function median(v, n,    i, j, t) {
+    for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+    return v[int((n + 1) / 2)]
+}
+# side SIDE NAME FIELD — the median of FIELD over the runs of NAME on SIDE, or
+# "-" when a run did not report FIELD
+function side(s, name, field,    n, i, v) {
+    n = runs[s, name]
+    for (i = 1; i <= n; i++) {
+        v[i] = val[s, name, field, i]
+        if (v[i] == "") return "-"
+    }
+    return median(v, n)
+}
+# gate NAME FIELD UNIT — "" when either side lacks FIELD, else the change
+# as text. The change is the median over rounds of new/base − 1, each
+# round pairing the two runs made back to back, so a host slowdown that
+# spans both runs of a pair cancels; past the threshold it marks the
+# benchmark regressed.
+function gate(name, field, unit,    o, n, k, i, r, p, o1, n1) {
+    o = side("base", name, field)
+    n = side("new", name, field)
     if (o == "-" || n == "-") return ""
-    p = pct(o, n)
+    k = runs["base", name] < runs["new", name] ? runs["base", name] : runs["new", name]
+    for (i = 1; i <= k; i++) {
+        o1 = val["base", name, field, i] + 0
+        n1 = val["new", name, field, i] + 0
+        r[i] = o1 > 0 ? n1 / o1 : (n1 > 0 ? 2 : 1)
+    }
+    p = (median(r, k) - 1) * 100
     if (p > threshold) verdict = "REGRESSION"
     return sprintf("  %s -> %s %s (%+.1f%%)", o, n, unit, p)
 }
-NR == FNR { old[$1] = $2; oldBytes[$1] = $3; oldAllocs[$1] = $4; next }
-{
-    new[$1] = $2
-    if (!($1 in old)) { printf "  NEW   %-55s %12.0f ns/op (no baseline)\n", $1, $2; next }
-    verdict = "ok"
-    ns = gate(old[$1], $2, "ns/op")
-    rest = gate(oldBytes[$1], $3, "B/op") gate(oldAllocs[$1], $4, "allocs/op")
-    if (verdict != "ok") failed = 1
-    printf "  %-5s %-55s%s%s\n", verdict, $1, ns, rest
+FNR == 1 { s = (FILENAME ~ /base\.txt$/) ? "base" : "new" }
+/^Benchmark/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
+    ns = ""; bytes = ""; allocs = ""
+    for (i = 2; i < NF; i++) {
+        if ($(i+1) == "ns/op")     ns = $i
+        if ($(i+1) == "B/op")      bytes = $i
+        if ($(i+1) == "allocs/op") allocs = $i
+    }
+    if (ns == "") next
+    if (!((s, name) in runs)) { order[s, ++names[s]] = name; seen[s, name] = 1 }
+    k = ++runs[s, name]
+    val[s, name, "ns", k] = ns
+    val[s, name, "B", k] = bytes
+    val[s, name, "allocs", k] = allocs
 }
 END {
-    for (name in old) if (!(name in new))
-        printf "  GONE  %-55s (baseline has no fresh counterpart)\n", name
+    for (i = 1; i <= names["new"]; i++) {
+        name = order["new", i]
+        if (!(("base", name) in seen)) {
+            printf "  NEW   %-55s %12s ns/op (not in the base)\n", name, side("new", name, "ns")
+            continue
+        }
+        verdict = "ok"
+        ns = gate(name, "ns", "ns/op")
+        rest = gate(name, "B", "B/op") gate(name, "allocs", "allocs/op")
+        if (verdict != "ok") failed = 1
+        printf "  %-10s %-50s%s%s\n", verdict, name, ns, rest
+    }
+    for (i = 1; i <= names["base"]; i++) {
+        name = order["base", i]
+        if (!(("new", name) in seen))
+            printf "  GONE  %-55s (in the base only)\n", name
+    }
     exit failed ? 1 : 0
-}' "$fresh/old.txt" "$fresh/new.txt"; then
-        status=1
-    fi
-done
-
-if [ "$status" -ne 0 ]; then
-    echo "bench_diff: median ns/op, B/op or allocs/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
+}' "$tmp/base.txt" "$tmp/new.txt" || {
+    echo "bench_diff: median ns/op, B/op or allocs/op regression beyond ${threshold}% against $base on this host — investigate" >&2
     exit 1
-fi
-echo "bench_diff: OK (no benchmark regressed more than ${threshold}% in median ns/op, B/op or allocs/op)"
+}
+echo "bench_diff: OK (no benchmark regressed more than ${threshold}% against $base in median ns/op, B/op or allocs/op)"

@@ -67,6 +67,11 @@ go test -run='^FuzzRegisterNumber$' -fuzz='^FuzzRegisterNumber$' -fuzztime=2s ./
 echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"
 go test -run='^FuzzWhatIfSurvivors$' -fuzz='^FuzzWhatIfSurvivors$' -fuzztime=2s ./internal/pipeline/
 
+# the neighbor order table's radix argsort, differential against the
+# (distance, index) comparator
+echo "==> go test -fuzz FuzzArgsort (2s)"
+go test -run='^FuzzArgsort$' -fuzz='^FuzzArgsort$' -fuzztime=2s ./internal/ml/
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then
@@ -83,10 +88,12 @@ if [ "${NDE_SKIP_SMOKE:-0}" != "1" ]; then
     sh scripts/serve_smoke.sh
 fi
 
-# opt-in: perf-regression gate — fresh benchmark run compared against the
-# checked-in BENCH_*.json baselines, failing on a >15% regression of a
-# median ns/op, B/op or allocs/op (refresh the baselines themselves with
-# `make bench`)
+# opt-in: perf-regression gate — the tracked root series, five rounds
+# alternating between a test binary built from HEAD (or $BASE) and one
+# built from the working tree on this host, each benchmark's two runs
+# back to back, failing when the median paired change in ns/op, B/op or
+# allocs/op exceeds +15% (`make bench` records the BENCH_*.json files;
+# they are not the reference)
 if [ "${NDE_BENCH:-0}" = "1" ]; then
     echo "==> scripts/bench_diff.sh"
     sh scripts/bench_diff.sh

@@ -26,14 +26,17 @@ trap 'rm -rf "$tmp"' EXIT
 
 # the hot symbols of the benchmark's workloads and of its reference kernel
 hot='main.(*refBuf).kernel
-nde/internal/linalg.pairwiseD2Block
+nde/internal/linalg.PairwiseD2Rows
 nde/internal/ml.argsortInto
+nde/internal/ml.(*argsortScratch).finishRun
+nde/internal/ml.(*deltaGeom).walkInto
 nde/internal/ml.SquaredDistance
 nde/internal/ml.(*KNN).topK
 nde/internal/ml.selectK
 nde/internal/ml.partition
 nde/internal/importance.knnShapleyKernel
 nde/internal/importance.shapleyPoint
+nde/internal/importance.addRows
 slices.partitionOrdered[go.shape.float64]
 nde/internal/serve.(*regDecoder).scanNumber
 nde/internal/serve.eiselLemire'
