@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"nde"
+	"nde/internal/cleaning"
 	"nde/internal/datagen"
 	"nde/internal/exp"
 	"nde/internal/importance"
@@ -646,6 +647,69 @@ func BenchmarkServeImportance(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The learn loop on serve-cleaning's shape (scripts/bench.sh records it
+// in BENCH_importance.json): 1000 train rows with a fifth of the labels
+// flipped, 100 valid and 300 test rows of 32 features, random against
+// kNN-Shapley, batch 10, budget 30, a 5-NN model. cold is a first
+// request as the library runs it: CompareStrategiesParallel with a fresh
+// index store for the kNN-Shapley rounds, selecting the test rows'
+// neighbors on every call. served posts the same comparison to
+// /v1/cleaning on a registered dataset that one request has warmed, as
+// repeated requests find it.
+func BenchmarkCompareStrategies(b *testing.B) {
+	mk := mixture(b, 61, 32, 32, 8)
+	clean, valid, test := mk(1000), mk(100), mk(300)
+	train, _, err := datagen.FlipDatasetLabels(clean, 0.2, 62)
+	if err != nil {
+		b.Fatal(err)
+	}
+	newModel := func() ml.Classifier { return ml.NewKNN(5) }
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			strategies := []cleaning.Strategy{&cleaning.RandomStrategy{Seed: 1}, &cleaning.KNNShapleyStrategy{Indexes: ml.NewIndexStore()}}
+			if _, err := cleaning.CompareStrategiesParallel(train, valid, test, &cleaning.LabelOracle{Truth: clean.Y},
+				strategies, newModel, 10, 30, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	spec := func(d *ml.Dataset) *serve.MatrixSpec {
+		rows := make([][]float64, d.Len())
+		for i := range rows {
+			rows[i] = d.Row(i)
+		}
+		return &serve.MatrixSpec{X: rows, Y: d.Y}
+	}
+	h := serve.NewServer(serve.Config{}).Handler()
+	post := func(path string, v any) []byte {
+		body, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var reg serve.RegisterResponse
+	if err := json.Unmarshal(post("/v1/datasets", serve.RegisterRequest{
+		Train: spec(train), Valid: spec(valid), Test: spec(test), Truth: clean.Y,
+	}), &reg); err != nil {
+		b.Fatal(err)
+	}
+	req := serve.CleaningRequest{Dataset: reg.ID, Strategies: []string{"random", "knn-shapley"}, Batch: 10, Budget: 30}
+	post("/v1/cleaning", req)
+	b.Run("served", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			post("/v1/cleaning", req)
+		}
+	})
 }
 
 // Exact top-k per query on a 20k-row index, its distance matrix already

@@ -187,9 +187,10 @@ type Result struct {
 // The curve starts with the accuracy before any cleaning.
 //
 // When newModel yields a *ml.KNN, the test rows' neighbors are selected
-// once up front (see testVotes) and every round whose training features
-// are unchanged re-votes them under the round's labels instead of
-// refitting; the curve is bit-for-bit the one refitting gives.
+// once, through a neighbor index over (train, test) (see testVotes), and
+// every round whose training features are unchanged re-votes them under
+// the round's labels instead of refitting; the curve is bit-for-bit the
+// one refitting gives.
 func IterativeClean(
 	train, valid, test *ml.Dataset,
 	oracle Oracle,
@@ -202,7 +203,7 @@ func IterativeClean(
 	if err := checkBatch(batch, budget); err != nil {
 		return nil, err
 	}
-	tv, err := newTestVotes(sp, train, test, newModel, 0)
+	tv, err := newTestVotes(nil, train, test, newModel, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -221,49 +222,48 @@ func checkBatch(batch, budget int) error {
 }
 
 // testVotes is the loop-invariant half of refitting a kNN on the test
-// split: each test row's k nearest training rows under the training
-// features it was built from. A label oracle never touches features, and
-// a kNN depends on its training labels only through the vote, so a round
-// whose features are bit-equal to x scores ml.Accuracy(test.Y,
-// nb.Vote(cur.Y)) — the same selection and the same vote as
-// ml.EvaluateAccuracy with a fresh kNN, at O(test·k) instead of
-// O(test·train·dim). It is read-only once built, so concurrent strategy
-// runs share one.
+// split: a neighbor index over (train, test), whose top-k cache holds
+// each test row's k nearest training rows under the index's training
+// features. A label oracle never touches features, and a kNN depends on
+// its training labels only in the vote, so a round whose features are
+// bit-equal to the index's scores ml.Accuracy(test.Y,
+// ix.PredictBatchLabels(k, cur.Y)): the same selection and the same vote
+// as ml.EvaluateAccuracy with a fresh kNN, whose Predict computes its
+// distances with the index's kernel, at O(test·k) per round instead of
+// O(test·train·dim). The index selects once per k and is safe for
+// concurrent use, so concurrent strategy runs, and the requests of a
+// server that keeps the index, share one selection.
 type testVotes struct {
-	x  *linalg.Matrix // training features the selection was made under
-	nb *ml.Neighborhoods
+	k  int // the factory's K; PredictBatchLabels clamps it to the training size
+	ix *ml.NeighborIndex
 }
 
-// newTestVotes builds the shared selection under span parent when
-// newModel yields a *ml.KNN with K >= 1 and train is non-empty; otherwise
-// it returns nil and every round refits. ml.NeighborIndex is not used
-// here: its Gram-identity distances rank tied rows differently from
-// KNN.Predict's direct differences.
-func newTestVotes(parent *obs.Span, train, test *ml.Dataset, newModel func() ml.Classifier, workers int) (*testVotes, error) {
+// newTestVotes returns the shared selection when newModel yields a
+// *ml.KNN with K >= 1 and train is non-empty: over ix, or over a new
+// index on (train, test) with the given workers when ix is nil.
+// Otherwise it returns nil and every round refits.
+func newTestVotes(ix *ml.NeighborIndex, train, test *ml.Dataset, newModel func() ml.Classifier, workers int) (*testVotes, error) {
 	knn, ok := newModel().(*ml.KNN)
 	if !ok || knn.K < 1 || train.Len() == 0 {
 		return nil, nil
 	}
-	sp := parent.StartChild("cleaning.neighborhoods")
-	defer sp.End()
-	if err := knn.Fit(train); err != nil {
-		return nil, err
+	if ix == nil {
+		var err error
+		if ix, err = ml.NewNeighborIndex(train, test, workers); err != nil {
+			return nil, err
+		}
 	}
-	nb, err := knn.Neighborhoods(test, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &testVotes{x: train.X, nb: nb}, nil
+	return &testVotes{k: knn.K, ix: ix}, nil
 }
 
 // accuracy is cur's test accuracy: a re-vote over the shared selection
-// when cur's features are bit-equal to the ones it was built from, else
-// a fresh fit of newModel exactly as without the selection.
+// when cur's features are bit-equal to the index's training features,
+// else a fresh fit of newModel exactly as without the selection.
 func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifier) (float64, error) {
-	if tv == nil || !sameBits(cur.X, tv.x) {
+	if tv == nil || !sameBits(cur.X, tv.ix.Train.X) {
 		return ml.EvaluateAccuracy(newModel(), cur, test)
 	}
-	pred, err := tv.nb.Vote(cur.Y)
+	pred, err := tv.ix.PredictBatchLabels(tv.k, cur.Y)
 	if err != nil {
 		return 0, err
 	}
@@ -380,13 +380,57 @@ func CompareStrategies(
 // first error (if any) are reduced in strategy order. Strategies that rank
 // with kNN-Shapley share one neighbor index through the singleflight cache,
 // so the neighbor order table is still built only once across the fan-out.
-// For a kNN factory the test rows' neighbors are selected once, before the
-// fan-out, and every strategy's rounds re-vote that read-only selection
-// (see IterativeClean). The cleaning_strategies_inflight gauge tracks
-// concurrency; each strategy reports its rounds under its own cleaning.run
-// span.
+// For a kNN factory the test rows' neighbors are selected once, through a
+// neighbor index over (train, test) built before the fan-out, and every
+// strategy's rounds re-vote that selection (see IterativeClean);
+// CompareStrategiesWithIndex takes a caller's index instead. The
+// cleaning_strategies_inflight gauge tracks concurrency; each strategy
+// reports its rounds under its own cleaning.run span.
 func CompareStrategiesParallel(
 	train, valid, test *ml.Dataset,
+	oracle Oracle,
+	strategies []Strategy,
+	newModel func() ml.Classifier,
+	batch, budget, workers int,
+) ([]*Result, error) {
+	return compareStrategies(train, valid, test, nil, oracle, strategies, newModel, batch, budget, workers)
+}
+
+// CompareStrategiesWithIndex is CompareStrategiesParallel selecting the
+// test rows' neighbors through testIx, a neighbor index whose training
+// rows are train's and whose queries are test's (by features: its labels
+// are never read), so a caller that compares strategies on one split
+// again and again selects once: the index keeps its top-k across calls.
+// A round re-votes only while its features are bit-equal to testIx's
+// training features, and refits otherwise, so the results are bit-for-bit
+// CompareStrategiesParallel's. A nil testIx returns ErrEmptyInput, and
+// one whose row counts differ from train's or test's ErrShapeMismatch.
+func CompareStrategiesWithIndex(
+	train, valid, test *ml.Dataset,
+	testIx *ml.NeighborIndex,
+	oracle Oracle,
+	strategies []Strategy,
+	newModel func() ml.Classifier,
+	batch, budget, workers int,
+) ([]*Result, error) {
+	if testIx == nil {
+		return nil, nderr.Empty("cleaning: test index")
+	}
+	if testIx.Train.Len() != train.Len() {
+		return nil, nderr.Mismatch("cleaning: test index training rows", train.Len(), testIx.Train.Len())
+	}
+	if testIx.Queries.Len() != test.Len() {
+		return nil, nderr.Mismatch("cleaning: test index query rows", test.Len(), testIx.Queries.Len())
+	}
+	return compareStrategies(train, valid, test, testIx, oracle, strategies, newModel, batch, budget, workers)
+}
+
+// compareStrategies runs the strategies' cleaning loops on workers,
+// re-voting through testIx, or through an index it builds when testIx is
+// nil.
+func compareStrategies(
+	train, valid, test *ml.Dataset,
+	testIx *ml.NeighborIndex,
 	oracle Oracle,
 	strategies []Strategy,
 	newModel func() ml.Classifier,
@@ -399,7 +443,7 @@ func CompareStrategiesParallel(
 	if err := checkBatch(batch, budget); err != nil {
 		return nil, err
 	}
-	tv, err := newTestVotes(csp, train, test, newModel, workers)
+	tv, err := newTestVotes(testIx, train, test, newModel, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,17 @@ type E13Result struct {
 	Agreements []float64
 }
 
+// e13Runs is how many times E13 times each unlearn and retrain. It keeps
+// the fastest of each: a run that the scheduler or a GC cycle interrupts
+// reads slower, never faster, and a single preempted unlearn of a few
+// hundred microseconds would otherwise pass for its cost.
+const e13Runs = 5
+
 // E13Unlearning measures the §2.4 connection between data debugging and
 // low-latency machine unlearning: influence-style unlearning of a logistic
 // model must track exact retraining in predictions while being much
-// faster, across deletion-batch sizes.
+// faster, across deletion-batch sizes. Both times are the best of e13Runs
+// runs on freshly fitted models.
 func E13Unlearning(n int, seed int64) (*E13Result, error) {
 	dirty, valid, _, _, err := dirtyLetters(n, 0.1, seed)
 	if err != nil {
@@ -41,31 +48,39 @@ func E13Unlearning(n int, seed int64) (*E13Result, error) {
 	}
 	res := &E13Result{Table: t, DeleteSizes: sizes}
 	for _, k := range sizes {
-		m := ml.NewUnlearnableLogReg()
-		if err := m.Fit(dirty); err != nil {
-			return nil, err
-		}
 		rows := make([]int, k)
+		rm := make(map[int]bool, k)
 		for i := range rows {
 			rows[i] = i * 3 // deterministic spread
-		}
-		start := time.Now()
-		if err := m.Unlearn(rows); err != nil {
-			return nil, err
-		}
-		unlearnTime := time.Since(start)
-
-		rm := make(map[int]bool, k)
-		for _, r := range rows {
-			rm[r] = true
+			rm[rows[i]] = true
 		}
 		rest, _ := dirty.Without(rm)
-		fresh := ml.NewUnlearnableLogReg()
-		start = time.Now()
-		if err := fresh.Fit(rest); err != nil {
-			return nil, err
+		// every run fits, unlearns and retrains the same data the same
+		// way, so the last run's models stand for all of them
+		var m, fresh *ml.UnlearnableLogReg
+		var unlearnTime, retrainTime time.Duration
+		for run := 0; run < e13Runs; run++ {
+			m = ml.NewUnlearnableLogReg()
+			if err := m.Fit(dirty); err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			if err := m.Unlearn(rows); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); run == 0 || d < unlearnTime {
+				unlearnTime = d
+			}
+
+			fresh = ml.NewUnlearnableLogReg()
+			start = time.Now()
+			if err := fresh.Fit(rest); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); run == 0 || d < retrainTime {
+				retrainTime = d
+			}
 		}
-		retrainTime := time.Since(start)
 
 		agree := 0
 		for i := 0; i < test.Len(); i++ {

@@ -31,13 +31,16 @@ func NewAmortizedEstimator() *AmortizedEstimator {
 // amortFeatures augments the raw features with signals known to correlate
 // with importance: the example's margin-style agreement with its local
 // neighborhood (fraction of the 5 nearest training points sharing its
-// label).
-func (a *AmortizedEstimator) amortFeatures(train *ml.Dataset, i int) []float64 {
+// label). Distances are row i of the blocked Gram kernel over the
+// training set (norms = linalg.RowNorms2(train.X), row is scratch of
+// train.Len()), the squared distances every neighbor index ranks by.
+func (a *AmortizedEstimator) amortFeatures(train *ml.Dataset, norms, row []float64, i int) []float64 {
 	x := train.Row(i)
 	out := make([]float64, 0, train.Dim()+1)
 	out = append(out, x...)
 
 	// neighborhood label agreement
+	linalg.PairwiseD2Rows(train.X, train.X, norms, norms, i, i+1, row)
 	type di struct {
 		d float64
 		j int
@@ -46,11 +49,10 @@ func (a *AmortizedEstimator) amortFeatures(train *ml.Dataset, i int) []float64 {
 	for k := range best {
 		best[k] = di{d: 1e300, j: -1}
 	}
-	for j := 0; j < train.Len(); j++ {
+	for j, d := range row {
 		if j == i {
 			continue
 		}
-		d := ml.EuclideanDistance(train.Row(j), x)
 		for k := range best {
 			if d < best[k].d {
 				copy(best[k+1:], best[k:len(best)-1])
@@ -88,8 +90,9 @@ func (a *AmortizedEstimator) Fit(train *ml.Dataset, labeledRows []int, noisyScor
 	a.trainRef = train
 	dim := train.Dim() + 1
 	x := linalg.NewMatrix(len(labeledRows), dim)
+	norms, row := linalg.RowNorms2(train.X), make([]float64, train.Len())
 	for o, i := range labeledRows {
-		copy(x.Row(o), a.amortFeatures(train, i))
+		copy(x.Row(o), a.amortFeatures(train, norms, row, i))
 	}
 	a.reg = &ml.LinearRegression{L2: a.L2}
 	return a.reg.FitXY(x, noisyScores)
@@ -102,8 +105,9 @@ func (a *AmortizedEstimator) Predict() (Scores, error) {
 		return nil, fmt.Errorf("importance: Predict before Fit")
 	}
 	out := make(Scores, a.trainRef.Len())
+	norms, row := linalg.RowNorms2(a.trainRef.X), make([]float64, len(out))
 	for i := range out {
-		out[i] = a.reg.PredictValue(a.amortFeatures(a.trainRef, i))
+		out[i] = a.reg.PredictValue(a.amortFeatures(a.trainRef, norms, row, i))
 	}
 	return out, nil
 }

@@ -22,6 +22,7 @@ package importance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nde/internal/ml"
@@ -45,13 +46,27 @@ func AccuracyUtility(newModel func() ml.Classifier, train, valid *ml.Dataset) Ut
 type Scores []float64
 
 // RankAscending returns example indices from least to most valuable —
-// the cleaning priority order (most suspicious first).
+// the cleaning priority order (most suspicious first): ascending score,
+// ties to the smaller index. If any score is NaN, which has no place in
+// that order, it is the stable sort by score.
 func (s Scores) RankAscending() []int {
 	idx := make([]int, len(s))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return s[idx[a]] < s[idx[b]] })
+	if s.hasNaN() {
+		sort.SliceStable(idx, func(a, b int) bool { return s[idx[a]] < s[idx[b]] })
+		return idx
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case s[a] < s[b]:
+			return -1
+		case s[a] > s[b]:
+			return 1
+		}
+		return a - b
+	})
 	return idx
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,32 @@ func TestScoresRanking(t *testing.T) {
 	}
 	if s.Sum() != 4 {
 		t.Errorf("Sum = %v", s.Sum())
+	}
+}
+
+// RankAscending equals the stable sort by score it replaced: on scores
+// drawn from a small pool with ties and ±0, and with NaN, where it is
+// that sort.
+func TestRankAscendingMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(78))
+	pool := []float64{-1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1), math.NaN()}
+	for c := 0; c < 300; c++ {
+		s := make(Scores, r.Intn(60))
+		nanOK := c%2 == 0
+		for i := range s {
+			s[i] = pool[r.Intn(len(pool))]
+			for !nanOK && math.IsNaN(s[i]) {
+				s[i] = pool[r.Intn(len(pool))]
+			}
+		}
+		want := make([]int, len(s))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return s[want[a]] < s[want[b]] })
+		if got := s.RankAscending(); !slices.Equal(got, want) {
+			t.Fatalf("%v.RankAscending() = %v, want %v", s, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package importance
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"nde/internal/ml"
 	"nde/internal/nderr"
@@ -249,38 +249,44 @@ func validateKNNShapley(k int, train, valid *ml.Dataset) error {
 // scores: mean over validation points of the fraction of correct votes
 // among the K nearest neighbors within the subset. Exposed so tests and
 // benchmarks can cross-check the closed form against generic estimators.
-// Ranking uses squared distances with index tie-breaks — the same total
-// order as the closed form and the NeighborIndex.
+// The first call builds a neighbor index over (train, valid) at one
+// worker, and every coalition is ranked from its order: a validation
+// point's neighbors within a subset are the subset's members in the order
+// of the full training set, the (squared distance, index) order of the
+// closed form, on the same distances. A failed index build (non-finite
+// features, a dimension mismatch) is returned by every non-empty call.
+// Safe for concurrent use.
 func KNNUtility(k int, train, valid *ml.Dataset) Utility {
+	var (
+		once sync.Once
+		ix   *ml.NeighborIndex
+		err  error
+	)
 	return func(subset []int) (float64, error) {
 		if len(subset) == 0 {
 			return 0, nil
 		}
-		total := 0.0
-		type distIdx struct {
-			d float64
-			i int
+		once.Do(func() { ix, err = ml.NewNeighborIndex(train, valid, 1) })
+		if err != nil {
+			return 0, err
 		}
+		in := make([]bool, train.Len())
+		for _, i := range subset {
+			in[i] = true
+		}
+		m := min(k, len(subset))
+		total := 0.0
 		for v := 0; v < valid.Len(); v++ {
-			x, y := valid.Row(v), valid.Y[v]
-			di := make([]distIdx, len(subset))
-			for o, i := range subset {
-				di[o] = distIdx{ml.SquaredDistance(train.Row(i), x), i}
-			}
-			sort.SliceStable(di, func(a, b int) bool {
-				if di[a].d != di[b].d {
-					return di[a].d < di[b].d
+			correct, taken := 0, 0
+			for _, i := range ix.Order(v) {
+				if !in[i] {
+					continue
 				}
-				return di[a].i < di[b].i
-			})
-			m := k
-			if m > len(di) {
-				m = len(di)
-			}
-			correct := 0
-			for j := 0; j < m; j++ {
-				if train.Y[di[j].i] == y {
+				if train.Y[i] == valid.Y[v] {
 					correct++
+				}
+				if taken++; taken == m {
+					break
 				}
 			}
 			total += float64(correct) / float64(k)

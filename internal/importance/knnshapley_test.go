@@ -46,6 +46,30 @@ func TestKNNShapleyMatchesExactEnumeration(t *testing.T) {
 	}
 }
 
+// The closed form and the enumerated utility rank by the same distances,
+// so they agree where rounding decides the order: two training rows at
+// 0.37 from the validation point in exact arithmetic, which the Gram
+// kernel reads as 0.36999999999999994 (row 0, label 0) and
+// 0.3699999999999999 (row 1, label 1). Ranked by direct differences the
+// two tie and row 0 would come first.
+func TestKNNShapleyMatchesExactOnNearTie(t *testing.T) {
+	train, _ := ml.NewDataset(linalg.FromRows([][]float64{{0.1, 0.2}, {0.1, 0}}), []int{0, 1})
+	valid, _ := ml.NewDataset(linalg.FromRows([][]float64{{0.7, 0.1}}), []int{1})
+	closed, err := KNNShapley(1, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ExactShapley(train.Len(), KNNUtility(1, train, valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{0, 1} {
+		if math.Abs(closed[i]-exact[i]) > 1e-12 || math.Abs(closed[i]-want) > 1e-12 {
+			t.Errorf("row %d: closed form %v, enumeration %v, want %v", i, closed[i], exact[i], want)
+		}
+	}
+}
+
 // Property: the same equivalence holds for random shapes, k values and
 // class counts.
 func TestQuickKNNShapleyEqualsExact(t *testing.T) {

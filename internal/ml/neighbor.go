@@ -196,24 +196,66 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 			out[i] = int(id)
 		}
 	default:
-		topKInto(ix.D2().Row(qi), k, make([]distIdx, n), out)
+		pairs := make([]distIdx, n)
+		for i, d := range ix.D2().Row(qi) {
+			pairs[i] = distIdx{d: d, i: i}
+		}
+		selectK(pairs, k)
+		top := pairs[:k]
+		sort.Sort(byDistIdx(top))
+		for i, p := range top {
+			out[i] = p.i
+		}
 	}
 	return out
 }
 
-// topKInto is TopK over one distance row, writing into caller-provided
-// buffers: pairs must have length Train.Len(), out length k. Extracted
-// so the batch prediction path can reuse per-worker scratch instead of
-// allocating per query.
-func topKInto[T int | int32](row []float64, k int, pairs []distIdx, out []T) {
-	for i := range pairs {
-		pairs[i] = distIdx{d: row[i], i: i}
+// nearestInto writes into out the len(out) ids nearest under row (row[id]
+// is id's squared distance), ascending by (distance, id); len(out) must
+// be in [1, len(row)]. out holds a max-heap of the nearest ids seen so
+// far, so an id that does not enter costs one comparison, and is sorted
+// in place at the end: O(n + (m+k)·log k) when m ids enter, with no
+// scratch beyond out.
+func nearestInto[T int | int32](row []float64, out []T) {
+	k := len(out)
+	for i := range out {
+		out[i] = T(i)
 	}
-	selectK(pairs, k)
-	top := pairs[:k]
-	sort.Sort(byDistIdx(top))
-	for i, p := range top {
-		out[i] = T(p.i)
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(row, out, i)
+	}
+	worst := row[out[0]]
+	for i := k; i < len(row); i++ {
+		// every id in the heap is below i, so i enters only on a
+		// strictly smaller distance
+		if row[i] < worst {
+			out[0] = T(i)
+			siftDown(row, out, 0)
+			worst = row[out[0]]
+		}
+	}
+	for end := k - 1; end > 0; end-- {
+		out[0], out[end] = out[end], out[0]
+		siftDown(row, out[:end], 0)
+	}
+}
+
+// siftDown moves h[i] down until the max-heap h is ordered by (row[id],
+// id) again.
+func siftDown[T int | int32](row []float64, h []T, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && (row[h[c+1]] > row[h[c]] || row[h[c+1]] == row[h[c]] && h[c+1] > h[c]) {
+			c++
+		}
+		if row[h[c]] < row[h[i]] || row[h[c]] == row[h[i]] && h[c] < h[i] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -236,7 +278,8 @@ func tallyVotes[T int | int32](votes []int, trainY []int, top []T) int {
 }
 
 // PredictBatch classifies every query by the majority label among its k
-// nearest training points, vote ties breaking toward the smaller label.
+// nearest training points, vote ties breaking toward the smaller label:
+// KNN.Predict row by row, whose distances come from the same kernel.
 func (ix *NeighborIndex) PredictBatch(k int) []int {
 	out, _ := ix.PredictBatchLabels(k, ix.Train.Y) // error impossible: lengths match
 	return out
@@ -245,10 +288,12 @@ func (ix *NeighborIndex) PredictBatch(k int) []int {
 // ensureTopK returns the cached flat q×kk top-k id table, building it if
 // absent or cached for a different k: from the order table's prefixes
 // when it exists, by walking the root's order on a derived index, and
-// otherwise by quickselect over D2 (parallel, per-worker scratch). The
-// (distance, id) total order makes all three the same ids in the same
-// order. The returned slice is owned by the cache and must not be
-// mutated. Requires 1 <= kk <= Train.Len().
+// otherwise by running the kernel one block of linalg.D2RowBlock queries
+// at a time into per-worker scratch, as ensureOrders does, and selecting
+// each row's nearest there (nearestInto), so no distance matrix is
+// stored. The (distance, id) total order makes all three the same ids in
+// the same order. The returned slice is owned by the cache and must not
+// be mutated. Requires 1 <= kk <= Train.Len().
 func (ix *NeighborIndex) ensureTopK(kk int) []int32 {
 	ix.topk.mu.Lock()
 	defer ix.topk.mu.Unlock()
@@ -268,13 +313,18 @@ func (ix *NeighborIndex) ensureTopK(kk int) []int32 {
 			g.walkInto(q, ids[q*kk:(q+1)*kk])
 		})
 	default:
-		d2 := ix.D2()
-		scratch := make([][]distIdx, par.Workers(ix.Workers, nq))
-		par.For("ml.neighbor_topk_build", ix.Workers, nq, func(w, q int) {
+		qx, tx := ix.Queries.X, ix.Train.X
+		nqn, ntn := linalg.RowNorms2(qx), linalg.RowNorms2(tx)
+		scratch := make([][]float64, par.Workers(ix.Workers, nq))
+		par.ForBlocks("ml.neighbor_topk_build", ix.Workers, nq, linalg.D2RowBlock, func(w, lo, hi int) {
 			if scratch[w] == nil {
-				scratch[w] = make([]distIdx, n)
+				scratch[w] = make([]float64, min(linalg.D2RowBlock, nq)*n)
 			}
-			topKInto(d2.Row(q), kk, scratch[w], ids[q*kk:(q+1)*kk])
+			d2 := scratch[w]
+			linalg.PairwiseD2Rows(qx, tx, nqn, ntn, lo, hi, d2)
+			for q := lo; q < hi; q++ {
+				nearestInto(d2[(q-lo)*n:(q-lo+1)*n], ids[q*kk:(q+1)*kk])
+			}
 		})
 	}
 	ix.topk.k, ix.topk.ids = kk, ids

@@ -257,26 +257,101 @@ func TestTopKDistanceTiesBreakByIndex(t *testing.T) {
 	}
 }
 
-// PredictBatch must equal per-row KNN.Predict on the same training set.
+// PredictBatch equals KNN.Predict row by row on the same training set: on
+// continuous rows, on the tie-heavy grid, and on the near-tie pair, for k
+// below, at and above the training size, at every worker count.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	train := randomNeighborDataset(r, 80, 4, 3)
-	queries := randomNeighborDataset(r, 30, 4, 3)
-	ix, err := NewNeighborIndex(train, queries, 0)
-	if err != nil {
-		t.Fatal(err)
+	tieTrain, tieQueries := nearTie()
+	inputs := []struct {
+		name           string
+		train, queries *Dataset
+	}{
+		{"continuous", randomNeighborDataset(r, 80, 4, 3), randomNeighborDataset(r, 30, 4, 3)},
+		{"grid", tieGrid(120, 3, 1), tieGrid(80, 3, 2)},
+		{"near-tie", tieTrain, tieQueries},
 	}
-	for _, k := range []int{1, 3, 7} {
-		knn := NewKNN(k)
-		if err := knn.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		batch := ix.PredictBatch(k)
-		for q := 0; q < queries.Len(); q++ {
-			if want := knn.Predict(queries.Row(q)); batch[q] != want {
-				t.Fatalf("k=%d query %d: batch %d vs predict %d", k, q, batch[q], want)
+	for _, in := range inputs {
+		n := in.train.Len()
+		for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
+			ix, err := NewNeighborIndex(in.train, in.queries, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 3, 4, 7, n, n + 3} {
+				batch := ix.PredictBatch(k)
+				knn := NewKNN(k)
+				if err := knn.Fit(in.train); err != nil {
+					t.Fatal(err)
+				}
+				for q := 0; q < in.queries.Len(); q++ {
+					if want := knn.Predict(in.queries.Row(q)); batch[q] != want {
+						t.Fatalf("%s workers=%d k=%d query %d: batch %d vs predict %d", in.name, workers, k, q, batch[q], want)
+					}
+				}
 			}
 		}
+	}
+	// the near-tie pair's 1-NN is row 1, label 1, by the Gram kernel
+	knn := NewKNN(1)
+	if err := knn.Fit(tieTrain); err != nil {
+		t.Fatal(err)
+	}
+	if got := knn.Predict(tieQueries.Row(0)); got != 1 {
+		t.Fatalf("near-tie 1-NN predicts %d, want 1", got)
+	}
+}
+
+// The default top-k build runs the kernel a block of rows at a time into
+// per-worker scratch: on continuous and tie-heavy rows it yields the ids
+// a quickselect over the stored D2 yields, in the same order, at every
+// worker count with a short last block; it stores no distance matrix;
+// and its allocations do not grow with the number of queries.
+func TestBlockedTopKMatchesQuickselect(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	train := clusteredDataset(r, 150, 5, 4, 3)
+	inputs := []struct{ train, queries *Dataset }{
+		{train, clusteredDataset(r, 37, 5, 4, 3)}, // blocks of 16, 16 and 5
+		{tieGrid(150, 3, 3), tieGrid(37, 3, 4)},
+	}
+	for _, in := range inputs {
+		ref, err := NewNeighborIndex(in.train, in.queries, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 5, 16, in.train.Len()} {
+			for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
+				ix, err := NewNeighborIndex(in.train, in.queries, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := ix.ensureTopK(k)
+				if ix.d2.Load() != nil || ix.ordersReady.Load() {
+					t.Fatalf("k=%d workers=%d: the top-k build stored a distance matrix or an order table", k, w)
+				}
+				for q := 0; q < in.queries.Len(); q++ {
+					want := ref.TopK(q, k)
+					for i, id := range ids[q*k : (q+1)*k] {
+						if int(id) != want[i] {
+							t.Fatalf("k=%d workers=%d query %d rank %d: blocked %d, quickselect over D2 %d", k, w, q, i, id, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	build := func(q int) float64 {
+		qs := clusteredDataset(rand.New(rand.NewSource(53)), q, 5, 4, 3)
+		return testing.AllocsPerRun(5, func() {
+			ix, err := NewNeighborIndex(train, qs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.ensureTopK(5)
+		})
+	}
+	if few, many := build(20), build(400); many > few {
+		t.Fatalf("top-k build allocates %v times for 20 queries and %v for 400", few, many)
 	}
 }
 
@@ -296,16 +371,18 @@ func TestNeighborIndexTopKClamping(t *testing.T) {
 	}
 }
 
+// NewNeighborIndex rejects an empty training set and queries of another
+// dimension, each with its classified error.
 func TestNeighborIndexErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	train := randomNeighborDataset(r, 5, 2, 2)
 	empty := &Dataset{X: linalg.NewMatrix(0, 2)}
-	if _, err := NewNeighborIndex(empty, train, 0); err == nil {
-		t.Error("expected error for empty train")
+	if _, err := NewNeighborIndex(empty, train, 0); !errors.Is(err, nderr.ErrEmptyInput) {
+		t.Errorf("empty train err = %v, want ErrEmptyInput", err)
 	}
 	mismatch := randomNeighborDataset(r, 4, 3, 2)
-	if _, err := NewNeighborIndex(train, mismatch, 0); err == nil {
-		t.Error("expected error for dim mismatch")
+	if _, err := NewNeighborIndex(train, mismatch, 0); !errors.Is(err, nderr.ErrShapeMismatch) {
+		t.Errorf("dim mismatch err = %v, want ErrShapeMismatch", err)
 	}
 }
 

@@ -350,7 +350,8 @@ func (s *Server) strategyByName(name string) (cleaning.Strategy, bool) {
 
 // handleCleaning implements POST /v1/cleaning: compare cleaning
 // strategies on a dataset registered with a test split and ground-truth
-// labels (the label oracle).
+// labels (the label oracle), re-voting the test rows through the
+// dataset's own test index.
 func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 	if !post(w, r) {
 		return
@@ -388,9 +389,13 @@ func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 		req.Budget = 50
 	}
 	s.compute(w, r, "ServeCleaning", req.Async, d.train.Len(), req.Workers, func() (any, error) {
+		testIx, err := d.testIndex(req.Workers)
+		if err != nil {
+			return nil, err
+		}
 		oracle := &cleaning.LabelOracle{Truth: d.truth}
-		results, err := cleaning.CompareStrategiesParallel(
-			d.train, d.valid, d.test, oracle, strategies, newModel, req.Batch, req.Budget, req.Workers)
+		results, err := cleaning.CompareStrategiesWithIndex(
+			d.train, d.valid, d.test, testIx, oracle, strategies, newModel, req.Batch, req.Budget, req.Workers)
 		if err != nil {
 			return nil, err
 		}

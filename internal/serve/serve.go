@@ -78,7 +78,8 @@ const (
 	keepRuns = 256
 )
 
-// dataset is one registered dataset. Immutable after registration.
+// dataset is one registered dataset. Immutable after registration, but
+// for its test index.
 type dataset struct {
 	id    string
 	name  string
@@ -89,6 +90,22 @@ type dataset struct {
 	// key addresses the (train, valid) neighbor index in the server's
 	// store; its fingerprints also feed the id, so they are hashed once.
 	key ml.IndexKey
+
+	// testIx is the (train, test) neighbor index /v1/cleaning re-votes
+	// through, made by the first cleaning request with its workers. Its
+	// top-k cache, built once by the first re-vote, holds every test
+	// row's selection (4·K bytes a row) for as long as the dataset stays
+	// registered, so later requests select nothing.
+	testOnce sync.Once
+	testIx   *ml.NeighborIndex
+	testErr  error
+}
+
+// testIndex returns the dataset's (train, test) neighbor index, made on
+// first use with the given workers.
+func (d *dataset) testIndex(workers int) (*ml.NeighborIndex, error) {
+	d.testOnce.Do(func() { d.testIx, d.testErr = ml.NewNeighborIndex(d.train, d.test, workers) })
+	return d.testIx, d.testErr
 }
 
 // Server is the serving core. Create with NewServer, mount Handler.

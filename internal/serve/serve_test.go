@@ -776,3 +776,83 @@ func TestOpsPlaneMounted(t *testing.T) {
 		t.Errorf("/metrics = %d, missing serve counters:\n%s", resp.StatusCode, raw)
 	}
 }
+
+// /v1/cleaning selects a dataset's test neighbors once: concurrent first
+// requests share one top-k build of the dataset's test index, a later
+// request builds none, and every reply is the same bytes.
+func TestCleaningSelectsOncePerDataset(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	t.Cleanup(func() {
+		obs.Disable()
+		obs.Reset()
+	})
+	s, ts := newTestServer(t, Config{Slots: 8})
+	id := register(t, ts, 60)
+	req, err := json.Marshal(map[string]any{"dataset": id, "batch": 5, "budget": 15, "workers": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, []byte, error) {
+		resp, err := http.Post(ts.URL+"/v1/cleaning", "application/json", bytes.NewReader(req))
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw, err
+	}
+	// builds counts the top-k builds in the recorded spans: the test
+	// index's is the only one a cleaning request runs
+	builds := func() int {
+		n := 0
+		var walk func(sp *obs.Span)
+		walk = func(sp *obs.Span) {
+			if name, _ := sp.Attr("name"); sp.Name() == "par.for" && name == "ml.neighbor_topk_build" {
+				n++
+			}
+			for _, c := range sp.Children() {
+				walk(c)
+			}
+		}
+		for _, root := range obs.DefaultTracer().Roots() {
+			walk(root)
+		}
+		return n
+	}
+
+	const callers = 4
+	replies := make([][]byte, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			code, raw, err := post()
+			if err != nil || code != http.StatusOK {
+				t.Errorf("caller %d: cleaning = %d %s, %v", c, code, raw, err)
+			}
+			replies[c] = raw
+		}(c)
+	}
+	wg.Wait()
+	if n := builds(); n != 1 {
+		t.Fatalf("%d concurrent first requests ran %d top-k builds, want 1", callers, n)
+	}
+	code, raw, err := post()
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("second request: cleaning = %d %s, %v", code, raw, err)
+	}
+	if n := builds(); n != 1 {
+		t.Errorf("a second request ran a top-k build: %d in all, want 1", n)
+	}
+	for c, r := range replies {
+		if !bytes.Equal(r, raw) {
+			t.Errorf("caller %d reply differs from the second request's:\n%s\n%s", c, r, raw)
+		}
+	}
+	d, ok := s.lookup(id)
+	if !ok || d.testIx == nil {
+		t.Fatal("dataset holds no test index after a cleaning request")
+	}
+}

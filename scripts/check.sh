@@ -33,14 +33,16 @@ go test -race ./...
 
 # drain admission used to race Drain's wait about one run in eight; a
 # single pass lets a race that rare through, so the drain and lifecycle
-# tests repeat
-echo "==> go test -race -count=20 -run 'Drain|Lifecycle' (serve, nde-serve)"
-go test -race -count=20 -run 'Drain|Lifecycle' ./internal/serve ./cmd/nde-serve
+# tests repeat, and so does the test of concurrent first /v1/cleaning
+# requests sharing their dataset's test index
+echo "==> go test -race -count=20 -run 'Drain|Lifecycle|CleaningSelectsOnce' (serve, nde-serve)"
+go test -race -count=20 -run 'Drain|Lifecycle|CleaningSelectsOnce' ./internal/serve ./cmd/nde-serve
 
 # the same for ml.IndexStore: its in-flight churn test, on a store of its
-# own, and the what-if paths that vote over one index concurrently
-echo "==> go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' (ml, importance, pipeline)"
-go test -race -count=20 -run 'InFlightSurvivesChurn|WhatIf' ./internal/ml ./internal/importance ./internal/pipeline
+# own, the importance store tests (singleflight builds, bounded churn),
+# and the what-if paths that vote over one index concurrently
+echo "==> go test -race -count=20 -run 'InFlightSurvivesChurn|Singleflight|ChurnBounded|WhatIf' (ml, importance, pipeline)"
+go test -race -count=20 -run 'InFlightSurvivesChurn|Singleflight|ChurnBounded|WhatIf' ./internal/ml ./internal/importance ./internal/pipeline
 
 # bench/ is a module of its own, so the root vet and test runs above do not
 # build it; it calls the internal importance, ml and facade APIs directly

@@ -8,10 +8,7 @@
 #   1. the first text symbol, in OLD's address order, whose address
 #      modulo 64 differs in NEW — where the two layouts start to differ;
 #   2. the hot symbols' addresses and their values modulo 64 in both
-#      binaries ("absent" when the symbol was inlined or not linked);
-#   3. for each binary, whether ml.SquaredDistance's inner loop (from the
-#      target of its backward jump to the jump's last byte) stays inside
-#      one 64-byte line.
+#      binaries ("absent" when the symbol was inlined or not linked).
 #
 # Usage: sh scripts/layout_diff.sh OLD NEW
 set -eu
@@ -30,14 +27,11 @@ nde/internal/linalg.PairwiseD2Rows
 nde/internal/ml.argsortInto
 nde/internal/ml.(*argsortScratch).finishRun
 nde/internal/ml.(*deltaGeom).walkInto
-nde/internal/ml.SquaredDistance
-nde/internal/ml.(*KNN).topK
-nde/internal/ml.selectK
-nde/internal/ml.partition
 nde/internal/importance.knnShapleyKernel
 nde/internal/importance.shapleyPoint
 nde/internal/importance.addRows
 slices.partitionOrdered[go.shape.float64]
+nde/internal/cleaning.(*testVotes).accuracy
 nde/internal/serve.(*regDecoder).scanNumber
 nde/internal/serve.eiselLemire'
 
@@ -109,21 +103,3 @@ END {
 }
 ' "$tmp/hot" "$tmp/old" "$tmp/new"
 
-echo
-echo "== ml.SquaredDistance inner loop"
-for bin in "$old" "$new"; do
-    go tool objdump -s '^nde/internal/ml.SquaredDistance$' "$bin" | awk -v bin="$bin" "$hexfn"'
-    $2 ~ /^0x/ {
-        at = hex($2)
-        if (start == "") start = at
-        if ($4 ~ /^J/ && $5 ~ /^0x/ && hex($5) < at && hex($5) >= start) {
-            lo = hex($5)
-            hi = at + length($3) / 2 - 1
-            one = int(lo / 64) == int(hi / 64)
-            printf "%s: loop %s-0x%x, %s\n", bin, $5, hi, one ? "inside one 64-byte line" : "STRADDLES a 64-byte line"
-            loops++
-        }
-    }
-    END { if (!loops) printf "%s: no backward jump found\n", bin }
-    '
-done
