@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"nde"
@@ -772,10 +773,15 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 // The incremental-maintenance series (scripts/bench.sh records it in
 // BENCH_incremental.json): deleting one row from an n-row training set and
 // recomputing kNN-Shapley via the delta path (derive the index with
-// RemoveRows, re-run the closed form over the walked neighbor order) vs. the
+// RemoveRows, re-run the closed form over the root's neighbor order) vs. the
 // full recompute (fresh distance kernel + argsort, cache cold). Both paths
 // are bit-identical, which internal/importance/delta_test.go asserts; the
-// ratio of their times is recorded, not asserted.
+// ratio of their times is recorded, not asserted. The delta path also
+// times a fingerprint and the child's feature copy, so the derived/ runs
+// time the scoring alone, at the debug loop's tombstone density: a
+// 20 000-row index derived through 8-row removals to 10% and 24% dead
+// rows (below the dead·4 > n compaction bound) outside the timer, scored
+// at one and two workers.
 func BenchmarkIncremental(b *testing.B) {
 	const (
 		dim     = 32 // matches the BENCH_neighbor series
@@ -818,5 +824,55 @@ func BenchmarkIncremental(b *testing.B) {
 				}
 			}
 		})
+	}
+	// the derived indexes are built on first use, so a run that filters
+	// the derived/ benchmarks out skips their setup
+	const n = 20000
+	var (
+		setup    sync.Once
+		dvalid   *ml.Dataset
+		derived  = map[int]*ml.NeighborIndex{} // by tombstone percentage
+		setupErr error
+	)
+	deriveAll := func() error {
+		train := mk(n)
+		dvalid = mk(queries)
+		ix, err := ml.NewNeighborIndex(train, dvalid, 0)
+		if err != nil {
+			return err
+		}
+		ix.Order(0) // the root's order table
+		r := rand.New(rand.NewSource(30))
+		rows := make([]int, 8)
+		for _, dead := range []int{10, 24} {
+			for ix.Train.Len() > n*(100-dead)/100 {
+				for i := range rows {
+					rows[i] = r.Intn(ix.Train.Len())
+				}
+				if ix, err = ix.RemoveRows(rows); err != nil {
+					return err
+				}
+			}
+			derived[dead] = ix
+		}
+		return nil
+	}
+	for _, dead := range []int{10, 24} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("derived/dead=%dpct/workers=%d", dead, workers), func(b *testing.B) {
+				setup.Do(func() { setupErr = deriveAll() })
+				if setupErr != nil {
+					b.Fatal(setupErr)
+				}
+				ix := derived[dead]
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := importance.KNNShapleyWithIndex(k, ix, ix.Train.Y, dvalid.Y, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -16,10 +16,11 @@ import (
 // index those scores came from. Each RemoveRows call DERIVES the next
 // index from the current one (ml.NeighborIndex.RemoveRows: tombstones over
 // the root's neighbor order table, O(queries·k) top-k repair, no fresh
-// distance kernel) and re-evaluates the Shapley closed form over the O(n)
-// walked neighbor order — so iterating "drop the worst row, look again" is
-// interactive even at tens of thousands of rows, while staying
-// Float64bits-identical to recomputing everything from scratch. Only the
+// distance kernel) and re-evaluates the Shapley closed form in one O(n)
+// pass over the root's neighbor order per validation point — so
+// iterating "drop the worst row, look again" is interactive even at
+// tens of thousands of rows, while staying Float64bits-identical to
+// recomputing everything from scratch. Only the
 // opening index comes from the facade's index store; derived indexes are
 // the session's own and are not registered there.
 //

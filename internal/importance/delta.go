@@ -36,7 +36,8 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 // tolerated) from parent and scores the survivors: the child index comes
 // from ml.NeighborIndex.RemoveRows (tombstones over the root's order
 // table, no fresh kernel, no argsort beyond the root's own) and the
-// closed form runs over the child's walked neighbor order. trainY labels parent's training rows and validY
+// closed form runs over the root's neighbor order, stepping over the
+// child's tombstones. trainY labels parent's training rows and validY
 // its queries; the indexes' own labels are never read. An empty removal
 // scores parent itself. The child is not registered anywhere, so a caller
 // that holds on to it, such as nde.DebugSession, chains derivations

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nde/internal/ml"
 	"nde/internal/nderr"
 )
 
@@ -115,4 +116,126 @@ func TestKNNShapleyDeltaChained(t *testing.T) {
 		}
 		assertScoresBitIdentical(t, scores, oracle, "chained step")
 	}
+}
+
+// The removal ops of FuzzRemoveRowsChain: one batch removes the row its
+// argument names, each query's farthest or nearest rows (1 + arg%4 of
+// them), or every row but the one its argument names.
+const (
+	chainRow = iota
+	chainFarthest
+	chainNearest
+	chainAllButOne
+	chainOps
+)
+
+// FuzzRemoveRowsChain derives a chain of indexes through KNNShapleyDerive,
+// each batch removing rows from the child the previous batch returned, and
+// checks every step against a rebuild over the surviving rows: the scores
+// are Float64bits-equal to KNNShapley's, and the child's kNN votes equal a
+// fresh index's. The input's first six bytes choose k, the worker count,
+// the training and validation sizes, the class count and the seed of a
+// tie-heavy data set; each later pair of bytes is one batch (op, arg).
+// The seed corpus removes every query's farthest rows (tombstones beyond
+// the first live entry of the root's order), its nearest rows, and all
+// rows but one; each chain crosses the compaction bound.
+func FuzzRemoveRowsChain(f *testing.F) {
+	f.Add([]byte{4, 1, 40, 5, 2, 7, chainFarthest, 0, chainFarthest, 0, chainFarthest, 2, chainRow, 9})
+	f.Add([]byte{3, 2, 40, 5, 3, 8, chainNearest, 0, chainNearest, 1, chainNearest, 1, chainRow, 3})
+	f.Add([]byte{2, 3, 30, 4, 2, 9, chainRow, 5, chainAllButOne, 11})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 6 {
+			return
+		}
+		k := 1 + int(in[0])%8
+		workers := 1 + int(in[1])%3
+		r := rand.New(rand.NewSource(int64(in[5])))
+		train := tieDataset(r, 2+int(in[2])%62, 1+int(in[4])%3)
+		valid := tieDataset(r, 1+int(in[3])%8, 2+int(in[4])%3)
+		cur, err := ml.NewNeighborIndex(train, valid, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := make([]int, train.Len()) // cur's rows as rows of train
+		for i := range orig {
+			orig[i] = i
+		}
+		for b := 6; b+1 < len(in) && len(orig) > 1; b += 2 {
+			rows := chainRemoval(t, cur, int(in[b])%chainOps, int(in[b+1]))
+			scores, keep, child, err := KNNShapleyDerive(k, cur, cur.Train.Y, valid.Y, rows, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o, i := range keep {
+				orig[o] = orig[i]
+			}
+			orig = orig[:len(keep)]
+			survivors := train.Subset(orig)
+			want, err := KNNShapley(k, survivors, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertScoresBitIdentical(t, scores, want, "chain step")
+			fresh, err := ml.NewNeighborIndex(survivors, valid, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := child.PredictBatchLabels(k, child.Train.Y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			votes, err := fresh.PredictBatchLabels(k, survivors.Y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := range votes {
+				if got[q] != votes[q] {
+					t.Fatalf("query %d: child votes %d, fresh index %d", q, got[q], votes[q])
+				}
+			}
+			cur = child
+		}
+	})
+}
+
+// chainRemoval returns the rows of ix's training set that one
+// FuzzRemoveRowsChain batch removes, leaving at least one. It ranks them
+// on a fresh index over the same rows, so ix builds no order table.
+func chainRemoval(t *testing.T, ix *ml.NeighborIndex, op, arg int) []int {
+	t.Helper()
+	n := ix.Train.Len()
+	switch op {
+	case chainRow:
+		return []int{arg % n}
+	case chainAllButOne:
+		rows := make([]int, 0, n-1)
+		for i := 0; i < n; i++ {
+			if i != arg%n {
+				rows = append(rows, i)
+			}
+		}
+		return rows
+	}
+	fresh, err := ml.NewNeighborIndex(ix.Train, ix.Queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := min(1+arg%4, n)
+	gone := make([]bool, n)
+	var rows []int
+	for q := 0; q < ix.Queries.Len(); q++ {
+		order := fresh.Order(q)
+		if op == chainFarthest {
+			order = order[n-m:]
+		} else {
+			order = order[:m]
+		}
+		for _, i := range order {
+			if !gone[i] && len(rows) < n-1 {
+				gone[i] = true
+				rows = append(rows, int(i))
+			}
+		}
+	}
+	return rows
 }

@@ -80,53 +80,94 @@ func tieDataset(r *rand.Rand, n, classes int) *ml.Dataset {
 	return d
 }
 
-// kernelCase is one index the kernel scores, with the labels of its
-// training rows and the training set a rebuild would index.
+// kernelCase is one index the kernel scores, at the check's k unless k
+// is set.
 type kernelCase struct {
-	name   string
-	ix     *ml.NeighborIndex
-	trainY []int
-	want   *ml.Dataset
+	name string
+	ix   *ml.NeighborIndex
+	k    int
 }
 
-// kernelCases returns train's root index plus a RemoveRows-derived
-// child of it.
+// kernelCases returns train's root index and indexes derived from it: a
+// random removal, which may compact; a single survivor, which always
+// compacts (dead·4 > n for every n >= 2); and, on training sets large
+// enough to hold them under the compaction bound, derived indexes that
+// walk the root's order: a tombstone share just below that bound, query
+// 0's farthest row among the tombstones; one scored with k above its
+// survivor count; and a child of a derived index, flattened onto the
+// same root, so its rows skip two generations of tombstones.
 func kernelCases(t *testing.T, r *rand.Rand, train, valid *ml.Dataset) []kernelCase {
 	t.Helper()
 	root, err := ml.NewNeighborIndex(train, valid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []kernelCase{{"root", root, train.Y, train}}
-	if train.Len() < 2 {
+	cases := []kernelCase{{name: "root", ix: root}}
+	n := train.Len()
+	if n < 2 {
 		return cases
 	}
-	rm := make([]int, 1+r.Intn(train.Len()-1))
+	derive := func(name string, parent *ml.NeighborIndex, rm []int, walks bool) *ml.NeighborIndex {
+		t.Helper()
+		child, err := parent.RemoveRows(rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, physOf := child.Walk(); walks && physOf == nil {
+			t.Fatalf("%s: fixture compacted; the case needs the root-order walk", name)
+		}
+		cases = append(cases, kernelCase{name: name, ix: child})
+		return child
+	}
+	rm := make([]int, 1+r.Intn(n-1))
 	for i := range rm {
-		rm[i] = r.Intn(train.Len())
+		rm[i] = r.Intn(n)
 	}
-	removed, err := root.RemoveRows(rm)
-	if err != nil {
-		t.Fatal(err)
+	derive("removed", root, rm, false)
+	derive("single", root, r.Perm(n)[:n-1], false)
+	dead := n / 4
+	if dead == 0 {
+		return cases
 	}
-	return append(cases, kernelCase{"removed", removed, removed.Train.Y, removed.Train})
+	far := int(root.Order(0)[n-1])
+	rm = []int{far}
+	for _, i := range r.Perm(n) {
+		if len(rm) < dead && i != far {
+			rm = append(rm, i)
+		}
+	}
+	derive("dense", root, rm, true)
+	over := derive("k>n", root, r.Perm(n)[:dead], true)
+	cases[len(cases)-1].k = over.Train.Len() + 1 + r.Intn(3)
+	if first := n / 8; first > 0 {
+		parent, err := root.RemoveRows(r.Perm(n)[:first])
+		if err != nil {
+			t.Fatal(err)
+		}
+		derive("chained", parent, r.Perm(n - first)[:dead-first], true)
+	}
+	return cases
 }
 
 // checkKernel asserts the kernel equals the reference bit for bit on
 // every case and worker count. Each derived index is scored first while
-// it has no order table (the walk path of OrderInto) and once more after
-// Order built the table (the cached-row path).
+// it has no order table (the walk over its root's order) and once more
+// after Order built the table (its own order).
 func checkKernel(t *testing.T, ctx string, k int, cases []kernelCase, valid *ml.Dataset, workers []int) {
 	t.Helper()
 	for _, c := range cases {
-		want := referenceKNNShapley(t, k, c.want, valid)
+		kk := k
+		if c.k > 0 {
+			kk = c.k
+		}
+		want := referenceKNNShapley(t, kk, c.ix.Train, valid)
 		for pass := 0; pass < 2; pass++ {
 			for _, w := range workers {
-				got, stats := knnShapleyKernel(k, c.ix, c.trainY, valid.Y, w, nil)
+				got, stats := knnShapleyKernel(kk, c.ix, c.ix.Train.Y, valid.Y, w, nil)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%s %s k=%d workers=%d pass=%d: score[%d] = %x, reference %x",
-							ctx, c.name, k, w, pass, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							ctx, c.name, kk, w, pass, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
 				}
 				total := 0
@@ -145,7 +186,7 @@ func checkKernel(t *testing.T, ctx string, k int, cases []kernelCase, valid *ml.
 // The kernel is Float64bits-identical to the reference recurrence on
 // random shapes: n in [1,300], k in [1,n+2], multi-class labels with
 // validation labels absent from train, tied distances, root and derived
-// indexes, and several worker counts.
+// indexes (kernelCases), and several worker counts.
 func TestKernelMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1207))
 	workers := []int{1, 2, 3, runtime.GOMAXPROCS(0)}
@@ -159,10 +200,13 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// The parallel path works in blocks of validation points; these shapes
-// leave a short last block at their worker count, including one where
-// the block is raised to the worker count because n is too large for the
-// byte bound. Each shape also runs at GOMAXPROCS, whose block may differ.
+// The parallel path works in blocks of validation points, as many as
+// fit the byte bound at the width the kernel writes: the root's rows
+// while a derived index walks its root's order, its own once it has a
+// table. These shapes leave a short last block at their worker count at
+// both widths, including one where the block is raised to the worker
+// count because n is too large for the byte bound. Each shape also runs
+// at GOMAXPROCS, whose block may differ.
 func TestKernelBlocksMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1208))
 	for _, shape := range []struct{ n, valid, workers int }{
@@ -170,13 +214,6 @@ func TestKernelBlocksMatchReference(t *testing.T) {
 		{3000, 100, 3},
 		{50000, 7, 3},
 	} {
-		block := kernelBlockBytes / (8 * shape.n)
-		if block < shape.workers {
-			block = shape.workers
-		}
-		if shape.valid <= block || shape.valid%block == 0 {
-			t.Fatalf("shape %+v: block %d leaves no short last block", shape, block)
-		}
 		train := tieDataset(r, shape.n, 3)
 		valid := tieDataset(r, shape.valid, 4)
 		root, err := ml.NewNeighborIndex(train, valid, 1)
@@ -187,9 +224,18 @@ func TestKernelBlocksMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := []kernelCase{
-			{"root", root, train.Y, train},
-			{"removed", removed, removed.Train.Y, removed.Train},
+		cases := []kernelCase{{name: "root", ix: root}, {name: "removed", ix: removed}}
+		for _, c := range cases {
+			walked, _ := c.ix.Walk()
+			for _, width := range []int{walked.Train.Len(), c.ix.Train.Len()} {
+				block := kernelBlockBytes / (8 * width)
+				if block < shape.workers {
+					block = shape.workers
+				}
+				if shape.valid <= block || shape.valid%block == 0 {
+					t.Fatalf("shape %+v, %s at width %d: block %d leaves no short last block", shape, c.name, width, block)
+				}
+			}
 		}
 		checkKernel(t, "blocks", 5, cases, valid, []int{shape.workers, runtime.GOMAXPROCS(0)})
 	}

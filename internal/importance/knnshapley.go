@@ -1,6 +1,7 @@
 package importance
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -81,76 +82,117 @@ func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex, trainY, validY []int, work
 
 // kernelBlockBytes bounds the scratch of the kernel's parallel path: a
 // block of B validation points writes its contribution vectors into one
-// B×n float64 buffer of at most this size (B is raised to the worker
-// count when n is so large that fewer points fit), so memory is O(B·n)
-// however many validation points there are.
+// B×w float64 buffer of at most this size, w being the width the kernel
+// writes: the index's rows, or its root's on the root-order walk. B is
+// raised to the worker count when w is so large that fewer points fit,
+// so memory is O(B·w) however many validation points there are.
 const kernelBlockBytes = 1 << 20
 
 // knnShapleyKernel is the one closed-form kNN-Shapley loop behind every
 // entry point. It scores the training rows of ix (labels trainY, one per
 // row) against its queries (labels validY, one per query), reading each
-// query's neighbor order from the index. prog, when non-nil, is ticked as
+// query's neighbor order once. prog, when non-nil, is ticked as
 // validation points complete.
 //
 // The recurrence is branch-free and division-free: step[j] is the
 // textbook per-rank factor 1/K·min(K,j+1)/(j+1), evaluated once per call
 // in the textbook's left-to-right order, and each rank adds
-// (match[cur] − match[prev])·step[j], where match is a 0/1 vector per
-// validation label. The output is Float64bits-identical to the textbook
-// form (±1)/K·min/rank: a product by ±1 is exact and sign-symmetric, a
-// product by +0 is +0, and no partial sum is ever −0.
+// (match[cur] − match[prev])·step[j], where match is 1 for a row with
+// the point's label and 0 otherwise. The output is Float64bits-identical
+// to the textbook form (±1)/K·min/rank: a product by ±1 is exact and
+// sign-symmetric, a product by +0 is +0, and no partial sum is ever −0.
+//
+// An index with its own order table (a root, or a derived index that
+// built one) is walked in its own row ids against one 0/1 float vector
+// per validation label (shapleyPoint, which adds). A derived index
+// without a table is walked straight over its root's order, in the
+// root's row ids (ml.NeighborIndex.Walk), against one code table per
+// validation label that also marks the tombstones (shapleyWalkRow,
+// which writes): its sums accumulate over the root's rows and are
+// gathered through physOf at the end, and no per-point copy of the
+// survivors' order is made. Roots keep the float loop, the faster of
+// the two over an order without tombstones (DESIGN.md §7 has the
+// measurements).
 //
 // Every score entry receives its validation points' contributions in
 // validation order, the serial summation order, for any worker count.
-// With one worker the loop runs inline and adds straight into the
-// scores. Otherwise blocks of points are computed in parallel into an
-// O(B·n) buffer, then added into the scores serially, in order. The
-// returned stats sum the blocks' pool runs; Wall is zero when the loop
-// ran inline.
+// With one worker the loop runs inline: a root's points add straight
+// into the sums, and a walked point writes one row that is then added
+// into them. Otherwise blocks of points are computed in parallel into an
+// O(B·w) buffer, each point filling its own row (a root's is cleared
+// first), then added into the sums serially, in order. Writing a row
+// gives the bits that adding to a cleared one would: every live row
+// appears exactly once in an order, and 0 + x = x for every x but −0,
+// which no partial sum is. The returned stats sum the blocks' pool runs;
+// Wall is zero when the loop ran inline.
 func knnShapleyKernel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int, prog *obs.Progress) (Scores, *ParallelStats) {
 	n, nv := len(trainY), len(validY)
-	step := make([]float64, n-1)
+	// step[n-1] is shapleyWalkRow's spare: only a tombstone between the
+	// two farthest live rows reads it, and multiplies it by zero
+	step := make([]float64, n)
 	for j := range step {
 		rank := float64(j + 1)
 		step[j] = 1 / float64(k) * minF(float64(k), rank) / rank
 	}
-	match := matchVectors(trainY, validY)
-	scores := make(Scores, n)
+	root, physOf := ix.Walk()
+	nb := root.Train.Len()
+	var (
+		match [][]float64
+		codes [][]uint8
+	)
+	if physOf == nil {
+		match = matchVectors(trainY, validY)
+	} else {
+		codes = codeTables(trainY, validY, physOf, nb)
+	}
+	sums := make(Scores, nb)
 	resolved := par.Workers(workers, nv)
 	stats := &ParallelStats{RequestedWorkers: workers, Workers: resolved, Points: nv, PerWorker: make([]int, resolved)}
-	orders := make([][]int32, resolved) // per-worker scratch for OrderInto
 	if resolved == 1 {
-		orders[0] = make([]int32, n)
+		var row []float64 // the walk's one block row
+		if physOf != nil {
+			row = make([]float64, nb)
+		}
 		for v := 0; v < nv; v++ {
-			shapleyPoint(scores, ix.OrderInto(v, orders[0]), match[v], step)
+			if physOf == nil {
+				shapleyPoint(sums, root.Order(v), match[v], step)
+			} else {
+				shapleyWalkRow(row, root.Order(v), codes[v], step)
+				addRows(sums, row)
+			}
 			if prog != nil {
 				prog.Tick(1)
 			}
 		}
 		stats.PerWorker[0] = nv
 	} else {
-		block := kernelBlockBytes / (8 * n)
+		block := kernelBlockBytes / (8 * nb)
 		if block < resolved {
 			block = resolved
 		}
 		if block > nv {
 			block = nv
 		}
-		buf := make([]float64, block*n)
+		buf := make([]float64, block*nb)
+		// copies assigned once, so the closure below captures them by
+		// value; capturing the variables set above would move both to
+		// the heap on every call
+		match, codes := match, codes
 		for lo := 0; lo < nv; lo += block {
 			hi := lo + block
 			if hi > nv {
 				hi = nv
 			}
-			st := par.For("importance.knnshapley", resolved, hi-lo, func(w, b int) {
-				if orders[w] == nil {
-					orders[w] = make([]int32, n)
+			st := par.For("importance.knnshapley", resolved, hi-lo, func(_, b int) {
+				row := buf[b*nb : (b+1)*nb]
+				if physOf == nil {
+					clear(row)
+					shapleyPoint(row, root.Order(lo+b), match[lo+b], step)
+				} else {
+					shapleyWalkRow(row, root.Order(lo+b), codes[lo+b], step)
 				}
-				row := buf[b*n : (b+1)*n]
-				clear(row)
-				shapleyPoint(row, ix.OrderInto(lo+b, orders[w]), match[lo+b], step)
 			})
-			addRows(scores, buf[:(hi-lo)*n])
+			addRows(sums, buf[:(hi-lo)*nb])
 			for w, cnt := range st.PerWorker {
 				stats.PerWorker[w] += cnt
 			}
@@ -161,10 +203,66 @@ func knnShapleyKernel(k int, ix *ml.NeighborIndex, trainY, validY []int, workers
 		}
 	}
 	inv := 1 / float64(nv)
-	for i := range scores {
-		scores[i] *= inv
+	if physOf == nil {
+		for i := range sums {
+			sums[i] *= inv
+		}
+		return sums, stats
+	}
+	scores := make(Scores, n)
+	for l, p := range physOf {
+		scores[l] = sums[p] * inv
 	}
 	return scores, stats
+}
+
+// matchVectors returns, for each validation point, the 0/1 vector over
+// training rows marking those with the point's label. Points with equal
+// labels share one vector, so there is one per distinct label.
+func matchVectors(trainY, validY []int) [][]float64 {
+	byLabel := map[int][]float64{}
+	out := make([][]float64, len(validY))
+	for v, y := range validY {
+		m, ok := byLabel[y]
+		if !ok {
+			m = make([]float64, len(trainY))
+			for i, t := range trainY {
+				if t == y {
+					m[i] = 1
+				}
+			}
+			byLabel[y] = m
+		}
+		out[v] = m
+	}
+	return out
+}
+
+// codeTables returns, for each validation point, shapleyWalkRow's code
+// table over a root's nb rows: 2 for a tombstone, and for the root row
+// physOf[l] of live row l, 1 when trainY[l] is the point's label and 0
+// otherwise. At one byte a row it is an eighth of a match vector, so the
+// walk's scattered reads of it stay in L1. Points with equal labels
+// share one table, so there is one per distinct label.
+func codeTables(trainY, validY, physOf []int, nb int) [][]uint8 {
+	byLabel := map[int][]uint8{}
+	out := make([][]uint8, len(validY))
+	for v, y := range validY {
+		c, ok := byLabel[y]
+		if !ok {
+			c = bytes.Repeat([]uint8{2}, nb)
+			for l, p := range physOf {
+				var m uint8 // a conditional move, not a branch on the label
+				if trainY[l] == y {
+					m = 1
+				}
+				c[p] = m
+			}
+			byLabel[y] = c
+		}
+		out[v] = c
+	}
+	return out
 }
 
 // addRows adds the len(rows)/len(dst) consecutive rows of rows into dst,
@@ -210,26 +308,38 @@ func shapleyPoint(dst []float64, order []int32, match, step []float64) {
 	}
 }
 
-// matchVectors returns, for each validation point, the 0/1 vector over
-// training rows marking those with the point's label. Points with equal
-// labels share one vector, so there is one per distinct label.
-func matchVectors(trainY, validY []int) [][]float64 {
-	byLabel := map[int][]float64{}
-	out := make([][]float64, len(validY))
-	for v, y := range validY {
-		m, ok := byLabel[y]
-		if !ok {
-			m = make([]float64, len(trainY))
-			for i, t := range trainY {
-				if t == y {
-					m[i] = 1
-				}
-			}
-			byLabel[y] = m
-		}
-		out[v] = m
+// shapleyWalkRow is the recurrence over a root's order, for a derived
+// index without its own: order and dst are in the root's row ids, and
+// code[p] is 1 for a live row with the point's label, 0 for a live row
+// with another and 2 for a tombstone. step holds one factor per live
+// rank, len(step) of them with the spare. Each rank's value is written
+// into dst, not added, so a block row needs no clearing. The tombstones
+// beyond the farthest live row are skipped, and their slots keep what
+// they held; after that a tombstone costs no branch: its mask keeps the
+// rank r, masks the label difference to 0, so acc adds an exact +0, and
+// its value lands in its own slot, which no caller reads. The previous
+// label is an integer, so acc's add is the only float chain between
+// iterations.
+func shapleyWalkRow(dst []float64, order []int32, code []uint8, step []float64) {
+	j := len(order) - 1
+	for code[uint32(order[j])] == 2 {
+		j--
 	}
-	return out
+	r := len(step) - 1
+	i := uint32(order[j])
+	prev := int(code[i])
+	acc := float64(prev) / float64(len(step))
+	dst[i] = acc
+	for j--; j >= 0; j-- {
+		i = uint32(order[j])
+		c := int(code[i])
+		live := c>>1 - 1 // -1 on a live row, 0 on a tombstone
+		d := (c - prev) & live
+		prev += d
+		r += live
+		acc += float64(d) * step[r]
+		dst[i] = acc
+	}
 }
 
 func validateKNNShapley(k int, train, valid *ml.Dataset) error {

@@ -118,13 +118,14 @@ type neighborScratch struct {
 
 // ensureOrders materializes the full per-query argsort table once. A
 // derived index walks the root's cached order past its tombstones in
-// O(n) per query — no sorting — which is where the kNN-Shapley delta
-// path gets its speedup. A root whose D2 already ran sorts the stored
-// rows; otherwise each block of linalg.D2RowBlock queries runs the
-// kernel into its worker's scratch and is sorted there. No served path
-// asks for D2 first; the benchmark's traced pass (bench/trace.go) does,
-// timing the kernel as D2() and the sort as the first Order, so the
-// stored rows keep a second kernel run out of the sort's span.
+// O(n) per query — no sorting; the kNN-Shapley kernel never asks for
+// this table, reading the root's order itself (Walk). A root whose D2
+// already ran sorts the stored rows; otherwise each block of
+// linalg.D2RowBlock queries runs the kernel into its worker's scratch
+// and is sorted there. No served path asks for D2 first; the
+// benchmark's traced pass (bench/trace.go) does, timing the kernel as
+// D2() and the sort as the first Order, so the stored rows keep a
+// second kernel run out of the sort's span.
 func (ix *NeighborIndex) ensureOrders() {
 	ix.ordersOnce.Do(func() {
 		n := ix.Train.Len()

@@ -237,16 +237,17 @@ func dedupSorted(a []int) []int {
 	return out
 }
 
-// OrderInto is Order for callers that read each query's order once: it
-// returns the cached row when the order table exists, and otherwise, on
-// a derived index, walks the root's order into buf (length Train.Len())
-// and returns buf, so one pass over the queries never builds the q×n
-// table. A root without a table builds it, as Order does. The result
-// MUST NOT be mutated.
-func (ix *NeighborIndex) OrderInto(qi int, buf []int32) []int32 {
+// Walk returns the index whose order table a caller that reads each
+// query's order once should walk, and how its rows map to ix's: a
+// derived index without its own table returns its root and physOf, the
+// root row of each of its rows, ascending; any other index returns
+// itself and nil. The root rows that physOf does not name are
+// tombstones, and skipping them in the root's order visits ix's rows in
+// ix's own order (DESIGN §11), so such a caller never builds the q×n
+// table. physOf MUST NOT be mutated.
+func (ix *NeighborIndex) Walk() (root *NeighborIndex, physOf []int) {
 	if g := ix.delta; g != nil && !ix.ordersReady.Load() {
-		g.walkInto(qi, buf)
-		return buf
+		return g.base, g.physOf
 	}
-	return ix.Order(qi)
+	return ix, nil
 }

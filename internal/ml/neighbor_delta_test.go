@@ -81,10 +81,11 @@ func TestRemoveRowsBitIdenticalToRebuild(t *testing.T) {
 	}
 }
 
-// OrderInto on a derived index without an order table walks into the
-// caller's buffer and leaves the table unbuilt; once the table exists, and
-// on a root, it returns the cached row. Every answer equals the rebuild's
-// Order.
+// Walk on a derived index without an order table hands back its root
+// and physOf, and skipping the tombstones in the root's order visits the
+// child's rows in the rebuild's Order — all without building the
+// child's table. Once the table exists, and on a root, Walk returns the
+// index itself.
 func TestOrderIntoWalksWithoutTable(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	train := randomNeighborDataset(r, 50, 4, 3)
@@ -101,28 +102,52 @@ func TestOrderIntoWalksWithoutTable(t *testing.T) {
 		t.Fatal("fixture compacted; the walk path needs a derived index")
 	}
 	fresh := rebuildIndex(t, child, 1)
-	buf := make([]int32, child.Train.Len())
-	check := func(ix *NeighborIndex, wantBuf bool) {
-		t.Helper()
-		for q := 0; q < queries.Len(); q++ {
-			got := ix.OrderInto(q, buf)
-			if (&got[0] == &buf[0]) != wantBuf {
-				t.Fatalf("OrderInto(%d) returned buf = %v, want %v", q, !wantBuf, wantBuf)
+	walked, physOf := child.Walk()
+	if walked != root || len(physOf) != child.Train.Len() {
+		t.Fatalf("Walk() = (root %v, %d rows), want (true, %d)", walked == root, len(physOf), child.Train.Len())
+	}
+	rowOf := make([]int32, root.Train.Len())
+	for i := range rowOf {
+		rowOf[i] = -1
+	}
+	for i, p := range physOf {
+		if i > 0 && physOf[i-1] >= p {
+			t.Fatalf("physOf[%d] = %d after %d, want ascending", i, p, physOf[i-1])
+		}
+		rowOf[p] = int32(i)
+	}
+	for q := 0; q < queries.Len(); q++ {
+		want := fresh.Order(q)
+		j := 0
+		for _, p := range walked.Order(q) {
+			if rowOf[p] < 0 {
+				continue
 			}
-			for j, id := range fresh.Order(q) {
-				if got[j] != id {
-					t.Fatalf("OrderInto(%d)[%d] = %d, rebuild %d", q, j, got[j], id)
-				}
+			if rowOf[p] != want[j] {
+				t.Fatalf("walk(%d)[%d] = %d, rebuild %d", q, j, rowOf[p], want[j])
+			}
+			j++
+		}
+		if j != len(want) {
+			t.Fatalf("walk(%d) visited %d rows, want %d", q, j, len(want))
+		}
+	}
+	if child.ordersReady.Load() {
+		t.Fatal("walking the root built the derived index's order table")
+	}
+	child.Order(0)
+	for _, ix := range []*NeighborIndex{child, fresh, root} {
+		if got, phys := ix.Walk(); got != ix || phys != nil {
+			t.Fatal("Walk() on an index with its own order table did not return itself")
+		}
+	}
+	for q := 0; q < queries.Len(); q++ {
+		for j, id := range fresh.Order(q) {
+			if got := child.Order(q)[j]; got != id {
+				t.Fatalf("Order(%d)[%d] = %d, rebuild %d", q, j, got, id)
 			}
 		}
 	}
-	check(child, true)
-	if child.ordersReady.Load() {
-		t.Fatal("OrderInto built the derived index's order table")
-	}
-	child.Order(0)
-	check(child, false)
-	check(fresh, false)
 }
 
 // Property: arbitrary removal chains stay bit-identical to the rebuild

@@ -14,8 +14,9 @@ import (
 // builds its order table from kernel blocks in scratch, and the calls a
 // DebugSession makes — KNNShapleyDerive on the index it holds, chained —
 // derive children that walk the root's order, through one compaction.
-// Every step's scores stay Float64bits-identical to scoring the
-// survivors from scratch.
+// Scoring a derived child, and predicting with it, builds no q×n order
+// table of its own: the kernel walks the root's. Every step's scores
+// stay Float64bits-identical to scoring the survivors from scratch.
 func TestOrderFirstChainStoresNoDistanceMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	mk := func(n int) *ml.Dataset {
@@ -57,8 +58,11 @@ func TestOrderFirstChainStoresNoDistanceMatrix(t *testing.T) {
 		if _, err := child.PredictBatchLabels(k, child.Train.Y); err != nil {
 			t.Fatal(err)
 		}
-		if !ml.IsDerived(child) {
+		switch {
+		case !ml.IsDerived(child):
 			compactions++
+		case ml.StoresOrders(child):
+			t.Fatalf("step %d: scoring the derived index built its order table", step)
 		}
 		want, err := importance.KNNShapley(k, child.Train, valid)
 		if err != nil {

@@ -93,7 +93,9 @@ func For(name string, requested, items int, body func(worker, i int)) *Stats {
 			var wg sync.WaitGroup
 			for w := 0; w < st.Workers; w++ {
 				wg.Add(1)
-				go func(w int) {
+				// w is per-iteration, so capturing it costs the one closure;
+				// passing it as an argument would allocate a wrapper too
+				go func() {
 					defer wg.Done()
 					for {
 						lo := int(next.Add(int64(chunk))) - chunk
@@ -109,7 +111,7 @@ func For(name string, requested, items int, body func(worker, i int)) *Stats {
 						}
 						st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
 					}
-				}(w)
+				}()
 			}
 			wg.Wait()
 		}
@@ -185,7 +187,7 @@ func ForBlocks(name string, requested, items, block int, body func(worker, lo, h
 			var wg sync.WaitGroup
 			for w := 0; w < st.Workers; w++ {
 				wg.Add(1)
-				go func(w int) {
+				go func() { // captures w, as in For
 					defer wg.Done()
 					for {
 						lo := int(next.Add(int64(block))) - block
@@ -199,7 +201,7 @@ func ForBlocks(name string, requested, items, block int, body func(worker, lo, h
 						body(w, lo, hi)
 						st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
 					}
-				}(w)
+				}()
 			}
 			wg.Wait()
 		}

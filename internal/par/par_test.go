@@ -156,6 +156,15 @@ func TestForObsOffAllocations(t *testing.T) {
 	if allocs > 3 {
 		t.Errorf("obs-off For allocates %v objects per run, want <= 3", allocs)
 	}
+	// on two workers: 7 objects with one closure per goroutine, 9 when
+	// each goroutine took its worker index as an argument, which adds a
+	// wrapper closure per goroutine
+	allocs = testing.AllocsPerRun(100, func() {
+		For("alloc_probe", 2, 8, func(_, _ int) {})
+	})
+	if allocs > 7 {
+		t.Errorf("obs-off For on 2 workers allocates %v objects per run, want <= 7", allocs)
+	}
 }
 
 // ForErr must return the first failing item's error IN ITEM ORDER for any

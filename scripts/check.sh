@@ -74,6 +74,11 @@ go test -run='^FuzzWhatIfSurvivors$' -fuzz='^FuzzWhatIfSurvivors$' -fuzztime=2s 
 echo "==> go test -fuzz FuzzArgsort (2s)"
 go test -run='^FuzzArgsort$' -fuzz='^FuzzArgsort$' -fuzztime=2s ./internal/ml/
 
+# removal chains through KNNShapleyDerive, across compaction, differential
+# against scoring and voting a rebuild over the survivors
+echo "==> go test -fuzz FuzzRemoveRowsChain (2s)"
+go test -run='^FuzzRemoveRowsChain$' -fuzz='^FuzzRemoveRowsChain$' -fuzztime=2s ./internal/importance/
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then

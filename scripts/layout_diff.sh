@@ -29,6 +29,7 @@ nde/internal/ml.(*argsortScratch).finishRun
 nde/internal/ml.(*deltaGeom).walkInto
 nde/internal/importance.knnShapleyKernel
 nde/internal/importance.shapleyPoint
+nde/internal/importance.shapleyWalkRow
 nde/internal/importance.addRows
 slices.partitionOrdered[go.shape.float64]
 nde/internal/cleaning.(*testVotes).accuracy
