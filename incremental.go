@@ -11,12 +11,13 @@ import (
 )
 
 // DebugSession is the interactive flag → unlearn → recompute loop as one
-// stateful object: it holds the current surviving training set, its
-// kNN-Shapley scores against a fixed validation set, and the neighbor
-// index those scores came from. Each RemoveRows call DERIVES the next
-// index from the current one (ml.NeighborIndex.RemoveRows: tombstones over
-// the root's neighbor order table, O(queries·k) top-k repair, no fresh
-// distance kernel) and re-evaluates the Shapley closed form in one O(n)
+// stateful object: it holds the current survivors' labels and groups,
+// their kNN-Shapley scores against a fixed validation set, and the
+// neighbor index those scores came from, whose root holds the features.
+// Each RemoveRows call DERIVES the next index from the current one
+// (ml.NeighborIndex.RemoveRows: tombstones over the root's neighbor order
+// table, O(queries·k) top-k repair, no fresh distance kernel, no copy of
+// the features) and re-evaluates the Shapley closed form in one O(n)
 // pass over the root's neighbor order per validation point — so
 // iterating "drop the worst row, look again" is interactive even at
 // tens of thousands of rows, while staying Float64bits-identical to
@@ -29,7 +30,8 @@ type DebugSession struct {
 	mu      sync.Mutex
 	k       int
 	workers int
-	train   *Dataset // current surviving rows, fresh labels
+	y       []int    // current survivors' labels, the caller's revision
+	groups  []string // their groups, when the training set has them
 	valid   *Dataset
 	orig    []int // current row -> row id in the original training set
 	scores  Scores
@@ -60,7 +62,7 @@ func NewDebugSession(train, valid *Dataset, k, workers int) (_ *DebugSession, er
 	}
 	return &DebugSession{
 		k: k, workers: workers,
-		train: train, valid: valid,
+		y: train.Y, groups: train.Groups, valid: valid,
 		orig: keep, scores: scores, ix: ix,
 	}, nil
 }
@@ -69,7 +71,7 @@ func NewDebugSession(train, valid *Dataset, k, workers int) (_ *DebugSession, er
 func (s *DebugSession) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.train.Len()
+	return len(s.y)
 }
 
 // Scores returns a copy of the current kNN-Shapley scores, one per
@@ -102,29 +104,30 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 	if len(rows) == 0 {
 		return append(Scores(nil), s.scores...), nil
 	}
-	scores, keep, ix, err := importance.KNNShapleyDerive(s.k, s.ix, s.train.Y, s.valid.Y, rows, s.workers)
+	scores, keep, ix, err := importance.KNNShapleyDerive(s.k, s.ix, s.y, s.valid.Y, rows, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("nde: debug session removal: %w", err)
 	}
 	if s.k > len(keep) {
-		// keep the session invariant k <= train.Len() for the NEXT round
+		// keep the session invariant k <= Len() for the NEXT round
 		return nil, fmt.Errorf("nde: removal leaves %d rows for k=%d: %w", len(keep), s.k, nderr.ErrBadK)
 	}
-	// Survivor features are the child index's own; labels and groups stay
-	// the session's (a stored index may carry another label revision).
-	train := &Dataset{X: ix.Train.X, Y: make([]int, len(keep))}
-	if len(s.train.Groups) > 0 {
-		train.Groups = make([]string, len(keep))
-	}
+	// Labels and groups stay the session's (a stored index may carry
+	// another label revision).
+	y := make([]int, len(keep))
 	orig := make([]int, len(keep))
 	for o, i := range keep {
 		orig[o] = s.orig[i]
-		train.Y[o] = s.train.Y[i]
-		if train.Groups != nil {
-			train.Groups[o] = s.train.Groups[i]
+		y[o] = s.y[i]
+	}
+	var groups []string
+	if len(s.groups) > 0 {
+		groups = make([]string, len(keep))
+		for o, i := range keep {
+			groups[o] = s.groups[i]
 		}
 	}
-	s.train = train
+	s.y, s.groups = y, groups
 	s.orig = orig
 	s.scores = scores
 	s.ix = ix
@@ -138,7 +141,7 @@ func (s *DebugSession) Accuracy() (_ float64, err error) {
 	defer recordOp("DebugSessionAccuracy", time.Now(), 0, s.workers, &err)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	preds, err := s.ix.PredictBatchLabels(s.k, s.train.Y)
+	preds, err := s.ix.PredictBatchLabels(s.k, s.y)
 	if err != nil {
 		return 0, fmt.Errorf("nde: debug session accuracy: %w", err)
 	}

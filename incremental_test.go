@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"nde"
 	"nde/internal/importance"
+	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/obs"
 )
@@ -236,4 +239,193 @@ func TestStressWhatIfUnderIndexMutation(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+}
+
+// The calls of FuzzDebugSession: RemoveRows of one row given twice, of a
+// run of rows (the first given twice), of rows that include one outside
+// the survivors, and of all but fewer than k rows; then the session's
+// four reads.
+const (
+	sessRemoveRow = iota
+	sessRemoveRun
+	sessRemoveOutside
+	sessRemoveBelowK
+	sessAccuracy
+	sessScores
+	sessOriginalIDs
+	sessLen
+	sessOps
+)
+
+// FuzzDebugSession drives a DebugSession through a sequence of calls and,
+// after every call, checks it against recomputing from scratch over the
+// rows OriginalIDs names: Scores is Float64bits-equal to KNNShapley over
+// train.Subset(OriginalIDs()), Accuracy to a fresh index's PredictBatch
+// accuracy, and Len counts those rows. A removal naming a row outside the
+// survivors, or leaving fewer than k rows, must fail and leave the session
+// as it was. The input's first five bytes choose k, the worker count
+// (1–3), the training and validation sizes and the seed of a tie-heavy
+// data set; each later pair of bytes is one call (op, arg). The first
+// seed removes 11 of 40 rows (dead·4 > 40: the index compacts), then 8 of
+// the 29 left (8·4 > 29: it compacts again), with reads and rejected
+// removals in between.
+func FuzzDebugSession(f *testing.F) {
+	f.Add([]byte{1, 1, 38, 6, 3,
+		sessAccuracy, 0, sessRemoveRun, 10, sessScores, 0, sessRemoveOutside, 4,
+		sessRemoveRun, 7, sessAccuracy, 0, sessRemoveBelowK, 1, sessRemoveRow, 5, sessLen, 0})
+	f.Add([]byte{4, 2, 20, 7, 9,
+		sessRemoveRow, 0, sessRemoveRow, 0, sessOriginalIDs, 0, sessRemoveRun, 3,
+		sessAccuracy, 0, sessRemoveBelowK, 2, sessRemoveRun, 11})
+	f.Add([]byte{2, 0, 9, 3, 5, sessRemoveRun, 11, sessRemoveBelowK, 0, sessRemoveRow, 200})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		k := 1 + int(in[0])%6
+		workers := 1 + int(in[1])%3
+		r := rand.New(rand.NewSource(int64(in[4])))
+		train := sessionTieData(r, max(k, 2)+int(in[2])%60, 3)
+		valid := sessionTieData(r, 1+int(in[3])%8, 4)
+		sess, err := nde.NewDebugSession(train, valid, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSession(t, sess, train, valid, k)
+		for b := 5; b+1 < len(in); b += 2 {
+			op, arg := int(in[b])%sessOps, int(in[b+1])
+			n := sess.Len()
+			var rows []int
+			switch op {
+			case sessRemoveRow:
+				rows = []int{arg % n, arg % n}
+			case sessRemoveRun:
+				for j := 0; j <= arg%12; j++ {
+					rows = append(rows, (arg+j)%n)
+				}
+				rows = append(rows, rows[0])
+			case sessRemoveOutside:
+				rows = []int{arg % n, n + arg%3}
+				if arg%2 == 1 {
+					rows[1] = -1
+				}
+			case sessRemoveBelowK:
+				for i := 0; i < n-k+1+arg%k; i++ {
+					rows = append(rows, i)
+				}
+			case sessAccuracy:
+				if _, err := sess.Accuracy(); err != nil {
+					t.Fatal(err)
+				}
+			case sessScores:
+				sess.Scores()
+			case sessOriginalIDs:
+				sess.OriginalIDs()
+			case sessLen:
+				sess.Len()
+			}
+			if rows != nil {
+				removeAndCheck(t, sess, rows, k)
+			}
+			checkSession(t, sess, train, valid, k)
+		}
+	})
+}
+
+// removeAndCheck calls RemoveRows and checks its outcome: a row outside
+// the survivors fails with ErrDegenerateInput, a removal of every row
+// with ErrEmptyInput and one leaving fewer than k rows with ErrBadK, each
+// leaving the session as it was; any other removal returns the scores
+// the session then holds.
+func removeAndCheck(t *testing.T, sess *nde.DebugSession, rows []int, k int) {
+	t.Helper()
+	n := sess.Len()
+	before, ids := sess.Scores(), sess.OriginalIDs()
+	distinct := map[int]bool{}
+	var want error
+	for _, i := range rows {
+		if i < 0 || i >= n {
+			want = nde.ErrDegenerateInput
+		}
+		distinct[i] = true
+	}
+	switch {
+	case want != nil:
+	case len(distinct) == n:
+		want = nde.ErrEmptyInput
+	case n-len(distinct) < k:
+		want = nde.ErrBadK
+	}
+	scores, err := sess.RemoveRows(rows)
+	if want == nil {
+		if err != nil {
+			t.Fatalf("RemoveRows(%v) on %d rows: %v", rows, n, err)
+		}
+		if sess.Len() != n-len(distinct) || !slices.EqualFunc(scores, sess.Scores(), sameFloat) {
+			t.Fatalf("RemoveRows(%v) on %d rows: %d survivors, or returned scores other than the session's", rows, n, sess.Len())
+		}
+		return
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("RemoveRows(%v) on %d rows: err = %v, want %v", rows, n, err, want)
+	}
+	if !slices.EqualFunc(sess.Scores(), before, sameFloat) || !slices.Equal(sess.OriginalIDs(), ids) {
+		t.Fatalf("rejected RemoveRows(%v) changed the session", rows)
+	}
+}
+
+// checkSession compares the session with recomputing from scratch over
+// the rows OriginalIDs names.
+func checkSession(t *testing.T, sess *nde.DebugSession, train, valid *nde.Dataset, k int) {
+	t.Helper()
+	ids := sess.OriginalIDs()
+	if sess.Len() != len(ids) {
+		t.Fatalf("Len() = %d with %d original ids", sess.Len(), len(ids))
+	}
+	survivors := train.Subset(ids)
+	want, err := importance.KNNShapley(k, survivors, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Scores(); !slices.EqualFunc(got, want, sameFloat) {
+		t.Fatalf("Scores() over %d rows differ from KNNShapley over them", len(ids))
+	}
+	fresh, err := ml.NewNeighborIndex(survivors, valid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := sess.Accuracy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantAcc := ml.Accuracy(valid.Y, fresh.PredictBatch(k)); math.Float64bits(acc) != math.Float64bits(wantAcc) {
+		t.Fatalf("Accuracy() = %v, fresh index %v", acc, wantAcc)
+	}
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sessionTieData draws n rows of dim 2 with labels in [0, classes), the
+// first two labelled 0 and 1: about half repeat an earlier row and a
+// quarter sit on a 3×3 integer grid, so distances tie often.
+func sessionTieData(r *rand.Rand, n, classes int) *nde.Dataset {
+	x := linalg.NewMatrix(n, 2)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		switch c := r.Intn(4); {
+		case i > 0 && c < 2:
+			copy(x.Row(i), x.Row(r.Intn(i)))
+		case c == 2:
+			x.Set(i, 0, float64(r.Intn(3)))
+			x.Set(i, 1, float64(r.Intn(3)))
+		default:
+			x.Set(i, 0, r.NormFloat64())
+			x.Set(i, 1, r.NormFloat64())
+		}
+		y[i] = r.Intn(classes)
+		if i < 2 {
+			y[i] = i
+		}
+	}
+	d, _ := ml.NewDataset(x, y)
+	return d
 }

@@ -23,7 +23,9 @@ import (
 // tutorial this stands in for a human annotator or an expensive external
 // lookup; implementations must not mutate their input.
 type Oracle interface {
-	// Clean returns a copy of d with the given rows repaired.
+	// Clean returns d with the given rows repaired, as a new dataset. The
+	// result may share d's slices and feature matrix where it repairs
+	// nothing, so neither d nor what it shares may be written.
 	Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error)
 }
 
@@ -32,9 +34,11 @@ type LabelOracle struct {
 	Truth []int
 }
 
-// Clean replaces the labels of the given rows with the ground truth. A
-// negative truth label or an out-of-range row is rejected before any
-// label is written.
+// Clean replaces the labels of the given rows with the ground truth. Only
+// the labels are copied: the result shares d's feature matrix and groups,
+// and Clean mutates neither d nor the result afterwards, so a round of a
+// cleaning loop keeps its training features by pointer. A negative truth
+// label or an out-of-range row is rejected before any label is written.
 func (o *LabelOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 	if len(o.Truth) != d.Len() {
 		return nil, fmt.Errorf("cleaning: oracle has %d truths for %d rows", len(o.Truth), d.Len())
@@ -47,7 +51,7 @@ func (o *LabelOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 			return nil, fmt.Errorf("cleaning: negative truth label %d at row %d: %w", o.Truth[r], r, nderr.ErrDegenerateInput)
 		}
 	}
-	out := d.Clone()
+	out := &ml.Dataset{X: d.X, Y: append([]int(nil), d.Y...), Groups: d.Groups}
 	for _, r := range rows {
 		out.Y[r] = o.Truth[r]
 	}
@@ -177,7 +181,10 @@ type CurvePoint struct {
 type Result struct {
 	Strategy string
 	Curve    []CurvePoint
-	Final    *ml.Dataset // the training data after all cleaning rounds
+	// Final is the training data after all cleaning rounds. It shares
+	// with the input what no round repaired: under a LabelOracle, the
+	// feature matrix and groups.
+	Final *ml.Dataset
 }
 
 // IterativeClean runs the attendee-task loop: repeatedly (1) rank the
@@ -260,7 +267,7 @@ func newTestVotes(ix *ml.NeighborIndex, train, test *ml.Dataset, newModel func()
 // when cur's features are bit-equal to the index's training features,
 // else a fresh fit of newModel exactly as without the selection.
 func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifier) (float64, error) {
-	if tv == nil || !sameBits(cur.X, tv.ix.Train.X) {
+	if tv == nil || !sameBits(cur.X, tv.ix.TrainSet().X) {
 		return ml.EvaluateAccuracy(newModel(), cur, test)
 	}
 	pred, err := tv.ix.PredictBatchLabels(tv.k, cur.Y)
@@ -271,8 +278,12 @@ func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifi
 }
 
 // sameBits reports whether two matrices have the same shape and the same
-// float64 bit patterns.
+// float64 bit patterns: at once when they are the same matrix, as a
+// label repair's features are the index's.
 func sameBits(a, b *linalg.Matrix) bool {
+	if a == b {
+		return true
+	}
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
@@ -301,7 +312,10 @@ func iterativeClean(
 	prog := obs.NewProgress("cleaning_budget", budget)
 	defer prog.Done()
 
-	cur := train.Clone()
+	// Rounds replace cur and never write it, so cur shares train's
+	// features, which the test votes then see by pointer; its labels are
+	// its own, so Final never aliases the input's.
+	cur := &ml.Dataset{X: train.X, Y: append([]int(nil), train.Y...), Groups: train.Groups}
 	acc, err := tv.accuracy(cur, test, newModel)
 	if err != nil {
 		return nil, err
@@ -373,13 +387,14 @@ func CompareStrategies(
 
 // CompareStrategiesParallel runs the strategies concurrently with an
 // explicit worker count (<= 0 = GOMAXPROCS). Each strategy's cleaning loop
-// is independent — IterativeClean clones the training data, oracles must
-// not mutate their inputs, and newModel must return a fresh classifier per
-// call — so results (curve order, accuracies, final datasets) are
-// bit-for-bit identical for any worker count, including 1. Results and the
-// first error (if any) are reduced in strategy order. Strategies that rank
-// with kNN-Shapley share one neighbor index through the singleflight cache,
-// so the neighbor order table is still built only once across the fan-out.
+// is independent — IterativeClean copies the training labels, oracles
+// and strategies must not mutate their inputs, and newModel must return
+// a fresh classifier per call — so results (curve order, accuracies,
+// final datasets) are bit-for-bit identical for any worker count,
+// including 1. Results and the first error (if any) are reduced in
+// strategy order. Strategies that rank with kNN-Shapley share one
+// neighbor index through the singleflight cache, so the neighbor order
+// table is still built only once across the fan-out.
 // For a kNN factory the test rows' neighbors are selected once, through a
 // neighbor index over (train, test) built before the fan-out, and every
 // strategy's rounds re-vote that selection (see IterativeClean);

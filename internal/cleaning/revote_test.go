@@ -176,6 +176,7 @@ func (o *featureOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	out.X = out.X.Clone() // the label repair shares d's features
 	for _, r := range rows {
 		if r%3 == 0 {
 			out.X.Set(r, 0, float64(o.Truth[r]))

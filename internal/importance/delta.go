@@ -35,13 +35,15 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 // KNNShapleyDerive removes rows (indices into parent.Train, duplicates
 // tolerated) from parent and scores the survivors: the child index comes
 // from ml.NeighborIndex.RemoveRows (tombstones over the root's order
-// table, no fresh kernel, no argsort beyond the root's own) and the
-// closed form runs over the root's neighbor order, stepping over the
-// child's tombstones. trainY labels parent's training rows and validY
-// its queries; the indexes' own labels are never read. An empty removal
-// scores parent itself. The child is not registered anywhere, so a caller
-// that holds on to it, such as nde.DebugSession, chains derivations
-// without fingerprinting or touching an index store.
+// table, no fresh kernel, no argsort beyond the root's own, no feature
+// copy: the child's features are its root's rows, read through
+// TrainSet) and the closed form runs over the root's neighbor order,
+// stepping over the child's tombstones. trainY labels parent's training
+// rows and validY its queries; the indexes' own labels are never read,
+// nor are their features. An empty removal scores parent itself. The
+// child is not registered anywhere, so a caller that holds on to it,
+// such as nde.DebugSession, chains derivations without fingerprinting
+// or touching an index store.
 //
 // It returns the survivors' scores, their row ids in parent, and the
 // child index. The scores are Float64bits-identical to KNNShapley over
@@ -51,10 +53,10 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 // below the first removed neighbor change by a constant) reassociates
 // float additions and drifts from the oracle by ulps (DESIGN §11).
 func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []int, workers int) (Scores, []int, *ml.NeighborIndex, error) {
-	if err := validateKNNShapley(k, parent.Train, parent.Queries); err != nil {
+	n := parent.Train.Len()
+	if err := validateKNNShapleyRows(k, n, parent.Queries.Len()); err != nil {
 		return nil, nil, nil, err
 	}
-	n := parent.Train.Len()
 	if len(trainY) != n {
 		return nil, nil, nil, nderr.Mismatch("importance: delta train labels", n, len(trainY))
 	}

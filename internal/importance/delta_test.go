@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nde/internal/ml"
@@ -94,6 +95,18 @@ func TestKNNShapleyDeltaErrors(t *testing.T) {
 	if _, _, _, err := KNNShapleyDelta(0, train, valid, nil, 1); err == nil {
 		t.Fatal("k=0 must error")
 	}
+	// a derived index's Train holds labels only: the entry points that
+	// take datasets reject it rather than read its missing features
+	_, _, child, err := KNNShapleyDelta(3, train, valid, []int{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := KNNShapley(3, child.Train, valid); !errors.Is(err, nderr.ErrEmptyInput) {
+		t.Fatalf("KNNShapley over a derived Train err = %v, want ErrEmptyInput", err)
+	}
+	if _, err := ml.NewNeighborIndex(child.Train, valid, 1); !errors.Is(err, nderr.ErrEmptyInput) {
+		t.Fatalf("NewNeighborIndex over a derived Train err = %v, want ErrEmptyInput", err)
+	}
 }
 
 // Chained deltas: repeatedly removing rows via the session pattern stays
@@ -132,8 +145,9 @@ const (
 // FuzzRemoveRowsChain derives a chain of indexes through KNNShapleyDerive,
 // each batch removing rows from the child the previous batch returned, and
 // checks every step against a rebuild over the surviving rows: the scores
-// are Float64bits-equal to KNNShapley's, and the child's kNN votes equal a
-// fresh index's. The input's first six bytes choose k, the worker count,
+// are Float64bits-equal to KNNShapley's, the child's kNN votes equal a
+// fresh index's, and its training set (TrainSet: features, labels and
+// groups) is the survivors' rows. The input's first six bytes choose k, the worker count,
 // the training and validation sizes, the class count and the seed of a
 // tie-heavy data set; each later pair of bytes is one batch (op, arg).
 // The seed corpus removes every query's farthest rows (tombstones beyond
@@ -151,6 +165,10 @@ func FuzzRemoveRowsChain(f *testing.F) {
 		workers := 1 + int(in[1])%3
 		r := rand.New(rand.NewSource(int64(in[5])))
 		train := tieDataset(r, 2+int(in[2])%62, 1+int(in[4])%3)
+		train.Groups = make([]string, train.Len())
+		for i := range train.Groups {
+			train.Groups[i] = string(rune('a' + r.Intn(3)))
+		}
 		valid := tieDataset(r, 1+int(in[3])%8, 2+int(in[4])%3)
 		cur, err := ml.NewNeighborIndex(train, valid, workers)
 		if err != nil {
@@ -176,11 +194,21 @@ func FuzzRemoveRowsChain(f *testing.F) {
 				t.Fatal(err)
 			}
 			assertScoresBitIdentical(t, scores, want, "chain step")
+			got := child.TrainSet()
+			if got.X.Rows != survivors.X.Rows || got.X.Cols != survivors.X.Cols || !slices.Equal(got.Y, survivors.Y) ||
+				!slices.Equal(got.Groups, survivors.Groups) || !slices.Equal(child.Train.Y, survivors.Y) {
+				t.Fatal("the child's training set does not have the survivors' shape, labels and groups")
+			}
+			for i, v := range survivors.X.Data {
+				if math.Float64bits(got.X.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("the child's feature %d = %v, survivors' %v", i, got.X.Data[i], v)
+				}
+			}
 			fresh, err := ml.NewNeighborIndex(survivors, valid, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := child.PredictBatchLabels(k, child.Train.Y)
+			childVotes, err := child.PredictBatchLabels(k, child.Train.Y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +217,8 @@ func FuzzRemoveRowsChain(f *testing.F) {
 				t.Fatal(err)
 			}
 			for q := range votes {
-				if got[q] != votes[q] {
-					t.Fatalf("query %d: child votes %d, fresh index %d", q, got[q], votes[q])
+				if childVotes[q] != votes[q] {
+					t.Fatalf("query %d: child votes %d, fresh index %d", q, childVotes[q], votes[q])
 				}
 			}
 			cur = child
@@ -216,7 +244,7 @@ func chainRemoval(t *testing.T, ix *ml.NeighborIndex, op, arg int) []int {
 		}
 		return rows
 	}
-	fresh, err := ml.NewNeighborIndex(ix.Train, ix.Queries, 1)
+	fresh, err := ml.NewNeighborIndex(ix.TrainSet(), ix.Queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func checkKernel(t *testing.T, ctx string, k int, cases []kernelCase, valid *ml.
 		if c.k > 0 {
 			kk = c.k
 		}
-		want := referenceKNNShapley(t, kk, c.ix.Train, valid)
+		want := referenceKNNShapley(t, kk, c.ix.TrainSet(), valid)
 		for pass := 0; pass < 2; pass++ {
 			for _, w := range workers {
 				got, stats := knnShapleyKernel(kk, c.ix, c.ix.Train.Y, valid.Y, w, nil)

@@ -67,7 +67,7 @@ func ResetNeighborIndexCache() {}
 // of the wrong length return ErrShapeMismatch. On the index and labels
 // KNNShapley uses, the result is bit-for-bit identical to KNNShapley.
 func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex, trainY, validY []int, workers int) (Scores, error) {
-	if err := validateKNNShapley(k, ix.Train, ix.Queries); err != nil {
+	if err := validateKNNShapleyRows(k, ix.Train.Len(), ix.Queries.Len()); err != nil {
 		return nil, err
 	}
 	if len(trainY) != ix.Train.Len() {
@@ -343,14 +343,29 @@ func shapleyWalkRow(dst []float64, order []int32, code []uint8, step []float64) 
 }
 
 func validateKNNShapley(k int, train, valid *ml.Dataset) error {
-	if k < 1 {
-		return fmt.Errorf("importance: kNN-Shapley requires K >= 1, got %d", k)
+	if err := validateKNNShapleyRows(k, train.Len(), valid.Len()); err != nil {
+		return err
 	}
-	if train.Len() == 0 || valid.Len() == 0 {
-		return fmt.Errorf("importance: kNN-Shapley needs non-empty train (%d) and valid (%d)", train.Len(), valid.Len())
+	if train.X == nil || valid.X == nil {
+		// such as a derived index's Train, whose rows TrainSet gathers
+		return nderr.Empty("importance: kNN-Shapley train and valid sets need features")
 	}
 	if train.Dim() != valid.Dim() {
 		return fmt.Errorf("importance: dimension mismatch %d vs %d", train.Dim(), valid.Dim())
+	}
+	return nil
+}
+
+// validateKNNShapleyRows checks k and the training and validation row
+// counts: all there is to check on an index, whose dimensions
+// NewNeighborIndex matched and whose Train, when derived, has no
+// features.
+func validateKNNShapleyRows(k, n, nv int) error {
+	if k < 1 {
+		return fmt.Errorf("importance: kNN-Shapley requires K >= 1, got %d", k)
+	}
+	if n == 0 || nv == 0 {
+		return fmt.Errorf("importance: kNN-Shapley needs non-empty train (%d) and valid (%d)", n, nv)
 	}
 	return nil
 }

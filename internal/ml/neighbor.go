@@ -27,6 +27,9 @@ import (
 // deterministic total order (squared distance, then training index),
 // matching KNN's tie-breaking.
 type NeighborIndex struct {
+	// Train is the training set. A derived index (RemoveRows) holds only
+	// its survivors' labels and groups here (Train.X == nil): its
+	// features are its root's rows, and TrainSet gathers them.
 	Train   *Dataset
 	Queries *Dataset
 	// Workers bounds the pool used for the kernel and the batch argsort
@@ -66,8 +69,8 @@ type topkCache struct {
 // into a diagnosable error. Training ids are stored as int32, so more
 // than math.MaxInt32 training rows wrap nderr.ErrDegenerateInput.
 func NewNeighborIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
-	if train == nil || queries == nil {
-		return nil, nderr.Empty("ml: NeighborIndex needs non-nil train and query sets")
+	if train == nil || queries == nil || train.X == nil || queries.X == nil {
+		return nil, nderr.Empty("ml: NeighborIndex needs train and query sets with features")
 	}
 	if train.Len() == 0 {
 		return nil, nderr.Empty("ml: NeighborIndex training set")
@@ -97,14 +100,14 @@ func checkTrainRows(n int) error {
 }
 
 // D2 returns the query×train squared-distance matrix, computing it on
-// first use via linalg.PairwiseSquaredDistances over the index's own
-// rows, derived or not: each element depends only on its two rows, so a
-// derived index's matrix is bit-identical to its root's surviving
+// first use via linalg.PairwiseSquaredDistances over the index's rows
+// (TrainSet), derived or not: each element depends only on its two rows,
+// so a derived index's matrix is bit-identical to its root's surviving
 // columns. Only tests and TopK on an index without an order table read
 // it; the order table does not need it.
 func (ix *NeighborIndex) D2() *linalg.Matrix {
 	ix.d2Once.Do(func() {
-		ix.d2.Store(linalg.PairwiseSquaredDistances(ix.Queries.X, ix.Train.X, ix.Workers))
+		ix.d2.Store(linalg.PairwiseSquaredDistances(ix.Queries.X, ix.TrainSet().X, ix.Workers))
 	})
 	return ix.d2.Load()
 }

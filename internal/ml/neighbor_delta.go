@@ -18,11 +18,14 @@ import (
 //
 // Representation: a derived index carries a deltaGeom mapping its logical
 // training rows onto the ROOT index's columns. Removals are tombstones in
-// that map; a delta never computes a distance. Chains of derivations stay
+// that map; a delta never computes a distance. Its Train holds only the
+// survivors' labels and groups: its features are the root's rows named
+// by physOf, which TrainSet gathers for the few callers that need them,
+// so a derivation copies no feature matrix. Chains of derivations stay
 // flattened against the same root; when tombstones pile past
 // 1/compactDeadFrac of the root's columns, derivation folds the child into
 // a fresh self-contained root by walking (never sorting) the root's
-// order table.
+// order table and gathering its rows once.
 //
 // Determinism contract (DESIGN §11): every observable of a derived index —
 // D2, Order, TopK, PredictBatch — is Float64bits-identical to a freshly
@@ -85,11 +88,13 @@ func (g *deltaGeom) renumber() {
 // (indices into the receiver's Train, duplicates tolerated) removed. The
 // receiver is unchanged and remains usable. The child reuses the root's
 // order table: no distances are recomputed and no argsort runs beyond
-// the root's own, which a derivation builds if it needs it first.
-// Per-query top-k lists are repaired in O(queries·k), plus a walk of the
-// root's order up to the k-th survivor for each query whose top-k
-// intersects the removed rows. An empty removal returns the receiver
-// itself. Removing every row is an error.
+// the root's own, which a derivation builds if it needs it first. Its
+// Train carries the survivors' labels and groups and no features
+// (TrainSet gathers them), so no feature row is copied, except by the
+// derivation that compacts. Per-query top-k lists are repaired in
+// O(queries·k), plus a walk of the root's order up to the k-th survivor
+// for each query whose top-k intersects the removed rows. An empty
+// removal returns the receiver itself. Removing every row is an error.
 func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 	n := ix.Train.Len()
 	if len(rows) == 0 {
@@ -122,7 +127,7 @@ func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 		}
 		keep = append(keep, i)
 	}
-	return ix.deriveChild(ix.Train.Subset(keep), g), nil
+	return ix.deriveChild(ix.Train.labelsAt(keep), g), nil
 }
 
 // deriveChild assembles the derived index: attaches the geometry, repairs
@@ -145,8 +150,10 @@ func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom) *NeighborInde
 
 // compactInto folds the delta into child as a self-contained root: its
 // neighbor orders are the root's, walked past the tombstones with no
-// sorting and no distance. child.delta is cleared, so future derivations
-// chain against this new root.
+// sorting and no distance, and its Train is the root's rows at physOf,
+// gathered once. Those labels are child's own: a derived Train.Y is its
+// root's at physOf, by induction over the chain. child.delta is
+// cleared, so future derivations chain against this new root.
 func (g *deltaGeom) compactInto(child *NeighborIndex) {
 	q := child.Queries.Len()
 	n := len(g.physOf)
@@ -156,6 +163,7 @@ func (g *deltaGeom) compactInto(child *NeighborIndex) {
 	})
 	child.ordersOnce.Do(func() { child.orders = orders })
 	child.ordersReady.Store(true)
+	child.Train = g.base.Train.Subset(g.physOf)
 	child.delta = nil
 }
 
@@ -250,4 +258,17 @@ func (ix *NeighborIndex) Walk() (root *NeighborIndex, physOf []int) {
 		return g.base, g.physOf
 	}
 	return ix, nil
+}
+
+// TrainSet returns the index's full training set: Train itself on a root,
+// with no copy; on a derived index, whose Train holds no features, its
+// root's rows at physOf, gathered on every call. Datasets are immutable
+// once indexed, so the gathered rows are the ones the derivation removed
+// from. D2, the cleaning loop's feature check (on a root) and the tests
+// read it; no served path gathers.
+func (ix *NeighborIndex) TrainSet() *Dataset {
+	if g := ix.delta; g != nil {
+		return g.base.Train.Subset(g.physOf)
+	}
+	return ix.Train
 }

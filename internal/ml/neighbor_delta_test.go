@@ -2,9 +2,11 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nde/internal/nderr"
@@ -14,7 +16,7 @@ import (
 // index's own training data, computed from scratch.
 func rebuildIndex(t *testing.T, derived *NeighborIndex, workers int) *NeighborIndex {
 	t.Helper()
-	fresh, err := NewNeighborIndex(derived.Train, derived.Queries, workers)
+	fresh, err := NewNeighborIndex(derived.TrainSet(), derived.Queries, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +352,7 @@ func TestPredictSurvivorsMatchesRebuild(t *testing.T) {
 			if len(keep) == 0 {
 				continue
 			}
-			rebuilt, err := NewNeighborIndex(ix.Train.Subset(keep), queries, 1)
+			rebuilt, err := NewNeighborIndex(ix.TrainSet().Subset(keep), queries, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,5 +404,99 @@ func TestConcurrentDerivationsShareBase(t *testing.T) {
 			t.Fatalf("caller %d: train = %d rows, want 77", c, child.Train.Len())
 		}
 		assertIndexBitIdentical(t, child, rebuildIndex(t, child, 1), 3)
+	}
+}
+
+// A derived index copies no features: its Train carries the survivors'
+// labels and groups only (Train.X == nil), RemoveRows on a derived
+// 20 000 × 32 index with a warm top-k cache allocates less than a
+// quarter of one feature matrix, and TrainSet gathers exactly the
+// survivors' rows (X, Y and Groups) along a chain that derives from a
+// derived index and crosses compaction, whose new root's Train is those
+// rows too.
+func TestRemoveRowsCopiesNoFeatures(t *testing.T) {
+	const n, dim = 20000, 32
+	r := rand.New(rand.NewSource(47))
+	train := randomNeighborDataset(r, n, dim, 3)
+	train.Groups = make([]string, n)
+	for i := range train.Groups {
+		train.Groups[i] = string(rune('a' + r.Intn(3)))
+	}
+	root, err := NewNeighborIndex(train, randomNeighborDataset(r, 16, dim, 3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.PredictBatch(5)   // warm the top-k cache, as a session's Accuracy does
+	orig := make([]int, n) // the chain's rows as rows of train
+	for i := range orig {
+		orig[i] = i
+	}
+	var derived *NeighborIndex
+	compactions := 0
+	cur := root
+	for step, size := range []int{40, 40, 5000, 40} {
+		rows := r.Perm(cur.Train.Len())[:size]
+		child, err := cur.RemoveRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := make([]bool, cur.Train.Len())
+		for _, i := range rows {
+			gone[i] = true
+		}
+		kept := orig[:0]
+		for i, g := range gone {
+			if !g {
+				kept = append(kept, orig[i])
+			}
+		}
+		orig = kept
+		want := train.Subset(orig)
+		if child.delta == nil {
+			compactions++
+			sameDataset(t, fmt.Sprintf("step %d: compacted Train", step), child.Train, want)
+		} else {
+			if child.Train.X != nil {
+				t.Fatalf("step %d: derived index holds a %d×%d feature matrix", step, child.Train.X.Rows, child.Train.X.Cols)
+			}
+			if derived == nil {
+				derived = child
+			}
+		}
+		sameDataset(t, fmt.Sprintf("step %d: TrainSet", step), child.TrainSet(), want)
+		cur = child
+	}
+	if compactions != 1 {
+		t.Fatalf("chain compacted %d times, want 1", compactions)
+	}
+	rm := []int{3, 1000, 7777, 7777, 12000}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := derived.RemoveRows(rm); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	got, bound := res.AllocedBytesPerOp(), int64(n*dim*8/4)
+	if got >= bound {
+		t.Fatalf("RemoveRows on a derived %d×%d index allocates %d B/op, want < %d", n, dim, got, bound)
+	}
+	t.Logf("RemoveRows on a derived %d×%d index: %d B/op, %d allocs/op", n, dim, got, res.AllocsPerOp())
+}
+
+// sameDataset fails unless got has want's shape, feature bits, labels and
+// groups.
+func sameDataset(t *testing.T, ctx string, got, want *Dataset) {
+	t.Helper()
+	if got.X.Rows != want.X.Rows || got.X.Cols != want.X.Cols {
+		t.Fatalf("%s: %d×%d features, want %d×%d", ctx, got.X.Rows, got.X.Cols, want.X.Rows, want.X.Cols)
+	}
+	for i, v := range want.X.Data {
+		if math.Float64bits(got.X.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: feature %d = %x, want %x", ctx, i, math.Float64bits(got.X.Data[i]), math.Float64bits(v))
+		}
+	}
+	if !slices.Equal(got.Y, want.Y) || !slices.Equal(got.Groups, want.Groups) {
+		t.Fatalf("%s: labels or groups differ from the survivors'", ctx)
 	}
 }

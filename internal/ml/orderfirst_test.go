@@ -64,7 +64,7 @@ func TestOrderFirstChainStoresNoDistanceMatrix(t *testing.T) {
 		case ml.StoresOrders(child):
 			t.Fatalf("step %d: scoring the derived index built its order table", step)
 		}
-		want, err := importance.KNNShapley(k, child.Train, valid)
+		want, err := importance.KNNShapley(k, child.TrainSet(), valid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,6 +79,12 @@ go test -run='^FuzzArgsort$' -fuzz='^FuzzArgsort$' -fuzztime=2s ./internal/ml/
 echo "==> go test -fuzz FuzzRemoveRowsChain (2s)"
 go test -run='^FuzzRemoveRowsChain$' -fuzz='^FuzzRemoveRowsChain$' -fuzztime=2s ./internal/importance/
 
+# DebugSession call sequences (removals, including rejected ones, and
+# reads) across compaction, differential against recomputing the
+# survivors' scores and accuracy from scratch
+echo "==> go test -fuzz FuzzDebugSession (2s)"
+go test -run='^FuzzDebugSession$' -fuzz='^FuzzDebugSession$' -fuzztime=2s .
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then
