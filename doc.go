@@ -11,8 +11,8 @@
 //     uncertainty-based label-noise scores (internal/importance).
 //
 //  2. Debug — provenance-tracked preprocessing pipelines (joins, filters,
-//     UDF columns, feature encoders) whose outputs carry provenance
-//     polynomials back to source tuples, enabling Datascope-style importance
+//     UDF columns, feature encoders) whose output rows each carry a
+//     provenance product of source tuples, enabling Datascope-style importance
 //     over pipelines, mlinspect-style distribution inspections, and
 //     ArgusEyes-style screening for leakage and label issues
 //     (internal/pipeline, internal/prov).

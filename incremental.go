@@ -11,7 +11,7 @@ import (
 )
 
 // DebugSession is the interactive flag → unlearn → recompute loop as one
-// stateful object: it holds the current survivors' labels and groups,
+// stateful object: it holds the current survivors' labels,
 // their kNN-Shapley scores against a fixed validation set, and the
 // neighbor index those scores came from, whose root holds the features.
 // Each RemoveRows call DERIVES the next index from the current one
@@ -30,8 +30,7 @@ type DebugSession struct {
 	mu      sync.Mutex
 	k       int
 	workers int
-	y       []int    // current survivors' labels, the caller's revision
-	groups  []string // their groups, when the training set has them
+	y       []int // current survivors' labels, the caller's revision
 	valid   *Dataset
 	orig    []int // current row -> row id in the original training set
 	scores  Scores
@@ -62,7 +61,7 @@ func NewDebugSession(train, valid *Dataset, k, workers int) (_ *DebugSession, er
 	}
 	return &DebugSession{
 		k: k, workers: workers,
-		y: train.Y, groups: train.Groups, valid: valid,
+		y: train.Y, valid: valid,
 		orig: keep, scores: scores, ix: ix,
 	}, nil
 }
@@ -112,22 +111,15 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 		// keep the session invariant k <= Len() for the NEXT round
 		return nil, fmt.Errorf("nde: removal leaves %d rows for k=%d: %w", len(keep), s.k, nderr.ErrBadK)
 	}
-	// Labels and groups stay the session's (a stored index may carry
-	// another label revision).
+	// Labels stay the session's (a stored index may carry another label
+	// revision).
 	y := make([]int, len(keep))
 	orig := make([]int, len(keep))
 	for o, i := range keep {
 		orig[o] = s.orig[i]
 		y[o] = s.y[i]
 	}
-	var groups []string
-	if len(s.groups) > 0 {
-		groups = make([]string, len(keep))
-		for o, i := range keep {
-			groups[o] = s.groups[i]
-		}
-	}
-	s.y, s.groups = y, groups
+	s.y = y
 	s.orig = orig
 	s.scores = scores
 	s.ix = ix

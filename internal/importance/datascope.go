@@ -33,11 +33,14 @@ type DatascopeConfig struct {
 // Datascope computes importance scores for the rows of one *source table*
 // of a provenance-tracked pipeline (Karlaš et al., ICLR 2024). It computes
 // exact kNN-Shapley values on the pipeline's featurized output and pushes
-// them back through the provenance polynomials: each source tuple is
-// credited with the scores of the output rows whose derivations mention it.
-// For map and fork pipelines this equals the exact Shapley value over
-// source tuples under the kNN utility; for join pipelines it is the
-// standard additive approximation.
+// them back through the provenance products: each source tuple is
+// credited with the scores of the output rows whose products name it.
+// This equals the exact Shapley value over source tuples under the kNN
+// utility for map provenance only, where each output names at most one
+// tuple of the table and each tuple reaches at most one output. Where a
+// tuple forks into several outputs, or an output joins several tuples,
+// it is the standard additive approximation (GroupShapley plays the
+// grouped game instead).
 func Datascope(ft *pipeline.Featurized, valid *ml.Dataset, table string, tableRows int, cfg DatascopeConfig) (Scores, error) {
 	if tableRows <= 0 {
 		return nil, fmt.Errorf("importance: datascope needs tableRows > 0, got %d", tableRows)
@@ -56,7 +59,7 @@ func Datascope(ft *pipeline.Featurized, valid *ml.Dataset, table string, tableRo
 	scores := make(Scores, tableRows)
 	counts := make([]int, tableRows)
 	for o, p := range ft.Prov {
-		for _, v := range p.Vars() {
+		for _, v := range p {
 			if v.Table != table || v.Row >= tableRows {
 				continue
 			}
@@ -99,7 +102,7 @@ func GroupShapley(ft *pipeline.Featurized, valid *ml.Dataset, table string, tabl
 	var order []string
 	for o, p := range ft.Prov {
 		var tuples []int
-		for _, v := range p.Vars() {
+		for _, v := range p {
 			if v.Table == table && v.Row < tableRows {
 				tuples = append(tuples, v.Row)
 			}

@@ -10,6 +10,7 @@ import (
 	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/pipeline"
+	"nde/internal/prov"
 )
 
 // mapPipelineFixture builds a pure map pipeline (no joins): each source
@@ -252,5 +253,46 @@ func TestGroupShapleyMCFallback(t *testing.T) {
 	}
 	if _, err := GroupShapley(ft, valid, "train", 0, 1, 0, 1); err == nil {
 		t.Error("expected error for tableRows=0")
+	}
+}
+
+// On a fork the additive aggregation is not the source-tuple game. K=1,
+// one validation row at 0 with label 1: train[0] forks to outputs at 1
+// (label 0) and 3 (label 1), train[1] has one output at 2 (label 1).
+// Datascope credits each tuple with its outputs' kNN-Shapley values,
+// [−2/3 + 1/3, 1/3]; the exact grouped game, where removing train[0]
+// removes both of its outputs, gives [−1/2, 1/2].
+func TestDatascopeForkCounterexample(t *testing.T) {
+	data, err := ml.NewDataset(linalg.FromRows([][]float64{{1}, {3}, {2}}), []int{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train0, train1 := prov.TupleID{Table: "train", Row: 0}, prov.TupleID{Table: "train", Row: 1}
+	ft := &pipeline.Featurized{Data: data, Prov: []prov.Polynomial{prov.Var(train0), prov.Var(train0), prov.Var(train1)}}
+	valid, err := ml.NewDataset(linalg.FromRows([][]float64{{0}}), []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	additive, err := Datascope(ft, valid, "train", 2, DatascopeConfig{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := GroupShapley(ft, valid, "train", 2, 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want Scores
+	}{
+		{"Datascope", additive, Scores{-1.0 / 3, 1.0 / 3}},
+		{"GroupShapley", grouped, Scores{-0.5, 0.5}},
+	} {
+		for i := range c.want {
+			if math.Abs(c.got[i]-c.want[i]) > 1e-12 {
+				t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+				break
+			}
+		}
 	}
 }

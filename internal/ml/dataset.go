@@ -109,28 +109,20 @@ func (d *Dataset) NumClasses() int {
 
 // Subset returns a dataset with the rows at the given indices, in order.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	out := d.labelsAt(idx)
-	out.X = linalg.NewMatrix(len(idx), d.Dim())
-	for o, i := range idx {
-		copy(out.X.Row(o), d.Row(i))
-	}
-	return out
-}
-
-// labelsAt returns the labels and groups of the rows at the given
-// indices, in order, with no feature matrix (X == nil).
-func (d *Dataset) labelsAt(idx []int) *Dataset {
-	out := &Dataset{Y: make([]int, len(idx))}
+	x := linalg.NewMatrix(len(idx), d.Dim())
+	y := make([]int, len(idx))
+	var groups []string
 	if len(d.Groups) > 0 {
-		out.Groups = make([]string, len(idx))
+		groups = make([]string, len(idx))
 	}
 	for o, i := range idx {
-		out.Y[o] = d.Y[i]
-		if out.Groups != nil {
-			out.Groups[o] = d.Groups[i]
+		copy(x.Row(o), d.Row(i))
+		y[o] = d.Y[i]
+		if groups != nil {
+			groups[o] = d.Groups[i]
 		}
 	}
-	return out
+	return &Dataset{X: x, Y: y, Groups: groups}
 }
 
 // Without returns the dataset with the given rows removed, plus the mapping

@@ -28,8 +28,8 @@ import (
 // matching KNN's tie-breaking.
 type NeighborIndex struct {
 	// Train is the training set. A derived index (RemoveRows) holds only
-	// its survivors' labels and groups here (Train.X == nil): its
-	// features are its root's rows, and TrainSet gathers them.
+	// its survivors' labels here (Train.X and Train.Groups are nil): its
+	// features and groups are its root's rows, and TrainSet gathers them.
 	Train   *Dataset
 	Queries *Dataset
 	// Workers bounds the pool used for the kernel and the batch argsort

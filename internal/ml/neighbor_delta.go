@@ -19,7 +19,7 @@ import (
 // Representation: a derived index carries a deltaGeom mapping its logical
 // training rows onto the ROOT index's columns. Removals are tombstones in
 // that map; a delta never computes a distance. Its Train holds only the
-// survivors' labels and groups: its features are the root's rows named
+// survivors' labels: its features and groups are the root's rows named
 // by physOf, which TrainSet gathers for the few callers that need them,
 // so a derivation copies no feature matrix. Chains of derivations stay
 // flattened against the same root; when tombstones pile past
@@ -89,9 +89,9 @@ func (g *deltaGeom) renumber() {
 // receiver is unchanged and remains usable. The child reuses the root's
 // order table: no distances are recomputed and no argsort runs beyond
 // the root's own, which a derivation builds if it needs it first. Its
-// Train carries the survivors' labels and groups and no features
-// (TrainSet gathers them), so no feature row is copied, except by the
-// derivation that compacts. Per-query top-k lists are repaired in
+// Train carries the survivors' labels, and no features or groups
+// (TrainSet gathers them), so no feature row or group is copied, except
+// by the derivation that compacts. Per-query top-k lists are repaired in
 // O(queries·k), plus a walk of the root's order up to the k-th survivor
 // for each query whose top-k intersects the removed rows. An empty
 // removal returns the receiver itself. Removing every row is an error.
@@ -118,16 +118,16 @@ func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 	g.dead += len(uniq)
 	g.renumber()
 
-	keep := make([]int, 0, n-len(uniq))
+	y := make([]int, 0, n-len(uniq))
 	next := 0
 	for i := 0; i < n; i++ {
 		if next < len(uniq) && uniq[next] == i {
 			next++
 			continue
 		}
-		keep = append(keep, i)
+		y = append(y, ix.Train.Y[i])
 	}
-	return ix.deriveChild(ix.Train.labelsAt(keep), g), nil
+	return ix.deriveChild(&Dataset{Y: y}, g), nil
 }
 
 // deriveChild assembles the derived index: attaches the geometry, repairs

@@ -407,10 +407,11 @@ func TestConcurrentDerivationsShareBase(t *testing.T) {
 	}
 }
 
-// A derived index copies no features: its Train carries the survivors'
-// labels and groups only (Train.X == nil), RemoveRows on a derived
-// 20 000 × 32 index with a warm top-k cache allocates less than a
-// quarter of one feature matrix, and TrainSet gathers exactly the
+// A derived index copies no features and no groups: its Train carries
+// the survivors' labels only (Train.X and Train.Groups are nil),
+// RemoveRows on a derived 20 000 × 32 index with a warm top-k cache
+// allocates less than four row-length int slices (the child's labels and
+// its geometry's two maps are three), and TrainSet gathers exactly the
 // survivors' rows (X, Y and Groups) along a chain that derives from a
 // derived index and crosses compaction, whose new root's Train is those
 // rows too.
@@ -459,6 +460,9 @@ func TestRemoveRowsCopiesNoFeatures(t *testing.T) {
 			if child.Train.X != nil {
 				t.Fatalf("step %d: derived index holds a %d×%d feature matrix", step, child.Train.X.Rows, child.Train.X.Cols)
 			}
+			if child.Train.Groups != nil {
+				t.Fatalf("step %d: derived index holds %d groups", step, len(child.Train.Groups))
+			}
 			if derived == nil {
 				derived = child
 			}
@@ -477,7 +481,7 @@ func TestRemoveRowsCopiesNoFeatures(t *testing.T) {
 			}
 		}
 	})
-	got, bound := res.AllocedBytesPerOp(), int64(n*dim*8/4)
+	got, bound := res.AllocedBytesPerOp(), int64(4*n*8)
 	if got >= bound {
 		t.Fatalf("RemoveRows on a derived %d×%d index allocates %d B/op, want < %d", n, dim, got, bound)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Result is the output of executing a pipeline node: a frame plus one
-// provenance polynomial per row.
+// provenance product per row.
 type Result struct {
 	Frame *frame.Frame
 	Prov  []prov.Polynomial
@@ -197,8 +197,12 @@ func (p *Pipeline) apply(n *Node, ins []*Result) (*Result, error) {
 // Replay re-executes the pipeline with some source tuples removed, by
 // filtering each source frame before execution. removed maps a source tuple
 // id to true when it should be dropped. This is the ground-truth
-// intervention that provenance polynomials predict; it is used by tests and
-// by exact group-importance computations.
+// intervention that provenance predicts (an output row survives exactly
+// when its product names no removed tuple) for removals outside a left
+// join's right, null-supplying side. Removing a tuple a left join matched
+// is outside that contract: provenance drops the row, while Replay keeps
+// it, re-padded with nulls. Tests and the what-if experiment use Replay
+// as the oracle.
 func (p *Pipeline) Replay(out *Node, removed func(prov.TupleID) bool) (*Result, error) {
 	clone := New()
 	clone.inspections = nil

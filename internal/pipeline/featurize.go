@@ -10,7 +10,7 @@ import (
 )
 
 // Featurized is the terminal output of a preprocessing pipeline: a model-
-// ready dataset whose rows still carry the provenance polynomials linking
+// ready dataset whose rows still carry the provenance products linking
 // them back to the pipeline's source tuples.
 type Featurized struct {
 	Data         *ml.Dataset
@@ -80,7 +80,7 @@ func Featurize(res *Result, ct *encode.ColumnTransformer, labelCol, groupsCol st
 func (f *Featurized) SourceRows(table string) [][]int {
 	out := make([][]int, len(f.Prov))
 	for i, p := range f.Prov {
-		for _, v := range p.Vars() {
+		for _, v := range p {
 			if v.Table == table {
 				out[i] = append(out[i], v.Row)
 			}
@@ -94,7 +94,7 @@ func (f *Featurized) SourceRows(table string) [][]int {
 func (f *Featurized) OutputsOf(table string, tableRows int) [][]int {
 	out := make([][]int, tableRows)
 	for o, p := range f.Prov {
-		for _, v := range p.Vars() {
+		for _, v := range p {
 			if v.Table == table && v.Row < tableRows {
 				out[v.Row] = append(out[v.Row], o)
 			}

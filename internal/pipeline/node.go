@@ -1,8 +1,8 @@
 // Package pipeline implements provenance-tracked ML preprocessing pipelines:
 // a DAG of relational operators (sources, filters, joins, projections,
 // user-defined map columns) that executes over frames while
-// annotating every intermediate and output row with a provenance polynomial
-// over source tuples (package prov). This is the substrate that enables
+// annotating every intermediate and output row with a provenance product
+// of source tuples (package prov). This is the substrate that enables
 // pipeline-aware data debugging à la mlinspect/Datascope: importance scores
 // computed on the training matrix can be pushed back through the provenance
 // to the pipeline's source data, and inspections can screen intermediate

@@ -72,7 +72,7 @@ func TestPipelineProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// first output row: person 1 = train[0] ⋈ jobs[0] ⋈ social[0]
-	vars := res.Prov[0].Vars()
+	vars := res.Prov[0]
 	want := map[prov.TupleID]bool{
 		{Table: "train", Row: 0}:  true,
 		{Table: "jobs", Row: 0}:   true,
@@ -88,7 +88,7 @@ func TestPipelineProvenance(t *testing.T) {
 	}
 	// person 3 (train[2]) matched social[1] (null twitter but present row):
 	// three source tuples
-	vars1 := res.Prov[1].Vars()
+	vars1 := res.Prov[1]
 	if len(vars1) != 3 || !slices.Contains(vars1, prov.TupleID{Table: "social", Row: 1}) {
 		t.Errorf("prov[1] = %v", res.Prov[1])
 	}
@@ -144,11 +144,56 @@ func TestReplayRemovesSourceTuples(t *testing.T) {
 	}
 }
 
-// Property: for random subsets of removed source tuples, the boolean
-// evaluation of each output row's provenance polynomial predicts exactly
-// whether that row survives an actual replay of the pipeline with those
-// tuples removed. This is the correctness contract that pipeline-aware
-// data-importance methods (Datascope) rely on.
+// Removing a tuple of a left join's null-supplying side is outside the
+// provenance contract. The matched row's product names the social tuple,
+// so provenance drops the row; Replay keeps it, re-padded with a null
+// twitter. Both answers are pinned here, so that a fix (rejecting such
+// removals, or re-featurizing the rows) changes them on purpose.
+func TestLeftJoinNullSideRemovalLeavesContract(t *testing.T) {
+	p, out := hiringFixture(t)
+	full, err := p.Run(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persons := full.Frame.MustColumn("person_id")
+	for row, person := range []int64{1, 3, 4} {
+		gone := prov.TupleID{Table: "social", Row: row}
+		var predicted []int64
+		for i, pr := range full.Prov {
+			if !slices.Contains(pr, gone) {
+				predicted = append(predicted, persons.Int(i))
+			}
+		}
+		if len(predicted) != 2 || slices.Contains(predicted, person) {
+			t.Errorf("without %v, provenance keeps persons %v, want all but %d", gone, predicted, person)
+		}
+		replayed, err := p.Replay(out, func(id prov.TupleID) bool { return id == gone })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := replayed.Frame.MustColumn("person_id")
+		tw := replayed.Frame.MustColumn("has_twitter")
+		if got.Len() != 3 {
+			t.Fatalf("without %v, replay keeps %d rows, want 3\n%v", gone, got.Len(), replayed.Frame)
+		}
+		for i, want := range []int64{1, 3, 4} {
+			if got.Int(i) != want {
+				t.Errorf("without %v, replay row %d is person %d, want %d", gone, i, got.Int(i), want)
+			}
+			if want == person && !tw.Value(i).Equal(frame.Bool(false)) {
+				t.Errorf("without %v, replay keeps person %d with has_twitter %v, want false", gone, person, tw.Value(i))
+			}
+		}
+	}
+}
+
+// Property: for random subsets of removed source tuples outside a left
+// join's null-supplying side, an output row survives a replay of the
+// pipeline with those tuples removed exactly when its provenance product
+// names none of them. The pipeline mixes an inner join, a left join that
+// leaves some rows unmatched, a filter, a map column and a projection.
+// This is the correctness contract that what-if analyses and
+// pipeline-aware data importance (Datascope) rely on.
 func TestQuickProvenancePredictsReplay(t *testing.T) {
 	buildFixture := func() (*Pipeline, *Node, map[string]int) {
 		train := frame.MustNew(
@@ -160,12 +205,22 @@ func TestQuickProvenancePredictsReplay(t *testing.T) {
 			frame.NewIntSeries("job_id", []int64{10, 20, 30, 40}, nil),
 			frame.NewStringSeries("sector", []string{"health", "finance", "health", "retail"}, nil),
 		)
+		// persons 2, 5 and 6 have no social row; person 7 is no applicant
+		social := frame.MustNew(
+			frame.NewIntSeries("person_id", []int64{1, 3, 4, 7}, nil),
+			frame.NewStringSeries("twitter", []string{"@a", "", "@d", "@g"}, []bool{true, false, true, true}),
+		)
 		p := New()
 		tr := p.Source("train", train)
 		jo := p.Source("jobs", jobs)
+		so := p.Source("social", social)
 		joined := p.Join(tr, jo, "job_id", frame.InnerJoin)
+		joined = p.JoinOn(joined, so, []string{"person_id"}, []string{"person_id"}, frame.LeftJoin)
 		filtered := p.Filter(joined, "score >= 2", func(r frame.Row) bool { return r.Value("score").Int() >= 2 })
-		out := p.Project(filtered, "person_id", "sector")
+		withTw := p.MapCol(filtered, "has_twitter", frame.KindBool, func(r frame.Row) (frame.Value, error) {
+			return frame.Bool(!r.IsNull("twitter")), nil
+		})
+		out := p.Project(withTw, "person_id", "sector", "has_twitter")
 		sizes := map[string]int{"train": 6, "jobs": 4}
 		return p, out, sizes
 	}
@@ -192,17 +247,20 @@ func TestQuickProvenancePredictsReplay(t *testing.T) {
 		}
 		// predicted survivors via provenance
 		var predicted []int64
+		var predictedTw []frame.Value
 		for i := 0; i < full.Frame.NumRows(); i++ {
-			if full.Prov[i].EvalBool(func(id prov.TupleID) bool { return !removed[id] }) {
+			if !slices.ContainsFunc(full.Prov[i], isRemoved) {
 				predicted = append(predicted, full.Frame.MustColumn("person_id").Int(i))
+				predictedTw = append(predictedTw, full.Frame.MustColumn("has_twitter").Value(i))
 			}
 		}
 		actual := replayed.Frame.MustColumn("person_id")
+		actualTw := replayed.Frame.MustColumn("has_twitter")
 		if len(predicted) != actual.Len() {
 			return false
 		}
 		for i, want := range predicted {
-			if actual.Int(i) != want {
+			if actual.Int(i) != want || !actualTw.Value(i).Equal(predictedTw[i]) {
 				return false
 			}
 		}

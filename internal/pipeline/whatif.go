@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"nde/internal/ml"
 	"nde/internal/nderr"
@@ -16,7 +15,7 @@ import (
 // Schelter; SIGMOD 2023): answering many "what would the model quality be
 // if these source tuples were gone?" questions WITHOUT re-running the
 // pipeline per variant. Because every featurized output row carries its
-// provenance polynomial, a removal variant reduces to a boolean filter over
+// provenance product, a removal variant reduces to a boolean filter over
 // the already-computed feature matrix — orders of magnitude cheaper than
 // replaying joins, filters and encoders.
 
@@ -41,8 +40,12 @@ type WhatIfResult struct {
 // pipeline output: for each variant it selects the output rows whose
 // provenance survives the removal, retrains a fresh model, and reports the
 // metric. Correctness relies on the provenance contract verified in the
-// pipeline tests (polynomial evaluation ≡ pipeline replay): the results
-// equal full replays at a fraction of the cost.
+// pipeline tests (a row survives exactly when its product names no
+// removed tuple ≡ pipeline replay), which covers removals outside a left
+// join's right, null-supplying side: for those the results equal full
+// replays at a fraction of the cost. A variant that removes a tuple a
+// left join matched drops the rows that matched it, where a replay would
+// keep them with nulls (see Pipeline.Replay).
 //
 // Variants are evaluated concurrently on the shared worker pool (every
 // variant's filter → subset → retrain → evaluate chain is independent);
@@ -182,17 +185,14 @@ func evalVariants(ft *Featurized, variants []RemovalVariant, workers int, metric
 }
 
 // batchLineage answers, for each variant of one what-if batch, which
-// featurized output rows survive its removals. A provenance polynomial is
-// positive, so removing source tuples can turn it false only if it names
-// one of them: one pass over the polynomials records, for every tuple the
-// batch removes, the rows whose polynomial names it, and a variant starts
-// from the nothing-removed mask (the rows with a non-zero polynomial) and
-// re-evaluates only the rows its own tuples touch. Read-only once built,
-// so variants use it concurrently.
+// featurized output rows survive its removals. A row's provenance is one
+// product of source tuples, so the row dies exactly when a variant
+// removes one of them: one pass over the products records, for every
+// tuple the batch removes, the rows whose product names it, and a
+// variant clears its own tuples' rows from an all-alive mask. Read-only
+// once built, so variants use it concurrently.
 type batchLineage struct {
-	prov    []prov.Polynomial
-	base    []bool                 // alive with nothing removed
-	alive   int                    // rows set in base
+	rows    int                    // output rows
 	touched map[prov.TupleID][]int // removed tuple → ascending rows naming it
 }
 
@@ -203,7 +203,7 @@ type batchLineage struct {
 const lineageFilterBits = 4096
 
 func newBatchLineage(polys []prov.Polynomial, variants []RemovalVariant) *batchLineage {
-	l := &batchLineage{prov: polys, base: make([]bool, len(polys)), touched: map[prov.TupleID][]int{}}
+	l := &batchLineage{rows: len(polys), touched: map[prov.TupleID][]int{}}
 	var filter [lineageFilterBits / 64]uint64
 	for _, v := range variants {
 		for _, id := range v.Remove {
@@ -213,19 +213,12 @@ func newBatchLineage(polys []prov.Polynomial, variants []RemovalVariant) *batchL
 		}
 	}
 	for o, p := range polys {
-		if p.IsZero() {
-			continue
-		}
-		l.base[o] = true
-		l.alive++
-		for _, m := range p.Monomials() {
-			for _, id := range m {
-				if r := uint(id.Row) % lineageFilterBits; filter[r/64]&(1<<(r%64)) == 0 {
-					continue
-				}
-				if rows, ok := l.touched[id]; ok && (len(rows) == 0 || rows[len(rows)-1] != o) {
-					l.touched[id] = append(rows, o)
-				}
+		for _, id := range p {
+			if r := uint(id.Row) % lineageFilterBits; filter[r/64]&(1<<(r%64)) == 0 {
+				continue
+			}
+			if rows, ok := l.touched[id]; ok {
+				l.touched[id] = append(rows, o)
 			}
 		}
 	}
@@ -236,19 +229,14 @@ func newBatchLineage(polys []prov.Polynomial, variants []RemovalVariant) *batchL
 // tuples are gone, and how many rows it keeps. remove must be among the
 // removals the lineage was built for.
 func (l *batchLineage) survivors(remove []prov.TupleID) ([]bool, int) {
-	alive := slices.Clone(l.base)
-	n := l.alive
-	if len(remove) == 0 {
-		return alive, n
+	alive := make([]bool, l.rows)
+	for o := range alive {
+		alive[o] = true
 	}
-	gone := make(map[prov.TupleID]bool, len(remove))
-	for _, id := range remove {
-		gone[id] = true
-	}
-	present := func(id prov.TupleID) bool { return !gone[id] }
+	n := l.rows
 	for _, id := range remove {
 		for _, o := range l.touched[id] {
-			if alive[o] && !l.prov[o].EvalBool(present) {
+			if alive[o] {
 				alive[o] = false
 				n--
 			}

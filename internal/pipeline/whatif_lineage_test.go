@@ -3,23 +3,19 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nde/internal/prov"
 )
 
-// survivors is the per-row oracle for batchLineage: it evaluates every
-// output row's polynomial under the variant's removals and returns, in
-// row order, the rows that still hold.
+// survivors is the per-row oracle for batchLineage: it keeps, in row
+// order, every output row whose product names none of the variant's
+// removed tuples.
 func survivors(ft *Featurized, v RemovalVariant) []int {
-	removed := make(map[prov.TupleID]bool, len(v.Remove))
-	for _, id := range v.Remove {
-		removed[id] = true
-	}
-	alive := func(id prov.TupleID) bool { return !removed[id] }
 	keep := make([]int, 0, len(ft.Prov))
 	for o, p := range ft.Prov {
-		if p.EvalBool(alive) {
+		if !slices.ContainsFunc(p, func(id prov.TupleID) bool { return slices.Contains(v.Remove, id) }) {
 			keep = append(keep, o)
 		}
 	}
@@ -28,19 +24,19 @@ func survivors(ft *Featurized, v RemovalVariant) []int {
 
 // lineageRows bounds the source-tuple universe of lineageCase: rows
 // 0..lineageRows-1 of tables "a" and "b". Removals may also name tuples
-// of table "c", which no polynomial mentions.
+// of table "c", which no product names.
 const lineageRows = 6
 
 func tuple(table string, b byte) prov.TupleID {
 	return prov.TupleID{Table: table, Row: int(b) % lineageRows}
 }
 
-// lineageCase decodes data into provenance polynomials and a batch of
-// removal variants. Each polynomial is one of the five shapes pipelines
-// produce — identity a[i], join product a[i]·b[j], union sum a[i] +
-// a[j]·b[k], zero and one — and each variant removes up to 7 tuples of
-// tables a, b and c, duplicates allowed. Exhausted input reads as zeros,
-// so every byte string is a valid case.
+// lineageCase decodes data into provenance products and a batch of
+// removal variants. Each product is one of four shapes — identity a[i],
+// two-way join a[i]·b[j], three-way a[i]·b[j]·a[k], and the three-way
+// a[i]·b[j]·a[i] that repeats a tuple — and each variant removes up to 7
+// tuples of tables a, b and c, duplicates allowed. Exhausted input reads
+// as zeros, so every byte string is a valid case.
 func lineageCase(data []byte) ([]prov.Polynomial, []RemovalVariant) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -52,18 +48,16 @@ func lineageCase(data []byte) ([]prov.Polynomial, []RemovalVariant) {
 	}
 	polys := make([]prov.Polynomial, 1+int(next())%24)
 	for o := range polys {
-		switch next() % 5 {
+		a := prov.Var(tuple("a", next()))
+		switch next() % 4 {
 		case 0:
-			polys[o] = prov.Var(tuple("a", next()))
+			polys[o] = a
 		case 1:
-			polys[o] = prov.Mul(prov.Var(tuple("a", next())), prov.Var(tuple("b", next())))
+			polys[o] = prov.Mul(a, prov.Var(tuple("b", next())))
 		case 2:
-			polys[o] = prov.Add(prov.Var(tuple("a", next())),
-				prov.Mul(prov.Var(tuple("a", next())), prov.Var(tuple("b", next()))))
+			polys[o] = prov.Mul(prov.Mul(a, prov.Var(tuple("b", next()))), prov.Var(tuple("a", next())))
 		case 3:
-			polys[o] = prov.Zero()
-		case 4:
-			polys[o] = prov.One()
+			polys[o] = prov.Mul(prov.Mul(a, prov.Var(tuple("b", next()))), a)
 		}
 	}
 	variants := make([]RemovalVariant, int(next())%6)
@@ -101,10 +95,10 @@ func checkLineage(t *testing.T, polys []prov.Polynomial, variants []RemovalVaria
 	}
 }
 
-// The batch lineage — the nothing-removed mask with only the rows a
-// variant's tuples touch re-evaluated — agrees with evaluating every
-// row's polynomial, over random mixes of identity, join-product,
-// union-sum, zero and one polynomials. Every batch also carries a
+// The batch lineage — an all-alive mask with the rows a variant's tuples
+// name cleared — agrees with checking every row's product against the
+// variant's removals, over random mixes of identity, two-way and
+// three-way products, some repeating a tuple. Every batch also carries a
 // variant that removes nothing, one with duplicate removals, one that
 // removes only tuples no row names (some of them sharing a named tuple's
 // slot in the pass's row filter), and one that removes the whole
@@ -137,7 +131,7 @@ func TestBatchLineageMatchesEvalBool(t *testing.T) {
 }
 
 // FuzzWhatIfSurvivors checks the batch lineage against the per-row oracle
-// on arbitrary polynomial tables and removal batches (see lineageCase).
+// on arbitrary product tables and removal batches (see lineageCase).
 func FuzzWhatIfSurvivors(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 1, 2, 3, 2, 4, 5, 0, 2, 3, 0, 1, 1, 2})

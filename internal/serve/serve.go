@@ -402,9 +402,12 @@ func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, er
 // filter it by provenance instead of replaying any pipeline.
 func (s *Server) featurizedFor(d *dataset) (*pipeline.Featurized, error) {
 	return s.featurized.GetOrBuild(d.id, func() (*pipeline.Featurized, error) {
-		p := make([]prov.Polynomial, d.train.Len())
-		for i := range p {
-			p[i] = prov.Var(prov.TupleID{Table: "train", Row: i})
+		// each row's product is its own tuple, all backed by one array
+		ids := make(prov.Polynomial, d.train.Len())
+		p := make([]prov.Polynomial, len(ids))
+		for i := range ids {
+			ids[i] = prov.TupleID{Table: "train", Row: i}
+			p[i] = ids[i:][:1:1]
 		}
 		return &pipeline.Featurized{Data: d.train, Prov: p}, nil
 	})

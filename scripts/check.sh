@@ -64,8 +64,8 @@ go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./
 echo "==> go test -fuzz FuzzRegisterNumber (2s)"
 go test -run='^FuzzRegisterNumber$' -fuzz='^FuzzRegisterNumber$' -fuzztime=2s ./internal/serve/
 
-# the what-if batch lineage, differential against evaluating every output
-# row's provenance polynomial
+# the what-if batch lineage, differential against checking every output
+# row's provenance product against the variant's removals
 echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"
 go test -run='^FuzzWhatIfSurvivors$' -fuzz='^FuzzWhatIfSurvivors$' -fuzztime=2s ./internal/pipeline/
 
