@@ -294,7 +294,9 @@ func BenchmarkHiringPipelineRun(b *testing.B) {
 // observability off, the instrumented pipeline.Run and kNN-Shapley paths
 // must show no measurable time regression and no extra allocations
 // relative to the seed (compare allocs/op between off and on to see what
-// instrumentation itself costs).
+// instrumentation itself costs). on runs with span allocation capture
+// off; capture turns it on, as cmd/nde-serve runs, so it pays what a
+// served request pays for its spans.
 
 func BenchmarkPipelineRunObs(b *testing.B) {
 	s := nde.LoadRecommendationLetters(500, 9)
@@ -302,11 +304,11 @@ func BenchmarkPipelineRunObs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"off", "on"} {
+	for _, mode := range []string{"off", "on", "capture"} {
 		b.Run(mode, func(b *testing.B) {
-			if mode == "on" {
+			if mode != "off" {
 				obs.Enable()
-				obs.DefaultTracer().CaptureAllocs(false)
+				obs.DefaultTracer().CaptureAllocs(mode == "capture")
 				defer func() {
 					obs.Disable()
 					obs.Reset()
@@ -327,11 +329,11 @@ func BenchmarkPipelineRunObs(b *testing.B) {
 func BenchmarkKNNShapleyObs(b *testing.B) {
 	train, valid := benchDataset(b, 200)
 	st := warmStore(b, train, valid)
-	for _, mode := range []string{"off", "on"} {
+	for _, mode := range []string{"off", "on", "capture"} {
 		b.Run(mode, func(b *testing.B) {
-			if mode == "on" {
+			if mode != "off" {
 				obs.Enable()
-				obs.DefaultTracer().CaptureAllocs(false)
+				obs.DefaultTracer().CaptureAllocs(mode == "capture")
 				defer func() {
 					obs.Disable()
 					obs.Reset()
@@ -655,10 +657,10 @@ func BenchmarkServeImportance(b *testing.B) {
 // flipped, 100 valid and 300 test rows of 32 features, random against
 // kNN-Shapley, batch 10, budget 30, a 5-NN model. cold is a first
 // request as the library runs it: CompareStrategiesParallel with a fresh
-// index store for the kNN-Shapley rounds, selecting the test rows'
-// neighbors on every call. served posts the same comparison to
-// /v1/cleaning on a registered dataset that one request has warmed, as
-// repeated requests find it.
+// (train, valid) index, built at one worker, that every kNN-Shapley round
+// scores over, selecting the test rows' neighbors on every call. served
+// posts the same comparison to /v1/cleaning on a registered dataset that
+// one request has warmed, as repeated requests find it.
 func BenchmarkCompareStrategies(b *testing.B) {
 	mk := mixture(b, 61, 32, 32, 8)
 	clean, valid, test := mk(1000), mk(100), mk(300)
@@ -670,7 +672,11 @@ func BenchmarkCompareStrategies(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			strategies := []cleaning.Strategy{&cleaning.RandomStrategy{Seed: 1}, &cleaning.KNNShapleyStrategy{Indexes: ml.NewIndexStore()}}
+			ix, err := ml.NewNeighborIndex(train, valid, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			strategies := []cleaning.Strategy{&cleaning.RandomStrategy{Seed: 1}, &cleaning.KNNShapleyStrategy{Index: ix}}
 			if _, err := cleaning.CompareStrategiesParallel(train, valid, test, &cleaning.LabelOracle{Truth: clean.Y},
 				strategies, newModel, 10, 30, 0); err != nil {
 				b.Fatal(err)

@@ -16,7 +16,10 @@ import (
 
 // Re-exported debugging types for the facade's consumers.
 type (
-	// CleaningStrategy ranks training rows for prioritized cleaning.
+	// CleaningStrategy ranks training rows for prioritized cleaning:
+	// Rank(train, valid, m) returns the first m rows of its priority
+	// order, most suspicious first, or all rows when m is at least the
+	// row count.
 	CleaningStrategy = cleaning.Strategy
 	// CleaningResult is the outcome of an iterative cleaning run.
 	CleaningResult = cleaning.Result
@@ -146,7 +149,8 @@ func DataShapleyScores(train, valid *Dataset, permutations int, seed int64) (_ S
 // IterativeCleaning runs the prioritized cleaning loop with ground-truth
 // label repairs: rank with kNN-Shapley, clean batches, retrain, repeat
 // until the budget is spent. truth supplies the hidden correct labels,
-// one non-negative label per training row.
+// one non-negative label per training row. Every round scores over one
+// neighbor index, looked up once in the facade's store.
 func IterativeCleaning(train, valid, test *Dataset, truth []int, batch, budget int) (_ *CleaningResult, err error) {
 	defer recordOp("IterativeCleaning", time.Now(), datasetRows(train), 0, &err)
 	if err := checkTrainable("train", train); err != nil {
@@ -169,9 +173,13 @@ func IterativeCleaning(train, valid, test *Dataset, truth []int, batch, budget i
 	if batch < 1 || budget < 1 {
 		return nil, fmt.Errorf("nde: cleaning batch %d and budget %d must be positive: %w", batch, budget, nderr.ErrDegenerateInput)
 	}
+	ix, err := storedIndex(train, valid, 1)
+	if err != nil {
+		return nil, err
+	}
 	return cleaning.IterativeClean(train, valid, test,
 		&cleaning.LabelOracle{Truth: truth},
-		&cleaning.KNNShapleyStrategy{K: 5, Indexes: indexes.Load()},
+		&cleaning.KNNShapleyStrategy{K: 5, Index: ix},
 		func() ml.Classifier { return DefaultModel() },
 		batch, budget)
 }

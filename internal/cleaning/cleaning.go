@@ -8,7 +8,6 @@ package cleaning
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"nde/internal/importance"
@@ -63,8 +62,11 @@ func (o *LabelOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Rank returns training row indices, most suspicious first.
-	Rank(train, valid *ml.Dataset) ([]int, error)
+	// Rank returns the first m training row indices of the strategy's
+	// priority order, most suspicious first: all rows when m >= the row
+	// count, none when m <= 0. A cleaning round reads no further than
+	// the rows it can still clean, so it asks for no more.
+	Rank(train, valid *ml.Dataset, m int) ([]int, error)
 }
 
 // RandomStrategy cleans rows in a seeded random order — the baseline every
@@ -76,45 +78,46 @@ type RandomStrategy struct {
 // Name returns "random".
 func (s *RandomStrategy) Name() string { return "random" }
 
-// Rank returns a random permutation of the rows.
-func (s *RandomStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
-	return rand.New(rand.NewSource(s.Seed)).Perm(train.Len()), nil
+// Rank returns the first m rows of a seeded random permutation.
+func (s *RandomStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
+	perm := rand.New(rand.NewSource(s.Seed)).Perm(train.Len())
+	return perm[:min(max(m, 0), len(perm))], nil
 }
 
 // KNNShapleyStrategy ranks by ascending kNN-Shapley value, scored at one
 // worker. Rounds of a cleaning loop relabel rows but keep the features,
-// so with Indexes set every round after the first reads the neighbor
-// index the first one stored; without it each round builds its own.
+// so an owner resolves the neighbor index over (train, valid) once per
+// run and sets Index: every round whose features are the index's (the
+// same matrices, or bit-equal ones) scores over it. Any other round,
+// every round with a nil Index, and every round with a derived Index,
+// which holds no features, builds its own.
 type KNNShapleyStrategy struct {
-	K       int            // neighbors (default 5)
-	Indexes *ml.IndexStore // where rounds look up their neighbor index; nil builds one per round
+	K     int               // neighbors (default 5)
+	Index *ml.NeighborIndex // a root index over (train, valid) that rounds score over; nil builds one per round
 }
 
 // Name returns "knn-shapley".
 func (s *KNNShapleyStrategy) Name() string { return "knn-shapley" }
 
-// Rank computes kNN-Shapley scores and ranks ascending.
-func (s *KNNShapleyStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
+// Rank computes kNN-Shapley scores and returns the m lowest. Scores over
+// Index equal those over a fresh index bit for bit, so only the cost
+// depends on which one a round reads.
+func (s *KNNShapleyStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
 	k := s.K
 	if k <= 0 {
 		k = 5
 	}
-	if s.Indexes == nil {
-		scores, err := importance.KNNShapley(k, train, valid)
-		if err != nil {
-			return nil, err
-		}
-		return scores.RankAscending(), nil
+	var scores importance.Scores
+	var err error
+	if ix := s.Index; ix != nil && linalg.SameBits(train.X, ix.Train.X) && linalg.SameBits(valid.X, ix.Queries.X) {
+		scores, err = importance.KNNShapleyWithIndex(k, ix, train.Y, valid.Y, 1)
+	} else {
+		scores, err = importance.KNNShapley(k, train, valid)
 	}
-	ix, err := s.Indexes.Index(ml.KeyOf(train, valid), train, valid, 1)
 	if err != nil {
 		return nil, err
 	}
-	scores, err := importance.KNNShapleyWithIndex(k, ix, train.Y, valid.Y, 1)
-	if err != nil {
-		return nil, err
-	}
-	return scores.RankAscending(), nil
+	return scores.BottomK(m), nil
 }
 
 // LOOStrategy ranks by ascending leave-one-out importance of a model.
@@ -125,8 +128,8 @@ type LOOStrategy struct {
 // Name returns "loo".
 func (s *LOOStrategy) Name() string { return "loo" }
 
-// Rank computes LOO scores and ranks ascending.
-func (s *LOOStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
+// Rank computes LOO scores and returns the m lowest.
+func (s *LOOStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
 	newModel := s.NewModel
 	if newModel == nil {
 		newModel = func() ml.Classifier { return ml.NewKNN(5) }
@@ -136,7 +139,7 @@ func (s *LOOStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scores.RankAscending(), nil
+	return scores.BottomK(m), nil
 }
 
 // NoiseStrategy ranks by ascending out-of-fold self-confidence.
@@ -147,13 +150,13 @@ type NoiseStrategy struct {
 // Name returns "noise-score".
 func (s *NoiseStrategy) Name() string { return "noise-score" }
 
-// Rank computes self-confidence scores and ranks ascending.
-func (s *NoiseStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
+// Rank computes self-confidence scores and returns the m lowest.
+func (s *NoiseStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
 	scores, err := importance.SelfConfidence(train, importance.NoiseConfig{Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
-	return scores.RankAscending(), nil
+	return scores.BottomK(m), nil
 }
 
 // InfluenceStrategy ranks by ascending influence-function score.
@@ -162,13 +165,13 @@ type InfluenceStrategy struct{}
 // Name returns "influence".
 func (s *InfluenceStrategy) Name() string { return "influence" }
 
-// Rank computes influence scores and ranks ascending.
-func (s *InfluenceStrategy) Rank(train, valid *ml.Dataset) ([]int, error) {
+// Rank computes influence scores and returns the m lowest.
+func (s *InfluenceStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
 	scores, err := importance.Influence(train, valid, importance.InfluenceConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return scores.RankAscending(), nil
+	return scores.BottomK(m), nil
 }
 
 // CurvePoint is one measurement of the cleaning curve.
@@ -267,7 +270,7 @@ func newTestVotes(ix *ml.NeighborIndex, train, test *ml.Dataset, newModel func()
 // when cur's features are bit-equal to the index's training features,
 // else a fresh fit of newModel exactly as without the selection.
 func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifier) (float64, error) {
-	if tv == nil || !sameBits(cur.X, tv.ix.TrainSet().X) {
+	if tv == nil || !linalg.SameBits(cur.X, tv.ix.TrainSet().X) {
 		return ml.EvaluateAccuracy(newModel(), cur, test)
 	}
 	pred, err := tv.ix.PredictBatchLabels(tv.k, cur.Y)
@@ -275,24 +278,6 @@ func (tv *testVotes) accuracy(cur, test *ml.Dataset, newModel func() ml.Classifi
 		return 0, err
 	}
 	return ml.Accuracy(test.Y, pred), nil
-}
-
-// sameBits reports whether two matrices have the same shape and the same
-// float64 bit patterns: at once when they are the same matrix, as a
-// label repair's features are the index's.
-func sameBits(a, b *linalg.Matrix) bool {
-	if a == b {
-		return true
-	}
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // iterativeClean is IterativeClean reporting under an explicit parent span,
@@ -325,7 +310,10 @@ func iterativeClean(
 	cleaned := make(map[int]bool)
 	for len(cleaned) < budget && len(cleaned) < train.Len() {
 		rsp := sp.StartChild("cleaning.round")
-		order, err := strat.Rank(cur, valid)
+		// At most len(cleaned) of the order's first m rows are cleaned
+		// already, so the scan below fills next from them.
+		m := len(cleaned) + min(batch, budget-len(cleaned))
+		order, err := strat.Rank(cur, valid, m)
 		if err != nil {
 			rsp.End()
 			return nil, err

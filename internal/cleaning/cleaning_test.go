@@ -94,7 +94,7 @@ func TestStrategiesRankCorruptedFirst(t *testing.T) {
 		&InfluenceStrategy{},
 	}
 	for _, s := range strategies {
-		order, err := s.Rank(dirty, valid)
+		order, err := s.Rank(dirty, valid, dirty.Len())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -116,7 +116,7 @@ func TestStrategiesRankCorruptedFirst(t *testing.T) {
 
 func TestRandomStrategyIsPermutation(t *testing.T) {
 	dirty, valid, _, _, _ := dirtySetup(t, 30)
-	order, err := (&RandomStrategy{Seed: 7}).Rank(dirty, valid)
+	order, err := (&RandomStrategy{Seed: 7}).Rank(dirty, valid, dirty.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStrategyNamesAndLOO(t *testing.T) {
 	}
 	// LOO ranking runs end to end on a small set
 	dirty, valid, _, _, _ := dirtySetup(t, 24)
-	order, err := (&LOOStrategy{}).Rank(dirty, valid)
+	order, err := (&LOOStrategy{}).Rank(dirty, valid, dirty.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func refIterativeClean(
 	res := &Result{Strategy: strat.Name(), Curve: []CurvePoint{{Cleaned: 0, Accuracy: acc}}}
 	cleaned := make(map[int]bool)
 	for len(cleaned) < budget && len(cleaned) < train.Len() {
-		order, err := strat.Rank(cur, valid)
+		order, err := strat.Rank(cur, valid, cur.Len())
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 			t.Fatalf("%s %s point %d: got %+v, want %+v", what, got.Strategy, p, g, w)
 		}
 	}
-	if !sameBits(got.Final.X, want.Final.X) {
+	if !linalg.SameBits(got.Final.X, want.Final.X) {
 		t.Fatalf("%s %s: final features differ", what, got.Strategy)
 	}
 	for i := range want.Final.Y {

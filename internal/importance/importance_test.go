@@ -1,6 +1,7 @@
 package importance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -138,6 +139,43 @@ func TestBottomKTopKMatchRankAscending(t *testing.T) {
 	if got := (Scores{1, 2}).PrecisionAtK(map[int]bool{0: true}, -1); got != 0 {
 		t.Errorf("PrecisionAtK(-1) = %v, want 0", got)
 	}
+}
+
+// FuzzBottomK checks BottomK(m) against RankAscending()[:m], the prefix
+// every round of a cleaning loop reads, for every m from 0 to n+1. Each
+// score is a raw float64 bit pattern or a value from a small pool (ties,
+// ±0, ±Inf, NaN, subnormals and the extremes), chosen by a selector
+// byte.
+func FuzzBottomK(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 2, 4, 0, 2, 8, 6})
+	f.Add([]byte{10, 0, 12, 14, 2, 10, 16, 18, 20})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 3, 1, 0, 0, 0, 0, 0, 0, 0x80, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	pool := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Scores
+		for len(data) > 0 {
+			sel := data[0]
+			data = data[1:]
+			if sel&1 == 0 || len(data) < 8 {
+				s = append(s, pool[int(sel>>1)%len(pool)])
+				continue
+			}
+			s = append(s, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		}
+		rank := s.RankAscending()
+		for m := 0; m <= len(s)+1; m++ {
+			if got, want := s.BottomK(m), rank[:min(m, len(s))]; !slices.Equal(got, want) {
+				t.Fatalf("%v.BottomK(%d) = %v, want %v", s, m, got, want)
+			}
+		}
+	})
 }
 
 func TestPrecisionRecallAtK(t *testing.T) {

@@ -51,6 +51,24 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
 }
 
+// SameBits reports whether a and b have the same shape and the same
+// float64 bit patterns: at once when they are the same matrix, as a
+// label repair's features are its input's. A nil matrix equals only nil.
+func SameBits(a, b *Matrix) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || a.Rows != b.Rows || a.Cols != b.Cols || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // MulVec returns m @ x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {

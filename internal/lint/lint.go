@@ -292,5 +292,5 @@ func (m *Module) relPkg(pkgPath string) string {
 
 // Analyzers returns the repo's analyzer set, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard, Globalstate, Deadcode}
+	return []*Analyzer{Determinism, Panicsite, Errwrap, Obsguard, Globalstate, Stoptheworld, Deadcode}
 }

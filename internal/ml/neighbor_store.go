@@ -3,7 +3,9 @@ package ml
 import (
 	"fmt"
 
+	"nde/internal/linalg"
 	"nde/internal/nderr"
+	"nde/internal/obs"
 	"nde/internal/store"
 )
 
@@ -24,7 +26,8 @@ import (
 // caller supplies the key (IndexKey): one that already holds both
 // fingerprints — internal/serve computes them once per registered dataset
 // — looks an index up without touching the matrices, and the others hash
-// them with KeyOf.
+// them with KeyOf. A hit still compares the stored index's matrices with
+// the caller's (Index), so a forged fingerprint gets its own index.
 //
 // Concurrency: lookups are singleflight and eviction is LRU over ready
 // entries only — an in-flight build is never evicted, so concurrent
@@ -38,11 +41,11 @@ import (
 //
 // Metrics keep the names the store exported when it lived in
 // internal/importance: importance_neighbor_index_{hits,misses,evictions,
-// waits}_total plus the importance_neighbor_index_{entries,inflight}
-// gauges. Every IndexStore in a process adds to the same counters (obs
-// metrics are process-wide), and the gauges read the store that changed
-// last. A "wait" is a caller that blocked on another goroutine's
-// in-flight build.
+// waits,collisions}_total plus the importance_neighbor_index_{entries,
+// inflight} gauges. Every IndexStore in a process adds to the same
+// counters (obs metrics are process-wide), and the gauges read the store
+// that changed last. A "wait" is a caller that blocked on another
+// goroutine's in-flight build.
 type IndexStore struct {
 	s *store.Store[IndexKey, *NeighborIndex]
 }
@@ -74,13 +77,25 @@ func KeyOf(train, queries *Dataset) IndexKey {
 // them instead of hashing again. Concurrent callers for the same geometry
 // share one build; a failed build (the validation errors of
 // NewNeighborIndex) is returned and not stored.
+//
+// A hit is checked, not trusted: a 64-bit fingerprint can be forged, so
+// the stored index's feature matrices must be the caller's, by pointer
+// (every hit of a caller that keeps its matrices) or else bit for bit.
+// When they are not, another geometry holds the key: Index counts
+// importance_neighbor_index_collisions_total and returns an index over
+// the caller's own matrices, which it does not store.
 func (st *IndexStore) Index(key IndexKey, train, queries *Dataset, workers int) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
 		return NewNeighborIndex(train, queries, workers) // reports the nil set; not a store miss
 	}
-	return st.s.GetOrBuild(key, func() (*NeighborIndex, error) {
+	ix, err := st.s.GetOrBuild(key, func() (*NeighborIndex, error) {
 		return NewNeighborIndex(train, queries, workers)
 	})
+	if err != nil || linalg.SameBits(ix.Train.X, train.X) && linalg.SameBits(ix.Queries.X, queries.X) {
+		return ix, err
+	}
+	obs.Inc("importance_neighbor_index_collisions_total")
+	return NewNeighborIndex(train, queries, workers)
 }
 
 // PredictSurvivors is PredictBatchLabels over only the training rows i

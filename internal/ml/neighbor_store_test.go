@@ -2,6 +2,7 @@ package ml
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -119,5 +120,58 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
 	if misses != 1+indexStoreCapacity { // A once, each churn geometry once — more means A rebuilt
 		t.Errorf("misses = %d, want %d (A built once, each churn geometry once)", misses, 1+indexStoreCapacity)
+	}
+}
+
+// A hit is checked, not trusted: a lookup under a key that another
+// geometry holds gets an index over its own matrices, which the store
+// does not keep, and counts a collision; equal content in other memory
+// hits the stored index.
+func TestIndexStoreChecksHits(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	obs.Reset()
+	collisions := func() int64 { return obs.Default().Counter("importance_neighbor_index_collisions_total").Value() }
+	st := NewIndexStore()
+	trainA, validA := blobs(50, 1.5, 3001), blobs(20, 1.5, 3002)
+	trainB, validB := blobs(50, 1.5, 3003), blobs(20, 1.5, 3004)
+	key := KeyOf(trainA, validA)
+	a, err := st.Index(key, trainA, validA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, c := range []struct {
+		name         string
+		train, valid *Dataset
+	}{{"train", trainB, validA}, {"queries", trainA, validB}} {
+		got, err := st.Index(key, c.train, c.valid, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == a || got.Train != c.train || got.Queries != c.valid {
+			t.Fatalf("%s differs under a stored key: got the stored index, or one over other rows", c.name)
+		}
+		want, err := NewNeighborIndex(c.train, c.valid, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < c.valid.Len(); q++ {
+			if !slices.Equal(got.Order(q), want.Order(q)) {
+				t.Fatalf("%s differs under a stored key: query %d order %v, want %v", c.name, q, got.Order(q), want.Order(q))
+			}
+		}
+		if got := collisions(); got != int64(n+1) {
+			t.Fatalf("%s differs under a stored key: %d collisions counted, want %d", c.name, got, n+1)
+		}
+	}
+	copyA := &Dataset{X: trainA.X.Clone(), Y: trainA.Y}
+	for _, train := range []*Dataset{trainA, copyA} {
+		if got, err := st.Index(key, train, validA, 1); err != nil || got != a {
+			t.Fatalf("lookup of the stored geometry = %p, %v; want the stored index %p", got, err, a)
+		}
+	}
+	if got := collisions(); got != 2 {
+		t.Errorf("%d collisions after hits on the stored geometry, want 2", got)
 	}
 }

@@ -91,6 +91,9 @@ func TestChromeTraceAllocArgs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		sink = append(sink, make([]byte, 64))
 	}
+	// small objects may stay in a P's cached runtime span, uncounted
+	// (see Span); a large one counts when allocated
+	sink = append(sink, make([]byte, 64<<10))
 	s.End()
 	_ = sink
 

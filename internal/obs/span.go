@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,13 +16,21 @@ type Attr struct {
 }
 
 // Span records one timed region of work: wall time, allocation deltas
-// (from runtime.MemStats) and arbitrary attributes such as row counts.
+// and arbitrary attributes such as row counts.
 // Spans started while another span is open on the same tracer become its
 // children, mirroring the call structure of a single orchestration
 // goroutine. Concurrent worker goroutines must not use StartSpan (the
 // implicit current-span nesting would interleave their trees); they attach
 // children to an explicit parent with Span.StartChild, which is safe for
 // concurrent use, or report through metrics and Progress.
+//
+// The allocation columns are the process's heap allocations between
+// start and end, read from runtime/metrics, so they count every
+// goroutine's allocations, not only the span's own. Large objects are
+// counted when allocated. Small objects are counted when a P swaps the
+// span of their size class that it caches, so the columns can be off by
+// up to one runtime span's worth of objects per size class per P (8 KiB
+// of 64-byte objects is 128). Reading them stops no world.
 type Span struct {
 	tracer *Tracer // nil for the shared no-op span
 	name   string
@@ -31,8 +39,8 @@ type Span struct {
 
 	start       time.Time
 	wall        time.Duration
-	startAllocs uint64 // MemStats.Mallocs at start
-	startBytes  uint64 // MemStats.TotalAlloc at start
+	startAllocs uint64 // heap allocations, tiny ones included, at start
+	startBytes  uint64 // heap bytes allocated at start
 	allocs      uint64
 	bytes       uint64
 	ended       bool
@@ -59,7 +67,7 @@ func StartSpan(name string, attrs ...Attr) *Span {
 // under the loop's span. Children appear in creation order, which under
 // concurrency is scheduling order, not item order. Allocation-delta capture
 // is skipped for such spans: overlapping concurrent work would make the
-// process-wide MemStats deltas meaningless. No-op (and allocation-free) on
+// process-wide deltas meaningless. No-op (and allocation-free) on
 // the no-op span.
 func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	if s.tracer == nil {
@@ -112,23 +120,18 @@ func (s *Span) End() {
 		return
 	}
 	wall := time.Since(s.start)
-	var allocs, bytes uint64
-	capture := !s.noAllocs && s.tracer.captureAllocsOn()
-	if capture {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		allocs = m.Mallocs - s.startAllocs
-		bytes = m.TotalAlloc - s.startBytes
+	t := s.tracer
+	t.mu.Lock()
+	if !s.noAllocs && t.captureAllocs {
+		allocs, bytes := t.heapAllocsLocked()
+		s.allocs, s.bytes = allocs-s.startAllocs, bytes-s.startBytes
 	}
-	s.tracer.mu.Lock()
 	s.wall = wall
-	s.allocs = allocs
-	s.bytes = bytes
 	s.ended = true
-	if s.tracer.cur == s {
-		s.tracer.cur = s.parent
+	if t.cur == s {
+		t.cur = s.parent
 	}
-	s.tracer.mu.Unlock()
+	t.mu.Unlock()
 	maybeRecordSlowSpan(s.name, wall)
 }
 
@@ -155,14 +158,31 @@ type Tracer struct {
 	roots         []*Span
 	cur           *Span
 	captureAllocs bool
+	// samples is the runtime/metrics buffer a capture reads into under
+	// mu; held here, so a capture allocates nothing.
+	samples [3]metrics.Sample
 }
 
 // NewTracer returns an empty tracer with allocation capture on.
-func NewTracer() *Tracer { return &Tracer{captureAllocs: true} }
+func NewTracer() *Tracer {
+	t := &Tracer{captureAllocs: true}
+	t.samples[0].Name = "/gc/heap/allocs:objects"
+	t.samples[1].Name = "/gc/heap/tiny/allocs:objects"
+	t.samples[2].Name = "/gc/heap/allocs:bytes"
+	return t
+}
 
-// CaptureAllocs toggles runtime.MemStats sampling per span (on by
-// default). Turning it off removes the stop-the-world reads that
-// ReadMemStats performs, at the cost of losing allocation columns.
+// heapAllocsLocked returns the process's heap allocations so far, tiny
+// ones included, and their bytes. t.mu must be held.
+func (t *Tracer) heapAllocsLocked() (allocs, bytes uint64) {
+	metrics.Read(t.samples[:])
+	return t.samples[0].Value.Uint64() + t.samples[1].Value.Uint64(), t.samples[2].Value.Uint64()
+}
+
+// CaptureAllocs toggles the allocation columns of spans started with
+// StartSpan (on by default). A capture reads runtime/metrics twice per
+// span, stops no world and allocates nothing; the columns are as
+// precise as Span describes. Turning it off saves those reads.
 func (t *Tracer) CaptureAllocs(on bool) {
 	t.mu.Lock()
 	t.captureAllocs = on
@@ -175,13 +195,10 @@ func (t *Tracer) CaptureAllocs(on bool) {
 // half-initialized span.
 func (t *Tracer) StartSpan(name string, attrs ...Attr) *Span {
 	s := &Span{tracer: t, name: name, attrs: attrs}
-	if t.captureAllocsOn() {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		s.startAllocs = m.Mallocs
-		s.startBytes = m.TotalAlloc
-	}
 	t.mu.Lock()
+	if t.captureAllocs {
+		s.startAllocs, s.startBytes = t.heapAllocsLocked()
+	}
 	s.parent = t.cur
 	if s.parent != nil {
 		s.parent.children = append(s.parent.children, s)
@@ -192,13 +209,6 @@ func (t *Tracer) StartSpan(name string, attrs ...Attr) *Span {
 	s.start = time.Now()
 	t.mu.Unlock()
 	return s
-}
-
-func (t *Tracer) captureAllocsOn() bool {
-	t.mu.Lock()
-	on := t.captureAllocs
-	t.mu.Unlock()
-	return on
 }
 
 // Roots returns the completed and open root spans in start order.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,24 +59,64 @@ func TestSpanTreeNesting(t *testing.T) {
 	}
 }
 
+// The allocation columns hold the contract Span documents: large
+// objects count exactly, and small ones up to one runtime span's worth
+// per size class per P.
 func TestSpanRecordsDurationAndAllocs(t *testing.T) {
+	const (
+		large, largeSize = 16, 64 << 10 // past the 32 KiB small-object limit
+		small, smallSize = 4096, 64
+		perSpan          = 8192 / smallSize // 64-byte objects in one 8 KiB runtime span
+	)
 	tr := NewTracer()
 	s := tr.StartSpan("work")
-	var sink [][]byte
-	for i := 0; i < 200; i++ {
-		sink = append(sink, make([]byte, 64))
+	sink := make([][]byte, 0, large+small)
+	for i := 0; i < large; i++ {
+		sink = append(sink, make([]byte, largeSize))
+	}
+	for i := 0; i < small; i++ {
+		sink = append(sink, make([]byte, smallSize))
 	}
 	time.Sleep(time.Millisecond)
 	s.End()
-	_ = sink
+	runtime.KeepAlive(sink)
 	if s.wall < time.Millisecond {
 		t.Errorf("duration = %v, want >= 1ms", s.wall)
 	}
-	if s.allocs < 100 {
-		t.Errorf("allocs = %d, want >= 100", s.allocs)
+	// large objects count exactly; the small ones may lack one runtime
+	// span's worth per P
+	smallSeen := uint64(max(small-perSpan*runtime.GOMAXPROCS(0), 0))
+	if want := large + smallSeen; s.allocs < want {
+		t.Errorf("allocs = %d, want >= %d", s.allocs, want)
 	}
-	if s.bytes < 64*100 {
-		t.Errorf("bytes = %d, want >= %d", s.bytes, 64*100)
+	if want := large*largeSize + smallSeen*smallSize; s.bytes < want {
+		t.Errorf("bytes = %d, want >= %d", s.bytes, want)
+	}
+}
+
+// A capture reads runtime/metrics into the tracer's own buffer: a span
+// with capture on allocates what one without it does, and the read
+// itself nothing.
+func TestSpanCaptureAllocatesNothing(t *testing.T) {
+	spans := func(capture bool) float64 {
+		tr := NewTracer()
+		tr.CaptureAllocs(capture)
+		root := tr.StartSpan("root")
+		defer root.End()
+		return testing.AllocsPerRun(1000, func() {
+			tr.StartSpan("child").End()
+		})
+	}
+	if on, off := spans(true), spans(false); on != off {
+		t.Errorf("StartSpan+End allocates %v objects with capture on, %v with it off", on, off)
+	}
+	tr := NewTracer()
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.mu.Lock()
+		tr.heapAllocsLocked()
+		tr.mu.Unlock()
+	}); n != 0 {
+		t.Errorf("a capture allocates %v objects, want 0", n)
 	}
 }
 

@@ -149,9 +149,11 @@ func WhatIfRemovalsWithIndex(ft *Featurized, variants []RemovalVariant, ix *ml.N
 // unless none does, scores them with metric. A variant that removes every
 // surviving row reports the documented NaN sentinel rather than failing
 // the batch. metric runs concurrently across variants, so it may only
-// read shared state and write what it allocates. Results are reduced in
-// variant order, so they — including which error is reported when several
-// variants fail — are identical for any worker count.
+// read shared state and write what it allocates; the alive mask it gets
+// is its worker's, which the next variant reuses, so metric must only
+// read it. Results are reduced in variant order, so they — including
+// which error is reported when several variants fail — are identical for
+// any worker count.
 func evalVariants(ft *Featurized, variants []RemovalVariant, workers int, metric func(alive []bool, surviving int) (float64, error)) ([]WhatIfResult, error) {
 	sp := obs.StartSpan("pipeline.whatif")
 	sp.SetInt("variants", int64(len(variants))).
@@ -159,12 +161,18 @@ func evalVariants(ft *Featurized, variants []RemovalVariant, workers int, metric
 	defer sp.End()
 
 	lin := newBatchLineage(ft.Prov, variants)
+	masks := make([][]bool, par.Workers(workers, len(variants)))
 	out := make([]WhatIfResult, len(variants))
-	_, err := par.ForErr("pipeline.whatif", workers, len(variants), func(_, i int) error {
+	_, err := par.ForErr("pipeline.whatif", workers, len(variants), func(w, i int) error {
 		vsp := sp.StartChild("pipeline.whatif.variant")
 		vsp.SetStr("name", variants[i].Name)
 		defer vsp.End()
-		alive, surviving := lin.survivors(variants[i].Remove)
+		if masks[w] == nil {
+			masks[w] = lin.newMask()
+		}
+		alive := masks[w]
+		surviving := lin.survivors(alive, variants[i].Remove)
+		defer lin.restore(alive, variants[i].Remove)
 		res := WhatIfResult{Name: variants[i].Name, Metric: math.NaN(), Surviving: surviving}
 		if surviving > 0 {
 			m, err := metric(alive, surviving)
@@ -189,8 +197,9 @@ func evalVariants(ft *Featurized, variants []RemovalVariant, workers int, metric
 // product of source tuples, so the row dies exactly when a variant
 // removes one of them: one pass over the products records, for every
 // tuple the batch removes, the rows whose product names it, and a
-// variant clears its own tuples' rows from an all-alive mask. Read-only
-// once built, so variants use it concurrently.
+// variant clears its own tuples' rows from an all-alive mask, one per
+// worker, and sets them back once scored. Read-only once built, so
+// variants use it concurrently.
 type batchLineage struct {
 	rows    int                    // output rows
 	touched map[prov.TupleID][]int // removed tuple → ascending rows naming it
@@ -225,14 +234,20 @@ func newBatchLineage(polys []prov.Polynomial, variants []RemovalVariant) *batchL
 	return l
 }
 
-// survivors returns the alive mask of the output rows once remove's
-// tuples are gone, and how many rows it keeps. remove must be among the
-// removals the lineage was built for.
-func (l *batchLineage) survivors(remove []prov.TupleID) ([]bool, int) {
+// newMask returns an all-alive mask over the output rows.
+func (l *batchLineage) newMask() []bool {
 	alive := make([]bool, l.rows)
 	for o := range alive {
 		alive[o] = true
 	}
+	return alive
+}
+
+// survivors clears from alive, an all-alive mask, the output rows that
+// remove's tuples name, and returns how many rows it keeps. remove must
+// be among the removals the lineage was built for; restore(alive,
+// remove) makes the mask all-alive again.
+func (l *batchLineage) survivors(alive []bool, remove []prov.TupleID) int {
 	n := l.rows
 	for _, id := range remove {
 		for _, o := range l.touched[id] {
@@ -242,7 +257,16 @@ func (l *batchLineage) survivors(remove []prov.TupleID) ([]bool, int) {
 			}
 		}
 	}
-	return alive, n
+	return n
+}
+
+// restore sets back the rows survivors cleared for remove.
+func (l *batchLineage) restore(alive []bool, remove []prov.TupleID) {
+	for _, id := range remove {
+		for _, o := range l.touched[id] {
+			alive[o] = true
+		}
+	}
 }
 
 // aliveRows lists the n rows set in alive, in row order.

@@ -72,13 +72,15 @@ func lineageCase(data []byte) ([]prov.Polynomial, []RemovalVariant) {
 }
 
 // checkLineage compares every variant's survivor mask and count from one
-// batchLineage with the per-row oracle.
+// batchLineage with the per-row oracle, all variants clearing one mask as
+// a worker does, and checks that restore leaves it all-alive.
 func checkLineage(t *testing.T, polys []prov.Polynomial, variants []RemovalVariant) {
 	t.Helper()
 	ft := &Featurized{Prov: polys}
 	l := newBatchLineage(polys, variants)
+	alive := l.newMask()
 	for _, v := range variants {
-		alive, n := l.survivors(v.Remove)
+		n := l.survivors(alive, v.Remove)
 		want := make([]bool, len(polys))
 		keep := survivors(ft, v)
 		for _, o := range keep {
@@ -90,6 +92,12 @@ func checkLineage(t *testing.T, polys []prov.Polynomial, variants []RemovalVaria
 		for o := range want {
 			if alive[o] != want[o] {
 				t.Fatalf("variant %s removing %v: row %d (%v) alive=%v, oracle %v", v.Name, v.Remove, o, polys[o], alive[o], want[o])
+			}
+		}
+		l.restore(alive, v.Remove)
+		for o, ok := range alive {
+			if !ok {
+				t.Fatalf("variant %s removing %v: row %d still cleared after restore", v.Name, v.Remove, o)
 			}
 		}
 	}

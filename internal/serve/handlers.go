@@ -329,14 +329,14 @@ func variantsFingerprint(variants []pipeline.RemovalVariant) uint64 {
 }
 
 // strategyByName maps wire names to cleaning strategies. Seeded
-// strategies use a fixed seed so responses are reproducible, and
-// kNN-Shapley rounds look their neighbor index up in the server's store.
-func (s *Server) strategyByName(name string) (cleaning.Strategy, bool) {
+// strategies use a fixed seed so responses are reproducible; the handler
+// gives kNN-Shapley its neighbor index.
+func strategyByName(name string) (cleaning.Strategy, bool) {
 	switch name {
 	case "random":
 		return &cleaning.RandomStrategy{Seed: 1}, true
 	case "knn-shapley":
-		return &cleaning.KNNShapleyStrategy{Indexes: s.indexes}, true
+		return &cleaning.KNNShapleyStrategy{}, true
 	case "loo":
 		return &cleaning.LOOStrategy{}, true
 	case "noise-score":
@@ -351,7 +351,9 @@ func (s *Server) strategyByName(name string) (cleaning.Strategy, bool) {
 // handleCleaning implements POST /v1/cleaning: compare cleaning
 // strategies on a dataset registered with a test split and ground-truth
 // labels (the label oracle), re-voting the test rows through the
-// dataset's own test index.
+// dataset's own test index. kNN-Shapley rounds score over the dataset's
+// (train, valid) index from the server's store, looked up once per
+// request by the dataset's key.
 func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 	if !post(w, r) {
 		return
@@ -375,7 +377,7 @@ func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 	}
 	strategies := make([]cleaning.Strategy, len(req.Strategies))
 	for i, name := range req.Strategies {
-		st, ok := s.strategyByName(name)
+		st, ok := strategyByName(name)
 		if !ok {
 			writeErr(w, http.StatusBadRequest, "unknown cleaning strategy "+name, "bad_request")
 			return
@@ -392,6 +394,17 @@ func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 		testIx, err := d.testIndex(req.Workers)
 		if err != nil {
 			return nil, err
+		}
+		var ix *ml.NeighborIndex
+		for _, st := range strategies {
+			if ks, ok := st.(*cleaning.KNNShapleyStrategy); ok {
+				if ix == nil {
+					if ix, err = s.indexes.Index(d.key, d.train, d.valid, req.Workers); err != nil {
+						return nil, err
+					}
+				}
+				ks.Index = ix
+			}
 		}
 		oracle := &cleaning.LabelOracle{Truth: d.truth}
 		results, err := cleaning.CompareStrategiesWithIndex(

@@ -117,8 +117,8 @@ func TestAsyncImportanceResult(t *testing.T) {
 
 // Each Server owns its neighbor-index store: two servers in one process
 // that register the same content each build its index once, and a
-// /v1/cleaning comparison after /v1/importance on that dataset reads the
-// stored index in every kNN-Shapley round instead of building one.
+// /v1/cleaning comparison after /v1/importance on that dataset looks the
+// stored index up for its kNN-Shapley rounds instead of building one.
 func TestServersOwnTheirIndexStores(t *testing.T) {
 	r := withObs(t)
 	counter := func(name string) int64 { return r.Counter("importance_neighbor_index_" + name + "_total").Value() }
@@ -144,5 +144,129 @@ func TestServersOwnTheirIndexStores(t *testing.T) {
 		if got := counter("hits"); got <= hits {
 			t.Errorf("server %d: neighbor index hits %d after cleaning, want more than %d", n, got, hits)
 		}
+	}
+}
+
+// fpMix is linalg.Matrix.Fingerprint's per-element step, copied so that
+// fpUnmix can invert it.
+func fpMix(h, v uint64) uint64 {
+	v *= 0xff51afd7ed558ccd
+	v ^= v >> 33
+	h = (h ^ v) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>29
+}
+
+// fpUnmix returns the word v with fpMix(h, v) == out.
+func fpUnmix(h, out uint64) uint64 {
+	y := out ^ out>>29 ^ out>>58
+	w := y*oddInverse(0xc4ceb9fe1a85ec53) ^ h
+	return (w ^ w>>33) * oddInverse(0xff51afd7ed558ccd)
+}
+
+// oddInverse returns the inverse of an odd c modulo 2^64: c itself is
+// right in the low 3 bits, and each Newton step doubles them.
+func oddInverse(c uint64) uint64 {
+	inv := c
+	for i := 0; i < 5; i++ {
+		inv *= 2 - c*inv
+	}
+	return inv
+}
+
+// forgeLast sets the last value of x so that linalg.FromRows(x) has
+// fingerprint fp, and reports whether that value is finite and small
+// enough to square.
+func forgeLast(x [][]float64, fp uint64) bool {
+	last := x[len(x)-1]
+	h := fpMix(fpMix(14695981039346656037, uint64(len(x))), uint64(len(last)))
+	for r, row := range x {
+		for c, v := range row {
+			if r < len(x)-1 || c < len(row)-1 {
+				h = fpMix(h, math.Float64bits(v))
+			}
+		}
+	}
+	v := math.Float64frombits(fpUnmix(h, fp))
+	last[len(last)-1] = v
+	return math.Abs(v) < 1e100
+}
+
+// A dataset forged so that its features hash to another dataset's
+// neighbor-index key is scored on its own neighbors: the server's store
+// compares the stored index's matrices with the request's on a hit,
+// counts the collision and builds the forged dataset an index it does
+// not keep, while the first dataset keeps reading the stored one.
+func TestForgedIndexKeyScoresOwnData(t *testing.T) {
+	r := withObs(t)
+	_, ts := newTestServer(t, Config{})
+	scores := func(id string, k int) []float64 {
+		t.Helper()
+		code, raw := postRaw(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": k})
+		var resp ImportanceResponse
+		if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
+			t.Fatalf("importance %s k=%d = %d (%v): %s", id, k, code, err, raw)
+		}
+		return resp.Scores
+	}
+	sameScores := func(what string, got []float64, k int, train, valid *ml.Dataset) {
+		t.Helper()
+		want, err := importance.KNNShapley(k, train, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if i >= len(got) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s k=%d: %d scores, row %d differs from importance.KNNShapley: %v", what, k, len(got), i, want[i])
+			}
+		}
+	}
+
+	bodyA := registerBody(40)
+	idA := register(t, ts, 40)
+	trainA, valid := blobSplits(t, 40)
+	sameScores("A", scores(idA, 3), 3, trainA, valid)
+
+	// B: A's training rows 0–9 moved by +100 (or a little more, until the
+	// solved value is usable) in the first feature, label 1 flipped, and
+	// the last value solved for A's fingerprint
+	specA := bodyA["train"].(map[string]any)
+	yB := append([]int(nil), specA["y"].([]int)...)
+	yB[1] = 1 - yB[1]
+	var xB [][]float64
+	for shift := 100.0; xB == nil; shift++ {
+		xB = nil
+		for i, row := range specA["x"].([][]float64) {
+			row = append([]float64(nil), row...)
+			if i < 10 {
+				row[0] += shift
+			}
+			xB = append(xB, row)
+		}
+		if !forgeLast(xB, trainA.X.Fingerprint()) {
+			xB = nil
+		}
+	}
+	trainB, err := ml.NewDataset(linalg.FromRows(xB), yB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ml.KeyOf(trainB, valid) != ml.KeyOf(trainA, valid) {
+		t.Fatal("forged training features do not hash to A's index key")
+	}
+	bodyB := registerBody(40)
+	bodyB["train"] = map[string]any{"x": xB, "y": yB}
+	code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
+	idB, _ := body["id"].(string)
+	if code != http.StatusOK || idB == idA {
+		t.Fatalf("register B = %d, id %q (A's %q): %v", code, idB, idA, body)
+	}
+	sameScores("B", scores(idB, 3), 3, trainB, valid)
+	if got := r.Counter("importance_neighbor_index_collisions_total").Value(); got != 1 {
+		t.Errorf("%d index collisions counted, want 1", got)
+	}
+	misses := r.Counter("importance_neighbor_index_misses_total").Value()
+	sameScores("A", scores(idA, 4), 4, trainA, valid)
+	if got := r.Counter("importance_neighbor_index_misses_total").Value(); got != misses {
+		t.Errorf("A's second score built %d indexes, want 0 (the stored one)", got-misses)
 	}
 }

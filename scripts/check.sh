@@ -8,7 +8,7 @@ echo "==> go vet ./..."
 go vet ./...
 
 # contract-enforcing static analysis (determinism, panicsite, errwrap,
-# obsguard, globalstate, deadcode; see DESIGN.md §10). Skip with
+# obsguard, globalstate, stoptheworld, deadcode; see DESIGN.md §10). Skip with
 # NDE_SKIP_LINT=1 when in a hurry.
 if [ "${NDE_SKIP_LINT:-0}" != "1" ]; then
     echo "==> nde-lint"
@@ -68,6 +68,11 @@ go test -run='^FuzzRegisterNumber$' -fuzz='^FuzzRegisterNumber$' -fuzztime=2s ./
 # row's provenance product against the variant's removals
 echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"
 go test -run='^FuzzWhatIfSurvivors$' -fuzz='^FuzzWhatIfSurvivors$' -fuzztime=2s ./internal/pipeline/
+
+# the bottom-k selection the cleaning rounds read their batches from,
+# differential against the full sort (RankAscending) for every prefix
+echo "==> go test -fuzz FuzzBottomK (2s)"
+go test -run='^FuzzBottomK$' -fuzz='^FuzzBottomK$' -fuzztime=2s ./internal/importance/
 
 # the neighbor order table's radix argsort, differential against the
 # (distance, index) comparator
