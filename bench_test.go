@@ -806,7 +806,7 @@ func BenchmarkIncremental(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := importance.KNNShapleyDerive(k, lookupIndex(b, st, train, valid), train.Y, valid.Y, []int{i % n}, 0); err != nil {
+				if _, _, _, _, err := importance.KNNShapleyDerive(k, lookupIndex(b, st, train, valid), train.Y, valid.Y, []int{i % n}, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

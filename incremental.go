@@ -55,13 +55,13 @@ func NewDebugSession(train, valid *Dataset, k, workers int) (_ *DebugSession, er
 	if err != nil {
 		return nil, err
 	}
-	scores, keep, ix, err := importance.KNNShapleyDerive(k, parent, train.Y, valid.Y, nil, workers)
+	scores, keep, y, ix, err := importance.KNNShapleyDerive(k, parent, train.Y, valid.Y, nil, workers)
 	if err != nil {
 		return nil, err
 	}
 	return &DebugSession{
 		k: k, workers: workers,
-		y: train.Y, valid: valid,
+		y: y, valid: valid,
 		orig: keep, scores: scores, ix: ix,
 	}, nil
 }
@@ -103,7 +103,7 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 	if len(rows) == 0 {
 		return append(Scores(nil), s.scores...), nil
 	}
-	scores, keep, ix, err := importance.KNNShapleyDerive(s.k, s.ix, s.y, s.valid.Y, rows, s.workers)
+	scores, keep, y, ix, err := importance.KNNShapleyDerive(s.k, s.ix, s.y, s.valid.Y, rows, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("nde: debug session removal: %w", err)
 	}
@@ -112,15 +112,14 @@ func (s *DebugSession) RemoveRows(rows []int) (_ Scores, err error) {
 		return nil, fmt.Errorf("nde: removal leaves %d rows for k=%d: %w", len(keep), s.k, nderr.ErrBadK)
 	}
 	// Labels stay the session's (a stored index may carry another label
-	// revision).
-	y := make([]int, len(keep))
-	orig := make([]int, len(keep))
+	// revision): y is s.y at keep, which the derivation built to score
+	// with and hands over, as it hands over keep, which becomes the
+	// survivors' original ids in place.
 	for o, i := range keep {
-		orig[o] = s.orig[i]
-		y[o] = s.y[i]
+		keep[o] = s.orig[i]
 	}
 	s.y = y
-	s.orig = orig
+	s.orig = keep
 	s.scores = scores
 	s.ix = ix
 	return append(Scores(nil), scores...), nil

@@ -9,6 +9,7 @@ package cleaning
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"nde/internal/importance"
 	"nde/internal/linalg"
@@ -73,15 +74,33 @@ type Strategy interface {
 // importance method must beat.
 type RandomStrategy struct {
 	Seed int64
+	last atomic.Pointer[seededPerm] // the permutation Rank drew last
+}
+
+// seededPerm is the permutation of n rows that Seed draws.
+type seededPerm struct {
+	seed int64
+	perm []int
 }
 
 // Name returns "random".
 func (s *RandomStrategy) Name() string { return "random" }
 
-// Rank returns the first m rows of a seeded random permutation.
+// Rank returns the first m rows of a seeded random permutation of the
+// training rows. The permutation depends only on Seed and the row count,
+// which every round of a cleaning run shares, so it is drawn once and
+// later calls with the same pair copy out its prefix. Rank is safe for
+// concurrent use.
 func (s *RandomStrategy) Rank(train, valid *ml.Dataset, m int) ([]int, error) {
-	perm := rand.New(rand.NewSource(s.Seed)).Perm(train.Len())
-	return perm[:min(max(m, 0), len(perm))], nil
+	n := train.Len()
+	p := s.last.Load()
+	if p == nil || p.seed != s.Seed || len(p.perm) != n {
+		p = &seededPerm{seed: s.Seed, perm: rand.New(rand.NewSource(s.Seed)).Perm(n)}
+		s.last.Store(p)
+	}
+	out := make([]int, min(max(m, 0), n))
+	copy(out, p.perm)
+	return out, nil
 }
 
 // KNNShapleyStrategy ranks by ascending kNN-Shapley value, scored at one

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"nde/internal/datagen"
@@ -130,6 +131,76 @@ func TestRandomStrategyIsPermutation(t *testing.T) {
 	if len(seen) != 30 {
 		t.Error("random ranking incomplete")
 	}
+}
+
+// A random ranking is drawn once per seed and row count: a second Rank
+// at the same row count seeds no source and draws no permutation — it
+// allocates only the prefix it returns — and answers as a fresh strategy
+// does, whatever the caller did to an earlier answer.
+func TestRandomStrategyDrawsOnce(t *testing.T) {
+	dirty, valid, _, _, _ := dirtySetup(t, 30)
+	s := &RandomStrategy{Seed: 7}
+	full, err := s.Rank(dirty, valid, dirty.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := (&RandomStrategy{Seed: 7}).Rank(dirty, valid, dirty.Len())
+	if !slices.Equal(full, fresh) {
+		t.Fatal("a kept permutation differs from a fresh draw")
+	}
+	full[0] = -1 // the caller owns what Rank returns
+	var got []int
+	allocs := testing.AllocsPerRun(50, func() {
+		got, _ = s.Rank(dirty, valid, 5)
+	})
+	if allocs > 1 {
+		t.Errorf("second Rank allocates %.0f times, want at most the prefix", allocs)
+	}
+	if !slices.Equal(got, fresh[:5]) {
+		t.Errorf("prefix %v, want %v", got, fresh[:5])
+	}
+	if got, _ := s.Rank(dirty, valid, 0); len(got) != 0 {
+		t.Errorf("m=0 ranks %v", got)
+	}
+	small := dirty.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	want, _ := (&RandomStrategy{Seed: 7}).Rank(small, valid, 10)
+	if got, _ := s.Rank(small, valid, 10); !slices.Equal(got, want) {
+		t.Errorf("after a change of row count: %v, want %v", got, want)
+	}
+	s.Seed = 8
+	want, _ = (&RandomStrategy{Seed: 8}).Rank(small, valid, 10)
+	if got, _ := s.Rank(small, valid, 10); !slices.Equal(got, want) {
+		t.Errorf("after a change of seed: %v, want %v", got, want)
+	}
+}
+
+// Concurrent rounds of differently sized runs share one strategy safely.
+func TestRandomStrategyConcurrentRank(t *testing.T) {
+	dirty, valid, _, _, _ := dirtySetup(t, 30)
+	small := dirty.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	want := map[int][]int{}
+	for _, d := range []*ml.Dataset{dirty, small} {
+		want[d.Len()], _ = (&RandomStrategy{Seed: 3}).Rank(d, valid, d.Len())
+	}
+	s := &RandomStrategy{Seed: 3}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				d := dirty
+				if (g+i)%2 == 0 {
+					d = small
+				}
+				if got, _ := s.Rank(d, valid, d.Len()); !slices.Equal(got, want[d.Len()]) {
+					t.Errorf("n=%d: %v, want %v", d.Len(), got, want[d.Len()])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestIterativeCleanRecoversAccuracy(t *testing.T) {

@@ -29,7 +29,8 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return KNNShapleyDerive(k, parent, train.Y, valid.Y, remove, workers)
+	scores, keep, _, child, err := KNNShapleyDerive(k, parent, train.Y, valid.Y, remove, workers)
+	return scores, keep, child, err
 }
 
 // KNNShapleyDerive removes rows (indices into parent.Train, duplicates
@@ -45,28 +46,29 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 // such as nde.DebugSession, chains derivations without fingerprinting
 // or touching an index store.
 //
-// It returns the survivors' scores, their row ids in parent, and the
-// child index. The scores are Float64bits-identical to KNNShapley over
+// It returns the survivors' scores, their row ids in parent, their labels
+// (trainY at those ids), and the child index. The ids and the labels are
+// fresh slices that the caller owns. The scores are Float64bits-identical to KNNShapley over
 // the surviving rows. The closed form is re-evaluated in full per
 // validation point rather than patched from the highest changed neighbor
 // rank downward, because that algebraic prefix-offset shortcut (ranks
 // below the first removed neighbor change by a constant) reassociates
 // float additions and drifts from the oracle by ulps (DESIGN §11).
-func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []int, workers int) (Scores, []int, *ml.NeighborIndex, error) {
+func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []int, workers int) (Scores, []int, []int, *ml.NeighborIndex, error) {
 	n := parent.Train.Len()
 	if err := validateKNNShapleyRows(k, n, parent.Queries.Len()); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if len(trainY) != n {
-		return nil, nil, nil, nderr.Mismatch("importance: delta train labels", n, len(trainY))
+		return nil, nil, nil, nil, nderr.Mismatch("importance: delta train labels", n, len(trainY))
 	}
 	if nq := parent.Queries.Len(); len(validY) != nq {
-		return nil, nil, nil, nderr.Mismatch("importance: delta validation labels", nq, len(validY))
+		return nil, nil, nil, nil, nderr.Mismatch("importance: delta validation labels", nq, len(validY))
 	}
 	gone := make([]bool, n)
 	for _, r := range remove {
 		if r < 0 || r >= n {
-			return nil, nil, nil, fmt.Errorf("importance: delta removal row %d outside [0,%d): %w", r, n, nderr.ErrDegenerateInput)
+			return nil, nil, nil, nil, fmt.Errorf("importance: delta removal row %d outside [0,%d): %w", r, n, nderr.ErrDegenerateInput)
 		}
 		gone[r] = true
 	}
@@ -77,7 +79,7 @@ func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []
 		}
 	}
 	if len(keep) == 0 {
-		return nil, nil, nil, fmt.Errorf("importance: delta removal would empty the training set: %w", nderr.ErrEmptyInput)
+		return nil, nil, nil, nil, fmt.Errorf("importance: delta removal would empty the training set: %w", nderr.ErrEmptyInput)
 	}
 
 	sp := obs.StartSpan("importance.knnshapley_delta")
@@ -89,7 +91,7 @@ func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []
 	if len(keep) < n {
 		var err error
 		if child, err = parent.RemoveRows(remove); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 	// survivor labels from the CALLER: a stored parent may carry another
@@ -99,5 +101,5 @@ func KNNShapleyDerive(k int, parent *ml.NeighborIndex, trainY, validY, remove []
 		reducedY[o] = trainY[i]
 	}
 	scores, _ := knnShapleyKernel(k, child, reducedY, validY, workers, nil)
-	return scores, keep, child, nil
+	return scores, keep, reducedY, child, nil
 }

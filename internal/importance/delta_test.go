@@ -180,7 +180,7 @@ func FuzzRemoveRowsChain(f *testing.F) {
 		}
 		for b := 6; b+1 < len(in) && len(orig) > 1; b += 2 {
 			rows := chainRemoval(t, cur, int(in[b])%chainOps, int(in[b+1]))
-			scores, keep, child, err := KNNShapleyDerive(k, cur, cur.Train.Y, valid.Y, rows, workers)
+			scores, keep, keepY, child, err := KNNShapleyDerive(k, cur, cur.Train.Y, valid.Y, rows, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,6 +194,9 @@ func FuzzRemoveRowsChain(f *testing.F) {
 				t.Fatal(err)
 			}
 			assertScoresBitIdentical(t, scores, want, "chain step")
+			if !slices.Equal(keepY, survivors.Y) {
+				t.Fatal("the derivation's survivor labels are not the survivors' labels")
+			}
 			got := child.TrainSet()
 			if got.X.Rows != survivors.X.Rows || got.X.Cols != survivors.X.Cols || !slices.Equal(got.Y, survivors.Y) ||
 				!slices.Equal(got.Groups, survivors.Groups) || !slices.Equal(child.Train.Y, survivors.Y) {

@@ -57,7 +57,7 @@ func (m *KNN) topK(x, row []float64, out []int) []int {
 	}
 	xn := 0.0
 	for _, v := range x {
-		xn += v * v
+		xn += float64(v * v)
 	}
 	q := linalg.Matrix{Rows: 1, Cols: len(x), Data: x}
 	qn := [1]float64{xn}

@@ -51,7 +51,7 @@ func TestOrderFirstChainStoresNoDistanceMatrix(t *testing.T) {
 	compactions := 0
 	for step := 0; step < 8; step++ {
 		rows := r.Perm(cur.Train.Len())[:10]
-		scores, keep, child, err := importance.KNNShapleyDerive(k, cur, curY, valid.Y, rows, 2)
+		scores, keep, nextY, child, err := importance.KNNShapleyDerive(k, cur, curY, valid.Y, rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +73,10 @@ func TestOrderFirstChainStoresNoDistanceMatrix(t *testing.T) {
 				t.Fatalf("step %d: score[%d] = %x, rebuild %x", step, i, math.Float64bits(scores[i]), math.Float64bits(want[i]))
 			}
 		}
-		nextY := make([]int, len(keep))
 		for o, i := range keep {
-			nextY[o] = curY[i]
+			if nextY[o] != curY[i] {
+				t.Fatalf("step %d: survivor %d's label %d, caller's %d", step, o, nextY[o], curY[i])
+			}
 		}
 		indexes = append(indexes, child)
 		cur, curY = child, nextY

@@ -236,7 +236,10 @@ func (d *regDecoder) split() *MatrixSpec {
 }
 
 // matrix reads an array of float rows. Every row is a window of one
-// backing array, sized before parsing by counting the commas ahead.
+// backing array, sized before parsing by counting the commas ahead, and
+// reaches to its end (no capacity limit), so registration can tell by
+// element address that the rows lie end to end and adopt the array as
+// the matrix's data (rowsArray).
 func (d *regDecoder) matrix() [][]float64 {
 	d.expect('[')
 	nums, rows := d.countRows()
@@ -255,7 +258,7 @@ func (d *regDecoder) matrix() [][]float64 {
 	x := make([][]float64, len(ends))
 	start := 0
 	for i, end := range ends {
-		x[i] = flat[start:end:end]
+		x[i] = flat[start:end]
 		start = end
 	}
 	return x

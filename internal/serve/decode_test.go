@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -272,5 +273,51 @@ func TestBodyTooLarge413(t *testing.T) {
 		bytes.NewReader([]byte(value+strings.Repeat(" ", 64-len(value))))))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("body of exactly MaxBodyBytes = %d %s, want 404 not_found", rec.Code, rec.Body)
+	}
+}
+
+// An inline split the fast path decoded is registered without a copy:
+// its matrix's data is the array the decoder laid the rows out in. Rows
+// that are not one array's consecutive windows — encoding/json's, or
+// one array's rows out of order — are copied, and every split holds the
+// decoded values either way.
+func TestRegisteredInlineSplitAliasesDecodedRows(t *testing.T) {
+	body := mustMarshal(t, RegisterRequest{Train: inlineSpec(mixtureSplit(t, rand.New(rand.NewSource(9)), 12, 4)),
+		Valid: inlineSpec(mixtureSplit(t, rand.New(rand.NewSource(10)), 4, 4))})
+	var fast, slow RegisterRequest
+	if !decodeRegister(body, &fast) {
+		t.Fatal("fast path refused a canonical body")
+	}
+	if err := json.Unmarshal(body, &slow); err != nil {
+		t.Fatal(err)
+	}
+	flat := []float64{1, 2, 3, 4, 5, 6}
+	swapped := [][]float64{flat[2:4], flat[0:2], flat[4:6]}
+	for _, c := range []struct {
+		name  string
+		rows  [][]float64
+		alias bool
+	}{
+		{"fast train", fast.Train.X, true},
+		{"fast valid", fast.Valid.X, true},
+		{"encoding/json train", slow.Train.X, false},
+		{"one array out of order", swapped, false},
+	} {
+		d, err := datasetFromMatrix("train", c.rows, make([]int, len(c.rows)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		dim := len(c.rows[0])
+		for r, row := range c.rows {
+			if got := d.X.Row(r); !slices.Equal(got, row) {
+				t.Fatalf("%s: row %d = %v, decoded %v", c.name, r, got, row)
+			}
+			if aliased := &d.X.Data[r*dim] == &row[0]; aliased != c.alias {
+				t.Errorf("%s: row %d aliases its decoded row: %v, want %v", c.name, r, aliased, c.alias)
+			}
+		}
+		if cap(d.X.Data) != len(d.X.Data) {
+			t.Errorf("%s: matrix data has capacity %d past its %d elements", c.name, cap(d.X.Data), len(d.X.Data))
+		}
 	}
 }

@@ -1,11 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -227,7 +226,7 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.compute(w, r, "ServeImportance", req.Async, d.train.Len(), req.Workers, func() (any, error) {
-		return s.scores.GetOrBuild(scoreKey{dataset: d.id, k: req.K}, func() (reply, error) {
+		return s.scores.GetOrBuild(scoreKey{dataset: d.seq, k: req.K}, func() (reply, error) {
 			ix, err := s.indexes.Index(d.key, d.train, d.valid, req.Workers)
 			if err != nil {
 				return nil, err
@@ -273,7 +272,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 		variants = append(variants, pipeline.RemovalVariant{Name: v.Name, Remove: ids})
 	}
-	key := whatifKey{dataset: d.id, variants: variantsFingerprint(variants)}
+	key := whatifKey{dataset: d.seq, variants: variantsKey(variants)}
 	s.compute(w, r, "ServeWhatIf", req.Async, d.train.Len(), req.Workers, func() (any, error) {
 		// Cached like scores: identical batches (any worker count — results
 		// are worker-invariant) share one evaluation; concurrent identical
@@ -305,27 +304,24 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// variantsFingerprint hashes the ordered variant list (names and removal
-// rows) for the what-if response cache key.
-func variantsFingerprint(variants []pipeline.RemovalVariant) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	write := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	write(uint64(len(variants)))
+// variantsKey encodes the ordered variant list (names and removal rows)
+// for the what-if response cache key. Every string and list is prefixed
+// by its length and every number is a varint, so the encoding is
+// injective: two lists share a key only when they are equal, and no
+// forged list can take another's cached response.
+func variantsKey(variants []pipeline.RemovalVariant) string {
+	b := binary.AppendUvarint(nil, uint64(len(variants)))
 	for _, v := range variants {
-		io.WriteString(h, v.Name)
-		write(uint64(len(v.Remove)))
+		b = binary.AppendUvarint(b, uint64(len(v.Name)))
+		b = append(b, v.Name...)
+		b = binary.AppendUvarint(b, uint64(len(v.Remove)))
 		for _, id := range v.Remove {
-			io.WriteString(h, id.Table)
-			write(uint64(int64(id.Row)))
+			b = binary.AppendUvarint(b, uint64(len(id.Table)))
+			b = append(b, id.Table...)
+			b = binary.AppendVarint(b, int64(id.Row))
 		}
 	}
-	return h.Sum64()
+	return string(b)
 }
 
 // strategyByName maps wire names to cleaning strategies. Seeded

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"nde/internal/importance"
@@ -195,43 +197,114 @@ func forgeLast(x [][]float64, fp uint64) bool {
 // neighbor-index key is scored on its own neighbors: the server's store
 // compares the stored index's matrices with the request's on a hit,
 // counts the collision and builds the forged dataset an index it does
-// not keep, while the first dataset keeps reading the stored one.
+// not keep, while the first dataset keeps reading the stored one. When
+// the forgery also keeps the first dataset's labels, its content address
+// (the dataset id) collides too: the registry compares content on the
+// hit, counts the collision and gives the forgery an id of its own.
 func TestForgedIndexKeyScoresOwnData(t *testing.T) {
-	r := withObs(t)
-	_, ts := newTestServer(t, Config{})
-	scores := func(id string, k int) []float64 {
-		t.Helper()
-		code, raw := postRaw(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": k})
-		var resp ImportanceResponse
-		if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
-			t.Fatalf("importance %s k=%d = %d (%v): %s", id, k, code, err, raw)
-		}
-		return resp.Scores
-	}
-	sameScores := func(what string, got []float64, k int, train, valid *ml.Dataset) {
-		t.Helper()
-		want, err := importance.KNNShapley(k, train, valid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if i >= len(got) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s k=%d: %d scores, row %d differs from importance.KNNShapley: %v", what, k, len(got), i, want[i])
-			}
-		}
-	}
+	for _, keepLabels := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keepLabels=%v", keepLabels), func(t *testing.T) {
+			r := withObs(t)
+			_, ts := newTestServer(t, Config{})
+			idA := register(t, ts, 40)
+			trainA, valid := blobSplits(t, 40)
+			sameForgeScores(t, "A", importanceScores(t, ts, idA, 3), 3, trainA, valid)
 
-	bodyA := registerBody(40)
+			bodyB, trainB := forgeDataset(t, keepLabels)
+			code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
+			idB, _ := body["id"].(string)
+			if code != http.StatusOK || idB == idA {
+				t.Fatalf("register B = %d, id %q (A's %q): %v", code, idB, idA, body)
+			}
+			wantIDCollisions := int64(0)
+			if keepLabels {
+				wantIDCollisions = 1
+			}
+			if got := r.Counter("serve_dataset_id_collisions_total").Value(); got != wantIDCollisions {
+				t.Errorf("%d dataset id collisions counted, want %d", got, wantIDCollisions)
+			}
+			sameForgeScores(t, "B", importanceScores(t, ts, idB, 3), 3, trainB, valid)
+			if got := r.Counter("importance_neighbor_index_collisions_total").Value(); got != 1 {
+				t.Errorf("%d index collisions counted, want 1", got)
+			}
+			misses := r.Counter("importance_neighbor_index_misses_total").Value()
+			sameForgeScores(t, "A", importanceScores(t, ts, idA, 4), 4, trainA, valid)
+			if got := r.Counter("importance_neighbor_index_misses_total").Value(); got != misses {
+				t.Errorf("A's second score built %d indexes, want 0 (the stored one)", got-misses)
+			}
+			// registering either again finds its own content under its own id
+			if id := register(t, ts, 40); id != idA {
+				t.Errorf("A registered again: id %q, want %q", id, idA)
+			}
+			if code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB); code != http.StatusOK || body["id"] != idB {
+				t.Errorf("B registered again = %d, id %v, want %q", code, body["id"], idB)
+			}
+		})
+	}
+}
+
+// A forgery of A's id registered after A left the registry takes A's id,
+// and reads none of the replies stored for A: the stores key their
+// entries by the dataset's registration number, not by its id.
+func TestForgedIDAfterEvictionScoresOwnData(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	idA := register(t, ts, 40)
 	trainA, valid := blobSplits(t, 40)
-	sameScores("A", scores(idA, 3), 3, trainA, valid)
+	sameForgeScores(t, "A", importanceScores(t, ts, idA, 3), 3, trainA, valid)
+	for n := 41; n <= 40+maxDatasets; n++ {
+		register(t, ts, n)
+	}
+	if code, _ := postRaw(t, ts.URL+"/v1/importance", map[string]any{"dataset": idA, "k": 3}); code != http.StatusNotFound {
+		t.Fatalf("A is still registered (%d) after %d more registrations", code, maxDatasets)
+	}
+	bodyB, trainB := forgeDataset(t, true)
+	code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
+	idB, _ := body["id"].(string)
+	if code != http.StatusOK || idB != idA {
+		t.Fatalf("register B = %d, id %q, want A's %q", code, idB, idA)
+	}
+	sameForgeScores(t, "B", importanceScores(t, ts, idB, 3), 3, trainB, valid)
+}
 
-	// B: A's training rows 0–9 moved by +100 (or a little more, until the
-	// solved value is usable) in the first feature, label 1 flipped, and
-	// the last value solved for A's fingerprint
-	specA := bodyA["train"].(map[string]any)
+// importanceScores answers POST /v1/importance for one dataset and k.
+func importanceScores(t *testing.T, ts *httptest.Server, id string, k int) []float64 {
+	t.Helper()
+	code, raw := postRaw(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": k})
+	var resp ImportanceResponse
+	if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("importance %s k=%d = %d (%v): %s", id, k, code, err, raw)
+	}
+	return resp.Scores
+}
+
+// sameForgeScores fails unless got is importance.KNNShapley's answer on
+// (train, valid) bit for bit.
+func sameForgeScores(t *testing.T, what string, got []float64, k int, train, valid *ml.Dataset) {
+	t.Helper()
+	want, err := importance.KNNShapley(k, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if i >= len(got) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s k=%d: %d scores, row %d differs from importance.KNNShapley: %v", what, k, len(got), i, want[i])
+		}
+	}
+}
+
+// forgeDataset returns the registration body and training split of B:
+// registerBody(40) (A) with training rows 0–9 moved by +100 (or a little
+// more, until the solved value is usable) in the first feature, label 1
+// flipped unless B keeps A's labels, and the last value solved so B's
+// training features hash to A's, and so to A's neighbor-index key.
+func forgeDataset(t *testing.T, keepLabels bool) (map[string]any, *ml.Dataset) {
+	t.Helper()
+	trainA, valid := blobSplits(t, 40)
+	specA := registerBody(40)["train"].(map[string]any)
 	yB := append([]int(nil), specA["y"].([]int)...)
-	yB[1] = 1 - yB[1]
+	if !keepLabels {
+		yB[1] = 1 - yB[1]
+	}
 	var xB [][]float64
 	for shift := 100.0; xB == nil; shift++ {
 		xB = nil
@@ -253,20 +326,7 @@ func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 	if ml.KeyOf(trainB, valid) != ml.KeyOf(trainA, valid) {
 		t.Fatal("forged training features do not hash to A's index key")
 	}
-	bodyB := registerBody(40)
-	bodyB["train"] = map[string]any{"x": xB, "y": yB}
-	code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
-	idB, _ := body["id"].(string)
-	if code != http.StatusOK || idB == idA {
-		t.Fatalf("register B = %d, id %q (A's %q): %v", code, idB, idA, body)
-	}
-	sameScores("B", scores(idB, 3), 3, trainB, valid)
-	if got := r.Counter("importance_neighbor_index_collisions_total").Value(); got != 1 {
-		t.Errorf("%d index collisions counted, want 1", got)
-	}
-	misses := r.Counter("importance_neighbor_index_misses_total").Value()
-	sameScores("A", scores(idA, 4), 4, trainA, valid)
-	if got := r.Counter("importance_neighbor_index_misses_total").Value(); got != misses {
-		t.Errorf("A's second score built %d indexes, want 0 (the stored one)", got-misses)
-	}
+	body := registerBody(40)
+	body["train"] = map[string]any{"x": xB, "y": yB}
+	return body, trainB
 }

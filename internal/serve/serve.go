@@ -28,12 +28,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sync"
 
 	"nde/internal/frame"
 	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/nderr"
+	"nde/internal/obs"
 	"nde/internal/obs/ops"
 	"nde/internal/par"
 	"nde/internal/pipeline"
@@ -82,6 +84,7 @@ const (
 // for its test index.
 type dataset struct {
 	id    string
+	seq   uint64 // registration number, never reused: the derived stores' key
 	name  string
 	train *ml.Dataset
 	valid *ml.Dataset
@@ -117,32 +120,37 @@ type Server struct {
 	mu       sync.Mutex
 	datasets map[string]*dataset
 	dsOrder  []string // registration order for bounded eviction
+	nextSeq  uint64   // the next dataset.seq
 
 	// Derived-artifact caches, all singleflight (internal/store):
-	// featurized tables keyed by dataset id, encoded score replies keyed
-	// by (dataset id, k), what-if responses keyed by (dataset id, variant
-	// fingerprint), and neighbor indexes keyed by the dataset's key, where
-	// importance scoring, what-if batches and every kNN-Shapley cleaning
-	// round on one dataset find the same exact index.
-	featurized *store.Store[string, *pipeline.Featurized]
+	// featurized tables keyed by dataset, encoded score replies keyed by
+	// (dataset, k), what-if responses keyed by (dataset, variant list),
+	// and neighbor indexes keyed by the dataset's key, where importance
+	// scoring, what-if batches and every kNN-Shapley cleaning round on one
+	// dataset find the same exact index. The first three key on the
+	// dataset's registration number, not its id: an id that a forgery
+	// takes once its first holder has left the registry finds none of
+	// that holder's entries, and no entry keeps a dataset alive.
+	featurized *store.Store[uint64, *pipeline.Featurized]
 	scores     *store.Store[scoreKey, reply]
 	whatifs    *store.Store[whatifKey, WhatIfResponse]
 	indexes    *ml.IndexStore
 }
 
 type scoreKey struct {
-	dataset string
+	dataset uint64 // dataset.seq
 	k       int
 }
 
-// whatifKey addresses one what-if batch: the dataset id plus an FNV-1a
-// fingerprint of the ordered variant names and removal rows. The worker
+// whatifKey addresses one what-if batch: the dataset's registration
+// number plus the injective encoding of the ordered variant names and removal rows
+// (variantsKey). The worker
 // count is deliberately NOT part of the key — results are bit-for-bit
 // worker-invariant (the pipeline concurrency contract), so requests
 // differing only in workers share one cached response.
 type whatifKey struct {
-	dataset  string
-	variants uint64
+	dataset  uint64 // dataset.seq
+	variants string
 }
 
 // NewServer creates a serving core with the given configuration.
@@ -153,7 +161,7 @@ func NewServer(cfg Config) *Server {
 		budget:     par.NewBudget("serve_budget", cfg.Slots, cfg.Queue),
 		runs:       newRunRegistry(keepRuns),
 		datasets:   map[string]*dataset{},
-		featurized: store.New[string, *pipeline.Featurized]("serve_featurized", 8),
+		featurized: store.New[uint64, *pipeline.Featurized]("serve_featurized", 8),
 		scores:     store.New[scoreKey, reply]("serve_scores", 32),
 		whatifs:    store.New[whatifKey, WhatIfResponse]("serve_whatif", 32),
 		indexes:    ml.NewIndexStore(),
@@ -196,7 +204,12 @@ func (s *Server) Drain() {
 
 // registerDataset validates a registration request, builds the splits,
 // and stores the dataset under its content-addressed id. Registering
-// identical content returns the existing id.
+// identical content returns the existing id. An id is checked, not
+// trusted: a dataset registered under it must hold the same splits bit
+// for bit, labels and truth included. A registration whose id another
+// content holds (a forged fingerprint) counts
+// serve_dataset_id_collisions_total and takes the id with the first free
+// suffix -1, -2, … instead.
 func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
 	if req.Train == nil || req.Valid == nil {
 		return nil, fmt.Errorf("%w: register needs train and valid splits", nderr.ErrEmptyInput)
@@ -240,9 +253,20 @@ func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.datasets[d.id]; ok {
-		return existing, nil
+	base := d.id
+	for i := 1; ; i++ {
+		existing, ok := s.datasets[d.id]
+		if !ok {
+			break
+		}
+		if sameContent(existing, d) {
+			return existing, nil
+		}
+		obs.Inc("serve_dataset_id_collisions_total")
+		d.id = fmt.Sprintf("%s-%d", base, i)
 	}
+	d.seq = s.nextSeq
+	s.nextSeq++
 	s.datasets[d.id] = d
 	s.dsOrder = append(s.dsOrder, d.id)
 	for len(s.datasets) > maxDatasets {
@@ -291,6 +315,21 @@ func datasetID(d *dataset) string {
 		write(uint64(int64(y)))
 	}
 	return fmt.Sprintf("d-%016x", h.Sum64())
+}
+
+// sameContent reports whether two datasets hold the same splits, labels
+// and truth, features compared bit for bit.
+func sameContent(a, b *dataset) bool {
+	return sameSplit(a.train, b.train) && sameSplit(a.valid, b.valid) && sameSplit(a.test, b.test) && slices.Equal(a.truth, b.truth)
+}
+
+// sameSplit reports whether two splits (or two absent ones) hold the same
+// features bit for bit and the same labels.
+func sameSplit(x, y *ml.Dataset) bool {
+	if x == nil || y == nil {
+		return x == y
+	}
+	return linalg.SameBits(x.X, y.X) && slices.Equal(x.Y, y.Y)
 }
 
 // buildDataset materializes one split from its wire spec.
@@ -363,7 +402,9 @@ func datasetFromCSV(split, csv, labelCol string) (*ml.Dataset, error) {
 	return d, nil
 }
 
-// datasetFromMatrix materializes an inline row-major matrix + labels.
+// datasetFromMatrix materializes an inline row-major matrix + labels. Rows
+// the register decoder laid end to end in one array become the matrix's
+// data as they are; other rows (an encoding/json body) are copied.
 func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("%w: %s split matrix is empty", nderr.ErrEmptyInput, split)
@@ -376,14 +417,15 @@ func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, er
 	if dim == 0 {
 		return nil, fmt.Errorf("%w: %s split rows have no features", nderr.ErrEmptyInput, split)
 	}
-	x := linalg.NewMatrix(len(rows), dim)
-	for r, row := range rows {
-		if len(row) != dim {
-			return nil, fmt.Errorf("%w: %s split row %d has %d features, row 0 has %d",
-				nderr.ErrShapeMismatch, split, r, len(row), dim)
-		}
-		for c, v := range row {
-			x.Set(r, c, v)
+	x := &linalg.Matrix{Rows: len(rows), Cols: dim, Data: rowsArray(rows, dim)}
+	if x.Data == nil {
+		x = linalg.NewMatrix(len(rows), dim)
+		for r, row := range rows {
+			if len(row) != dim {
+				return nil, fmt.Errorf("%w: %s split row %d has %d features, row 0 has %d",
+					nderr.ErrShapeMismatch, split, r, len(row), dim)
+			}
+			copy(x.Row(r), row)
 		}
 	}
 	d, err := ml.NewDataset(x, y)
@@ -396,12 +438,30 @@ func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, er
 	return d, nil
 }
 
+// rowsArray returns the array that rows are consecutive windows of, dim
+// elements each, or nil when they are not: element addresses decide, so
+// the rows must start at rows[0]'s first element and follow one another
+// within its capacity. dim is at least 1.
+func rowsArray(rows [][]float64, dim int) []float64 {
+	n := len(rows) * dim
+	if cap(rows[0]) < n {
+		return nil
+	}
+	flat := rows[0][:n:n]
+	for r, row := range rows {
+		if len(row) != dim || &row[0] != &flat[r*dim] {
+			return nil
+		}
+	}
+	return flat
+}
+
 // featurizedFor returns the identity-provenance featurized view of the
 // dataset's train split (source tuple i = train row i), built at most
 // once per dataset through the singleflight store. What-if removals
 // filter it by provenance instead of replaying any pipeline.
 func (s *Server) featurizedFor(d *dataset) (*pipeline.Featurized, error) {
-	return s.featurized.GetOrBuild(d.id, func() (*pipeline.Featurized, error) {
+	return s.featurized.GetOrBuild(d.seq, func() (*pipeline.Featurized, error) {
 		// each row's product is its own tuple, all backed by one array
 		ids := make(prov.Polynomial, d.train.Len())
 		p := make([]prov.Polynomial, len(ids))

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,6 +18,8 @@ import (
 	"time"
 
 	"nde/internal/obs"
+	"nde/internal/pipeline"
+	"nde/internal/prov"
 )
 
 // blobs builds a deterministic two-cluster dataset: even rows are class
@@ -463,6 +466,10 @@ func TestSharedBuildWaits(t *testing.T) {
 	})
 	s, ts := newTestServer(t, Config{})
 	id := register(t, ts, 30)
+	d, ok := s.lookup(id)
+	if !ok {
+		t.Fatal("registered dataset not found")
+	}
 
 	built := make(chan struct{})
 	release := make(chan struct{})
@@ -470,7 +477,7 @@ func TestSharedBuildWaits(t *testing.T) {
 	flight.Add(1)
 	go func() {
 		defer flight.Done()
-		_, _ = s.scores.GetOrBuild(scoreKey{dataset: id, k: 3}, func() (reply, error) {
+		_, _ = s.scores.GetOrBuild(scoreKey{dataset: d.seq, k: 3}, func() (reply, error) {
 			close(built)
 			<-release
 			return encodeReply(ImportanceResponse{Dataset: id, K: 3, Scores: []float64{0.5}})
@@ -854,5 +861,57 @@ func TestCleaningSelectsOncePerDataset(t *testing.T) {
 	d, ok := s.lookup(id)
 	if !ok || d.testIx == nil {
 		t.Fatal("dataset holds no test index after a cleaning request")
+	}
+}
+
+// The what-if store's key is an injective encoding of the variant list:
+// lists that concatenate to the same names, tables and rows — the
+// collisions a length-free encoding has — get different keys, and over
+// random lists drawn from a small alphabet two keys are equal exactly
+// when the lists are.
+func TestVariantsKeyInjective(t *testing.T) {
+	v := func(name string, remove ...prov.TupleID) pipeline.RemovalVariant {
+		return pipeline.RemovalVariant{Name: name, Remove: remove}
+	}
+	id := func(table string, row int) prov.TupleID { return prov.TupleID{Table: table, Row: row} }
+	for _, pair := range [][2][]pipeline.RemovalVariant{
+		{{v("ab")}, {v("a"), v("b")}},
+		{{v("a", id("bc", 1))}, {v("ab", id("c", 1))}},
+		{{v("a", id("t", 1), id("t", 2))}, {v("a", id("t", 1)), v("", id("t", 2))}},
+		{{v("", id("", 0))}, {v(""), v("")}},
+		{{v("a", id("", 0))}, {v("a\x01\x00")}},
+		{{v("a", id("x", 0), id("", 0))}, {v("a", id("", 60), id("\x00", 0))}},
+		{{v("x", id("t", -1))}, {v("x", id("t", 1))}},
+		{{v("x", id("t", 1<<40))}, {v("x", id("t", 0))}},
+	} {
+		if variantsKey(pair[0]) == variantsKey(pair[1]) {
+			t.Errorf("%v and %v share a key", pair[0], pair[1])
+		}
+	}
+	r := rand.New(rand.NewSource(4))
+	words := []string{"", "a", "b", "ab", "train", "\x00", "\x01", "a\x01"}
+	rows := []int{-1, 0, 1, 127, 128, 300}
+	lists := map[string]string{} // key -> the list it encodes, printed
+	for i := 0; i < 3000; i++ {
+		list := make([]pipeline.RemovalVariant, r.Intn(4))
+		for j := range list {
+			list[j].Name = words[r.Intn(len(words))]
+			for n := r.Intn(3); n > 0; n-- {
+				list[j].Remove = append(list[j].Remove, id(words[r.Intn(len(words))], rows[r.Intn(len(rows))]))
+			}
+		}
+		printed := fmt.Sprintf("%#v", list)
+		key := variantsKey(list)
+		if prev, ok := lists[key]; ok && prev != printed {
+			t.Fatalf("%s and %s share a key", prev, printed)
+		}
+		lists[key] = printed
+	}
+	seen := map[string]bool{}
+	for _, printed := range lists {
+		if seen[printed] {
+			t.Fatalf("%s has two keys", printed)
+		}
+		seen[printed] = true
 	}
 }

@@ -28,6 +28,26 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# the Go body of the distance kernel is the AVX2 body's twin only if it
+# rounds every product before adding it: arm64 must build, and its
+# compiler must fuse no multiply-add in the kernels (linalg's kernels*.go)
+# or in kNN's query norm (ml's knn.go) — an explicit float64 conversion
+# forbids the fusion. The listing must show the Go body, so a build that
+# prints nothing cannot pass.
+echo "==> GOARCH=arm64 go build ./... + no fused multiply-add in the distance kernels"
+GOARCH=arm64 go build ./...
+listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/linalg ./internal/ml 2>&1)
+if ! echo "$listing" | grep -q 'linalg\.pairwiseD2RowsGo'; then
+    echo "arm64 listing of internal/linalg shows no pairwiseD2RowsGo" >&2
+    exit 1
+fi
+fused=$(echo "$listing" | grep -E '[(/](kernels[a-z0-9_]*|knn)\.go:[0-9]+\)[[:space:]]+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' || true)
+if [ -n "$fused" ]; then
+    echo "fused multiply-add in a distance kernel on arm64:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -78,6 +98,10 @@ go test -run='^FuzzBottomK$' -fuzz='^FuzzBottomK$' -fuzztime=2s ./internal/impor
 # (distance, index) comparator
 echo "==> go test -fuzz FuzzArgsort (2s)"
 go test -run='^FuzzArgsort$' -fuzz='^FuzzArgsort$' -fuzztime=2s ./internal/ml/
+
+# the distance kernel's AVX2 body, differential against its Go body
+echo "==> go test -fuzz FuzzPairwiseD2Rows (2s)"
+go test -run='^FuzzPairwiseD2Rows$' -fuzz='^FuzzPairwiseD2Rows$' -fuzztime=2s ./internal/linalg/
 
 # removal chains through KNNShapleyDerive, across compaction, differential
 # against scoring and voting a rebuild over the survivors

@@ -24,6 +24,8 @@ trap 'rm -rf "$tmp"' EXIT
 # the hot symbols of the benchmark's workloads and of its reference kernel
 hot='main.(*refBuf).kernel
 nde/internal/linalg.PairwiseD2Rows
+nde/internal/linalg.pairwiseD2RowsAVX2
+nde/internal/linalg.d2RowsAVX2.abi0
 nde/internal/ml.argsortInto
 nde/internal/ml.(*argsortScratch).finishRun
 nde/internal/ml.(*deltaGeom).walkInto
