@@ -16,8 +16,8 @@ import (
 // neighbor index those scores came from, whose root holds the features.
 // Each RemoveRows call DERIVES the next index from the current one
 // (ml.NeighborIndex.RemoveRows: tombstones over the root's neighbor order
-// table, O(queries·k) top-k repair, no fresh distance kernel, no copy of
-// the features) and re-evaluates the Shapley closed form in one O(n)
+// table, whose walk also gives the child its top-k when Accuracy asks; no
+// fresh distance kernel, no copy of the features) and re-evaluates the Shapley closed form in one O(n)
 // pass over the root's neighbor order per validation point — so
 // iterating "drop the worst row, look again" is interactive even at
 // tens of thousands of rows, while staying Float64bits-identical to

@@ -513,7 +513,7 @@ func AreaUnderCurve(curve []CurvePoint) float64 {
 	area := 0.0
 	for i := 1; i < len(curve); i++ {
 		dx := float64(curve[i].Cleaned - curve[i-1].Cleaned)
-		area += dx * (curve[i].Accuracy + curve[i-1].Accuracy) / 2
+		area += float64(dx * (curve[i].Accuracy + curve[i-1].Accuracy) / 2)
 	}
 	return area / span
 }

@@ -264,7 +264,7 @@ func AppendOOD(d *ml.Dataset, k int, scale float64, seed int64) (*ml.Dataset, []
 			if r.Intn(2) == 0 {
 				sign = -1
 			}
-			row[j] = hi[j] + sign*scale*spread*(0.5+r.Float64())
+			row[j] = hi[j] + float64(sign*scale*spread*(0.5+float64(r.Float64())))
 		}
 		y = append(y, r.Intn(max(2, d.NumClasses())))
 	}

@@ -116,10 +116,10 @@ func Hiring(cfg Config) *HiringData {
 		letterText[i] = makeLetter(r, positive, cfg.PhrasesPerLetter)
 		if positive {
 			sentiment[i] = "positive"
-			employerRating[i] = 3.5 + 1.5*r.Float64()
+			employerRating[i] = 3.5 + float64(1.5*float64(r.Float64()))
 		} else {
 			sentiment[i] = "negative"
-			employerRating[i] = 1 + 2*r.Float64()
+			employerRating[i] = 1 + float64(2*float64(r.Float64()))
 		}
 	}
 	letters := frame.MustNew(

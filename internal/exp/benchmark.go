@@ -44,7 +44,7 @@ func E18DetectionBenchmark(n int, seed int64) (*E18Result, error) {
 			// blow up the rating feature of every 8th row
 			f := out.Dim() - 1
 			for i := 0; i < out.Len(); i += 8 {
-				out.X.Set(i, f, out.X.At(i, f)*50+25)
+				out.X.Set(i, f, float64(out.X.At(i, f)*50)+25)
 				corrupted[i] = true
 			}
 			return out, corrupted, nil

@@ -288,7 +288,7 @@ func (s *Series) Std() (float64, bool) {
 			continue
 		}
 		d := s.Float(i) - mean
-		sum += d * d
+		sum += float64(d * d)
 		n++
 	}
 	return math.Sqrt(sum / float64(n)), true

@@ -57,7 +57,7 @@ func Influence(train, valid *ml.Dataset, cfg InfluenceConfig) (Scores, error) {
 	sig := func(x []float64) float64 {
 		z := 0.0
 		for j := 0; j < d; j++ {
-			z += theta[j] * x[j]
+			z += float64(theta[j] * x[j])
 		}
 		return ml.Sigmoid(z + theta[d])
 	}

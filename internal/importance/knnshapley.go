@@ -302,7 +302,7 @@ func shapleyPoint(dst []float64, order []int32, match, step []float64) {
 	for j := n - 2; j >= 0; j-- {
 		i = uint32(order[j])
 		cur := match[i]
-		acc += (cur - prev) * step[j]
+		acc += float64((cur - prev) * step[j])
 		dst[i] += acc
 		prev = cur
 	}
@@ -337,7 +337,7 @@ func shapleyWalkRow(dst []float64, order []int32, code []uint8, step []float64) 
 		d := (c - prev) & live
 		prev += d
 		r += live
-		acc += float64(d) * step[r]
+		acc += float64(float64(d) * step[r])
 		dst[i] = acc
 	}
 }

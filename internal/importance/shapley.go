@@ -133,7 +133,7 @@ func ExactShapley(n int, u Utility) (Scores, error) {
 			}
 			s := popcount(mask)
 			w := fact[s] * fact[n-s-1] / fact[n]
-			scores[i] += w * (utils[mask|1<<i] - utils[mask])
+			scores[i] += float64(w * (utils[mask|1<<i] - utils[mask]))
 		}
 	}
 	return scores, nil

@@ -23,7 +23,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+			d -= float64(l.At(j, k) * l.At(j, k))
 		}
 		if math.IsNaN(d) {
 			return nil, fmt.Errorf("linalg: Cholesky pivot %d of %d is NaN — the input matrix carries NaN (dirty features?): %w", j, n, ErrSingular)
@@ -35,7 +35,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for i := j + 1; i < n; i++ {
 			s := a.At(i, j)
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= float64(l.At(i, k) * l.At(j, k))
 			}
 			l.Set(i, j, s/l.At(j, j))
 		}
@@ -51,7 +51,7 @@ func CholeskySolve(l *Matrix, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= float64(l.At(i, k) * y[k])
 		}
 		y[i] = s / l.At(i, i)
 	}
@@ -60,7 +60,7 @@ func CholeskySolve(l *Matrix, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = s / l.At(i, i)
 	}
@@ -116,15 +116,15 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m.Data[r*n+c] -= f * m.Data[col*n+c]
+				m.Data[r*n+c] -= float64(f * m.Data[col*n+c])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for c := i + 1; c < n; c++ {
-			s -= m.At(i, c) * x[c]
+			s -= float64(m.At(i, c) * x[c])
 		}
 		x[i] = s / m.At(i, i)
 	}
@@ -172,7 +172,7 @@ func ConjugateGradient(a *Matrix, b []float64, tol float64, maxIter int) []float
 		rsNew := Dot(r, r)
 		beta := rsNew / rs
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = r[i] + float64(beta*p[i])
 		}
 		rs = rsNew
 	}

@@ -18,7 +18,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -32,7 +32,7 @@ func AXPY(alpha float64, x, y []float64) {
 		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

@@ -64,11 +64,11 @@ func (m *LogisticRegression) Fit(d *Dataset) error {
 			gb += err
 		}
 		inv := 1 / float64(n)
-		step := lr / (1 + 0.01*float64(e)) // mild decay for stability
+		step := lr / (1 + float64(0.01*float64(e))) // mild decay for stability
 		for j := range w {
-			w[j] -= step * (gw[j]*inv + l2*w[j])
+			w[j] -= float64(step * (float64(gw[j]*inv) + float64(l2*w[j])))
 		}
-		b -= step * gb * inv
+		b -= float64(step * gb * inv)
 	}
 	m.weights, m.intercept = w, b
 	return nil

@@ -147,7 +147,7 @@ func PredictionEntropy(pred []int) float64 {
 	h := 0.0
 	for _, y := range labels {
 		p := float64(counts[y]) / float64(len(pred))
-		h -= p * math.Log(p)
+		h -= float64(p * math.Log(p))
 	}
 	return h
 }

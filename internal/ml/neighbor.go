@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +42,7 @@ type NeighborIndex struct {
 	orders      []int32 // flat q×n argsort rows; Order(qi) returns a view
 	ordersReady atomic.Bool
 
-	topk topkCache // per-query top-k lists shared by prediction + derivation
+	topk topkCache // per-query top-k lists shared by prediction and TopK
 
 	// delta, when non-nil, marks a derived index: answers come from the
 	// root's order table instead of fresh kernels (neighbor_delta.go).
@@ -52,8 +51,7 @@ type NeighborIndex struct {
 
 // topkCache holds the per-query top-k lists for one k: flat q×k training
 // ids, each row ascending by (distance, id). Guarded by mu so concurrent
-// callers with different k serialize; derivation snapshots it to repair
-// children in O(q·k).
+// callers with different k serialize.
 type topkCache struct {
 	mu  sync.Mutex
 	k   int
@@ -63,8 +61,8 @@ type topkCache struct {
 // NewNeighborIndex builds an index over the given train and query sets.
 // Distances are not computed until the first use, but both feature
 // matrices are validated here: a single NaN feature would make the
-// (distance, index) comparator a non-strict weak order, so quickselect and
-// argsort would return silently wrong neighbors. Rejecting NaN/Inf at
+// (distance, index) comparator a non-strict weak order, so the top-k heap
+// and argsort would return silently wrong neighbors. Rejecting NaN/Inf at
 // build time (wrapping nderr.ErrNonFinite) turns that silent corruption
 // into a diagnosable error. Training ids are stored as int32, so more
 // than math.MaxInt32 training rows wrap nderr.ErrDegenerateInput.
@@ -103,8 +101,8 @@ func checkTrainRows(n int) error {
 // first use via linalg.PairwiseSquaredDistances over the index's rows
 // (TrainSet), derived or not: each element depends only on its two rows,
 // so a derived index's matrix is bit-identical to its root's surviving
-// columns. Only tests and TopK on an index without an order table read
-// it; the order table does not need it.
+// columns. Only tests and the benchmark's traced pass read it; neither
+// the order table nor the top-k cache needs it.
 func (ix *NeighborIndex) D2() *linalg.Matrix {
 	ix.d2Once.Do(func() {
 		ix.d2.Store(linalg.PairwiseSquaredDistances(ix.Queries.X, ix.TrainSet().X, ix.Workers))
@@ -174,42 +172,18 @@ func (ix *NeighborIndex) Order(qi int) []int32 {
 }
 
 // TopK returns the k training indices nearest to query qi, sorted by
-// ascending squared distance (ties by index). k is clamped to the
-// training size. The slice is freshly allocated. With an order table it
-// is the row's prefix; a derived index without one walks its root's
-// order; otherwise an O(n) quickselect over the distance row pulls the k
-// smallest, then only those are sorted.
+// ascending squared distance (ties by index), in a fresh slice. k is
+// clamped to the training size. It copies row qi of the top-k cache
+// (ensureTopK), which holds one k at a time, so asking for another k
+// rebuilds it. No served path calls TopK.
 func (ix *NeighborIndex) TopK(qi, k int) []int {
-	n := ix.Train.Len()
-	if k > n {
-		k = n
-	}
+	k = min(k, ix.Train.Len())
 	if k <= 0 {
 		return nil
 	}
 	out := make([]int, k)
-	switch {
-	case ix.ordersReady.Load():
-		for i, id := range ix.Order(qi)[:k] {
-			out[i] = int(id)
-		}
-	case ix.delta != nil:
-		ids := make([]int32, k)
-		ix.delta.walkInto(qi, ids)
-		for i, id := range ids {
-			out[i] = int(id)
-		}
-	default:
-		pairs := make([]distIdx, n)
-		for i, d := range ix.D2().Row(qi) {
-			pairs[i] = distIdx{d: d, i: i}
-		}
-		selectK(pairs, k)
-		top := pairs[:k]
-		sort.Sort(byDistIdx(top))
-		for i, p := range top {
-			out[i] = p.i
-		}
+	for i, id := range ix.ensureTopK(k)[qi*k : (qi+1)*k] {
+		out[i] = int(id)
 	}
 	return out
 }
@@ -335,79 +309,6 @@ func (ix *NeighborIndex) ensureTopK(kk int) []int32 {
 	return ids
 }
 
-// distIdx is a (squared distance, training index) pair.
-type distIdx struct {
-	d float64
-	i int
-}
-
-// less orders by (distance, index). This is a strict weak order only for
-// finite distances — with NaN, both a<b and b<a are false while a and b
-// are not equivalent, so quickselect partitions incoherently — which is
-// why NewNeighborIndex rejects non-finite features at build time.
-
-func (a distIdx) less(b distIdx) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.i < b.i
-}
-
-type byDistIdx []distIdx
-
-func (s byDistIdx) Len() int           { return len(s) }
-func (s byDistIdx) Less(a, b int) bool { return s[a].less(s[b]) }
-func (s byDistIdx) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
-
-// selectK partially rearranges a so that its k smallest elements under the
-// (distance, index) total order occupy a[:k], in unspecified order.
-// Iterative quickselect with median-of-three pivoting; expected O(len(a)).
-func selectK(a []distIdx, k int) {
-	lo, hi := 0, len(a)
-	if k <= 0 || k >= len(a) {
-		return
-	}
-	for hi-lo > 1 {
-		p := partition(a, lo, hi)
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p
-		}
-	}
-}
-
-// partition picks a median-of-three pivot in a[lo:hi], partitions around
-// it, and returns its final position.
-func partition(a []distIdx, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	// median of three → a[mid]
-	if a[lo].less(a[mid]) {
-		a[lo], a[mid] = a[mid], a[lo]
-	}
-	if a[lo].less(a[last]) {
-		a[lo], a[last] = a[last], a[lo]
-	}
-	if a[mid].less(a[last]) {
-		a[mid], a[last] = a[last], a[mid]
-	}
-	pivot := a[mid]
-	a[mid], a[last] = a[last], a[mid]
-	store := lo
-	for i := lo; i < last; i++ {
-		if a[i].less(pivot) {
-			a[i], a[store] = a[store], a[i]
-			store++
-		}
-	}
-	a[store], a[last] = a[last], a[store]
-	return store
-}
-
 // PredictBatchLabels is PredictBatch voting with caller-provided training
 // labels instead of the index's own. Required when the caller holds
 // fresher labels than the index's Train snapshot — cached/derived indexes
@@ -417,7 +318,7 @@ func partition(a []distIdx, lo, hi int) int {
 //
 // The per-query top-k lists are built once into the index's top-k cache
 // and the vote tally is a cheap O(queries·k) pass, so repeated
-// predictions and delta-derived children reuse the selection work.
+// predictions reuse the selection work.
 func (ix *NeighborIndex) PredictBatchLabels(k int, trainY []int) ([]int, error) {
 	n := ix.Train.Len()
 	nc, err := labelClasses("PredictBatchLabels", trainY, n)

@@ -91,10 +91,10 @@ func (g *deltaGeom) renumber() {
 // the root's own, which a derivation builds if it needs it first. Its
 // Train carries the survivors' labels, and no features or groups
 // (TrainSet gathers them), so no feature row or group is copied, except
-// by the derivation that compacts. Per-query top-k lists are repaired in
-// O(queries·k), plus a walk of the root's order up to the k-th survivor
-// for each query whose top-k intersects the removed rows. An empty
-// removal returns the receiver itself. Removing every row is an error.
+// by the derivation that compacts. Its top-k cache starts empty: the
+// first PredictBatchLabels or TopK fills it by walking the root's order
+// to each query's k-th survivor (ensureTopK). An empty removal returns
+// the receiver itself. Removing every row is an error.
 func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 	n := ix.Train.Len()
 	if len(rows) == 0 {
@@ -118,25 +118,16 @@ func (ix *NeighborIndex) RemoveRows(rows []int) (*NeighborIndex, error) {
 	g.dead += len(uniq)
 	g.renumber()
 
+	// the survivors' labels: the runs between the sorted removed rows
 	y := make([]int, 0, n-len(uniq))
-	next := 0
-	for i := 0; i < n; i++ {
-		if next < len(uniq) && uniq[next] == i {
-			next++
-			continue
-		}
-		y = append(y, ix.Train.Y[i])
+	prev := 0
+	for _, r := range uniq {
+		y = append(y, ix.Train.Y[prev:r]...)
+		prev = r + 1
 	}
-	return ix.deriveChild(&Dataset{Y: y}, g), nil
-}
-
-// deriveChild assembles the derived index: attaches the geometry, repairs
-// the top-k cache from the receiver's (when it has one), and compacts into
-// a self-contained root when tombstones have piled up.
-func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom) *NeighborIndex {
-	child := &NeighborIndex{Train: train, Queries: ix.Queries, Workers: ix.Workers, delta: g}
-	deriveTopK(child, ix, g)
-	if g.dead*compactDeadFrac > g.nBase() {
+	y = append(y, ix.Train.Y[prev:]...)
+	child := &NeighborIndex{Train: &Dataset{Y: y}, Queries: ix.Queries, Workers: ix.Workers, delta: g}
+	if g.dead*compactDeadFrac > g.nBase() { // tombstones have piled up
 		g.compactInto(child)
 	}
 	if obs.Enabled() {
@@ -145,7 +136,7 @@ func (ix *NeighborIndex) deriveChild(train *Dataset, g *deltaGeom) *NeighborInde
 			obs.Inc("neighbor_delta_compactions_total")
 		}
 	}
-	return child
+	return child, nil
 }
 
 // compactInto folds the delta into child as a self-contained root: its
@@ -185,52 +176,6 @@ func (g *deltaGeom) walkInto(qi int, out []int32) {
 				return
 			}
 		}
-	}
-}
-
-// deriveTopK repairs the parent's cached top-k lists for the child: a
-// query inherits its list (remapped to child ids) when none of its entries
-// were removed; only the remaining queries re-select, by walking the
-// root's order to the first kk survivors. A parent's entries are alive in
-// the parent, so a tombstone in the child's map marks a row this
-// derivation removed. With no cache on the parent the child's builds
-// lazily on first use instead.
-func deriveTopK(child, parent *NeighborIndex, g *deltaGeom) {
-	parent.topk.mu.Lock()
-	kk, pids := parent.topk.k, parent.topk.ids
-	parent.topk.mu.Unlock()
-	n := child.Train.Len()
-	if kk <= 0 || pids == nil || kk > n {
-		return
-	}
-	nq := child.Queries.Len()
-	var pPhys []int
-	if parent.delta != nil {
-		pPhys = parent.delta.physOf
-	}
-	ids := make([]int32, nq*kk)
-	reselected := 0
-	for q := 0; q < nq; q++ {
-		src := pids[q*kk : (q+1)*kk]
-		dst := ids[q*kk : (q+1)*kk]
-		for i, pl := range src {
-			p := int(pl)
-			if pPhys != nil {
-				p = pPhys[pl]
-			}
-			l := g.logOf[p]
-			if l < 0 {
-				g.walkInto(q, dst)
-				reselected++
-				break
-			}
-			dst[i] = int32(l)
-		}
-	}
-	child.topk.k, child.topk.ids = kk, ids
-	if obs.Enabled() {
-		obs.Count("neighbor_delta_topk_inherited_total", int64(nq-reselected))
-		obs.Count("neighbor_delta_topk_reselected_total", int64(reselected))
 	}
 }
 

@@ -67,7 +67,7 @@ func TestRemoveRowsBitIdenticalToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.PredictBatch(3) // warm the top-k cache so derivation inherits from it
+	ix.PredictBatch(3) // a warm parent cache: each child fills its own
 
 	for _, rm := range [][]int{
 		{0},
@@ -152,8 +152,32 @@ func TestOrderIntoWalksWithoutTable(t *testing.T) {
 	}
 }
 
+// assertTopKBeforeOrder asks a derived index for PredictBatchLabels and
+// TopK before any Order: both answer as the rebuild does, from walks of
+// the root's order, and the index builds neither an order table nor D2.
+func assertTopKBeforeOrder(t *testing.T, derived, fresh *NeighborIndex, k int) {
+	t.Helper()
+	dp, err := derived.PredictBatchLabels(k, derived.Train.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := fresh.PredictBatch(k); !slices.Equal(dp, fp) {
+		t.Fatalf("PredictBatchLabels(%d) before Order = %v, rebuild %v", k, dp, fp)
+	}
+	for q := 0; q < derived.Queries.Len(); q++ {
+		if dt, ft := derived.TopK(q, 2*k), fresh.TopK(q, 2*k); !slices.Equal(dt, ft) {
+			t.Fatalf("TopK(%d,%d) before Order = %v, rebuild %v", q, 2*k, dt, ft)
+		}
+	}
+	if derived.ordersReady.Load() || derived.d2.Load() != nil {
+		t.Fatal("a derived index's top-k built an order table or D2")
+	}
+}
+
 // Property: arbitrary removal chains stay bit-identical to the rebuild
-// oracle at every step, across worker counts, through compactions.
+// oracle at every step, across worker counts, through compactions; a
+// derived step asked for top-k before any Order answers as the rebuild
+// does without building an order table.
 func TestDeltaChainPropertyBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		r := rand.New(rand.NewSource(100 + int64(workers)))
@@ -181,10 +205,13 @@ func TestDeltaChainPropertyBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				cur = next
+				fresh := rebuildIndex(t, cur, workers)
 				if cur.delta == nil {
 					sawCompact = true
+				} else {
+					assertTopKBeforeOrder(t, cur, fresh, 3)
 				}
-				assertIndexBitIdentical(t, cur, rebuildIndex(t, cur, workers), 3)
+				assertIndexBitIdentical(t, cur, fresh, 3)
 			}
 			if !sawCompact && testing.Verbose() {
 				t.Logf("workers=%d trial=%d: chain never compacted", workers, trial)

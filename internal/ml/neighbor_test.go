@@ -104,10 +104,10 @@ func TestNeighborIndexBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TopK and PredictBatchLabels answer from the order table's prefix when
-// it exists and by quickselect over D2 when it does not; on a grid with
-// many tied distances both give the same ids in the same order, and the
-// same votes.
-func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
+// it exists and from the blocked kernel's top-k heap when it does not; on
+// a grid with many tied distances both give the same ids in the same
+// order, and the same votes.
+func TestTopKFromOrderPrefixMatchesBlocked(t *testing.T) {
 	x := linalg.NewMatrix(0, 2)
 	var y []int
 	for i := 0; i < 7; i++ {
@@ -131,7 +131,7 @@ func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
 		flipped[i] = (y[i] + 1) % 3
 	}
 	for _, k := range []int{1, 4, 9, 30, train.Len()} {
-		quick, err := NewNeighborIndex(train, queries, 2)
+		blocked, err := NewNeighborIndex(train, queries, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,14 +141,14 @@ func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
 		}
 		prefix.Order(0)
 		for q := 0; q < queries.Len(); q++ {
-			qt, pt := quick.TopK(q, k), prefix.TopK(q, k)
-			for i := range qt {
-				if qt[i] != pt[i] {
-					t.Fatalf("k=%d query %d: TopK rank %d = %d from the order prefix, %d by quickselect", k, q, i, pt[i], qt[i])
+			bt, pt := blocked.TopK(q, k), prefix.TopK(q, k)
+			for i := range bt {
+				if bt[i] != pt[i] {
+					t.Fatalf("k=%d query %d: TopK rank %d = %d from the order prefix, %d from the blocked kernel", k, q, i, pt[i], bt[i])
 				}
 			}
 		}
-		qp, err := quick.PredictBatchLabels(k, flipped)
+		bp, err := blocked.PredictBatchLabels(k, flipped)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,13 +156,13 @@ func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for q := range qp {
-			if qp[q] != pp[q] {
-				t.Fatalf("k=%d query %d: prefix predicts %d, quickselect %d", k, q, pp[q], qp[q])
+		for q := range bp {
+			if bp[q] != pp[q] {
+				t.Fatalf("k=%d query %d: prefix predicts %d, the blocked kernel %d", k, q, pp[q], bp[q])
 			}
 		}
-		if quick.ordersReady.Load() {
-			t.Fatalf("k=%d: the quickselect path built an order table", k)
+		if blocked.ordersReady.Load() || blocked.d2.Load() != nil {
+			t.Fatalf("k=%d: the blocked path built an order table or stored D2", k)
 		}
 		if prefix.d2.Load() != nil {
 			t.Fatalf("k=%d: the order-prefix path computed D2", k)
@@ -170,8 +170,9 @@ func TestTopKFromOrderPrefixMatchesQuickselect(t *testing.T) {
 	}
 }
 
-// Property: quickselect top-k matches the prefix of the full sort under
-// the same (distance, index) total order.
+// Property: TopK on an index without an order table (the blocked
+// kernel's heap) matches the prefix of the full sort under the same
+// (distance, index) total order.
 func TestQuickTopKMatchesFullSortPrefix(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -183,9 +184,12 @@ func TestQuickTopKMatchesFullSortPrefix(t *testing.T) {
 			return false
 		}
 		k := 1 + r.Intn(n)
-		for q := 0; q < queries.Len(); q++ {
+		tops := make([][]int, queries.Len())
+		for q := range tops {
+			tops[q] = ix.TopK(q, k)
+		}
+		for q, top := range tops {
 			full := ix.Order(q)
-			top := ix.TopK(q, k)
 			if len(top) != k {
 				return false
 			}
@@ -303,11 +307,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 // The default top-k build runs the kernel a block of rows at a time into
-// per-worker scratch: on continuous and tie-heavy rows it yields the ids
-// a quickselect over the stored D2 yields, in the same order, at every
-// worker count with a short last block; it stores no distance matrix;
-// and its allocations do not grow with the number of queries.
-func TestBlockedTopKMatchesQuickselect(t *testing.T) {
+// per-worker scratch: on continuous and tie-heavy rows it yields the
+// first k ids of the stored D2 row sorted by (d², id), in the same
+// order, at every worker count with a short last block; it stores no
+// distance matrix; and its allocations do not grow with the number of
+// queries.
+func TestBlockedTopKMatchesSortedD2(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	train := clusteredDataset(r, 150, 5, 4, 3)
 	inputs := []struct{ train, queries *Dataset }{
@@ -318,6 +323,10 @@ func TestBlockedTopKMatchesQuickselect(t *testing.T) {
 		ref, err := NewNeighborIndex(in.train, in.queries, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		sorted := make([][]int, in.queries.Len())
+		for q := range sorted {
+			sorted[q] = sortedByD2(ref.D2().Row(q))
 		}
 		for _, k := range []int{1, 5, 16, in.train.Len()} {
 			for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
@@ -330,10 +339,10 @@ func TestBlockedTopKMatchesQuickselect(t *testing.T) {
 					t.Fatalf("k=%d workers=%d: the top-k build stored a distance matrix or an order table", k, w)
 				}
 				for q := 0; q < in.queries.Len(); q++ {
-					want := ref.TopK(q, k)
+					want := sorted[q]
 					for i, id := range ids[q*k : (q+1)*k] {
 						if int(id) != want[i] {
-							t.Fatalf("k=%d workers=%d query %d rank %d: blocked %d, quickselect over D2 %d", k, w, q, i, id, want[i])
+							t.Fatalf("k=%d workers=%d query %d rank %d: blocked %d, sorted D2 %d", k, w, q, i, id, want[i])
 						}
 					}
 				}
@@ -353,6 +362,20 @@ func TestBlockedTopKMatchesQuickselect(t *testing.T) {
 	if few, many := build(20), build(400); many > few {
 		t.Fatalf("top-k build allocates %v times for 20 queries and %v for 400", few, many)
 	}
+}
+
+// sortedByD2 returns the ids of a distance row sorted by (d², id), the
+// order every top-k path must reproduce.
+func sortedByD2(row []float64) []int {
+	ids := make([]int, len(row))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		da, db := row[ids[a]], row[ids[b]]
+		return da < db || da == db && ids[a] < ids[b]
+	})
+	return ids
 }
 
 func TestNeighborIndexTopKClamping(t *testing.T) {
@@ -402,36 +425,8 @@ func TestNeighborIndexRejectsMoreThanMaxInt32Rows(t *testing.T) {
 	}
 }
 
-// selectK against a reference sort, across random shapes and k.
-func TestQuickSelectKProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(60)
-		pairs := make([]distIdx, n)
-		for i := range pairs {
-			// coarse values force plenty of distance ties
-			pairs[i] = distIdx{d: float64(r.Intn(5)), i: i}
-		}
-		ref := append([]distIdx(nil), pairs...)
-		sort.Sort(byDistIdx(ref))
-		k := 1 + r.Intn(n)
-		selectK(pairs, k)
-		got := append([]distIdx(nil), pairs[:k]...)
-		sort.Sort(byDistIdx(got))
-		for i := 0; i < k; i++ {
-			if got[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Regression: a NaN feature makes the (distance, index) comparator a
-// non-strict weak order, so quickselect used to return silently wrong
+// non-strict weak order, so a selection under it returns silently wrong
 // top-k neighbors. The index build must reject poisoned features with a
 // wrapped nderr.ErrNonFinite instead.
 func TestNeighborIndexRejectsPoisonedFeatures(t *testing.T) {

@@ -70,7 +70,7 @@ func gini(counts []int, total int) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := float64(c) / float64(total)
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }
@@ -107,7 +107,7 @@ func (m *DecisionTree) grow(d *Dataset, idx []int, depth, minSplit int) *treeNod
 				continue // cannot split between equal values
 			}
 			nl, nr := cut, len(sorted)-cut
-			score := (float64(nl)*gini(leftCounts, nl) + float64(nr)*gini(rightCounts, nr)) / float64(len(sorted))
+			score := (float64(float64(nl)*gini(leftCounts, nl)) + float64(float64(nr)*gini(rightCounts, nr))) / float64(len(sorted))
 			if score < bestScore-1e-12 {
 				bestScore = score
 				bestFeature = f

@@ -105,7 +105,7 @@ func (m *UnlearnableLogReg) margin(x []float64) float64 {
 	d := len(m.theta) - 1
 	z := m.theta[d]
 	for j := 0; j < d; j++ {
-		z += m.theta[j] * x[j]
+		z += float64(m.theta[j] * x[j])
 	}
 	return z
 }
@@ -123,14 +123,14 @@ func (m *UnlearnableLogReg) gradAt() []float64 {
 		p := Sigmoid(m.margin(m.data.Row(i)))
 		errv := p - float64(m.data.Y[i])
 		for j := 0; j < d; j++ {
-			g[j] += errv * m.data.X.At(i, j)
+			g[j] += float64(errv * m.data.X.At(i, j))
 		}
 		g[d] += errv
 	}
 	inv := 1 / float64(m.nAlive)
 	linalg.Scale(inv, g)
 	for j := 0; j < d; j++ {
-		g[j] += m.L2 * m.theta[j]
+		g[j] += float64(m.L2 * m.theta[j])
 	}
 	return g
 }

@@ -12,7 +12,6 @@ import (
 // seconds into progress_<name>_seconds on Done.
 type Progress struct {
 	name  string
-	total int64
 	done  atomic.Int64
 	start time.Time
 
@@ -30,7 +29,7 @@ func NewProgress(name string, total int) *Progress {
 		return noopProgress
 	}
 	name = Sanitize(name)
-	p := &Progress{name: name, total: int64(total), start: time.Now(), reg: defaultRegistry}
+	p := &Progress{name: name, start: time.Now(), reg: defaultRegistry}
 	defaultRegistry.Gauge("progress_" + name + "_total").Set(float64(total))
 	p.doneGauge = defaultRegistry.Gauge("progress_" + name + "_done")
 	p.doneGauge.Set(0)

@@ -49,7 +49,7 @@ var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 func LinearBuckets(start, width float64, count int) []float64 {
 	b := make([]float64, count)
 	for i := range b {
-		b[i] = start + float64(i)*width
+		b[i] = start + float64(float64(i)*width)
 	}
 	return b
 }

@@ -311,20 +311,22 @@ type ProgressSnapshot struct {
 	ETA     time.Duration // zero when the rate is unknown or the loop is done
 }
 
-// Snapshot returns the current state. The no-op progress returns a zero
+// Snapshot returns the current state, its total read from the
+// progress_<name>_total gauge. The no-op progress returns a zero
 // snapshot.
 func (p *Progress) Snapshot() ProgressSnapshot {
 	if p.reg == nil {
 		return ProgressSnapshot{}
 	}
 	done := p.done.Load()
+	total := int64(p.reg.Gauge("progress_" + p.name + "_total").Value())
 	elapsed := time.Since(p.start)
-	s := ProgressSnapshot{Name: p.name, Done: done, Total: p.total, Elapsed: elapsed}
+	s := ProgressSnapshot{Name: p.name, Done: done, Total: total, Elapsed: elapsed}
 	if elapsed > 0 {
 		s.Rate = float64(done) / elapsed.Seconds()
 	}
-	if s.Rate > 0 && done < p.total {
-		s.ETA = time.Duration(float64(p.total-done) / s.Rate * float64(time.Second))
+	if s.Rate > 0 && done < total {
+		s.ETA = time.Duration(float64(total-done) / s.Rate * float64(time.Second))
 	}
 	return s
 }

@@ -11,9 +11,9 @@
 // that discipline every result is bit-for-bit identical for any worker
 // count, including 1.
 //
-// Observability: when obs is enabled each loop records a span
-// (par.for / par.for_blocks with the loop name, items and resolved worker
-// count), sets the par_workers gauge, and observes per-worker item counts
+// Observability: when obs is enabled each loop records a par.for span
+// (with the loop name, items, resolved worker count and chunk size), sets
+// the par_workers gauge, and observes per-worker item counts
 // into the par_items_per_worker histogram. When obs is disabled the pool
 // adds no instrumentation allocations.
 package par
@@ -65,67 +65,8 @@ func Workers(requested, items int) int {
 // [0, Workers) and identifies the goroutine, letting bodies reuse
 // per-worker scratch buffers.
 func For(name string, requested, items int, body func(worker, i int)) *Stats {
-	st := &Stats{Requested: requested, Items: items, Workers: Workers(requested, items)}
-	st.PerWorker = make([]int, st.Workers)
-	chunk := items / (st.Workers * chunksPerWorker)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var sp *obs.Span
-	if obs.Enabled() {
-		sp = obs.StartSpan("par.for")
-		sp.SetStr("name", name).
-			SetInt("items", int64(items)).
-			SetInt("workers", int64(st.Workers)).
-			SetInt("block", int64(chunk))
-		obs.SetGauge("par_workers", float64(st.Workers))
-	}
-	start := time.Now()
-	if items > 0 {
-		if st.Workers == 1 {
-			// inline fast path: no goroutines, no atomics, no extra allocs
-			for i := 0; i < items; i++ {
-				body(0, i)
-			}
-			st.PerWorker[0] = items
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < st.Workers; w++ {
-				wg.Add(1)
-				// w is per-iteration, so capturing it costs the one closure;
-				// passing it as an argument would allocate a wrapper too
-				go func() {
-					defer wg.Done()
-					for {
-						lo := int(next.Add(int64(chunk))) - chunk
-						if lo >= items {
-							return
-						}
-						hi := lo + chunk
-						if hi > items {
-							hi = items
-						}
-						for i := lo; i < hi; i++ {
-							body(w, i)
-						}
-						st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	}
-	st.Wall = time.Since(start)
-	if obs.Enabled() {
-		for _, cnt := range st.PerWorker {
-			obs.ObserveWith("par_items_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
-		}
-	}
-	if sp != nil {
-		sp.End()
-	}
-	return st
+	workers := Workers(requested, items)
+	return loop(name, requested, items, workers, max(items/(workers*chunksPerWorker), 1), body, nil)
 }
 
 // chunksPerWorker controls dynamic-scheduling granularity: each worker's
@@ -156,55 +97,52 @@ func ForErr(name string, requested, items int, body func(worker, i int) error) (
 // scheduled across the pool. Use it when the body wants to amortize
 // per-block setup (cache tiles, scratch buffers) across several items.
 func ForBlocks(name string, requested, items, block int, body func(worker, lo, hi int)) *Stats {
-	st := &Stats{Requested: requested, Items: items, Workers: Workers(requested, items)}
-	st.PerWorker = make([]int, st.Workers)
-	if block < 1 {
-		block = 1
-	}
+	return loop(name, requested, items, Workers(requested, items), max(block, 1), nil, body)
+}
+
+// loop is the pool For and ForBlocks share. Its workers take chunks of
+// [0, items) of the given size off an atomic counter, and each chunk runs
+// as one call of blocks, or as one call of each per item in it; exactly
+// one of the two is non-nil. One worker runs the chunks inline, with no
+// goroutine and no atomic.
+func loop(name string, requested, items, workers, chunk int, each func(worker, i int), blocks func(worker, lo, hi int)) *Stats {
+	st := &Stats{Requested: requested, Items: items, Workers: workers, PerWorker: make([]int, workers)}
 	var sp *obs.Span
 	if obs.Enabled() {
 		sp = obs.StartSpan("par.for")
 		sp.SetStr("name", name).
 			SetInt("items", int64(items)).
-			SetInt("workers", int64(st.Workers)).
-			SetInt("block", int64(block))
-		obs.SetGauge("par_workers", float64(st.Workers))
+			SetInt("workers", int64(workers)).
+			SetInt("block", int64(chunk))
+		obs.SetGauge("par_workers", float64(workers))
 	}
 	start := time.Now()
-	if items > 0 {
-		if st.Workers == 1 {
-			// inline fast path: no goroutines, no atomics
-			for lo := 0; lo < items; lo += block {
-				hi := lo + block
-				if hi > items {
-					hi = items
-				}
-				body(0, lo, hi)
-			}
-			st.PerWorker[0] = items
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < st.Workers; w++ {
-				wg.Add(1)
-				go func() { // captures w, as in For
-					defer wg.Done()
-					for {
-						lo := int(next.Add(int64(block))) - block
-						if lo >= items {
-							return
-						}
-						hi := lo + block
-						if hi > items {
-							hi = items
-						}
-						body(w, lo, hi)
-						st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
-					}
-				}()
-			}
-			wg.Wait()
+	if workers == 1 {
+		for lo := 0; lo < items; lo += chunk {
+			runChunk(each, blocks, 0, lo, min(lo+chunk, items))
 		}
+		st.PerWorker[0] = items
+	} else if items > 0 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			// w is per-iteration, so capturing it costs the one closure;
+			// passing it as an argument would allocate a wrapper too
+			go func() {
+				defer wg.Done()
+				for {
+					lo := int(next.Add(int64(chunk))) - chunk
+					if lo >= items {
+						return
+					}
+					hi := min(lo+chunk, items)
+					runChunk(each, blocks, w, lo, hi)
+					st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
+				}
+			}()
+		}
+		wg.Wait()
 	}
 	st.Wall = time.Since(start)
 	if obs.Enabled() {
@@ -216,4 +154,16 @@ func ForBlocks(name string, requested, items, block int, body func(worker, lo, h
 		sp.End()
 	}
 	return st
+}
+
+// runChunk runs [lo, hi) as loop's worker w: one blocks call, or one each
+// call per item.
+func runChunk(each func(worker, i int), blocks func(worker, lo, hi int), w, lo, hi int) {
+	if blocks != nil {
+		blocks(w, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		each(w, i)
+	}
 }

@@ -101,8 +101,9 @@ type WhatIfResponse struct {
 // with test data and ground-truth labels.
 type CleaningRequest struct {
 	Dataset string `json:"dataset"`
-	// Strategies to compare; default ["random", "knn-shapley"]. Known:
-	// random, knn-shapley, loo, noise-score, influence.
+	// Strategies to compare, each named at most once; default ["random",
+	// "knn-shapley"]. Known: random, knn-shapley, loo, noise-score,
+	// influence.
 	Strategies []string `json:"strategies,omitempty"`
 	// Batch is the rows cleaned per round; default 10.
 	Batch int `json:"batch,omitempty"`

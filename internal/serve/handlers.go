@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -376,6 +377,13 @@ func (s *Server) handleCleaning(w http.ResponseWriter, r *http.Request) {
 		st, ok := strategyByName(name)
 		if !ok {
 			writeErr(w, http.StatusBadRequest, "unknown cleaning strategy "+name, "bad_request")
+			return
+		}
+		// a repeated name would rerun the same comparison while the
+		// request holds its budget slot, so the list names each at most
+		// once: five strategies per request at most
+		if slices.Contains(req.Strategies[:i], name) {
+			writeErr(w, http.StatusBadRequest, "repeated cleaning strategy "+name, "bad_request")
 			return
 		}
 		strategies[i] = st

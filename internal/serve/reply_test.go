@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"nde/internal/cleaning"
 	"nde/internal/importance"
 	"nde/internal/linalg"
 	"nde/internal/ml"
 	"nde/internal/obs"
+	"nde/internal/pipeline"
+	"nde/internal/prov"
 )
 
 // blobSplits builds, outside the server, the train and valid splits that
@@ -20,15 +23,18 @@ import (
 func blobSplits(t *testing.T, trainRows int) (train, valid *ml.Dataset) {
 	t.Helper()
 	body := registerBody(trainRows)
-	split := func(name string) *ml.Dataset {
-		spec := body[name].(map[string]any)
-		d, err := ml.NewDataset(linalg.FromRows(spec["x"].([][]float64)), spec["y"].([]int))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	return bodySplit(t, body, "train"), bodySplit(t, body, "valid")
+}
+
+// bodySplit builds the named split of a registration body.
+func bodySplit(t *testing.T, body map[string]any, name string) *ml.Dataset {
+	t.Helper()
+	spec := body[name].(map[string]any)
+	d, err := ml.NewDataset(linalg.FromRows(spec["x"].([][]float64)), spec["y"].([]int))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return split("train"), split("valid")
+	return d
 }
 
 // encoded is v as writeJSON's encoding/json path writes it.
@@ -200,7 +206,9 @@ func forgeLast(x [][]float64, fp uint64) bool {
 // not keep, while the first dataset keeps reading the stored one. When
 // the forgery also keeps the first dataset's labels, its content address
 // (the dataset id) collides too: the registry compares content on the
-// hit, counts the collision and gives the forgery an id of its own.
+// hit, counts the collision and gives the forgery an id of its own. B's
+// what-if and cleaning replies are its own serial oracles' too, and A's,
+// asked after B's, are A's.
 func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 	for _, keepLabels := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keepLabels=%v", keepLabels), func(t *testing.T) {
@@ -231,6 +239,31 @@ func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 			sameForgeScores(t, "A", importanceScores(t, ts, idA, 4), 4, trainA, valid)
 			if got := r.Counter("importance_neighbor_index_misses_total").Value(); got != misses {
 				t.Errorf("A's second score built %d indexes, want 0 (the stored one)", got-misses)
+			}
+			// The what-ifs remove some of B's shifted rows 0–9, or rows
+			// 10–35, which leaves B's validation rows voting over its
+			// shifted rows, so there A's and B's metrics differ. The
+			// cleaning curves read accuracy 1 at every point on both
+			// datasets, so that check pins B's reply to its own oracle's
+			// bits but cannot tell the two datasets apart.
+			variants := []WhatIfVariant{
+				{Name: "shifted-a", Remove: []int{0, 3, 7}},
+				{Name: "shifted-b", Remove: []int{1, 2, 9, 9}},
+				{Name: "unshifted", Remove: []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+					23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35}},
+			}
+			var unshifted []float64
+			for _, d := range []struct {
+				name, id string
+				train    *ml.Dataset
+			}{{"B", idB, trainB}, {"A", idA, trainA}} {
+				got := whatIfReply(t, ts, d.id, variants)
+				sameWhatIf(t, d.name, got, variants, d.train, valid)
+				unshifted = append(unshifted, *got.Results[2].Metric)
+				sameCleaning(t, d.name, cleaningReply(t, ts, d.id), d.train, valid)
+			}
+			if unshifted[0] == unshifted[1] {
+				t.Fatalf("A's and B's what-if removing rows 10–35 agree (%v): the check cannot tell them apart", unshifted[0])
 			}
 			// registering either again finds its own content under its own id
 			if id := register(t, ts, 40); id != idA {
@@ -288,6 +321,98 @@ func sameForgeScores(t *testing.T, what string, got []float64, k int, train, val
 	for i := range want {
 		if i >= len(got) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s k=%d: %d scores, row %d differs from importance.KNNShapley: %v", what, k, len(got), i, want[i])
+		}
+	}
+}
+
+// whatIfReply answers POST /v1/whatif for one dataset and variant list.
+func whatIfReply(t *testing.T, ts *httptest.Server, id string, variants []WhatIfVariant) WhatIfResponse {
+	t.Helper()
+	code, raw := postRaw(t, ts.URL+"/v1/whatif", WhatIfRequest{Dataset: id, Variants: variants})
+	var resp WhatIfResponse
+	if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("whatif %s = %d (%v): %s", id, code, err, raw)
+	}
+	return resp
+}
+
+// sameWhatIf fails unless got is pipeline.WhatIfRemovalsConfig's answer
+// with ForceRebuild at one worker over train's identity provenance, in
+// metric bits and survivor counts.
+func sameWhatIf(t *testing.T, what string, got WhatIfResponse, variants []WhatIfVariant, train, valid *ml.Dataset) {
+	t.Helper()
+	p := make([]prov.Polynomial, train.Len())
+	for i := range p {
+		p[i] = prov.Var(prov.TupleID{Table: "train", Row: i})
+	}
+	vs := []pipeline.RemovalVariant{{Name: "baseline"}}
+	for _, v := range variants {
+		rv := pipeline.RemovalVariant{Name: v.Name}
+		for _, row := range v.Remove {
+			rv.Remove = append(rv.Remove, prov.TupleID{Table: "train", Row: row})
+		}
+		vs = append(vs, rv)
+	}
+	want, err := pipeline.WhatIfRemovalsConfig(&pipeline.Featurized{Data: train, Prov: p}, vs, newModel, valid,
+		pipeline.WhatIfConfig{ForceRebuild: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Baseline) != math.Float64bits(want[0].Metric) || len(got.Results) != len(want)-1 {
+		t.Fatalf("%s what-if: baseline %v and %d results, oracle %v and %d", what, got.Baseline, len(got.Results), want[0].Metric, len(want)-1)
+	}
+	for i, res := range got.Results {
+		exp := want[i+1]
+		if res.Metric == nil {
+			t.Fatalf("%s what-if %q: null metric, oracle %v", what, res.Name, exp.Metric)
+		}
+		if res.Name != exp.Name || res.Surviving != exp.Surviving || math.Float64bits(*res.Metric) != math.Float64bits(exp.Metric) {
+			t.Fatalf("%s what-if %q: %d surviving, metric %v; oracle %q: %d, %v", what, res.Name, res.Surviving, *res.Metric, exp.Name, exp.Surviving, exp.Metric)
+		}
+	}
+}
+
+// cleaningReply answers POST /v1/cleaning with random and knn-shapley,
+// batch 5, budget 20, for one dataset.
+func cleaningReply(t *testing.T, ts *httptest.Server, id string) CleaningResponse {
+	t.Helper()
+	code, raw := postRaw(t, ts.URL+"/v1/cleaning", CleaningRequest{
+		Dataset: id, Strategies: []string{"random", "knn-shapley"}, Batch: 5, Budget: 20,
+	})
+	var resp CleaningResponse
+	if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("cleaning %s = %d (%v): %s", id, code, err, raw)
+	}
+	return resp
+}
+
+// sameCleaning fails unless got is cleaning.CompareStrategiesParallel's
+// answer at one worker on (train, valid) and registerBody(40)'s test
+// split, with a label oracle over its truth, in every curve point's bits
+// and the AUC.
+func sameCleaning(t *testing.T, what string, got CleaningResponse, train, valid *ml.Dataset) {
+	t.Helper()
+	body := registerBody(40)
+	strategies := []cleaning.Strategy{&cleaning.RandomStrategy{Seed: 1}, &cleaning.KNNShapleyStrategy{}}
+	want, err := cleaning.CompareStrategiesParallel(train, valid, bodySplit(t, body, "test"), &cleaning.LabelOracle{Truth: body["truth"].([]int)},
+		strategies, newModel, 5, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(want) {
+		t.Fatalf("%s cleaning: %d results, oracle %d", what, len(got.Results), len(want))
+	}
+	for i, res := range got.Results {
+		exp := want[i]
+		if res.Strategy != exp.Strategy || len(res.Curve) != len(exp.Curve) ||
+			math.Float64bits(res.AUC) != math.Float64bits(cleaning.AreaUnderCurve(exp.Curve)) {
+			t.Fatalf("%s cleaning %s: AUC %v over %d points, oracle %s AUC %v over %d", what, res.Strategy, res.AUC, len(res.Curve),
+				exp.Strategy, cleaning.AreaUnderCurve(exp.Curve), len(exp.Curve))
+		}
+		for j, pt := range res.Curve {
+			if pt.Cleaned != exp.Curve[j].Cleaned || math.Float64bits(pt.Accuracy) != math.Float64bits(exp.Curve[j].Accuracy) {
+				t.Fatalf("%s cleaning %s point %d: %+v, oracle %+v", what, res.Strategy, j, pt, exp.Curve[j])
+			}
 		}
 	}
 }

@@ -256,6 +256,16 @@ func TestRequestErrors(t *testing.T) {
 		t.Errorf("unknown dataset = %d %v, want 404 not_found", code, body)
 	}
 
+	// a strategy named twice would run twice under one budget slot
+	_, cs := newTestServer(t, Config{})
+	id := register(t, cs, 20)
+	code, body = postJSON(t, cs.URL+"/v1/cleaning", map[string]any{
+		"dataset": id, "strategies": []string{"random", "knn-shapley", "random"}, "budget": 10,
+	})
+	if code != http.StatusBadRequest || body["class"] != "bad_request" {
+		t.Errorf("repeated strategy = %d %v, want 400 bad_request", code, body)
+	}
+
 	// a negative truth label is refused at registration, classified like
 	// a negative train label, before any cleaning run can reach it
 	_, rs := newTestServer(t, Config{})

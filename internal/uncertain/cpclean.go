@@ -26,8 +26,8 @@ func distRange(row []Interval, x []float64) Interval {
 	lo, hi := 0.0, 0.0
 	for j, c := range row {
 		d := c.Sub(Point(x[j])).Abs()
-		lo += d.Lo * d.Lo
-		hi += d.Hi * d.Hi
+		lo += float64(d.Lo * d.Lo)
+		hi += float64(d.Hi * d.Hi)
 	}
 	return Interval{math.Sqrt(lo), math.Sqrt(hi)}
 }

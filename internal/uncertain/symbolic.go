@@ -79,7 +79,7 @@ func (s *SymbolicDataset) SampleWorld(r *rand.Rand) *ml.Dataset {
 			if c.IsPoint() {
 				x.Set(i, j, c.Lo)
 			} else {
-				x.Set(i, j, c.Lo+r.Float64()*c.Width())
+				x.Set(i, j, c.Lo+float64(r.Float64()*c.Width()))
 			}
 		}
 	}

@@ -139,8 +139,8 @@ func (z *Zorro) Analyze(train *SymbolicDataset, test *ml.Dataset) (*ZorroResult,
 		dx := 0.0     // ‖Δx_i‖ bound: full box diameter
 		xcNorm := 1.0 // augmented with intercept feature 1
 		for _, c := range row {
-			dx += c.Width() * c.Width()
-			xcNorm += c.Center() * c.Center()
+			dx += float64(c.Width() * c.Width())
+			xcNorm += float64(c.Center() * c.Center())
 		}
 		dx = math.Sqrt(dx)
 		if dx == 0 {
@@ -148,7 +148,7 @@ func (z *Zorro) Analyze(train *SymbolicDataset, test *ml.Dataset) (*ZorroResult,
 		}
 		xcNorm = math.Sqrt(xcNorm)
 		dSigma := math.Min(1, thetaNorm*dx/4)
-		gradPerturb += (dSigma*(xcNorm+dx) + dx) / float64(n)
+		gradPerturb += (float64(dSigma*(xcNorm+dx)) + dx) / float64(n)
 	}
 	res.ParamRadius = gradPerturb / lambda
 
@@ -157,11 +157,11 @@ func (z *Zorro) Analyze(train *SymbolicDataset, test *ml.Dataset) (*ZorroResult,
 		xNorm := 1.0
 		z := center.Intercept()
 		for j, v := range x {
-			xNorm += v * v
-			z += center.Weights()[j] * v
+			xNorm += float64(v * v)
+			z += float64(center.Weights()[j] * v)
 		}
 		xNorm = math.Sqrt(xNorm)
-		dz := res.ParamRadius * xNorm
+		dz := float64(res.ParamRadius * xNorm)
 		lo, hi := ml.Sigmoid(z-dz), ml.Sigmoid(z+dz)
 		res.SoundProbaRanges[i] = Interval{lo, hi}
 		res.CertainSound[i] = lo >= 0.5 || hi < 0.5
@@ -177,7 +177,7 @@ func (z *Zorro) Analyze(train *SymbolicDataset, test *ml.Dataset) (*ZorroResult,
 func normAug(m *ml.LogisticRegression) float64 {
 	s := m.Intercept() * m.Intercept()
 	for _, w := range m.Weights() {
-		s += w * w
+		s += float64(w * w)
 	}
 	return math.Sqrt(s)
 }

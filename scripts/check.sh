@@ -28,25 +28,22 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-# the Go body of the distance kernel is the AVX2 body's twin only if it
-# rounds every product before adding it: arm64 must build, and its
-# compiler must fuse no multiply-add in the kernels (linalg's kernels*.go)
-# or in kNN's query norm (ml's knn.go) — an explicit float64 conversion
-# forbids the fusion. The listing must show the Go body, so a build that
+# every product is rounded before it is added, so the module computes
+# the same bits on arm64 as on amd64 (which never fuses) and the Go body
+# of the distance kernel is the AVX2 body's twin: arm64 must build, and
+# its compiler must fuse no multiply-add at any line of an nde package —
+# an explicit float64 conversion of the product forbids the fusion. The
+# listing must show the distance kernel's Go body, so a build that
 # prints nothing cannot pass.
-echo "==> GOARCH=arm64 go build ./... + no fused multiply-add in the distance kernels"
+echo "==> GOARCH=arm64 go build ./... + no fused multiply-add in any nde package"
 GOARCH=arm64 go build ./...
-listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/linalg ./internal/ml 2>&1)
-if ! echo "$listing" | grep -q 'linalg\.pairwiseD2RowsGo'; then
-    echo "arm64 listing of internal/linalg shows no pairwiseD2RowsGo" >&2
-    exit 1
-fi
-fused=$(echo "$listing" | grep -E '[(/](kernels[a-z0-9_]*|knn)\.go:[0-9]+\)[[:space:]]+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' || true)
-if [ -n "$fused" ]; then
-    echo "fused multiply-add in a distance kernel on arm64:" >&2
-    echo "$fused" >&2
-    exit 1
-fi
+GOARCH=arm64 go build -gcflags=-S ./... 2>&1 | awk -v root="($(pwd)/" '
+/linalg\.pairwiseD2RowsGo/ { body = 1 }
+index($3, root) == 1 && $4 ~ /^FN?M(ADD|SUB)[DS]$/ { print > "/dev/stderr"; fused = 1 }
+END {
+    if (!body) { print "arm64 listing shows no linalg.pairwiseD2RowsGo" > "/dev/stderr"; exit 1 }
+    if (fused) { print "fused multiply-add in an nde package on arm64: round the product with float64(...)" > "/dev/stderr"; exit 1 }
+}'
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -78,6 +75,11 @@ go test -run='^FuzzReadCSV$' -fuzz='^FuzzReadCSV$' -fuzztime=2s ./internal/frame
 # encoding/json
 echo "==> go test -fuzz FuzzDecodeRegister (2s)"
 go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./internal/serve/
+
+# the /v1 compute endpoints on hostile bodies: every reply is 2xx, or 4xx
+# with a classified ErrorResponse, never a 5xx
+echo "==> go test -fuzz FuzzServeRequests (2s)"
+go test -run='^FuzzServeRequests$' -fuzz='^FuzzServeRequests$' -fuzztime=2s ./internal/serve/
 
 # its one-pass number scanner, differential against the literal through
 # strconv.ParseFloat and strconv.ParseInt
