@@ -247,9 +247,7 @@ func (d *regDecoder) matrix() [][]float64 {
 	ends := make([]int, 0, rows)
 	for i := 0; d.more(i == 0, ']'); i++ {
 		d.expect('[')
-		for j := 0; d.more(j == 0, ']'); j++ {
-			flat = append(flat, d.float())
-		}
+		flat = d.row(flat)
 		ends = append(ends, len(flat))
 	}
 	if d.bad {
@@ -262,6 +260,33 @@ func (d *regDecoder) matrix() [][]float64 {
 		start = end
 	}
 	return x
+}
+
+// row reads the numbers of one row, from just inside its '[' through its
+// ']', onto flat. wordFloat reads each number with the ',' or ']' after
+// it when it can; any other number takes the byte loop, float then more.
+// The cursor stays in a local between word reads, so the next number's
+// loads wait only on this one's end.
+func (d *regDecoder) row(flat []float64) []float64 {
+	if !d.more(true, ']') {
+		return flat
+	}
+	b, p := d.b, d.p
+	for {
+		f, end, closed, ok := wordFloat(b, p)
+		if !ok {
+			d.p = p
+			f = d.float()
+			closed = !d.more(false, ']')
+			end = d.p
+		}
+		flat = append(flat, f)
+		p = end
+		if closed {
+			d.p = p
+			return flat
+		}
+	}
 }
 
 // countRows looks ahead, from just inside the '[' of an array of

@@ -60,7 +60,9 @@ func mustMarshal(t testing.TB, v any) []byte {
 // canonicalBodies are registration bodies inside decodeRegister's subset:
 // json.Marshal of inline-matrix requests, among them splits corrupted by
 // the internal/datagen injectors (label flips, three-class flips,
-// out-of-distribution rows whose features print with exponents).
+// out-of-distribution rows whose features print with exponents, or
+// without at a smaller scale). "word-path" is a wider split whose
+// numbers have the room around them the word reader needs.
 func canonicalBodies(t testing.TB) map[string][]byte {
 	r := rand.New(rand.NewSource(5))
 	train, valid := mixtureSplit(t, r, 12, 4), mixtureSplit(t, r, 4, 4)
@@ -76,7 +78,13 @@ func canonicalBodies(t testing.TB) map[string][]byte {
 	if three, _, err = datagen.FlipDatasetLabels(three, 0.5, 6); err != nil {
 		t.Fatal(err)
 	}
+	wide, _, err := datagen.FlipDatasetLabels(mixtureSplit(t, r, 40, 8), 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _ = datagen.AppendOOD(wide, 4, 40, 8)
 	return map[string][]byte{
+		"word-path":  mustMarshal(t, RegisterRequest{Name: "word path", Train: inlineSpec(wide), Valid: inlineSpec(valid)}),
 		"serve-cold": mustMarshal(t, RegisterRequest{Train: inlineSpec(flipped), Valid: inlineSpec(valid)}),
 		"ood": mustMarshal(t, RegisterRequest{
 			Name: "ood rows", Train: inlineSpec(ood), Valid: inlineSpec(valid),

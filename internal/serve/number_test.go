@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"nde/internal/linalg"
 )
 
 // number is the oracle for scanNumber's grammar: the scanner decodeRegister
@@ -101,6 +104,53 @@ func checkNumber(t *testing.T, lit []byte) {
 	}
 }
 
+// oracleRow is the oracle for row: the byte loop, with every number
+// read by oracleFloat.
+func (d *regDecoder) oracleRow() []float64 {
+	var out []float64
+	for j := 0; d.more(j == 0, ']'); j++ {
+		out = append(out, d.oracleFloat())
+	}
+	return out
+}
+
+// checkRow fails unless row and oracleRow, each reading body from p,
+// just inside a row's '[', agree on failure, on where the row ends and
+// on every number, to the bit.
+func checkRow(t *testing.T, body []byte, p int) {
+	t.Helper()
+	fast, ref := regDecoder{b: body, p: p}, regDecoder{b: body, p: p}
+	got, want := fast.row(nil), ref.oracleRow()
+	asRow := func(v []float64) *linalg.Matrix { return &linalg.Matrix{Rows: 1, Cols: len(v), Data: v} }
+	if fast.bad != ref.bad || fast.p != ref.p || !fast.bad && !linalg.SameBits(asRow(got), asRow(want)) {
+		t.Fatalf("row %q: reader (%v, bad %v, end %d), oracle (%v, bad %v, end %d)",
+			body[p:], got, fast.bad, fast.p, want, ref.bad, ref.p)
+	}
+}
+
+// rowPrefix and rowPadding put the numbers of a row between them past
+// the 25 bytes the word reader needs before a number's end, and
+// wordSlack bytes before the body's end.
+var (
+	rowPrefix  = strings.Repeat(" ", 25) + "["
+	rowPadding = bytes.Repeat([]byte{' '}, wordSlack)
+)
+
+// checkNumberInRow reads lit as the first number of a row — lit, then
+// sep (',' or ']'), then a second number if sep is ',', then wordSlack
+// bytes of padding — with row and with the oracle: the word reader gets
+// to read it, and must agree with the oracle as checkRow checks.
+func checkNumberInRow(t *testing.T, lit []byte, sep byte) {
+	t.Helper()
+	body := append([]byte(rowPrefix), lit...)
+	body = append(body, sep)
+	if sep == ',' {
+		body = append(body, "7]"...)
+	}
+	body = append(body, rowPadding...)
+	checkRow(t, body, len(rowPrefix))
+}
+
 // hardNumbers are literals at the edges of the fast path: signed zeros,
 // the smallest subnormal and normal, the largest finite float and the
 // first literal past it, underflow and overflow, a halfway integer,
@@ -119,12 +169,17 @@ var hardNumbers = []string{
 }
 
 // Differential fuzzer: on any bytes the scanner and the oracle agree, as
-// checkNumber checks them.
+// checkNumber checks them, and so do the row reader and the oracle's
+// byte loop on a row that starts with them.
 func FuzzRegisterNumber(f *testing.F) {
 	for _, lit := range hardNumbers {
 		f.Add([]byte(lit))
 	}
-	f.Fuzz(func(t *testing.T, lit []byte) { checkNumber(t, lit) })
+	f.Fuzz(func(t *testing.T, lit []byte) {
+		checkNumber(t, lit)
+		checkNumberInRow(t, lit, ',')
+		checkNumberInRow(t, lit, ']')
+	})
 }
 
 // Some of the hard cases, each with the float it must read as (the
@@ -157,7 +212,10 @@ func TestRegisterNumberHardCases(t *testing.T) {
 // A deterministic sweep of over a million literals: random float64 bit
 // patterns printed in 'g', 'e' and 'f' form at random precisions, and
 // random strings of 1–30 digits with a random point and an exponent
-// within ±350.
+// within ±350, and shortest 'f' forms of floats from 2^-24 to 2^70, the
+// form json.Marshal prints between 1e-6 and 1e21. Each is read on its
+// own and as the first number of a row, where the word reader reads it,
+// followed by ',' or ']' in turn.
 func TestRegisterNumberSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	formats := []byte{'g', 'e', 'f'}
@@ -172,6 +230,7 @@ func TestRegisterNumberSweep(t *testing.T) {
 		}
 		buf = strconv.AppendFloat(buf[:0], v, format, r.Intn(26)-1, 64)
 		checkNumber(t, buf)
+		checkNumberInRow(t, buf, ",]"[i%2])
 	}
 	var sb strings.Builder
 	for i := 0; i < 500_000; i++ {
@@ -196,6 +255,13 @@ func TestRegisterNumberSweep(t *testing.T) {
 			sb.WriteString(strconv.Itoa(r.Intn(701) - 350))
 		}
 		checkNumber(t, []byte(sb.String()))
+		checkNumberInRow(t, []byte(sb.String()), ",]"[i%2])
+	}
+	for i := 0; i < 200_000; i++ {
+		v := math.Ldexp(math.Float64frombits(r.Uint64()&(1<<63|1<<52-1)|1023<<52), r.Intn(95)-24)
+		buf = strconv.AppendFloat(buf[:0], v, 'f', -1, 64)
+		checkNumber(t, buf)
+		checkNumberInRow(t, buf, ",]"[i%2])
 	}
 }
 
@@ -233,4 +299,89 @@ func TestPow10Table(t *testing.T) {
 			t.Fatalf("1e%d row %#x is not the floor of 10^%d × 2^%d", e, row, e, -s)
 		}
 	}
+}
+
+// rowBodyHead runs up to just inside the '[' of rowBody's second row.
+const rowBodyHead = `{"name":"padded","train":{"x":[[0.5],[`
+
+// rowBody is a canonical registration body whose train split's second
+// row holds row, padded so that every number of row has the bytes the
+// word reader needs around it.
+func rowBody(row []byte) []byte {
+	body := append([]byte(rowBodyHead), row...)
+	body = append(body, `]],"y":[0,1]}}`...)
+	return append(body, rowPadding...)
+}
+
+// Differential fuzzer of the row loop: arbitrary bytes as one row's
+// contents inside a padded canonical body. Whenever decodeRegister
+// accepts the body, encoding/json accepts it too and yields the same
+// request, and the row reader agrees with the oracle's byte loop on the
+// row, as checkRow checks.
+func FuzzRegisterRow(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	row := mustMarshal(f, mixtureSplit(f, r, 1, 32).Row(0))
+	f.Add(row[1 : len(row)-1])
+	for _, s := range []string{
+		"", "1e5,2", "1 ,2", "12345678901234567890,1", "01,1", "1.,2", "-,1", "1,,2", " 1.5 , -2.25 ",
+		"0.000001234567890123456,1", "-0.0,0", "1.5,\"x\"", "1.5,null", "[1.5]", "1.5\xff,2", "9007199254740993.5,1",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, row []byte) {
+		body := rowBody(row)
+		var fast RegisterRequest
+		if decodeRegister(body, &fast) {
+			checkAgainstJSON(t, body, &fast)
+		}
+		checkRow(t, body, len(rowBodyHead))
+	})
+}
+
+// The word reader takes every number of the x matrices of a json.Marshal
+// body shaped as serve-cold's — a Gaussian mixture, 4000 × 32 train and
+// 100 × 32 valid rows — with the oracle's bits and end, so the
+// differential tests exercise it. It refuses the literals of refused,
+// each of which the row then reads with the byte loop, as the oracle
+// does.
+func TestWordFloat(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	train, valid := mixtureSplit(t, r, 4000, 32), mixtureSplit(t, r, 100, 32)
+	body := mustMarshal(t, RegisterRequest{Train: inlineSpec(train), Valid: inlineSpec(valid)})
+	read := 0
+	for _, key := range []string{`"train":{"x":[`, `"valid":{"x":[`} {
+		d := regDecoder{b: body, p: bytes.Index(body, []byte(key)) + len(key)}
+		for i := 0; d.more(i == 0, ']'); i++ {
+			d.expect('[')
+			for j := 0; d.more(j == 0, ']'); j++ {
+				at := d.p
+				f, end, closed, ok := wordFloat(body, at)
+				want := d.oracleFloat()
+				if !ok || d.bad || math.Float64bits(f) != math.Float64bits(want) ||
+					end != d.p+1 || closed != (body[d.p] == ']') {
+					t.Fatalf("%q: word reader (%v, end %d, closed %v, ok %v), oracle (%v, end %d)",
+						body[at:d.p+1], f, end, closed, ok, want, d.p+1)
+				}
+				read++
+			}
+		}
+	}
+	if want := (4000 + 100) * 32; read != want {
+		t.Fatalf("read %d numbers, want %d", read, want)
+	}
+
+	refused := []string{"1e5,", "1 ,", "12345678901234567890,", "01,", "1.,", "-,"}
+	for _, lit := range refused {
+		b := append([]byte(rowPrefix+lit+"7]"), rowPadding...)
+		if _, _, _, ok := wordFloat(b, len(rowPrefix)); ok {
+			t.Errorf("word reader took %q", lit)
+		}
+		checkRow(t, b, len(rowPrefix))
+	}
+	// a number in the body's last wordSlack bytes
+	b := []byte(rowPrefix + "1.5,2.25]" + strings.Repeat(" ", wordSlack-10))
+	if _, _, _, ok := wordFloat(b, len(rowPrefix)); ok {
+		t.Errorf("word reader took a number %d bytes before the body's end", len(b)-len(rowPrefix))
+	}
+	checkRow(t, b, len(rowPrefix))
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"nde/internal/cleaning"
@@ -208,17 +210,19 @@ func forgeLast(x [][]float64, fp uint64) bool {
 // (the dataset id) collides too: the registry compares content on the
 // hit, counts the collision and gives the forgery an id of its own. B's
 // what-if and cleaning replies are its own serial oracles' too, and A's,
-// asked after B's, are A's.
+// asked after B's, are A's. A is forgeBase, on whose test split every
+// cleaning curve starts below accuracy 1 and A's and B's curves differ.
 func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 	for _, keepLabels := range []bool{false, true} {
 		t.Run(fmt.Sprintf("keepLabels=%v", keepLabels), func(t *testing.T) {
 			r := withObs(t)
 			_, ts := newTestServer(t, Config{})
-			idA := register(t, ts, 40)
-			trainA, valid := blobSplits(t, 40)
+			base := forgeBase()
+			idA := registerBodyID(t, ts, base)
+			trainA, valid := bodySplit(t, base, "train"), bodySplit(t, base, "valid")
 			sameForgeScores(t, "A", importanceScores(t, ts, idA, 3), 3, trainA, valid)
 
-			bodyB, trainB := forgeDataset(t, keepLabels)
+			bodyB, trainB := forgeDataset(t, base, keepLabels)
 			code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
 			idB, _ := body["id"].(string)
 			if code != http.StatusOK || idB == idA {
@@ -242,10 +246,9 @@ func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 			}
 			// The what-ifs remove some of B's shifted rows 0–9, or rows
 			// 10–35, which leaves B's validation rows voting over its
-			// shifted rows, so there A's and B's metrics differ. The
-			// cleaning curves read accuracy 1 at every point on both
-			// datasets, so that check pins B's reply to its own oracle's
-			// bits but cannot tell the two datasets apart.
+			// shifted rows, so there A's and B's metrics differ. So do
+			// their random cleaning curves, as B's rows 0–9 are out of
+			// every test row's reach.
 			variants := []WhatIfVariant{
 				{Name: "shifted-a", Remove: []int{0, 3, 7}},
 				{Name: "shifted-b", Remove: []int{1, 2, 9, 9}},
@@ -253,6 +256,7 @@ func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 					23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35}},
 			}
 			var unshifted []float64
+			var curves [][]CurvePointJSON
 			for _, d := range []struct {
 				name, id string
 				train    *ml.Dataset
@@ -260,13 +264,23 @@ func TestForgedIndexKeyScoresOwnData(t *testing.T) {
 				got := whatIfReply(t, ts, d.id, variants)
 				sameWhatIf(t, d.name, got, variants, d.train, valid)
 				unshifted = append(unshifted, *got.Results[2].Metric)
-				sameCleaning(t, d.name, cleaningReply(t, ts, d.id), d.train, valid)
+				cleaned := cleaningReply(t, ts, d.id)
+				sameCleaning(t, d.name, cleaned, d.train, valid, base)
+				for _, res := range cleaned.Results {
+					if res.Curve[0].Accuracy >= 1 {
+						t.Fatalf("%s's %s curve starts at accuracy %v: the check cannot tell a dataset's curve from a clean one", d.name, res.Strategy, res.Curve[0].Accuracy)
+					}
+				}
+				curves = append(curves, cleaned.Results[0].Curve)
 			}
 			if unshifted[0] == unshifted[1] {
 				t.Fatalf("A's and B's what-if removing rows 10–35 agree (%v): the check cannot tell them apart", unshifted[0])
 			}
+			if reflect.DeepEqual(curves[0], curves[1]) {
+				t.Fatalf("A's and B's random cleaning curves agree (%v): the check cannot tell them apart", curves[0])
+			}
 			// registering either again finds its own content under its own id
-			if id := register(t, ts, 40); id != idA {
+			if id := registerBodyID(t, ts, base); id != idA {
 				t.Errorf("A registered again: id %q, want %q", id, idA)
 			}
 			if code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB); code != http.StatusOK || body["id"] != idB {
@@ -290,7 +304,7 @@ func TestForgedIDAfterEvictionScoresOwnData(t *testing.T) {
 	if code, _ := postRaw(t, ts.URL+"/v1/importance", map[string]any{"dataset": idA, "k": 3}); code != http.StatusNotFound {
 		t.Fatalf("A is still registered (%d) after %d more registrations", code, maxDatasets)
 	}
-	bodyB, trainB := forgeDataset(t, true)
+	bodyB, trainB := forgeDataset(t, registerBody(40), true)
 	code, body := postJSON(t, ts.URL+"/v1/datasets", bodyB)
 	idB, _ := body["id"].(string)
 	if code != http.StatusOK || idB != idA {
@@ -387,12 +401,10 @@ func cleaningReply(t *testing.T, ts *httptest.Server, id string) CleaningRespons
 }
 
 // sameCleaning fails unless got is cleaning.CompareStrategiesParallel's
-// answer at one worker on (train, valid) and registerBody(40)'s test
-// split, with a label oracle over its truth, in every curve point's bits
-// and the AUC.
-func sameCleaning(t *testing.T, what string, got CleaningResponse, train, valid *ml.Dataset) {
+// answer at one worker on (train, valid) and body's test split, with a
+// label oracle over its truth, in every curve point's bits and the AUC.
+func sameCleaning(t *testing.T, what string, got CleaningResponse, train, valid *ml.Dataset, body map[string]any) {
 	t.Helper()
-	body := registerBody(40)
 	strategies := []cleaning.Strategy{&cleaning.RandomStrategy{Seed: 1}, &cleaning.KNNShapleyStrategy{}}
 	want, err := cleaning.CompareStrategiesParallel(train, valid, bodySplit(t, body, "test"), &cleaning.LabelOracle{Truth: body["truth"].([]int)},
 		strategies, newModel, 5, 20, 1)
@@ -417,15 +429,31 @@ func sameCleaning(t *testing.T, what string, got CleaningResponse, train, valid 
 	}
 }
 
+// forgeBase is registerBody(40) with every fifth training label flipped
+// instead of every seventh: all four copies of blob rows 0 and 5 then
+// carry the wrong label, so their test rows start misclassified.
+func forgeBase() map[string]any {
+	body := registerBody(40)
+	y, truth := body["train"].(map[string]any)["y"].([]int), body["truth"].([]int)
+	for i := range y {
+		y[i] = truth[i]
+		if i%5 == 0 {
+			y[i] = 1 - y[i]
+		}
+	}
+	return body
+}
+
 // forgeDataset returns the registration body and training split of B:
-// registerBody(40) (A) with training rows 0–9 moved by +100 (or a little
-// more, until the solved value is usable) in the first feature, label 1
-// flipped unless B keeps A's labels, and the last value solved so B's
-// training features hash to A's, and so to A's neighbor-index key.
-func forgeDataset(t *testing.T, keepLabels bool) (map[string]any, *ml.Dataset) {
+// base (A, a registerBody(40) variant) with training rows 0–9 moved by
+// +100 (or a little more, until the solved value is usable) in the first
+// feature, label 1 flipped unless B keeps A's labels, and the last value
+// solved so B's training features hash to A's, and so to A's
+// neighbor-index key.
+func forgeDataset(t *testing.T, base map[string]any, keepLabels bool) (map[string]any, *ml.Dataset) {
 	t.Helper()
-	trainA, valid := blobSplits(t, 40)
-	specA := registerBody(40)["train"].(map[string]any)
+	trainA, valid := bodySplit(t, base, "train"), bodySplit(t, base, "valid")
+	specA := base["train"].(map[string]any)
 	yB := append([]int(nil), specA["y"].([]int)...)
 	if !keepLabels {
 		yB[1] = 1 - yB[1]
@@ -451,7 +479,7 @@ func forgeDataset(t *testing.T, keepLabels bool) (map[string]any, *ml.Dataset) {
 	if ml.KeyOf(trainB, valid) != ml.KeyOf(trainA, valid) {
 		t.Fatal("forged training features do not hash to A's index key")
 	}
-	body := registerBody(40)
+	body := maps.Clone(base)
 	body["train"] = map[string]any{"x": xB, "y": yB}
 	return body, trainB
 }

@@ -348,7 +348,8 @@ func buildDataset(split string, spec *MatrixSpec) (*ml.Dataset, error) {
 
 // datasetFromCSV parses a headered CSV: the label column (default
 // "label") becomes integer classes, every other column must be numeric
-// and becomes a feature.
+// and becomes a feature. An empty feature cell reads as NaN, which
+// ml.NewDataset refuses as it refuses any non-finite feature.
 func datasetFromCSV(split, csv, labelCol string) (*ml.Dataset, error) {
 	if labelCol == "" {
 		labelCol = "label"
@@ -396,9 +397,6 @@ func datasetFromCSV(split, csv, labelCol string) (*ml.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s split: %w", split, err)
 	}
-	if err := d.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("%s split: %w", split, err)
-	}
 	return d, nil
 }
 
@@ -430,9 +428,6 @@ func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, er
 	}
 	d, err := ml.NewDataset(x, y)
 	if err != nil {
-		return nil, fmt.Errorf("%s split: %w", split, err)
-	}
-	if err := d.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("%s split: %w", split, err)
 	}
 	return d, nil

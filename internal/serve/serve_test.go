@@ -98,11 +98,17 @@ func postJSON(t *testing.T, url string, v any) (int, map[string]any) {
 
 func register(t *testing.T, ts *httptest.Server, trainRows int) string {
 	t.Helper()
-	code, body := postJSON(t, ts.URL+"/v1/datasets", registerBody(trainRows))
+	return registerBodyID(t, ts, registerBody(trainRows))
+}
+
+// registerBodyID registers body and returns its dataset id.
+func registerBodyID(t *testing.T, ts *httptest.Server, body map[string]any) string {
+	t.Helper()
+	code, reply := postJSON(t, ts.URL+"/v1/datasets", body)
 	if code != http.StatusOK {
-		t.Fatalf("register = %d: %v", code, body)
+		t.Fatalf("register = %d: %v", code, reply)
 	}
-	id, _ := body["id"].(string)
+	id, _ := reply["id"].(string)
 	if !strings.HasPrefix(id, "d-") {
 		t.Fatalf("dataset id = %q", id)
 	}
@@ -222,6 +228,16 @@ func TestRegisterCSV(t *testing.T) {
 	})
 	if code != http.StatusBadRequest || body["class"] != "shape_mismatch" {
 		t.Errorf("missing label column = %d %v, want 400 shape_mismatch", code, body)
+	}
+
+	// an empty feature cell reads as NaN, which the split's dataset
+	// refuses as a non-finite feature
+	code, body = postJSON(t, ts.URL+"/v1/datasets", map[string]any{
+		"train": map[string]any{"csv": csv},
+		"valid": map[string]any{"csv": "f1,f2,label\n1,,0\n4,4,1\n"},
+	})
+	if code != http.StatusBadRequest || body["class"] != "non_finite" {
+		t.Errorf("empty feature cell = %d %v, want 400 non_finite", code, body)
 	}
 }
 

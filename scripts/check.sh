@@ -86,6 +86,12 @@ go test -run='^FuzzServeRequests$' -fuzz='^FuzzServeRequests$' -fuzztime=2s ./in
 echo "==> go test -fuzz FuzzRegisterNumber (2s)"
 go test -run='^FuzzRegisterNumber$' -fuzz='^FuzzRegisterNumber$' -fuzztime=2s ./internal/serve/
 
+# its row loop, where the word reader reads numbers end first: arbitrary
+# row contents in a padded canonical body, differential against
+# encoding/json and the byte loop
+echo "==> go test -fuzz FuzzRegisterRow (2s)"
+go test -run='^FuzzRegisterRow$' -fuzz='^FuzzRegisterRow$' -fuzztime=2s ./internal/serve/
+
 # the what-if batch lineage, differential against checking every output
 # row's provenance product against the variant's removals
 echo "==> go test -fuzz FuzzWhatIfSurvivors (2s)"

@@ -35,6 +35,8 @@ nde/internal/importance.shapleyWalkRow
 nde/internal/importance.addRows
 slices.partitionOrdered[go.shape.float64]
 nde/internal/cleaning.(*testVotes).accuracy
+nde/internal/serve.(*regDecoder).row
+nde/internal/serve.wordFloat
 nde/internal/serve.(*regDecoder).scanNumber
 nde/internal/serve.eiselLemire'
 
